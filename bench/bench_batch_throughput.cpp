@@ -1,9 +1,10 @@
 // Batch-vs-scalar programming throughput (perf claim of the SoA kernel).
 //
 // Programs N cells — SET then terminated RESET across the 16-level IrefR bank
-// — twice: once as a serial loop of FastCell operations (52-halving bisection
-// per time step), once through oxram::CellBatch (warm-started Newton, lockstep
-// lanes, termination masking + retirement). Reports cells/s for
+// — twice: once as a serial loop of the reference stepper
+// (oxram/reference_pulse.hpp: 52-halving bisection per time step), once
+// through oxram::CellBatch (the production engine: warm-started pack Newton,
+// lockstep lanes, termination masking + retirement). Reports cells/s for
 // N in {16, 256, 4096} and the speedup; the acceptance bar is >= 5x on the
 // 4096-cell sweep in a single-threaded Release build.
 //
@@ -22,6 +23,7 @@
 #include "obs/registry.hpp"
 #include "oxram/batch_kernel.hpp"
 #include "oxram/fast_cell.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -29,11 +31,9 @@ namespace {
 
 struct Sweep {
   std::size_t lanes = 0;
-  double scalar_cps = 0.0;
-  double reference_cps = 0.0;  // batch engine forced to the scalar reference
-  double batch_cps = 0.0;      // dispatched engine (SIMD when available)
-  double speedup = 0.0;        // batch vs serial FastCell loop
-  double vector_speedup = 0.0;  // batch vs reference-engine batch
+  double scalar_cps = 0.0;  // serial loop of the reference stepper
+  double batch_cps = 0.0;   // CellBatch on the dispatched pack backend
+  double speedup = 0.0;     // batch vs the serial loop
 };
 
 }  // namespace
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header(
-      "Batch throughput", "SoA batch kernel vs serial FastCell loop",
+      "Batch throughput", "SoA batch kernel vs serial reference stepper",
       "(implementation claim: whole-word/array programming through the "
       "warm-started lockstep kernel, >= 5x at 4096 cells, identical physics)");
 
@@ -90,47 +90,38 @@ int main(int argc, char** argv) {
     Sweep sweep;
     sweep.lanes = n;
 
-    const auto run_batch = [&](oxmlc::num::simd::Backend engine) {
-      std::vector<oxram::FastCell> cells = make_cells(n);
-      oxram::BatchRunOptions options;
-      options.engine = engine;
-      const auto start = bench::now();
-      oxram::CellBatch batch;
-      for (std::size_t i = 0; i < n; ++i) batch.add_set(cells[i], set_op);
-      batch.run(options);
-      batch.clear();
-      for (std::size_t i = 0; i < n; ++i) batch.add_reset(cells[i], reset_for(i));
-      batch.run(options);
-      return static_cast<double>(n) / bench::seconds_since(start);
-    };
-
     {
       std::vector<oxram::FastCell> cells = make_cells(n);
       const auto start = bench::now();
       for (std::size_t i = 0; i < n; ++i) {
-        cells[i].apply_set(set_op);
-        cells[i].apply_reset(reset_for(i));
+        oxram::reference_pulse(cells[i], set_op);
+        oxram::reference_pulse(cells[i], reset_for(i));
       }
       sweep.scalar_cps = static_cast<double>(n) / bench::seconds_since(start);
     }
-    sweep.reference_cps = run_batch(oxmlc::num::simd::Backend::kReference);
-    sweep.batch_cps = run_batch(oxmlc::num::simd::Backend::kAuto);
+    {
+      std::vector<oxram::FastCell> cells = make_cells(n);
+      const auto start = bench::now();
+      oxram::CellBatch batch;
+      for (std::size_t i = 0; i < n; ++i) batch.add_set(cells[i], set_op);
+      batch.run();
+      batch.clear();
+      for (std::size_t i = 0; i < n; ++i) batch.add_reset(cells[i], reset_for(i));
+      batch.run();
+      sweep.batch_cps = static_cast<double>(n) / bench::seconds_since(start);
+    }
     sweep.speedup = sweep.batch_cps / sweep.scalar_cps;
-    sweep.vector_speedup = sweep.batch_cps / sweep.reference_cps;
     sweeps.push_back(sweep);
   }
 
   const std::uint64_t lanes_retired =
       obs::registry().counter("batch.lanes_retired").value() - retired_before;
 
-  Table table({"cells", "scalar (cells/s)", "batch ref (cells/s)", "batch simd (cells/s)",
-               "vs scalar", "vs ref"});
+  Table table({"cells", "scalar (cells/s)", "batch simd (cells/s)", "vs scalar"});
   for (const Sweep& sweep : sweeps) {
     table.add_row({std::to_string(sweep.lanes), format_scaled(sweep.scalar_cps, 1.0, 0),
-                   format_scaled(sweep.reference_cps, 1.0, 0),
                    format_scaled(sweep.batch_cps, 1.0, 0),
-                   format_scaled(sweep.speedup, 1.0, 2) + "x",
-                   format_scaled(sweep.vector_speedup, 1.0, 2) + "x"});
+                   format_scaled(sweep.speedup, 1.0, 2) + "x"});
   }
   table.print(std::cout);
   std::cout << "\n  dispatched engine: "
@@ -138,12 +129,10 @@ int main(int argc, char** argv) {
             << "\n  lanes retired through termination masking: " << lanes_retired
             << "\n";
 
-  Table csv({"cells", "scalar_cells_per_s", "batch_reference_cells_per_s",
-             "batch_cells_per_s", "speedup", "vector_speedup"});
+  Table csv({"cells", "scalar_cells_per_s", "batch_cells_per_s", "speedup"});
   for (const Sweep& sweep : sweeps) {
     csv.add_row({std::to_string(sweep.lanes), std::to_string(sweep.scalar_cps),
-                 std::to_string(sweep.reference_cps), std::to_string(sweep.batch_cps),
-                 std::to_string(sweep.speedup), std::to_string(sweep.vector_speedup)});
+                 std::to_string(sweep.batch_cps), std::to_string(sweep.speedup)});
   }
   bench::save_csv(csv, "batch_throughput.csv");
 
@@ -158,10 +147,8 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < sweeps.size(); ++k) {
     json << "    {\"lanes\": " << sweeps[k].lanes
          << ", \"scalar_cells_per_s\": " << sweeps[k].scalar_cps
-         << ", \"batch_reference_cells_per_s\": " << sweeps[k].reference_cps
          << ", \"batch_cells_per_s\": " << sweeps[k].batch_cps
-         << ", \"speedup\": " << sweeps[k].speedup
-         << ", \"vector_speedup\": " << sweeps[k].vector_speedup << "}"
+         << ", \"speedup\": " << sweeps[k].speedup << "}"
          << (k + 1 < sweeps.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

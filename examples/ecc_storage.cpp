@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "array/fast_array.hpp"
-#include "mlc/ecc.hpp"
+#include "ecc/gray.hpp"
+#include "ecc/secded.hpp"
 #include "mlc/program.hpp"
 #include "util/table.hpp"
 
@@ -21,24 +22,24 @@ namespace {
 using namespace oxmlc;
 
 // Levels of one codeword: 16 data nibbles + 2 check nibbles, Gray-mapped.
-std::array<std::size_t, 18> codeword_levels(const mlc::SecdedWord& word) {
+std::array<std::size_t, 18> codeword_levels(const ecc::SecdedWord& word) {
   std::array<std::size_t, 18> levels{};
   for (unsigned n = 0; n < 16; ++n) {
     levels[n] = static_cast<std::size_t>(
-        mlc::gray_decode((word.data >> (4 * n)) & 0xF));
+        ecc::gray_decode((word.data >> (4 * n)) & 0xF));
   }
-  levels[16] = static_cast<std::size_t>(mlc::gray_decode(word.check & 0xF));
-  levels[17] = static_cast<std::size_t>(mlc::gray_decode((word.check >> 4) & 0xF));
+  levels[16] = static_cast<std::size_t>(ecc::gray_decode(word.check & 0xF));
+  levels[17] = static_cast<std::size_t>(ecc::gray_decode((word.check >> 4) & 0xF));
   return levels;
 }
 
-mlc::SecdedWord codeword_from_levels(const std::array<std::size_t, 18>& levels) {
-  mlc::SecdedWord word;
+ecc::SecdedWord codeword_from_levels(const std::array<std::size_t, 18>& levels) {
+  ecc::SecdedWord word;
   for (unsigned n = 0; n < 16; ++n) {
-    word.data |= mlc::gray_encode(levels[n]) << (4 * n);
+    word.data |= ecc::gray_encode(levels[n]) << (4 * n);
   }
-  word.check = static_cast<std::uint8_t>(mlc::gray_encode(levels[16]) |
-                                         (mlc::gray_encode(levels[17]) << 4));
+  word.check = static_cast<std::uint8_t>(ecc::gray_encode(levels[16]) |
+                                         (ecc::gray_encode(levels[17]) << 4));
   return word;
 }
 
@@ -64,7 +65,7 @@ int main() {
 
   // --- write codewords ---
   for (std::size_t row = 0; row < payloads.size(); ++row) {
-    const auto levels = codeword_levels(mlc::secded_encode(payloads[row]));
+    const auto levels = codeword_levels(ecc::secded_encode(payloads[row]));
     for (std::size_t col = 0; col < 18; ++col) {
       programmer.program(memory.at(row, col), levels[col], memory.rng_at(row, col));
     }
@@ -84,16 +85,16 @@ int main() {
       // Worst-case single-cell analog fault: one level slip.
       levels[7] = levels[7] < 15 ? levels[7] + 1 : levels[7] - 1;
     }
-    const mlc::SecdedWord read = codeword_from_levels(levels);
-    const mlc::EccDecodeResult decoded = mlc::secded_decode(read);
-    const bool raw_ok = read.data == mlc::secded_encode(payloads[row]).data;
+    const ecc::SecdedWord read = codeword_from_levels(levels);
+    const ecc::EccDecodeResult decoded = ecc::secded_decode(read);
+    const bool raw_ok = read.data == ecc::secded_encode(payloads[row]).data;
     const bool final_ok = decoded.data == payloads[row];
     all_ok = all_ok && final_ok;
 
     const char* status =
-        decoded.status == mlc::EccStatus::kClean
+        decoded.status == ecc::EccStatus::kClean
             ? "clean"
-            : decoded.status == mlc::EccStatus::kCorrectedSingle ? "corrected single"
+            : decoded.status == ecc::EccStatus::kCorrectedSingle ? "corrected single"
                                                                  : "DOUBLE (uncorrectable)";
     t.add_row({std::to_string(row), inject ? "1-level slip in cell 7" : "none",
                raw_ok ? "yes" : "NO", status, final_ok ? "intact" : "CORRUPT"});

@@ -19,15 +19,12 @@ interface would mask.
                          own module (own CMake target oxmlc_netlist) because
                          instantiating device cards needs devices/ and oxram/
                          above the spice core
-    rank 8  reliability  drift/disturb engine over array
+    rank 8  reliability  drift/disturb engine over array, the shared
+                         read-disturb step
     rank 9  mlc          levels, programmer, controller, analyze/
     rank 10 memsys       geometry, command scheduler, trace replay
     rank 11 ecc          Gray/SECDED/BCH codes, channel bridge, policy
-                         explorer (top). src/mlc/ecc.hpp is a deprecation
-                         shim re-exporting the promoted symbols, so it is
-                         carved out as an ecc-module member (the netlist
-                         precedent) — otherwise its ecc/ includes would read
-                         as a 9 -> 11 back-edge.
+                         explorer (top)
 
 ALLOWLIST below holds temporarily-tolerated back-edges as
 ("including file", "included header") pairs. It is empty — keep it that way;
@@ -68,10 +65,6 @@ RANK = {
 # see the rank table above.
 NETLIST_FILES = {"spice/netlist.hpp", "spice/netlist.cpp"}
 
-# The old mlc ECC header survives as a shim over src/ecc/ for source
-# compatibility; it belongs to the ecc module (see the rank table).
-ECC_SHIM_FILES = {"mlc/ecc.hpp"}
-
 # ("src-relative including file", "src-relative included header") pairs that
 # are tolerated despite breaking the DAG. Empty by design.
 ALLOWLIST = set()
@@ -84,8 +77,6 @@ def module_of(rel):
     rel = rel.replace(os.sep, "/")
     if rel in NETLIST_FILES:
         return "netlist"
-    if rel in ECC_SHIM_FILES:
-        return "ecc"
     return rel.split("/", 1)[0]
 
 
@@ -156,10 +147,6 @@ def self_test():
         failures.append("module_of: bordered-block solver misattributed")
     if module_of("spice/analyze/partition.hpp") != "spice":
         failures.append("module_of: partition derivation must live in spice")
-    if module_of("mlc/ecc.hpp") != "ecc":
-        failures.append("module_of: mlc/ecc.hpp shim carve-out broken")
-    if module_of("mlc/ecc_other.hpp") != "mlc":
-        failures.append("module_of: shim carve-out must match exactly")
 
     # 2. Rank comparison on synthetic includes, one per direction.
     cases = [
@@ -175,13 +162,11 @@ def self_test():
         ("spice/analyze/partition.cpp", "numeric/schur_lu.hpp", False),
         ("memsys/fidelity.cpp", "array/bank_write_path.hpp", False),
         # The ECC tier sits on top: it may reach down into memsys (scheduler
-        # probe) and mlc (channel physics); nothing below may include it —
-        # except the shim, which IS ecc by the carve-out above.
+        # probe) and mlc (channel physics); nothing below may include it.
         ("ecc/explorer.cpp", "memsys/scheduler.hpp", False),
         ("ecc/channel.cpp", "mlc/program.hpp", False),
         ("memsys/replay.cpp", "ecc/code.hpp", True),
         ("mlc/controller.cpp", "ecc/secded.hpp", True),
-        ("mlc/ecc.hpp", "ecc/gray.hpp", False),  # the shim's re-export
     ]
     for src_rel, inc, should_fire in cases:
         mod, target = module_of(src_rel), module_of(inc)

@@ -11,14 +11,14 @@ Absolute cells/s numbers are machine-dependent — a laptop baseline would trip
 on every CI runner. The gate therefore checks *ratio* metrics, which carry
 their own same-machine control group:
 
-* BENCH_batch.json: ``speedup`` (batch vs the serial FastCell loop measured
-  in the same process) and ``vector_speedup`` (SIMD engine vs the scalar
-  reference engine) per lane-count sweep.
+* BENCH_batch.json: ``speedup`` per lane-count sweep — the CellBatch engine
+  vs a serial loop of the reference stepper (oxram/reference_pulse.hpp)
+  measured in the same process.
 * BENCH_array_scale.json: ``cells_per_s`` normalized is not possible (no
   in-run control), so only its invariants are gated: every cell must have
   terminated.
 
-A regression in either ratio means the optimized path lost ground against
+A regression in such a ratio means the optimized path lost ground against
 its in-process reference — that is a code regression, not machine noise.
 
 Provenance is checked first: if the baseline and the current run disagree on
@@ -122,8 +122,6 @@ def gated_metrics(bench: dict) -> dict[str, float]:
         for sweep in bench.get("sweeps", []):
             lanes = sweep["lanes"]
             metrics[f"speedup@{lanes}"] = float(sweep["speedup"])
-            if "vector_speedup" in sweep:
-                metrics[f"vector_speedup@{lanes}"] = float(sweep["vector_speedup"])
     elif bench.get("bench") == "array_scale":
         # Invariant, not a ratio: a partial image is always a failure.
         cells = float(bench.get("cells", 0))
@@ -275,8 +273,6 @@ def self_test(baselines_dir: Path, threshold: float) -> int:
         if regressed.get("bench") == "batch_throughput":
             for sweep in regressed.get("sweeps", []):
                 sweep["speedup"] *= 0.7
-                if "vector_speedup" in sweep:
-                    sweep["vector_speedup"] *= 0.7
         elif regressed.get("bench") == "array_scale":
             regressed["terminated"] = int(regressed.get("terminated", 0) * 0.7)
         elif regressed.get("bench") == "trace_replay":

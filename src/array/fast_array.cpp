@@ -42,17 +42,6 @@ const oxram::FastCell& FastArray::at(std::size_t row, std::size_t col) const {
 Rng& FastArray::rng_at(std::size_t row, std::size_t col) { return rngs_[index(row, col)]; }
 
 void FastArray::form_all(const oxram::FormingOperation& op) {
-  if (op.record_trajectory) {
-    // Trajectory recording is a scalar-path feature (batch lanes keep no
-    // per-step history); fall back to the per-cell loop.
-    for (std::size_t r = 0; r < rows_; ++r) {
-      for (std::size_t c = 0; c < cols_; ++c) {
-        refresh_cycle_rate(r, c);
-        at(r, c).apply_forming(op);
-      }
-    }
-    return;
-  }
   oxram::CellBatch batch;
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {

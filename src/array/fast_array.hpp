@@ -33,9 +33,8 @@ class FastArray {
 
   const oxram::OxramVariability& variability() const { return variability_; }
 
-  // FORMING for every cell (one-time, Table 1 FMG conditions). Routed through
-  // the SoA batch kernel; a trajectory-recording request falls back to the
-  // scalar per-cell path.
+  // FORMING for every cell (one-time, Table 1 FMG conditions), as one
+  // oxram::CellBatch over the whole array.
   void form_all(const oxram::FormingOperation& op = {});
 
   // Batched word/image programming entry points (oxram::CellBatch underneath).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "oxram/model.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::ecc {
@@ -22,26 +21,6 @@ double effective_cycles(const WearLevelingModel& model,
 }
 
 namespace {
-
-// One sense's worth of read-disturb stress applied to `gap` — the same
-// bias-minus-rest excess ReliabilityEngine::on_read bills (and retention.cpp
-// mirrors): SET-polarity drift at the read bias, minus what the zero-bias
-// trajectory would have done in the same stress window.
-double disturbed_gap(const oxram::FastCell& cell, double gap, const mlc::QlcConfig& qlc,
-                     const reliability::ReadDisturbModel& disturb) {
-  if (!disturb.enabled) {
-    return gap;
-  }
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
-                         qlc.v_read, qlc.v_wl_read);
-  const double stress = disturb.t_read * disturb.accel;
-  const double g_bias =
-      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
-  const double g_rest =
-      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
-  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
-}
 
 // Per-cell drift trajectory state, tracked exactly like a retention trial:
 // anchor gap at the last program event plus event amplitudes, with the
@@ -74,8 +53,9 @@ struct CellState {
 std::size_t sense_at(CellState& state, const ChannelConfig& config,
                      const mlc::QlcProgrammer& programmer, double t) {
   double g = state.gap_at(config.drift, t);
-  const double g_disturbed =
-      disturbed_gap(state.cell, g, config.study.qlc, config.read_disturb);
+  const double g_disturbed = reliability::disturbed_gap(
+      state.cell, g, /*virgin=*/false, 1, config.read_disturb, config.study.qlc.v_read,
+      config.study.qlc.v_wl_read);
   state.offset += g_disturbed - g;
   state.cell.set_gap(g_disturbed);
   return programmer.read_level(state.cell, state.rng);
@@ -119,8 +99,9 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
                       std::move(cell_rng), 0.0, 0.0, 0.0, 0.0, 0.0});
   }
 
-  // Whole-word program through the batched terminated-RESET path (same
-  // sampled conditions as N scalar calls, per the program_word contract).
+  // Whole-word program through the batched terminated-RESET path (each cell
+  // ends bitwise where program() alone would put it, per the program_word
+  // contract).
   {
     std::vector<oxram::FastCell*> cell_ptrs(cells);
     std::vector<Rng*> rng_ptrs(cells);

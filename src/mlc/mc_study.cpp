@@ -21,68 +21,16 @@ McStudyConfig paper_mc_study(std::size_t bits, std::size_t trials) {
   return config;
 }
 
-LevelDistribution run_single_level(const McStudyConfig& config,
-                                   const QlcProgrammer& programmer, std::size_t level) {
-  struct Sample {
-    double resistance = 0.0;
-    double energy = 0.0;
-    double latency = 0.0;
-  };
-
-  mc::McOptions options = config.mc;
-  options.seed = study_level_seed(config.mc.seed, level);
-
-  const std::function<Sample(std::size_t, Rng&)> trial = [&](std::size_t, Rng& rng) {
-    const oxram::OxramParams device =
-        sample_device(config.nominal, config.variability, rng);
-    oxram::FastCell cell = oxram::FastCell::formed_lrs(device, config.stack);
-    const ProgramOutcome outcome = programmer.program(cell, level, rng);
-    return Sample{outcome.resistance, outcome.energy, outcome.latency};
-  };
-
-  const std::vector<Sample> samples = mc::run_trials<Sample>(options, trial);
-
-  LevelDistribution dist;
-  dist.level = config.qlc.allocation.levels[level];
-  dist.resistance.reserve(samples.size());
-  dist.energy.reserve(samples.size());
-  dist.latency.reserve(samples.size());
-  for (const Sample& s : samples) {
-    dist.resistance.push_back(s.resistance);
-    dist.energy.push_back(s.energy);
-    dist.latency.push_back(s.latency);
-  }
-  return dist;
-}
-
-LevelDistribution run_single_level(const McStudyConfig& config, std::size_t level) {
-  const QlcProgrammer programmer(config.qlc);
-  return run_single_level(config, programmer, level);
-}
-
 std::vector<LevelDistribution> run_level_study(const McStudyConfig& config) {
-  // One programmer for the whole study: its constructor derives the read
-  // references by solving the read stack per level, which repeated per-level
-  // construction would redo 16×. Trials only read it, so sharing is safe —
-  // and results are unchanged because trials depend on (seed, index) alone.
+  // One programmer for the whole study (its constructor solves the read
+  // stack per level); trials only read it, so sharing is safe.
   const QlcProgrammer programmer(config.qlc);
   const std::size_t n_levels = config.qlc.allocation.count();
 
-  if (!config.batch_levels) {
-    std::vector<LevelDistribution> distributions;
-    distributions.reserve(n_levels);
-    for (std::size_t level = 0; level < n_levels; ++level) {
-      distributions.push_back(run_single_level(config, programmer, level));
-    }
-    return distributions;
-  }
-
-  // Batched study: one MC trial programs every level of the allocation as a
-  // single CellBatch word — 16 lanes in lockstep with per-lane termination —
-  // instead of 16 separate scalar cell loops. Each level keeps its own
-  // (study_level_seed, trial)-derived rng with the scalar draw order (device D2D,
-  // then SET rate / IrefR mismatch / RST rate inside program_word), so the
-  // sampled conditions are bit-identical to the per-level runner.
+  // One MC trial programs every level of the allocation as a single
+  // CellBatch word — 16 lanes in lockstep with per-lane termination. Each
+  // level keeps its own (study_level_seed, trial)-derived rng (device D2D,
+  // then SET rate / IrefR mismatch / RST rate inside program_word).
   struct LevelSample {
     double resistance = 0.0;
     double energy = 0.0;

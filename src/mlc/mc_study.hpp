@@ -17,12 +17,6 @@ struct McStudyConfig {
   oxram::StackConfig stack;
   oxram::OxramVariability variability;  // D2D sampling (C2C comes from qlc)
   mc::McOptions mc;                   // trials per level, seed
-  // Program each trial's full level set as one batch (QlcProgrammer::
-  // program_word over the SoA kernel) instead of 16 scalar cell loops.
-  // Sampling is bit-identical either way — each level keeps its own
-  // (seed, level, trial)-derived rng and draw order — so distributions agree
-  // with the scalar path to solver tolerance (~1e-9 relative).
-  bool batch_levels = true;
 };
 
 // Default configuration reproducing the paper's 4-bit study: builds the
@@ -31,22 +25,15 @@ struct McStudyConfig {
 McStudyConfig paper_mc_study(std::size_t bits = 4, std::size_t trials = 500);
 
 // Independent seed per level so adding levels never reshuffles existing ones.
-// Shared by the scalar per-level runner, the batched whole-trial runner, and
-// the retention sweep (mlc/retention.hpp) so all consume bit-identical
-// random streams for the same (seed, level, trial).
+// Shared by the level study and the retention sweep (mlc/retention.hpp) so
+// both consume bit-identical random streams for the same (seed, level,
+// trial).
 std::uint64_t study_level_seed(std::uint64_t base, std::size_t level);
 
 // Runs the study for every level of the allocation; distributions are ordered
-// by level value (ascending resistance). The per-level seed is derived from
-// (mc.seed, level) so levels are independent and reproducible.
+// by level value (ascending resistance). One MC trial programs every level as
+// a single program_word; each level draws from its own (mc.seed, level,
+// trial)-derived rng, so levels are independent and reproducible.
 std::vector<LevelDistribution> run_level_study(const McStudyConfig& config);
-
-// Runs one level only (used by tests and partial benches). The programmer
-// overload shares one QlcProgrammer — whose construction solves the read
-// stack for every reference level — across calls; run_level_study uses it to
-// build the programmer once instead of once per level.
-LevelDistribution run_single_level(const McStudyConfig& config, std::size_t level);
-LevelDistribution run_single_level(const McStudyConfig& config,
-                                   const QlcProgrammer& programmer, std::size_t level);
 
 }  // namespace oxmlc::mlc

@@ -108,39 +108,10 @@ QlcProgrammer::QlcProgrammer(QlcConfig config) : config_(std::move(config)) {
 
 ProgramOutcome QlcProgrammer::program(oxram::FastCell& cell, std::size_t level,
                                       Rng& rng) const {
-  OXMLC_CHECK(level < config_.allocation.count(), "QlcProgrammer: level out of range");
-  ProgramMetrics& metrics = ProgramMetrics::get();
-  metrics.operations.add();
-  obs::ScopedTimer op_timer(metrics.program_time);
-
-  ProgramOutcome outcome;
-  outcome.level = level;
-
-  // SET first (word programming step 1, §4.2).
-  cell.set_rate_factor(sample_cycle_rate_factor(config_.variability, rng));
-  const oxram::OperationResult set_result = cell.apply_set(config_.set_op);
-  outcome.set_energy = set_result.energy_source;
-
-  // Terminated RESET with the level's reference, corrupted by the termination
-  // circuit's sampled mismatch.
-  oxram::ResetOperation reset = config_.reset_op;
-  outcome.effective_iref =
-      config_.termination.sample_effective_iref(config_.allocation.levels[level].iref, rng);
-  reset.iref = outcome.effective_iref;
-  reset.termination_delay = config_.termination.comparator_delay;
-  cell.set_rate_factor(sample_cycle_rate_factor(config_.variability, rng));
-  const oxram::OperationResult reset_result = cell.apply_reset(reset);
-
-  outcome.terminated = reset_result.terminated;
-  outcome.latency = reset_result.t_terminate;
-  outcome.energy = reset_result.energy_source;
-  outcome.resistance = cell.read(config_.v_read, config_.v_wl_read).r_cell;
-
-  const ProgramLevelMetrics level_metrics = ProgramLevelMetrics::get(level);
-  level_metrics.pulses.add(outcome.pulses);
-  (outcome.terminated ? level_metrics.terminated : level_metrics.timeouts).add();
-  metrics.latency_us.observe(outcome.latency * 1e6);
-  return outcome;
+  oxram::FastCell* const cells[] = {&cell};
+  const std::size_t levels[] = {level};
+  Rng* const rngs[] = {&rng};
+  return program_word(cells, levels, rngs).front();
 }
 
 std::vector<ProgramOutcome> QlcProgrammer::program_word(
@@ -156,10 +127,9 @@ std::vector<ProgramOutcome> QlcProgrammer::program_word(
   metrics.operations.add(n);
   obs::ScopedTimer op_timer(metrics.program_time);
 
-  // Draw every cell's stochastic conditions up front, in the scalar
-  // program() order per rng: SET rate factor, effective IrefR, RST rate
-  // factor. This keeps each cell's random stream bit-identical whichever
-  // path programs it.
+  // Draw every cell's stochastic conditions up front, in a fixed order per
+  // rng: SET rate factor, effective IrefR, RST rate factor. Each cell's
+  // stream is then independent of the word it is programmed in.
   std::vector<double> rate_set(n), rate_rst(n);
   for (std::size_t k = 0; k < n; ++k) {
     OXMLC_CHECK(levels[k] < config_.allocation.count(),

@@ -64,18 +64,18 @@ class QlcProgrammer {
 
   const QlcConfig& config() const { return config_; }
 
-  // SET + terminated RST to the target level. `rng` drives the mismatch and
-  // C2C sampling of this operation.
+  // SET + terminated RST to the target level: program_word on a word of one
+  // cell. `rng` drives the mismatch and C2C sampling of this operation.
   ProgramOutcome program(oxram::FastCell& cell, std::size_t level, Rng& rng) const;
 
-  // Batched word programming: the paper's word flow (§4.2) over N cells at
-  // once — one whole-word SET batch, then one parallel RST batch in which
-  // each lane terminates on its own per-level reference (oxram::CellBatch
-  // underneath). Per-cell random draws are consumed from `rngs` in exactly
-  // the scalar program() order (SET rate, effective IrefR, RST rate), so a
-  // word programmed here sees bit-identical sampled conditions to N scalar
-  // calls; outcomes agree with the scalar path to solver tolerance (~1e-9).
-  // Spans must have equal length; outcomes are indexed like the inputs.
+  // Word programming: the paper's word flow (§4.2) over N cells at once —
+  // one whole-word SET batch, then one parallel RST batch in which each lane
+  // terminates on its own per-level reference (oxram::CellBatch underneath).
+  // Each cell's random draws come from its own `rngs` entry in a fixed order
+  // (SET rate, effective IrefR, RST rate), and CellBatch lanes are
+  // independent, so a cell's outcome is bitwise the one program() gives it
+  // alone, whatever word it shares. Spans must have equal length; outcomes
+  // are indexed like the inputs.
   std::vector<ProgramOutcome> program_word(std::span<oxram::FastCell* const> cells,
                                            std::span<const std::size_t> levels,
                                            std::span<Rng* const> rngs) const;

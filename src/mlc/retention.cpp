@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/registry.hpp"
-#include "oxram/model.hpp"
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
 #include "util/provenance.hpp"
@@ -40,25 +39,6 @@ double read_resistance(oxram::FastCell& cell, double gap, const QlcConfig& qlc) 
   return cell.read(qlc.v_read, qlc.v_wl_read).r_cell;
 }
 
-// One sense's worth of read-disturb stress applied to `gap` (SET polarity at
-// the read bias — the same physics step ReliabilityEngine::on_read takes:
-// only the excess over the zero-bias trajectory is billed to the read).
-double disturbed_gap(const oxram::FastCell& cell, double gap, const QlcConfig& qlc,
-                     const reliability::ReadDisturbModel& disturb) {
-  if (!disturb.enabled) {
-    return gap;
-  }
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
-                         qlc.v_read, qlc.v_wl_read);
-  const double stress = disturb.t_read * disturb.accel;
-  const double g_bias =
-      oxram::advance_gap(cell.params(), op.v_cell, gap, false, stress, cell.rate_factor());
-  const double g_rest =
-      oxram::advance_gap(cell.params(), 0.0, gap, false, stress, cell.rate_factor());
-  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
-}
-
 TrialSample run_trial(const RetentionConfig& config, const QlcProgrammer& programmer,
                       std::size_t level, Rng& rng) {
   const oxram::OxramParams device =
@@ -90,7 +70,9 @@ TrialSample run_trial(const RetentionConfig& config, const QlcProgrammer& progra
     for (std::size_t pass = 0; pass < config.verify_max_passes; ++pass) {
       t_now += config.tau_relax;
       double g = gap_at(t_now);
-      const double g_disturbed = disturbed_gap(cell, g, config.study.qlc, config.read_disturb);
+      const double g_disturbed = reliability::disturbed_gap(
+          cell, g, /*virgin=*/false, 1, config.read_disturb, config.study.qlc.v_read,
+          config.study.qlc.v_wl_read);
       offset += g_disturbed - g;
       g = g_disturbed;
       cell.set_gap(g);

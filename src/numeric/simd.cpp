@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "util/error.hpp"
+
 namespace oxmlc::num::simd {
 namespace {
 
@@ -17,18 +19,20 @@ bool cpu_has_avx2_fma() {
 #endif
 }
 
-// OXMLC_SIMD environment override, parsed once: "auto" (default), "avx2",
-// "scalar" (portable pack), "off"/"reference" (scalar reference engines, no
-// pack kernels).
+// OXMLC_SIMD environment override, parsed once: "auto" (default), "avx2" or
+// "scalar" (portable pack). Any other value throws rather than silently
+// running a backend the user did not ask for.
 Backend env_backend() {
   static const Backend parsed = [] {
     const char* env = std::getenv("OXMLC_SIMD");
     if (env == nullptr) return Backend::kAuto;
     const std::string value(env);
+    if (value == "auto") return Backend::kAuto;
     if (value == "avx2") return Backend::kAvx2;
     if (value == "scalar") return Backend::kScalar;
-    if (value == "off" || value == "reference") return Backend::kReference;
-    return Backend::kAuto;
+    throw InvalidArgumentError(
+        "OXMLC_SIMD=" + value +
+        " is not a SIMD backend; accepted values: auto, avx2, scalar");
   }();
   return parsed;
 }
@@ -62,8 +66,6 @@ const char* backend_name(Backend backend) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kReference:
-      return "reference";
   }
   return "unknown";
 }

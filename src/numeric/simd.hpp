@@ -24,9 +24,9 @@
 // Backend selection is a runtime decision (see simd.cpp): kAuto resolves to
 // AVX2 when the binary carries the AVX2 instantiation *and* cpuid reports the
 // ISA, else the portable pack. The OXMLC_SIMD environment variable and the
-// set_backend_override() test hook force a specific backend; "off" additionally
-// tells call sites (drift batch, CellBatch) to use their scalar reference
-// engines instead of the pack kernels.
+// set_backend_override() test hook force a specific backend. Either way the
+// call sites (CellBatch, the drift batch) run their one pack engine; the
+// backend only picks which instantiation.
 #pragma once
 
 #include <cmath>
@@ -50,20 +50,19 @@ inline constexpr int kPackWidth = 4;
 // ---------------------------------------------------------------------------
 
 enum class Backend {
-  kAuto = 0,     // resolve from compile flags + cpuid + OXMLC_SIMD env var
-  kScalar = 1,   // portable element-wise pack
-  kAvx2 = 2,     // AVX2 + FMA pack (requires the AVX2 instantiation)
-  kReference = 3 // no pack kernels at all: call sites use their scalar
-                 // reference engines (OXMLC_SIMD=off)
+  kAuto = 0,    // resolve from compile flags + cpuid + OXMLC_SIMD env var
+  kScalar = 1,  // portable element-wise pack
+  kAvx2 = 2,    // AVX2 + FMA pack (requires the AVX2 instantiation)
 };
 
 // True when this binary contains the AVX2 instantiations AND the host CPU
 // reports AVX2 + FMA.
 bool avx2_available();
 
-// Resolves kAuto to a concrete backend (kScalar / kAvx2 / kReference),
-// honouring the OXMLC_SIMD env var ("auto", "avx2", "scalar", "off") and any
-// set_backend_override() in effect. Never returns kAuto.
+// Resolves kAuto to a concrete backend (kScalar / kAvx2), honouring the
+// OXMLC_SIMD env var ("auto", "avx2", "scalar"; any other value throws
+// InvalidArgumentError) and any set_backend_override() in effect. Never
+// returns kAuto.
 Backend active_backend();
 
 // Test hook: forces the backend until reset with kAuto. Returns the previous

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <numeric>
 
 #include "obs/registry.hpp"
-#include "util/error.hpp"
 #include "util/parallel_for.hpp"
 
 namespace oxmlc::oxram {
@@ -15,9 +13,7 @@ namespace {
 struct BatchMetrics {
   obs::Counter& runs = obs::registry().counter("batch.runs");
   obs::Counter& lanes = obs::registry().counter("batch.lanes");
-  obs::Counter& lanes_retired = obs::registry().counter("batch.lanes_retired");
   obs::Counter& steps = obs::registry().counter("batch.steps");
-  obs::Gauge& lanes_active = obs::registry().gauge("batch.lanes_active");
   obs::Gauge& throughput = obs::registry().gauge("batch.cells_per_second");
   obs::Timer& run_time = obs::registry().timer("batch.run_time");
 
@@ -32,25 +28,22 @@ struct BatchMetrics {
 std::size_t CellBatch::add_reset(FastCell& cell, const ResetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kReset, op.v_wl,
                   /*through_mirror=*/op.iref.has_value(), op.iref.value_or(-1.0),
-                  op.termination_delay, op.record_trajectory, op.dt_max);
+                  op.termination_delay, op.dt_max);
 }
 
 std::size_t CellBatch::add_set(FastCell& cell, const SetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.record_trajectory, op.dt_max);
+                  -1.0, 0.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_forming(FastCell& cell, const FormingOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.record_trajectory, op.dt_max);
+                  -1.0, 0.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
                                 Polarity polarity, double v_wl, bool through_mirror,
-                                double iref, double termination_delay,
-                                bool record_trajectory, double dt_max) {
-  OXMLC_CHECK(!record_trajectory,
-              "CellBatch: trajectory recording is not supported in batch mode");
+                                double iref, double termination_delay, double dt_max) {
   const std::size_t lane = gap_.size();
 
   gap_.push_back(cell.gap());
@@ -87,7 +80,7 @@ std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
 
 double CellBatch::drive_value(const LaneControl& lane, double t) const {
   // Natural trapezoid until a termination command; afterwards the drive ramps
-  // down from its value at the command instant (same as FastCell::run_pulse).
+  // down from its value at the command instant (same as the reference stepper).
   if (lane.ramp_start < 0.0 || t <= lane.ramp_start) return lane.natural.value(t);
   const double into = t - lane.ramp_start;
   if (into >= lane.pulse.fall) return 0.0;
@@ -143,7 +136,7 @@ CellBatch::StepPolicy CellBatch::step_policy(const LaneControl& c,
                                              const OperationResult& result,
                                              double current) const {
   // Near the termination crossing the step is refined so the gap moves only a
-  // sliver of g0 per step (identical policy to FastCell::run_pulse).
+  // sliver of g0 per step (identical policy to the reference stepper).
   StepPolicy policy{0.1, c.dt_max};
   if (c.iref >= 0.0 && !result.terminated && current > 0.0 && current < 2.0 * c.iref) {
     policy.gap_fraction = 0.004;
@@ -162,70 +155,6 @@ double CellBatch::apply_corners(const LaneControl& c, double dt) const {
   return std::max(dt, 1e-13);
 }
 
-bool CellBatch::step_lane(std::size_t lane) {
-  LaneControl& c = control_[lane];
-
-  if (!(c.t < c.t_end - 1e-15)) {
-    finalize_lane(lane);
-    return false;
-  }
-
-  const OxramParams& p = params_[lane];
-  const double v_d = drive_value(c, c.t);
-  const StackOperatingPoint sp =
-      solve_stack_warm(p, gap_[lane], stacks_[lane], c.polarity, v_d, c.v_wl,
-                       warm_i_[lane]);
-  warm_i_[lane] = sp.current;
-  const double sign = c.polarity == Polarity::kReset ? -1.0 : 1.0;
-  const double v_cell_signed = sign * sp.v_cell;
-
-  update_sample(lane, v_d, sp.current, sp.v_cell);
-
-  // --- choose the next step (identical policy to FastCell::run_pulse) ---
-  const StepPolicy policy = step_policy(c, results_[lane], sp.current);
-  double dt = std::min(policy.dt_cap,
-                       recommended_dt(p, v_cell_signed, gap_[lane], c.virgin,
-                                      rate_factor_[lane], policy.gap_fraction));
-  dt = apply_corners(c, dt);
-
-  gap_[lane] =
-      advance_gap(p, v_cell_signed, gap_[lane], c.virgin, dt, rate_factor_[lane]);
-  if (c.virgin && gap_[lane] < p.g_max * 0.98) c.virgin = false;
-  c.t += dt;
-  return true;
-}
-
-std::uint64_t CellBatch::run_span(std::size_t begin, std::size_t end,
-                                  num::simd::Backend engine) {
-  if (engine != num::simd::Backend::kReference) {
-    return run_span_simd(begin, end, engine);
-  }
-  BatchMetrics& metrics = BatchMetrics::get();
-
-  // Active-lane compaction: each round visits only the lanes still
-  // programming; a completed lane retires in place and is never visited
-  // again, so late rounds iterate only the stragglers (the deep levels).
-  std::vector<std::size_t> active(end - begin);
-  std::iota(active.begin(), active.end(), begin);
-  std::uint64_t steps = 0;
-  std::uint64_t retired = 0;
-  while (!active.empty()) {
-    std::size_t kept = 0;
-    for (const std::size_t lane : active) {
-      if (step_lane(lane)) {
-        active[kept++] = lane;
-        ++steps;
-      } else {
-        ++retired;
-      }
-    }
-    active.resize(kept);
-    metrics.lanes_active.set(static_cast<double>(kept));
-  }
-  metrics.lanes_retired.add(retired);
-  return steps;
-}
-
 std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   BatchMetrics& metrics = BatchMetrics::get();
   metrics.runs.add();
@@ -236,10 +165,8 @@ std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   results_.assign(size(), OperationResult{});
   for (std::size_t lane = 0; lane < size(); ++lane) results_[lane].final_gap = gap_[lane];
 
-  const num::simd::Backend engine = options.engine == num::simd::Backend::kAuto
-                                        ? num::simd::active_backend()
-                                        : options.engine;
-  if (engine != num::simd::Backend::kReference) prepare_scratch();
+  const num::simd::Backend backend = num::simd::active_backend();
+  prepare_scratch();
 
   // Lanes touch disjoint state, so sharding them over the pool is
   // bit-identical to the serial sweep for any thread count or chunking.
@@ -247,7 +174,7 @@ std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   util::ParallelForOptions pool;
   pool.threads = options.threads;
   util::parallel_for(size(), pool, [&](std::size_t begin, std::size_t end) {
-    steps.fetch_add(run_span(begin, end, engine), std::memory_order_relaxed);
+    steps.fetch_add(run_span(begin, end, backend), std::memory_order_relaxed);
   });
   metrics.steps.add(steps.load(std::memory_order_relaxed));
 

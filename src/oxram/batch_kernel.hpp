@@ -1,15 +1,16 @@
-// Batched structure-of-arrays fast path: N cells advanced in lockstep
-// through the quasi-static stack solve and gap ODE.
+// Batched structure-of-arrays programming engine: N cells advanced in
+// lockstep through the quasi-static stack solve and gap ODE.
 //
-// The scalar path (fast_cell.hpp) programs one cell at a time; array-scale
-// workloads — a 16-cell word RESET, a 16-level Monte-Carlo trial, a full
-// array image — are loops over it, O(cells) serial inner bisections. This
-// kernel holds the hot per-lane state (gap, warm-start current, C2C rate
-// factor, sampled device parameters) in contiguous arrays and advances every
-// active lane one time step per round:
+// CellBatch is the only production code that steps a programming pulse.
+// Array-scale workloads (a 16-cell word RESET, a 16-level Monte-Carlo trial,
+// a full array image) add one lane per cell; a single cell's
+// FastCell::apply_* runs a one-lane batch. The kernel holds the hot per-lane
+// state (gap, warm-start current and voltage, C2C rate factor, sampled device
+// parameters) in contiguous arrays and advances every active lane one time
+// step per round:
 //
 //   while lanes remain active:
-//     for each active lane: solve stack (warm-start Newton), advance gap ODE
+//     advance the active lanes four at a time (batch_simd.cpp)
 //     compact: lanes whose pulse completed retire and stop being visited
 //
 // Per-lane termination masking is the SoA analogue of the per-bit-line stop
@@ -17,16 +18,18 @@
 // its commanded ramp-down and retires, while neighbouring lanes keep
 // programming to their own (deeper) references.
 //
-// Each lane replays exactly the control flow of FastCell::run_pulse — same
-// waveform, same termination interpolation, same step-size policy, same gap
-// integrator — and the stack solve converges to the same root within the
-// shared kStackSolveRelTol (see fast_cell.hpp). The only difference is the
-// solver: warm-started safeguarded Newton (~3-5 residual evaluations) in
-// place of the scalar path's ~52-halving bisection. The batch-vs-scalar
-// equivalence suite (tests/batch_kernel_test.cpp) pins the agreement.
+// Lane-independence contract: every lane update is element-wise and masked,
+// so a lane's arithmetic depends only on its own state, never on which lanes
+// share its pack, how many lanes the batch holds, or how lanes are sharded
+// across threads. A cell therefore gets bitwise the same result programmed
+// alone or as any lane of a word; that is what lets one-cell and word-shaped
+// callers share this engine (pinned by tests/property_test.cpp).
 //
-// Trajectory recording is a scalar-path-only feature: add_* throws when an
-// operation requests it.
+// Each lane replays the control flow of the reference stepper in
+// reference_pulse.hpp — same waveform, same termination interpolation, same
+// step-size policy, same gap integrator — and the stack solve converges to
+// the same root within the shared kStackSolveRelTol (see fast_cell.hpp). The
+// batch equivalence suites pin the agreement at 1e-9.
 #pragma once
 
 #include <cstddef>
@@ -38,14 +41,10 @@
 
 namespace oxmlc::oxram {
 
-// Execution knobs for CellBatch::run(). Neither knob may change results:
-// lanes are independent, so sharding them across threads is bit-identical to
-// the serial sweep, and the SIMD engine is pinned against the scalar
-// reference by the batch equivalence suite.
+// Execution knob for CellBatch::run(). It cannot change results: lanes are
+// independent, so sharding them across threads is bit-identical to the
+// serial sweep. The pack backend comes from num::simd::active_backend().
 struct BatchRunOptions {
-  // kAuto resolves via num::simd::active_backend() (OXMLC_SIMD env /
-  // override); kReference forces the scalar step_lane path.
-  num::simd::Backend engine = num::simd::Backend::kAuto;
   // Lane shards claimed through util::parallel_for; 0 = hardware_concurrency.
   std::size_t threads = 1;
 };
@@ -76,7 +75,7 @@ class CellBatch {
 
  private:
   // Cold per-lane state: the operation spec and the stepping variables of
-  // FastCell::run_pulse, hoisted out of the call stack so a lane can be
+  // the reference stepper, hoisted out of the call stack so a lane can be
   // advanced one step at a time.
   struct LaneControl {
     PulseShape pulse;
@@ -101,17 +100,13 @@ class CellBatch {
 
   std::size_t add_lane(FastCell& cell, const PulseShape& pulse, Polarity polarity,
                        double v_wl, bool through_mirror, double iref,
-                       double termination_delay, bool record_trajectory, double dt_max);
+                       double termination_delay, double dt_max);
 
   double drive_value(const LaneControl& lane, double t) const;
 
-  // Advances one lane by one time step; false when the lane's pulse is
-  // complete (the lane is finalized and its cell state written back).
-  bool step_lane(std::size_t lane);
-
-  // Pieces of the per-step control flow shared verbatim between the scalar
-  // step_lane path and the SIMD engine (batch_simd.cpp): result finalization,
-  // the energy/termination sample bookkeeping, the near-termination step
+  // Scalar pieces of the per-step control flow the pack engine
+  // (batch_simd.cpp) runs per lane: result finalization, the
+  // energy/termination sample bookkeeping, the near-termination step
   // refinement, and the waveform-corner snapping.
   void finalize_lane(std::size_t lane);
   void update_sample(std::size_t lane, double v_d, double current, double v_cell);
@@ -124,25 +119,19 @@ class CellBatch {
   double apply_corners(const LaneControl& c, double dt) const;
 
   // Runs one shard of lanes [begin, end) to completion with its own
-  // active-lane compaction loop; returns the total steps taken. Shards touch
-  // disjoint lane state, so any sharding yields bit-identical results.
-  std::uint64_t run_span(std::size_t begin, std::size_t end,
-                         num::simd::Backend engine);
-
-  // SIMD engine (batch_simd.cpp): lanes advance four at a time through a
-  // v_cell-primal masked Newton stack solve and pack gap integration. All
-  // lane updates are masked element-wise, so results are bitwise independent
-  // of how lanes happen to group into packs — and therefore of sharding.
-  std::uint64_t run_span_simd(std::size_t begin, std::size_t end,
-                              num::simd::Backend engine);
+  // active-lane compaction loop on the `backend` pack; returns the total
+  // steps taken. Lanes advance four at a time through a v_cell-primal masked
+  // Newton stack solve and pack gap integration (batch_simd.cpp). All lane
+  // updates are masked element-wise, so results are bitwise independent of
+  // how lanes group into packs, and therefore of sharding.
+  std::uint64_t run_span(std::size_t begin, std::size_t end, num::simd::Backend backend);
   template <typename Pack>
   std::uint64_t run_span_vector(std::size_t begin, std::size_t end);
   template <typename Pack>
   void step_pack(const std::size_t* lanes, std::size_t count);
 
   // Flattened per-lane parameter arrays the pack engine gathers from (filled
-  // by prepare_scratch() at run() start when a SIMD engine is selected;
-  // read-only during the run).
+  // by prepare_scratch() at run() start; read-only during the run).
   struct VecScratch {
     std::vector<double> i0, g0, v0, r_leak, g_min, g_max, g_ref, k0, ea_ox, ea_red,
         dea_form, axi, bxi, t_ambient, r_th, t_max_rise, g_upper_virgin, r_series,
@@ -153,9 +142,10 @@ class CellBatch {
 
   // Hot SoA state, indexed by lane id. gap_, warm_i_ and warm_v_ are read and
   // written every step; params_/stacks_/rate_factor_ are read-only during
-  // run(). warm_v_ is the previous step's cell voltage — the SIMD engine's
+  // run(). warm_v_ is the previous step's cell voltage — the pack engine's
   // Newton seed; <= 0 means "no warm point" (cold lane or zero-op last step)
-  // and routes the lane through the scalar solver for that step.
+  // and routes the lane through the scalar solve_stack_warm for that step,
+  // which warm_i_ seeds.
   std::vector<double> gap_;
   std::vector<double> warm_i_;
   std::vector<double> warm_v_;

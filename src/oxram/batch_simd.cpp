@@ -1,9 +1,9 @@
-// SIMD engine of CellBatch: four lanes advance in lockstep through a
+// The stepping engine of CellBatch: four lanes advance in lockstep through a
 // v_cell-primal masked-Newton stack solve and pack gap integration.
 //
-// Why v_cell-primal: the scalar solvers iterate on the stack current I and
-// pay an *inner* Newton inversion (voltage_for_current) for every residual
-// evaluation. Rooting the equivalent residual
+// Why v_cell-primal: the scalar solvers (solve_stack, solve_stack_warm)
+// iterate on the stack current I and pay an *inner* Newton inversion
+// (voltage_for_current) for every residual evaluation. Rooting the equivalent residual
 //
 //   G(x) = Ids_access(Vgs(x), Vds(x)) - I_cell(x),   x = cell voltage
 //
@@ -13,8 +13,8 @@
 // the same safeguarded-bisection bracket logic applies, and the acceptance
 // bound |G(x)| <= max(relTol * I, absTol) implies the same current-space
 // error bound the scalar solver guarantees (|I - root| <= |G|, since
-// |dG/dI| >= 1 along the curve). The batch equivalence suite pins the
-// engines against each other at 1e-9.
+// |dG/dI| >= 1 along the curve). The batch equivalence suites pin this
+// engine against the reference stepper (reference_pulse.hpp) at 1e-9.
 //
 // Determinism contract: every pack update in this file is element-wise and
 // masked per lane — a lane's arithmetic sequence depends only on its own
@@ -75,7 +75,7 @@ struct PackStack {
 
 // gap_rate() on a pack: same statement sequence as the scalar model with
 // sinh folded into the one exp the clamp already bounds. Four exps serve
-// four lanes where the scalar path spends ~4 libm calls per lane.
+// four lanes where the scalar gap_rate() spends ~4 libm calls per lane.
 template <typename P>
 typename P::Vec gap_rate_pack(const PackCell<P>& c, typename P::Vec v,
                               typename P::Vec g, typename P::Mask virgin) {
@@ -423,8 +423,10 @@ template <typename P>
 std::uint64_t CellBatch::run_span_vector(std::size_t begin, std::size_t end) {
   SimdMetrics& metrics = SimdMetrics::get();
 
-  // Same active-lane compaction as the scalar run_span, with the surviving
-  // lanes of each round advanced four at a time.
+  // Active-lane compaction: each round visits only the lanes still
+  // programming, four at a time; a completed lane retires in place and is
+  // never visited again, so late rounds iterate only the stragglers (the
+  // deep levels).
   std::vector<std::size_t> active(end - begin);
   std::iota(active.begin(), active.end(), begin);
   std::vector<std::size_t> stepping;
@@ -454,14 +456,14 @@ std::uint64_t CellBatch::run_span_vector(std::size_t begin, std::size_t end) {
   return steps;
 }
 
-std::uint64_t CellBatch::run_span_simd(std::size_t begin, std::size_t end,
-                                       num::simd::Backend engine) {
+std::uint64_t CellBatch::run_span(std::size_t begin, std::size_t end,
+                                  num::simd::Backend backend) {
 #if OXMLC_SIMD_HAS_AVX2
-  if (engine == num::simd::Backend::kAvx2) {
+  if (backend == num::simd::Backend::kAvx2) {
     return run_span_vector<num::simd::PackAvx>(begin, end);
   }
 #else
-  static_cast<void>(engine);
+  static_cast<void>(backend);
 #endif
   // kScalar — and kAvx2 in a binary without the AVX2 instantiation, which is
   // indistinguishable anyway: the two packs are bitwise identical.

@@ -139,23 +139,20 @@ void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
     std::copy(g_anchor.begin(), g_anchor.end(), out.begin());
     return;
   }
-  switch (num::simd::active_backend()) {
+  const num::simd::Backend backend = num::simd::active_backend();
 #if OXMLC_SIMD_HAS_AVX2
-    case num::simd::Backend::kAvx2:
-      drifted_gap_batch_pack<num::simd::PackAvx>(p, g_anchor.data(), g_min.data(),
-                                                 relax_amp.data(), drift_amp.data(),
-                                                 t.data(), out.data(), n);
-      return;
-#endif
-    case num::simd::Backend::kScalar:
-      drifted_gap_batch_pack<num::simd::PackScalar>(p, g_anchor.data(), g_min.data(),
-                                                    relax_amp.data(), drift_amp.data(),
-                                                    t.data(), out.data(), n);
-      return;
-    default:
-      drifted_gap_batch_reference(p, g_anchor, g_min, relax_amp, drift_amp, t, out);
-      return;
+  if (backend == num::simd::Backend::kAvx2) {
+    drifted_gap_batch_pack<num::simd::PackAvx>(p, g_anchor.data(), g_min.data(),
+                                               relax_amp.data(), drift_amp.data(),
+                                               t.data(), out.data(), n);
+    return;
   }
+#else
+  static_cast<void>(backend);
+#endif
+  drifted_gap_batch_pack<num::simd::PackScalar>(p, g_anchor.data(), g_min.data(),
+                                                relax_amp.data(), drift_amp.data(),
+                                                t.data(), out.data(), n);
 }
 
 double sample_relaxation_amplitude(const DriftParams& p, Rng& rng) {

@@ -39,7 +39,7 @@
 // worst-case window — the selection effect the relaxation-aware verify
 // exploits.
 //
-// The scalar drifted_gap() is the reference path; drifted_gap_batch() is the
+// The scalar drifted_gap() is the one-cell path; drifted_gap_batch() is the
 // SoA kernel the reliability engine advances whole arrays with (same
 // trajectories within 1e-9 relative, test-pinned; see DESIGN.md).
 #pragma once
@@ -95,15 +95,14 @@ double drifted_gap(const DriftParams& p, double g_anchor, double g_min,
 // the agreement at 1e-9 relative on a 4096-cell array.
 //
 // Dispatches on num::simd::active_backend(): the AVX2 and portable pack
-// kernels are bitwise-identical to each other (same IEEE op sequence), and
-// OXMLC_SIMD=off routes to drifted_gap_batch_reference.
+// kernels are bitwise-identical to each other (same IEEE op sequence).
 void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
                        std::span<const double> g_min, std::span<const double> relax_amp,
                        std::span<const double> drift_amp, std::span<const double> t,
                        std::span<double> out);
 
-// The original scalar-libm SoA loop, kept as the 1e-9-pinned reference the
-// pack kernels are tested against (and the OXMLC_SIMD=off execution path).
+// The original scalar-libm SoA loop, kept only as the 1e-9-pinned test
+// oracle the pack kernels are held to (DriftSimd suite).
 void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g_anchor,
                                  std::span<const double> g_min,
                                  std::span<const double> relax_amp,

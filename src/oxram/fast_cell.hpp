@@ -14,12 +14,15 @@
 // devices/mosfet.hpp) and are cross-validated by an integration test and the
 // behavioral-vs-transistor ablation bench.
 //
-// This is the engine behind the Monte-Carlo benches (Figs. 11-13, Table 3):
-// one terminated RESET costs microseconds of CPU instead of seconds.
+// FastCell holds one cell's state; its apply_* operations step the pulse
+// through a one-lane oxram::CellBatch (batch_kernel.hpp), the only production
+// stepping engine, so a single cell and a 4096-lane word take the same code
+// path. One terminated RESET costs microseconds of CPU instead of the seconds
+// the full-circuit path needs. A serial one-cell stepper is kept only as the
+// test oracle (reference_pulse.hpp).
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "devices/mosfet.hpp"
 #include "oxram/model.hpp"
@@ -81,13 +84,6 @@ struct PulseShape {
   double fall = 10e-9;     // s
 };
 
-struct TrajectoryPoint {
-  double t = 0.0;
-  double current = 0.0;
-  double v_cell = 0.0;
-  double gap = 0.0;
-};
-
 struct OperationResult {
   bool terminated = false;   // write termination fired (RESET only)
   double t_terminate = 0.0;  // crossing time (= RST latency reported in Fig. 13b)
@@ -95,7 +91,6 @@ struct OperationResult {
   double final_gap = 0.0;
   double energy_source = 0.0;  // integral of V_drive * I  (what Fig. 13a reports)
   double energy_cell = 0.0;    // integral of V_cell * I
-  std::vector<TrajectoryPoint> trajectory;  // recorded when requested
 };
 
 struct ResetOperation {
@@ -104,21 +99,18 @@ struct ResetOperation {
   // Termination: stop when I falls to iref. nullopt = standard (fixed) pulse.
   std::optional<double> iref;
   double termination_delay = 2e-9;   // comparator + control-logic + driver delay
-  bool record_trajectory = false;
   double dt_max = 20e-9;
 };
 
 struct SetOperation {
   PulseShape pulse{1.2, 5e-9, 100e-9, 5e-9};  // paper: SET pulse ~100 ns
   double v_wl = 2.0;                           // Table 1
-  bool record_trajectory = false;
   double dt_max = 2e-9;
 };
 
 struct FormingOperation {
   PulseShape pulse{3.3, 50e-9, 1e-6, 50e-9};  // Table 1: FMG BL = 3.3 V
   double v_wl = 2.0;
-  bool record_trajectory = false;
   double dt_max = 10e-9;
 };
 
@@ -137,6 +129,8 @@ class FastCell {
   // Convenience: a formed cell in the SET (LRS) state.
   static FastCell formed_lrs(const OxramParams& params, const StackConfig& stack);
 
+  // One pulse through a one-lane CellBatch: bitwise the result this cell
+  // would get as any lane of a wider batch.
   OperationResult apply_reset(const ResetOperation& op);
   OperationResult apply_set(const SetOperation& op);
   OperationResult apply_forming(const FormingOperation& op);
@@ -159,10 +153,6 @@ class FastCell {
   double rate_factor() const { return rate_factor_; }
 
  private:
-  OperationResult run_pulse(const PulseShape& pulse, Polarity polarity, double v_wl,
-                            bool through_mirror, std::optional<double> iref,
-                            double termination_delay, bool record, double dt_max);
-
   OxramParams params_;
   StackConfig stack_;
   double gap_;

@@ -32,6 +32,28 @@ Rng cell_stream(std::uint64_t seed, std::size_t cell_index) {
 
 }  // namespace
 
+double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
+                     std::size_t reads, const ReadDisturbModel& model, double v_read,
+                     double v_wl) {
+  if (!model.enabled || reads == 0) {
+    return gap;
+  }
+  // At 0.3 V the bias-driven rate is many orders below the programming rate,
+  // which is precisely why reads are cheap — but 1e6+ reads or an
+  // accelerated stress budget add up. The compact model's accelerated
+  // barriers also produce a small V = 0 drift (a time-scale artifact, see
+  // bench_ext_read_disturb/DESIGN.md) that is not the read's fault, hence
+  // the bias-minus-rest difference.
+  const oxram::StackOperatingPoint op = oxram::solve_stack(
+      cell.params(), gap, cell.stack(), oxram::Polarity::kSet, v_read, v_wl);
+  const double stress = static_cast<double>(reads) * model.t_read * model.accel;
+  const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, gap, virgin, stress,
+                                           cell.rate_factor());
+  const double g_rest =
+      oxram::advance_gap(cell.params(), 0.0, gap, virgin, stress, cell.rate_factor());
+  return std::clamp(gap + (g_bias - g_rest), cell.params().g_min, cell.params().g_max);
+}
+
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
                                std::uint64_t cycles) {
   if (!model.enabled || static_cast<double>(cycles) <= model.onset_cycles) {
@@ -113,25 +135,9 @@ void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_
     return;
   }
   oxram::FastCell& cell = array_.at(row, col);
-  // The sense biases the cell in the SET polarity (BL positive), so the
-  // disturb reduces the gap; at 0.3 V the bias-driven rate is many orders
-  // below the programming rate, which is precisely why reads are cheap —
-  // but 1e6+ reads or an accelerated stress budget add up. Only the excess
-  // over the zero-bias trajectory is billed to the read: the compact model's
-  // accelerated barriers produce a small V = 0 drift (a time-scale artifact,
-  // see bench_ext_read_disturb/DESIGN.md) that is not the read's fault.
-  const oxram::StackOperatingPoint op =
-      oxram::solve_stack(cell.params(), cell.gap(), cell.stack(), oxram::Polarity::kSet,
-                         v_read, v_wl);
-  const double stress = static_cast<double>(n) * config_.read_disturb.t_read *
-                        config_.read_disturb.accel;
   const double g_before = cell.gap();
-  const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, g_before,
-                                           cell.virgin(), stress, cell.rate_factor());
-  const double g_rest = oxram::advance_gap(cell.params(), 0.0, g_before, cell.virgin(),
-                                           stress, cell.rate_factor());
-  const double g_after = std::clamp(g_before + (g_bias - g_rest), cell.params().g_min,
-                                    cell.params().g_max);
+  const double g_after = disturbed_gap(cell, g_before, cell.virgin(), n,
+                                       config_.read_disturb, v_read, v_wl);
   disturb_offset_[i] += g_after - g_before;
   cell.set_gap(g_after);
   ReliabilityMetrics::get().reads_disturbed.add(n);

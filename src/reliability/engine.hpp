@@ -62,6 +62,17 @@ struct EnduranceModel {
   double max_window_loss = 0.5;
 };
 
+// The one read-disturb step, shared by ReliabilityEngine::apply_reads, the
+// retention sweep and the ECC channel: the gap of `cell` (its parameters,
+// stack and C2C rate factor) after `reads` senses at (v_read, v_wl),
+// starting from `gap`. The sense biases the cell in the SET polarity; only
+// the excess over the zero-bias trajectory in the same stress window is
+// billed to the reads. Returns `gap` unchanged when the model is disabled
+// or `reads` is 0.
+double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
+                     std::size_t reads, const ReadDisturbModel& model, double v_read,
+                     double v_wl);
+
 // The window compression applied to `fresh` after `cycles` program events.
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
                                std::uint64_t cycles);

@@ -1,11 +1,11 @@
-// Batch-vs-scalar equivalence suite for the SoA fast-path kernel.
+// Batch-vs-reference equivalence suite for the SoA programming engine.
 //
-// The batch kernel replays the scalar run_pulse control flow with a
-// warm-started Newton stack solve in place of the scalar bisection; both
-// solvers converge to the shared kStackSolveRelTol, so every observable of a
-// programmed cell (final gap, read current, termination time, energy) must
-// agree between the two paths to well under the 1e-9 relative tolerance
-// asserted here.
+// The batch engine replays the control flow of the reference stepper
+// (oxram/reference_pulse.hpp) with a warm-started Newton stack solve in
+// place of its bisection; both solvers converge to the shared
+// kStackSolveRelTol, so every observable of a programmed cell (final gap,
+// read current, termination time, energy) must agree between the two to
+// well under the 1e-9 relative tolerance asserted here.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,8 +17,8 @@
 #include "oxram/batch_kernel.hpp"
 #include "oxram/fast_cell.hpp"
 #include "oxram/model.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "oxram/stack_solver.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -124,7 +124,7 @@ TEST(StackSolver, WarmStartHandlesNonConductingStack) {
 }
 
 // ---------------------------------------------------------------------------
-// batch kernel vs serial FastCell
+// batch engine vs the reference stepper
 // ---------------------------------------------------------------------------
 
 TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
@@ -141,17 +141,17 @@ TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
     reset_rates.push_back(sample_cycle_rate_factor(config.variability, c2c_rng));
   }
 
-  // Scalar reference: SET then terminated RESET per cell, one at a time.
+  // Reference stepper: SET then terminated RESET per cell, one at a time.
   std::vector<FastCell> scalar_cells;
   std::vector<OperationResult> scalar_resets;
   for (std::size_t k = 0; k < n_levels; ++k) {
     FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
     cell.set_rate_factor(set_rates[k]);
-    cell.apply_set(config.set_op);
+    reference_pulse(cell, config.set_op);
     ResetOperation reset = config.reset_op;
     reset.iref = config.allocation.levels[k].iref;
     cell.set_rate_factor(reset_rates[k]);
-    scalar_resets.push_back(cell.apply_reset(reset));
+    scalar_resets.push_back(reference_pulse(cell, reset));
     scalar_cells.push_back(cell);
   }
 
@@ -204,7 +204,7 @@ TEST(CellBatch, FormingEquivalenceAgainstScalar) {
   for (FastCell& cell : batch_cells) batch.add_forming(cell, forming);
   batch.run();
   for (std::size_t k = 0; k < devices.size(); ++k) {
-    scalar_cells[k].apply_forming(forming);
+    reference_pulse(scalar_cells[k], forming);
     EXPECT_FALSE(batch_cells[k].virgin());
     EXPECT_EQ(batch_cells[k].virgin(), scalar_cells[k].virgin());
     EXPECT_LT(rel_diff(batch_cells[k].gap(), scalar_cells[k].gap()), 1e-9);
@@ -220,15 +220,15 @@ TEST(CellBatch, StaggeredTerminationMasking) {
   // per-lane reference currents alone, making the ordering deterministic.
   const std::vector<OxramParams> devices(16, OxramParams{});
 
-  const std::uint64_t retired_before =
-      obs::registry().counter("batch.lanes_retired").value();
-
   std::vector<FastCell> cells;
   CellBatch batch;
   for (std::size_t k = 0; k < devices.size(); ++k) {
     cells.push_back(FastCell::formed_lrs(devices[k], config.stack));
     cells[k].apply_set(config.set_op);
   }
+  // Snapshot after the SETs: each apply_set is itself a one-lane batch.
+  const std::uint64_t retired_before =
+      obs::registry().counter("batch.lanes_retired").value();
   for (std::size_t k = 0; k < devices.size(); ++k) {
     ResetOperation reset = config.reset_op;
     reset.iref = config.allocation.levels[k].iref;
@@ -248,16 +248,6 @@ TEST(CellBatch, StaggeredTerminationMasking) {
   EXPECT_EQ(obs::registry().counter("batch.lanes_retired").value(),
             retired_before + devices.size());
   EXPECT_GT(obs::registry().counter("batch.steps").value(), 0u);
-}
-
-TEST(CellBatch, RejectsTrajectoryRecording) {
-  const OxramParams nominal;
-  const StackConfig stack;
-  FastCell cell = FastCell::formed_lrs(nominal, stack);
-  ResetOperation op;
-  op.record_trajectory = true;
-  CellBatch batch;
-  EXPECT_THROW(batch.add_reset(cell, op), InvalidArgumentError);
 }
 
 TEST(CellBatch, ClearAllowsReuse) {

@@ -153,6 +153,25 @@ TEST(CliContract, EccRejectsOutOfRangeBits) {
       << result.output;
 }
 
+TEST(CliContract, UnknownSimdBackendExits1NamingTheAcceptedValues) {
+  // OXMLC_SIMD picks a pack backend. A value it does not know — "off" named
+  // the retired scalar engine — must fail the run instead of silently
+  // running a backend nobody asked for.
+  const char* previous = std::getenv("OXMLC_SIMD");
+  const std::string saved = previous != nullptr ? previous : "";
+  ASSERT_EQ(setenv("OXMLC_SIMD", "off", 1), 0);
+  const RunResult result = run_sim("--qlc --trials 1");
+  if (previous != nullptr) {
+    setenv("OXMLC_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("OXMLC_SIMD");
+  }
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("OXMLC_SIMD=off"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("accepted values: auto, avx2, scalar"), std::string::npos)
+      << result.output;
+}
+
 #else  // !OXMLC_SIM_PATH
 
 TEST(CliContract, SkippedWithoutTheSimBinary) {

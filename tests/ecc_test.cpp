@@ -9,11 +9,12 @@
 #include "ecc/channel.hpp"
 #include "ecc/code.hpp"
 #include "ecc/explorer.hpp"
-#include "mlc/ecc.hpp"
+#include "ecc/gray.hpp"
+#include "ecc/secded.hpp"
 #include "mlc/program.hpp"
 #include "util/rng.hpp"
 
-namespace oxmlc::mlc {
+namespace oxmlc::ecc {
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ TEST(Secded, DetectsDoubleErrorsWithoutMiscorrecting) {
 
 // Flips codeword position `p` (0 = overall parity, powers of two = Hamming
 // check bits, everything else = data bits in layout order) in the stored
-// SecdedWord form, mirroring src/mlc/ecc.cpp's pack() layout.
+// SecdedWord form, mirroring src/ecc/secded.cpp's pack() layout.
 void flip_codeword_position(SecdedWord& word, unsigned p) {
   ASSERT_LE(p, 71u);
   if (p == 0) {  // overall parity lives at check bit 7
@@ -252,11 +253,6 @@ TEST(SecdedQlc, BinaryMappingWouldNotEnjoyThatGuarantee) {
   EXPECT_EQ(std::popcount(gray_encode(seven) ^ gray_encode(eight)), 1);
 }
 
-}  // namespace
-}  // namespace oxmlc::mlc
-
-namespace oxmlc::ecc {
-namespace {
 
 // ---------------------------------------------------------------------------
 // LevelCoder: the Gray level <-> bit packing behind every code in the module

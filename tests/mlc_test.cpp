@@ -9,6 +9,7 @@
 #include "mlc/margins.hpp"
 #include "mlc/mc_study.hpp"
 #include "mlc/program.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::mlc {
@@ -434,8 +435,8 @@ TEST(Baselines, IcSetProducesDistinctLrsLevels) {
 
 TEST(McStudy, SingleLevelIsDeterministic) {
   auto config = paper_mc_study(4, 8);
-  const auto a = run_single_level(config, 3);
-  const auto b = run_single_level(config, 3);
+  const auto a = run_level_study(config)[3];
+  const auto b = run_level_study(config)[3];
   ASSERT_EQ(a.resistance.size(), 8u);
   for (std::size_t i = 0; i < a.resistance.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.resistance[i], b.resistance[i]);
@@ -464,9 +465,32 @@ double rel_diff(double a, double b) {
 }
 }  // namespace
 
-// program_word must consume each cell's rng stream exactly as N scalar
-// program() calls would (identical sampled conditions) and land each cell on
-// the same state to stack-solver tolerance.
+// The word flow of program_word, one cell at a time on the reference stepper
+// (oxram/reference_pulse.hpp), drawing from `rng` in the same order: SET rate
+// factor, effective IrefR, RST rate factor.
+ProgramOutcome reference_program(const QlcConfig& config, oxram::FastCell& cell,
+                                 std::size_t level, Rng& rng) {
+  ProgramOutcome outcome;
+  outcome.level = level;
+  cell.set_rate_factor(sample_cycle_rate_factor(config.variability, rng));
+  outcome.set_energy = oxram::reference_pulse(cell, config.set_op).energy_source;
+  outcome.effective_iref =
+      config.termination.sample_effective_iref(config.allocation.levels[level].iref, rng);
+  oxram::ResetOperation reset = config.reset_op;
+  reset.iref = outcome.effective_iref;
+  reset.termination_delay = config.termination.comparator_delay;
+  cell.set_rate_factor(sample_cycle_rate_factor(config.variability, rng));
+  const oxram::OperationResult result = oxram::reference_pulse(cell, reset);
+  outcome.terminated = result.terminated;
+  outcome.latency = result.t_terminate;
+  outcome.energy = result.energy_source;
+  outcome.resistance = cell.read(config.v_read, config.v_wl_read).r_cell;
+  return outcome;
+}
+
+// program_word must consume each cell's rng stream in the reference flow's
+// order (identical sampled conditions) and land each cell on the state the
+// reference stepper reaches, to stack-solver tolerance.
 TEST(Programmer, ProgramWordMatchesScalarProgram) {
   const QlcProgrammer programmer(test_config());
   const std::size_t n = 16;
@@ -489,7 +513,8 @@ TEST(Programmer, ProgramWordMatchesScalarProgram) {
 
   std::vector<ProgramOutcome> scalar;
   for (std::size_t k = 0; k < n; ++k) {
-    scalar.push_back(programmer.program(scalar_cells[k], levels[k], scalar_rngs[k]));
+    scalar.push_back(reference_program(programmer.config(), scalar_cells[k], levels[k],
+                                       scalar_rngs[k]));
   }
 
   std::vector<oxram::FastCell*> cell_ptrs(n);
@@ -517,26 +542,6 @@ TEST(Programmer, ProgramWordMatchesScalarProgram) {
   const std::vector<std::size_t> short_levels(n - 1, 0);
   EXPECT_THROW(programmer.program_word(cell_ptrs, short_levels, rng_ptrs),
                InvalidArgumentError);
-}
-
-TEST(McStudy, BatchedStudyMatchesScalarStudy) {
-  auto config = paper_mc_study(4, 3);
-  config.batch_levels = true;
-  const auto batched = run_level_study(config);
-  config.batch_levels = false;
-  const auto scalar = run_level_study(config);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (std::size_t level = 0; level < scalar.size(); ++level) {
-    ASSERT_EQ(batched[level].resistance.size(), scalar[level].resistance.size());
-    for (std::size_t t = 0; t < scalar[level].resistance.size(); ++t) {
-      EXPECT_LT(rel_diff(batched[level].resistance[t], scalar[level].resistance[t]), 1e-7)
-          << "level " << level << " trial " << t;
-      EXPECT_LT(rel_diff(batched[level].latency[t], scalar[level].latency[t]), 1e-7)
-          << "level " << level << " trial " << t;
-      EXPECT_LT(rel_diff(batched[level].energy[t], scalar[level].energy[t]), 1e-6)
-          << "level " << level << " trial " << t;
-    }
-  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "devices/sources.hpp"
 #include "oxram/device.hpp"
 #include "oxram/fast_cell.hpp"
 #include "oxram/model.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "spice/circuit.hpp"
 #include "spice/dc.hpp"
 #include "spice/transient.hpp"
@@ -330,14 +332,14 @@ TEST(FastCell, TrajectoryIsRecordedAndCurrentDecays) {
   ResetOperation op;
   op.iref = 10e-6;
   op.pulse.width = 8e-6;
-  op.record_trajectory = true;
-  const auto result = cell.apply_reset(op);
-  ASSERT_GT(result.trajectory.size(), 50u);
+  std::vector<TrajectoryPoint> trajectory;
+  reference_pulse(cell, op, &trajectory);
+  ASSERT_GT(trajectory.size(), 50u);
   // Current on the plateau decays monotonically (within solver noise).
   double peak = 0.0;
-  for (const auto& pt : result.trajectory) peak = std::max(peak, pt.current);
+  for (const auto& pt : trajectory) peak = std::max(peak, pt.current);
   EXPECT_GT(peak, 30e-6);
-  EXPECT_NEAR(result.trajectory.back().current, 10e-6, 3e-6);
+  EXPECT_NEAR(trajectory.back().current, 10e-6, 3e-6);
 }
 
 TEST(FastCell, ReadIsNonDestructive) {

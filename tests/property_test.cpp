@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "devices/mosfet.hpp"
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
+#include "mlc/program.hpp"
 #include "numeric/sparse_lu.hpp"
+#include "oxram/batch_kernel.hpp"
 #include "oxram/fast_cell.hpp"
 #include "oxram/model.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "spice/dc.hpp"
 #include "util/rng.hpp"
 
@@ -167,7 +173,7 @@ TEST_P(TerminatedResetProperty, PhysicalInvariantsHold) {
     oxram::ResetOperation op;
     op.iref = iref;
     op.pulse.width = 10e-6;
-    op.record_trajectory = true;
+    oxram::FastCell reference_cell = cell;
     const auto result = cell.apply_reset(op);
     ASSERT_TRUE(result.terminated);
 
@@ -180,10 +186,14 @@ TEST_P(TerminatedResetProperty, PhysicalInvariantsHold) {
     EXPECT_GT(r, 20e3);   // never below the shallowest MLC state
     EXPECT_LT(r, 600e3);  // never into the saturated-HRS decade
 
-    // At the crossing sample the current is within a few percent of iref.
+    // At the crossing sample the current is within a few percent of iref
+    // (the per-step history comes from the reference stepper, the only code
+    // that records one).
+    std::vector<oxram::TrajectoryPoint> trajectory;
+    const auto reference = oxram::reference_pulse(reference_cell, op, &trajectory);
     double at_crossing = 0.0;
-    for (const auto& pt : result.trajectory) {
-      if (pt.t <= result.t_terminate) at_crossing = pt.current;
+    for (const auto& pt : trajectory) {
+      if (pt.t <= reference.t_terminate) at_crossing = pt.current;
     }
     EXPECT_NEAR(at_crossing, iref, 0.08 * iref);
 
@@ -195,6 +205,166 @@ TEST_P(TerminatedResetProperty, PhysicalInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TerminatedResetProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+// ---------------------------------------------------------------------------
+// Property: one programming engine. CellBatch is the only production stepper,
+// so two contracts must hold for random devices, levels and words of 1 to 33
+// cells:
+//   (a) lane independence — program() on one cell is bitwise that cell's lane
+//       of a program_word (same outcome, same final state, same rng draws);
+//   (b) the batch engine agrees with the reference stepper
+//       (oxram/reference_pulse.hpp) within 1e-9 for SET, RESET and forming.
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+double rel_diff(double a, double b) {
+  const double scale = std::max(std::fabs(a), std::fabs(b));
+  return scale > 0.0 ? std::fabs(a - b) / scale : 0.0;
+}
+
+const mlc::QlcProgrammer& qlc_programmer() {
+  static const mlc::QlcProgrammer programmer = [] {
+    mlc::QlcConfig config = mlc::QlcConfig::paper_default();
+    config.allocation = mlc::LevelAllocation::iso_delta_i(
+        4, mlc::kPaperIrefMin, mlc::kPaperIrefMax,
+        mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{}, config,
+                                     mlc::kPaperIrefMin, mlc::kPaperIrefMax, 13));
+    return mlc::QlcProgrammer(config);
+  }();
+  return programmer;
+}
+
+// A sampled device at a random starting state: formed LRS or anywhere in its
+// switching window (a reprogram).
+oxram::FastCell random_cell(Rng& rng) {
+  const auto device =
+      oxram::sample_device(oxram::OxramParams{}, oxram::OxramVariability{}, rng);
+  const double gap =
+      rng.uniform() < 0.5 ? device.g_min : rng.uniform(device.g_min, device.g_max);
+  return oxram::FastCell(device, oxram::StackConfig{}, gap);
+}
+
+class OneEngineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OneEngineEquivalence, ProgramIsBitwiseItsLaneOfProgramWord) {
+  const mlc::QlcProgrammer& programmer = qlc_programmer();
+  Rng rng(GetParam());
+  const std::size_t n = 1 + rng.uniform_index(33);
+  std::vector<oxram::FastCell> word_cells, alone_cells;
+  std::vector<std::size_t> levels(n);
+  std::vector<Rng> word_rngs, alone_rngs;
+  for (std::size_t k = 0; k < n; ++k) {
+    word_cells.push_back(random_cell(rng));
+    alone_cells.push_back(word_cells.back());
+    levels[k] = rng.uniform_index(programmer.config().allocation.count());
+    const Rng stream = rng.split();  // copied: identical streams per path
+    word_rngs.push_back(stream);
+    alone_rngs.push_back(stream);
+  }
+  std::vector<oxram::FastCell*> cell_ptrs(n);
+  std::vector<Rng*> rng_ptrs(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cell_ptrs[k] = &word_cells[k];
+    rng_ptrs[k] = &word_rngs[k];
+  }
+  const std::vector<mlc::ProgramOutcome> word =
+      programmer.program_word(cell_ptrs, levels, rng_ptrs);
+
+  for (std::size_t k = 0; k < n; ++k) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " lane=" + std::to_string(k));
+    const mlc::ProgramOutcome alone =
+        programmer.program(alone_cells[k], levels[k], alone_rngs[k]);
+    EXPECT_EQ(alone.level, word[k].level);
+    EXPECT_EQ(alone.terminated, word[k].terminated);
+    EXPECT_EQ(alone.pulses, word[k].pulses);
+    EXPECT_EQ(bits_of(alone.effective_iref), bits_of(word[k].effective_iref));
+    EXPECT_EQ(bits_of(alone.resistance), bits_of(word[k].resistance));
+    EXPECT_EQ(bits_of(alone.latency), bits_of(word[k].latency));
+    EXPECT_EQ(bits_of(alone.energy), bits_of(word[k].energy));
+    EXPECT_EQ(bits_of(alone.set_energy), bits_of(word[k].set_energy));
+    EXPECT_EQ(bits_of(alone_cells[k].gap()), bits_of(word_cells[k].gap()));
+    EXPECT_EQ(bits_of(alone_cells[k].rate_factor()),
+              bits_of(word_cells[k].rate_factor()));
+    EXPECT_EQ(alone_rngs[k].next_u64(), word_rngs[k].next_u64());
+  }
+}
+
+TEST_P(OneEngineEquivalence, BatchMatchesReferenceStepper) {
+  Rng rng(GetParam());
+  const std::size_t n = 1 + rng.uniform_index(33);
+  enum class Kind { kSet, kReset, kForming };
+  std::vector<Kind> kinds;
+  std::vector<oxram::SetOperation> sets(n);
+  std::vector<oxram::ResetOperation> resets(n);
+  std::vector<oxram::FastCell> batch_cells;
+  for (std::size_t k = 0; k < n; ++k) {
+    const Kind kind = static_cast<Kind>(rng.uniform_index(3));
+    kinds.push_back(kind);
+    oxram::FastCell cell = random_cell(rng);
+    if (kind == Kind::kForming) {
+      cell.set_gap(cell.params().g_virgin);
+      cell.set_virgin(true);
+    } else if (kind == Kind::kSet) {
+      // Compliance-limited SETs too (the IC-SET baseline's WL range).
+      sets[k].v_wl = rng.uniform(0.8, 2.0);
+    } else if (rng.uniform() < 0.75) {
+      resets[k].iref = rng.uniform(6e-6, 36e-6);  // terminated RESET
+      resets[k].pulse.width = 10e-6;
+    } else {
+      resets[k].pulse.amplitude = rng.uniform(1.0, 1.8);  // fixed VRST pulse
+      resets[k].pulse.width = 200e-9;
+    }
+    cell.set_rate_factor(
+        oxram::sample_cycle_rate_factor(oxram::OxramVariability{}, rng));
+    batch_cells.push_back(cell);
+  }
+  std::vector<oxram::FastCell> reference_cells = batch_cells;
+
+  // All three kinds share one batch: lanes must not see each other.
+  oxram::CellBatch batch;
+  for (std::size_t k = 0; k < n; ++k) {
+    switch (kinds[k]) {
+      case Kind::kSet:
+        batch.add_set(batch_cells[k], sets[k]);
+        break;
+      case Kind::kReset:
+        batch.add_reset(batch_cells[k], resets[k]);
+        break;
+      case Kind::kForming:
+        batch.add_forming(batch_cells[k], oxram::FormingOperation{});
+        break;
+    }
+  }
+  const std::vector<oxram::OperationResult> results = batch.run();
+
+  for (std::size_t k = 0; k < n; ++k) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " lane=" + std::to_string(k) +
+                 " kind=" + std::to_string(static_cast<int>(kinds[k])));
+    oxram::FastCell& cell = reference_cells[k];
+    const oxram::FormingOperation forming;
+    const oxram::OperationResult ref =
+        kinds[k] == Kind::kSet     ? oxram::reference_pulse(cell, sets[k])
+        : kinds[k] == Kind::kReset ? oxram::reference_pulse(cell, resets[k])
+                                   : oxram::reference_pulse(cell, forming);
+    EXPECT_EQ(results[k].terminated, ref.terminated);
+    EXPECT_EQ(batch_cells[k].virgin(), cell.virgin());
+    EXPECT_LT(rel_diff(batch_cells[k].gap(), cell.gap()), 1e-9);
+    EXPECT_LT(rel_diff(results[k].final_gap, ref.final_gap), 1e-9);
+    EXPECT_LT(rel_diff(results[k].t_terminate, ref.t_terminate), 1e-9);
+    EXPECT_LT(rel_diff(results[k].t_end, ref.t_end), 1e-9);
+    EXPECT_LT(rel_diff(results[k].energy_source, ref.energy_source), 1e-9);
+    EXPECT_LT(rel_diff(results[k].energy_cell, ref.energy_cell), 1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OneEngineEquivalence,
+                         ::testing::Values(0xE1, 0xE2, 0xE3, 0xE4, 0xE5, 0xE6, 0xE7,
+                                           0xE8));
 
 // ---------------------------------------------------------------------------
 // Property: R(IrefR) is strictly decreasing for any D2D device sample

@@ -1,9 +1,11 @@
 // SIMD-vs-scalar equivalence suite for the dispatched batch kernels.
 //
 // Two distinct guarantees, asserted separately:
-//   * pack vs REFERENCE: the pack kernels (own polynomial exp/log1p) match the
-//     scalar-libm reference loop to well under 1e-9 relative — the same pin
-//     every batch-vs-scalar pairing in the repo is held to;
+//   * pack vs REFERENCE: the pack kernels (own polynomial exp/log1p) match
+//     their scalar-libm test oracles — drifted_gap_batch_reference for drift,
+//     the reference stepper (oxram/reference_pulse.hpp) for CellBatch — to
+//     well under 1e-9 relative, the pin every batch-vs-scalar pairing in the
+//     repo is held to;
 //   * pack vs pack: the portable and AVX2 instantiations are BITWISE
 //     identical, so runtime dispatch can never change a simulation result.
 // Lane-count edges (odd sizes exercising the padded remainder pack), denormal
@@ -21,6 +23,7 @@
 #include "oxram/batch_kernel.hpp"
 #include "oxram/drift.hpp"
 #include "oxram/fast_cell.hpp"
+#include "oxram/reference_pulse.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -130,8 +133,7 @@ TEST(DriftSimd, DisabledDriftCopiesAnchorsOnEveryBackend) {
   off.enabled = false;
   const DriftLanes lanes = DriftLanes::randomized(13, 0xD15AB1Eull);
   for (num::simd::Backend backend :
-       {num::simd::Backend::kReference, num::simd::Backend::kScalar,
-        num::simd::Backend::kAvx2}) {
+       {num::simd::Backend::kScalar, num::simd::Backend::kAvx2}) {
     const std::vector<double> out = lanes.run(backend, off);
     for (std::size_t i = 0; i < lanes.size(); ++i) {
       EXPECT_EQ(out[i], lanes.anchor[i]) << "lane " << i;
@@ -153,18 +155,30 @@ struct BatchSnapshot {
   std::vector<OperationResult> results;
 };
 
-// Programs `n_lanes` sampled devices through a terminated RESET word (levels
-// cycle through the QLC allocation) under a forced engine.
-BatchSnapshot run_reset_word(num::simd::Backend engine, std::size_t n_lanes,
-                             std::uint64_t seed) {
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
-  const std::size_t n_levels = config.allocation.count();
+std::vector<OxramParams> sampled_devices(std::size_t n_lanes, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<OxramParams> devices;
   for (std::size_t k = 0; k < n_lanes; ++k) {
     Rng lane_rng = rng.split();
     devices.push_back(sample_device(OxramParams{}, OxramVariability{}, lane_rng));
   }
+  return devices;
+}
+
+// Terminated RESET of lane k (levels cycle through the QLC allocation).
+ResetOperation reset_for_lane(const mlc::QlcConfig& config, std::size_t k) {
+  ResetOperation reset = config.reset_op;
+  reset.iref = config.allocation.levels[k % config.allocation.count()].iref;
+  return reset;
+}
+
+// Programs `n_lanes` sampled devices through a SET and a terminated RESET
+// word on the pack engine under a forced backend.
+BatchSnapshot run_reset_word(num::simd::Backend backend, std::size_t n_lanes,
+                             std::uint64_t seed) {
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
+  const std::vector<OxramParams> devices = sampled_devices(n_lanes, seed);
+  const num::simd::Backend prev = num::simd::set_backend_override(backend);
   std::vector<FastCell> cells;
   CellBatch batch;
   for (std::size_t k = 0; k < n_lanes; ++k) {
@@ -172,41 +186,55 @@ BatchSnapshot run_reset_word(num::simd::Backend engine, std::size_t n_lanes,
     cells[k].apply_set(config.set_op);
   }
   for (std::size_t k = 0; k < n_lanes; ++k) {
-    ResetOperation reset = config.reset_op;
-    reset.iref = config.allocation.levels[k % n_levels].iref;
-    batch.add_reset(cells[k], reset);
+    batch.add_reset(cells[k], reset_for_lane(config, k));
   }
-  BatchRunOptions options;
-  options.engine = engine;
   BatchSnapshot snap;
-  snap.results = batch.run(options);
+  snap.results = batch.run();
+  num::simd::set_backend_override(prev);
   for (const FastCell& cell : cells) snap.gaps.push_back(cell.gap());
+  return snap;
+}
+
+// The same word, one cell at a time through the reference stepper.
+BatchSnapshot reference_reset_word(std::size_t n_lanes, std::uint64_t seed) {
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
+  const std::vector<OxramParams> devices = sampled_devices(n_lanes, seed);
+  BatchSnapshot snap;
+  for (std::size_t k = 0; k < n_lanes; ++k) {
+    FastCell cell = FastCell::formed_lrs(devices[k], config.stack);
+    reference_pulse(cell, config.set_op);
+    snap.results.push_back(reference_pulse(cell, reset_for_lane(config, k)));
+    snap.gaps.push_back(cell.gap());
+  }
   return snap;
 }
 
 // Forms `n_lanes` virgin devices (exercises the voltage-cap and cold-start
 // scalar fallbacks, the forming barrier, and the virgin -> formed flip).
-BatchSnapshot run_forming(num::simd::Backend engine, std::size_t n_lanes,
+BatchSnapshot run_forming(num::simd::Backend backend, std::size_t n_lanes,
                           std::uint64_t seed) {
-  const StackConfig stack;
-  const FormingOperation forming;
-  Rng rng(seed);
-  std::vector<OxramParams> devices;
-  for (std::size_t k = 0; k < n_lanes; ++k) {
-    Rng lane_rng = rng.split();
-    devices.push_back(sample_device(OxramParams{}, OxramVariability{}, lane_rng));
-  }
+  const std::vector<OxramParams> devices = sampled_devices(n_lanes, seed);
   std::vector<FastCell> cells;
   CellBatch batch;
-  for (std::size_t k = 0; k < n_lanes; ++k) {
-    cells.emplace_back(devices[k], stack, devices[k].g_virgin, /*virgin=*/true);
+  for (const OxramParams& device : devices) {
+    cells.emplace_back(device, StackConfig{}, device.g_virgin, /*virgin=*/true);
   }
-  for (FastCell& cell : cells) batch.add_forming(cell, forming);
-  BatchRunOptions options;
-  options.engine = engine;
+  for (FastCell& cell : cells) batch.add_forming(cell, FormingOperation{});
+  const num::simd::Backend prev = num::simd::set_backend_override(backend);
   BatchSnapshot snap;
-  snap.results = batch.run(options);
+  snap.results = batch.run();
+  num::simd::set_backend_override(prev);
   for (const FastCell& cell : cells) snap.gaps.push_back(cell.gap());
+  return snap;
+}
+
+BatchSnapshot reference_forming(std::size_t n_lanes, std::uint64_t seed) {
+  BatchSnapshot snap;
+  for (const OxramParams& device : sampled_devices(n_lanes, seed)) {
+    FastCell cell(device, StackConfig{}, device.g_virgin, /*virgin=*/true);
+    snap.results.push_back(reference_pulse(cell, FormingOperation{}));
+    snap.gaps.push_back(cell.gap());
+  }
   return snap;
 }
 
@@ -226,13 +254,11 @@ void expect_snapshots_close(const BatchSnapshot& ref, const BatchSnapshot& simd,
   }
 }
 
-// The vector engine must track the scalar reference engine within the same
-// 1e-9 pin the reference engine holds against the one-cell scalar path —
+// The pack engine must track the reference stepper within the 1e-9 pin —
 // including at odd lane counts where the tail pack is padded.
 TEST(BatchSimd, ResetWordMatchesReferenceEngineAcrossLaneCounts) {
   for (std::size_t n : {1u, 2u, 3u, 5u, 16u, 33u}) {
-    const BatchSnapshot ref =
-        run_reset_word(num::simd::Backend::kReference, n, 0xBA7C4ull + n);
+    const BatchSnapshot ref = reference_reset_word(n, 0xBA7C4ull + n);
     const BatchSnapshot simd =
         run_reset_word(num::simd::Backend::kScalar, n, 0xBA7C4ull + n);
     expect_snapshots_close(ref, simd, 1e-9);
@@ -243,7 +269,7 @@ TEST(BatchSimd, ResetWordMatchesReferenceEngineAcrossLaneCounts) {
 }
 
 TEST(BatchSimd, FormingMatchesReferenceEngine) {
-  const BatchSnapshot ref = run_forming(num::simd::Backend::kReference, 7, 0xF0A3ull);
+  const BatchSnapshot ref = reference_forming(7, 0xF0A3ull);
   const BatchSnapshot simd = run_forming(num::simd::Backend::kScalar, 7, 0xF0A3ull);
   expect_snapshots_close(ref, simd, 1e-9);
 }

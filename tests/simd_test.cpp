@@ -146,8 +146,6 @@ TEST(SimdDispatch, BackendResolutionAndOverride) {
 
   const Backend prev = set_backend_override(Backend::kScalar);
   EXPECT_EQ(active_backend(), Backend::kScalar);
-  set_backend_override(Backend::kReference);
-  EXPECT_EQ(active_backend(), Backend::kReference);
   // Requesting AVX2 on a host without it degrades to the portable pack
   // instead of faulting.
   set_backend_override(Backend::kAvx2);
@@ -156,7 +154,6 @@ TEST(SimdDispatch, BackendResolutionAndOverride) {
 
   EXPECT_STREQ(backend_name(Backend::kAvx2), "avx2");
   EXPECT_STREQ(backend_name(Backend::kScalar), "scalar");
-  EXPECT_STREQ(backend_name(Backend::kReference), "reference");
 }
 
 }  // namespace

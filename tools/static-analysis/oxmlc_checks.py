@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """oxmlc repo-invariant static checks (standalone runner).
 
-The container/CI toolchain is gcc-only, so the custom clang-tidy module under
-tools/static-analysis/clang-tidy/ (same check names, same semantics) is an
-optional build (-DOXMLC_BUILD_TIDY_PLUGIN=ON); THIS runner is the enforced
-path. It needs nothing beyond python3 and works off a comment/string-stripped
-view of every translation unit.
+This runner is the one enforced implementation of the custom oxmlc-* checks.
+It needs nothing beyond python3 (the CI toolchain is gcc-only) and works off a
+comment/string-stripped view of every translation unit.
 
 Checks
 ------
