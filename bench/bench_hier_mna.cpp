@@ -3,14 +3,12 @@
 //
 // Sweeps square array sizes (8x8 -> 64x64), running the same terminated
 // word-parallel RESET netlist (array::BankWritePath, distributed BL/WL/SL
-// parasitics, per-BL Fig. 7a termination) through three solver paths:
-// monolithic pattern-cached SparseLu, hierarchical BlockSchurLu single-thread,
-// and hierarchical multi-thread. Reports wall-clock per transient and the two
-// ratios that matter:
+// parasitics, per-BL Fig. 7a termination) through two solver paths:
+// monolithic pattern-cached SparseLu and hierarchical BlockSchurLu (serial;
+// the memsys MNA tier parallelizes across transients instead). Reports
+// wall-clock per transient and the ratio that matters:
 //
-//   speedup        = mono_s / hier1_s   (same machine, same run: gated in CI)
-//   thread_speedup = hier1_s / hierN_s  (reported, NOT gated — core counts
-//                                        differ across runners)
+//   speedup = mono_s / hier1_s   (same machine, same run: gated in CI)
 //
 // Writes hier_mna.csv and BENCH_hier_mna.json for the compare_bench.py gate.
 // Correctness is asserted in-run: both paths must complete, and where both
@@ -56,9 +54,7 @@ struct SweepRow {
   std::size_t border = 0;
   double mono_s = 0.0;   // 0 = skipped (above --mono-max)
   double hier1_s = 0.0;
-  double hiern_s = 0.0;
   double speedup = 0.0;
-  double thread_speedup = 0.0;
 };
 
 }  // namespace
@@ -68,7 +64,6 @@ int main(int argc, char** argv) {
 
   const std::size_t max_size = arg_or(argc, argv, "--max-size", 64);
   const std::size_t mono_max = arg_or(argc, argv, "--mono-max", 64);
-  const std::size_t threads = arg_or(argc, argv, "--threads", 8);
   // Best-of-N wall clock per configuration: single draws of the sub-second
   // hierarchical transients are timing-noise dominated, and the gated
   // speedup ratios need stable numerators AND denominators.
@@ -81,7 +76,7 @@ int main(int argc, char** argv) {
       "Hierarchical MNA", "bordered-block Schur transients vs monolithic",
       "(implementation claim: full-bank terminated-RESET transients become "
       "tractable — per-column blocks + dense border Schur complement, "
-      "parallel refactorize, bit-identical at any thread count)");
+      "pattern-cached per-block refactorize)");
 
   // Best-of-`repeats` for one solver configuration; a fresh BankWritePath per
   // repeat (the filament state mutates during a transient).
@@ -121,9 +116,7 @@ int main(int argc, char** argv) {
     }
 
     {
-      auto hier_cfg = cfg;
-      hier_cfg.threads = 1;
-      const auto result = timed_run(hier_cfg, row.hier1_s);
+      const auto result = timed_run(cfg, row.hier1_s);
       row.unknowns = result.unknowns;
       row.blocks = result.blocks;
       row.border = result.border_size;
@@ -144,34 +137,19 @@ int main(int argc, char** argv) {
       }
     }
 
-    {
-      auto hier_cfg = cfg;
-      hier_cfg.threads = threads;
-      const auto result = timed_run(hier_cfg, row.hiern_s);
-      if (!result.transient.completed) {
-        std::cerr << "ERROR: multi-thread hierarchical transient did not "
-                     "complete at " << size << "x" << size << "\n";
-        return 1;
-      }
-    }
-
     if (row.mono_s > 0.0) row.speedup = row.mono_s / row.hier1_s;
-    if (row.hiern_s > 0.0) row.thread_speedup = row.hier1_s / row.hiern_s;
     rows.push_back(row);
   }
 
-  Table table({"array", "unknowns", "blocks", "border", "mono (s)", "hier x1 (s)",
-               "hier x" + std::to_string(threads) + " (s)", "speedup",
-               "thread speedup"});
+  Table table({"array", "unknowns", "blocks", "border", "mono (s)", "hier (s)",
+               "speedup"});
   for (const SweepRow& row : rows) {
     table.add_row({std::to_string(row.size) + "x" + std::to_string(row.size),
                    std::to_string(row.unknowns), std::to_string(row.blocks),
                    std::to_string(row.border),
                    row.mono_s > 0.0 ? format_scaled(row.mono_s, 1.0, 3) : "-",
                    format_scaled(row.hier1_s, 1.0, 3),
-                   format_scaled(row.hiern_s, 1.0, 3),
-                   row.speedup > 0.0 ? format_scaled(row.speedup, 1.0, 1) : "-",
-                   format_scaled(row.thread_speedup, 1.0, 2)});
+                   row.speedup > 0.0 ? format_scaled(row.speedup, 1.0, 1) : "-"});
   }
   table.print(std::cout);
 
@@ -182,30 +160,25 @@ int main(int argc, char** argv) {
   std::cout << "\n  schur.factorizations: " << factorizations
             << ", schur.blocks_factored: " << blocks_factored
             << ", schur.block_refactorize_hits: "
-            << snapshot.counter("schur.block_refactorize_hits")
-            << ", parallel efficiency (last): "
-            << snapshot.gauge("schur.parallel_efficiency") << "\n";
+            << snapshot.counter("schur.block_refactorize_hits") << "\n";
   if (blocks_factored <= 0.0 || factorizations <= 0.0) {
     std::cerr << "ERROR: schur.* telemetry did not move — hierarchical path "
                  "was not exercised\n";
     return 1;
   }
 
-  Table csv({"size", "unknowns", "blocks", "border", "mono_s", "hier1_s",
-             "hiern_s", "speedup", "thread_speedup"});
+  Table csv({"size", "unknowns", "blocks", "border", "mono_s", "hier1_s", "speedup"});
   for (const SweepRow& row : rows) {
     csv.add_row({std::to_string(row.size), std::to_string(row.unknowns),
                  std::to_string(row.blocks), std::to_string(row.border),
                  std::to_string(row.mono_s), std::to_string(row.hier1_s),
-                 std::to_string(row.hiern_s), std::to_string(row.speedup),
-                 std::to_string(row.thread_speedup)});
+                 std::to_string(row.speedup)});
   }
   bench::save_csv(csv, "hier_mna.csv");
 
   const std::string json_path = bench::csv_path("BENCH_hier_mna.json");
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"hier_mna\",\n" << bench::provenance_field()
-       << ",\n  \"threads\": " << threads
        << ",\n  \"t_stop_ns\": " << static_cast<std::size_t>(t_stop * 1e9)
        << ",\n  \"sweeps\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -213,10 +186,9 @@ int main(int argc, char** argv) {
     json << (i ? "," : "") << "\n    {\"size\": " << row.size
          << ", \"unknowns\": " << row.unknowns
          << ", \"blocks\": " << row.blocks << ", \"border\": " << row.border
-         << ", \"mono_s\": " << row.mono_s << ", \"hier1_s\": " << row.hier1_s
-         << ", \"hiern_s\": " << row.hiern_s;
+         << ", \"mono_s\": " << row.mono_s << ", \"hier1_s\": " << row.hier1_s;
     if (row.speedup > 0.0) json << ", \"speedup\": " << row.speedup;
-    json << ", \"thread_speedup\": " << row.thread_speedup << "}";
+    json << "}";
   }
   json << "\n  ]\n}\n";
   json.close();

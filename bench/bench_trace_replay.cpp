@@ -124,9 +124,10 @@ int main(int argc, char** argv) {
   json.close();
   std::cout << " [json written: " << json_path << "]\n";
 
-  // Invariants: every request must retire, and the word tier must not time
-  // out — a shortfall means the scheduler lost requests or the physics tier
-  // regressed, not that the machine was slow.
+  // Invariants: every request must retire, the word tier must not time out,
+  // and every MNA sample must terminate — a shortfall means the scheduler
+  // lost requests or a physics tier regressed (or lost a sample), not that
+  // the machine was slow.
   if (report.requests_retired != requests) {
     std::cerr << "ERROR: only " << report.requests_retired << "/" << requests
               << " requests retired\n";
@@ -135,6 +136,11 @@ int main(int argc, char** argv) {
   if (report.word_tier.unterminated != 0) {
     std::cerr << "ERROR: " << report.word_tier.unterminated
               << " word-tier RESET pulses timed out\n";
+    return 1;
+  }
+  if (report.mna_tier.terminated != report.mna_tier.samples) {
+    std::cerr << "ERROR: only " << report.mna_tier.terminated << "/"
+              << report.mna_tier.samples << " MNA-tier words terminated\n";
     return 1;
   }
   return 0;

@@ -139,11 +139,11 @@ def gated_metrics(bench: dict) -> dict[str, float]:
     elif bench.get("bench") == "hier_mna":
         # mono/hier ratios are measured back-to-back (best-of-N) on the same
         # machine in one run, so they are runner-speed-immune (like
-        # BENCH_trace). thread_speedup is deliberately NOT gated (CI core
-        # counts vary), and neither are the sub-32 points — those transients
-        # finish in tens of milliseconds, where the ratio is timing noise
-        # even best-of-N. 32x32 is the acceptance-criterion size (>=10x) and
-        # its multi-second monolithic denominator keeps the ratio stable.
+        # BENCH_trace). The solver is serial, so there is no thread ratio.
+        # The sub-32 points are not gated — those transients finish in tens
+        # of milliseconds, where the ratio is timing noise even best-of-N.
+        # 32x32 is the acceptance-criterion size (>=10x) and its
+        # multi-second monolithic denominator keeps the ratio stable.
         for sweep in bench.get("sweeps", []):
             if "speedup" in sweep and sweep.get("size", 0) >= 32:
                 metrics[f"speedup@{sweep['size']}"] = float(sweep["speedup"])

@@ -157,10 +157,8 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
 
 BankWritePathResult BankWritePath::run() {
   spice::MnaSystem system(circuit_);
-  num::SchurOptions schur;
-  schur.threads = config_.threads;
   if (config_.hierarchical) {
-    system.set_partition(partition_, schur);
+    system.set_partition(partition_, num::SchurOptions{});
   }
 
   std::vector<spice::Probe> probes;

@@ -90,8 +90,7 @@ struct BankWritePathConfig {
   // stop; if any comparator never fires the run goes to t_stop as usual.
   std::optional<double> stop_after_terminated;
 
-  bool hierarchical = true;   // false: same netlist, monolithic solver
-  std::size_t threads = 1;    // per-block parallelism (bit-identical results)
+  bool hierarchical = true;  // false: same netlist, monolithic solver
 };
 
 struct BankColumnResult {

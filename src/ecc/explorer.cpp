@@ -177,9 +177,7 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   // bit-identical for any thread count.
   const std::size_t trials = config.trials;
   std::vector<WordTrial> words(grid.size() * trials);
-  util::ParallelForOptions pool;
-  pool.threads = config.threads;
-  util::parallel_for(words.size(), pool, [&](std::size_t begin, std::size_t end) {
+  util::parallel_for(words.size(), config.threads, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const PolicyGridPoint& point = grid[i / trials];
       const BitsContext& context = contexts[point.bits_index];

@@ -9,7 +9,6 @@
 // telemetry on top of it.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -42,9 +41,6 @@ struct RunnerMetrics {
   }
 };
 
-// Placeholder context for the context-free run_trials overload.
-struct NoContext {};
-
 }  // namespace detail
 
 struct McOptions {
@@ -56,24 +52,17 @@ struct McOptions {
 // Derives the deterministic Rng of one trial.
 Rng trial_rng(std::uint64_t seed, std::size_t trial);
 
-// Runs `trial(index, rng, context)` for every trial and collects the returned
-// samples in trial order. Scheduling is dynamic (workers claim contiguous
-// chunks off an atomic cursor) but samples stay bit-identical for any thread
-// count because each trial's Rng depends on (seed, index) alone.
+// Runs `trial(index, rng)` for every trial and collects the returned samples
+// in trial order. Scheduling is dynamic (workers claim contiguous chunks off
+// an atomic cursor) but samples stay bit-identical for any thread count
+// because each trial's Rng depends on (seed, index) alone.
 //
-// `make_context` builds one per-worker context (circuit, solver workspaces,
-// …) that is reused across every trial and chunk that worker executes; the
-// trial function must not share mutable state across contexts. A context must
-// not affect results — it is an allocation cache, not a channel.
-//
-// A throwing trial (or context factory) aborts the run: in-flight trials
-// finish, no new chunks are claimed, the first exception is rethrown on the
-// caller after the pool joins, and every failure increments
-// `mc.trial_failures`.
-template <typename Sample, typename Context>
-std::vector<Sample> run_trials(
-    const McOptions& options, const std::function<Context()>& make_context,
-    const std::function<Sample(std::size_t, Rng&, Context&)>& trial) {
+// A throwing trial aborts the run: in-flight trials finish, no new chunks are
+// claimed, the first exception is rethrown on the caller after the pool
+// joins, and every failure increments `mc.trial_failures`.
+template <typename Sample>
+std::vector<Sample> run_trials(const McOptions& options,
+                               const std::function<Sample(std::size_t, Rng&)>& trial) {
   std::vector<Sample> samples(options.trials);
   const std::size_t threads = util::resolve_threads(options.threads, options.trials);
 
@@ -84,23 +73,19 @@ std::vector<Sample> run_trials(
   const auto run_start = std::chrono::steady_clock::now();
   obs::ScopedTimer run_timer(metrics.run_time);
 
-  util::ParallelForOptions pool;
-  pool.threads = threads;
-  util::parallel_for<Context>(
-      options.trials, pool, make_context,
-      [&](std::size_t begin, std::size_t end, Context& context) {
-        metrics.chunks_claimed.add();
-        for (std::size_t i = begin; i < end; ++i) {
-          Rng rng = trial_rng(options.seed, i);
-          obs::ScopedTimer trial_timer(metrics.trial_time);
-          try {
-            samples[i] = trial(i, rng, context);
-          } catch (...) {
-            metrics.trial_failures.add();
-            throw;
-          }
-        }
-      });
+  util::parallel_for(options.trials, threads, [&](std::size_t begin, std::size_t end) {
+    metrics.chunks_claimed.add();
+    for (std::size_t i = begin; i < end; ++i) {
+      Rng rng = trial_rng(options.seed, i);
+      obs::ScopedTimer trial_timer(metrics.trial_time);
+      try {
+        samples[i] = trial(i, rng);
+      } catch (...) {
+        metrics.trial_failures.add();
+        throw;
+      }
+    }
+  });
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
@@ -109,15 +94,6 @@ std::vector<Sample> run_trials(
     metrics.throughput.set(static_cast<double>(options.trials) / elapsed);
   }
   return samples;
-}
-
-// Context-free convenience overload: `trial(index, rng)`.
-template <typename Sample>
-std::vector<Sample> run_trials(const McOptions& options,
-                               const std::function<Sample(std::size_t, Rng&)>& trial) {
-  return run_trials<Sample, detail::NoContext>(
-      options, [] { return detail::NoContext{}; },
-      [&trial](std::size_t i, Rng& rng, detail::NoContext&) { return trial(i, rng); });
 }
 
 }  // namespace oxmlc::mc

@@ -56,6 +56,12 @@ struct WordSampleOutcome {
   double energy_j = 0.0;   // summed over the word
 };
 
+struct MnaSampleOutcome {
+  bool terminated = true;  // every bit line's comparator fired
+  double latency_s = 0.0;  // slowest bit line's termination time
+  double energy_j = 0.0;   // SL-driver source energy
+};
+
 }  // namespace
 
 WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples) const {
@@ -64,11 +70,8 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
   // Index-addressed results + sequential reduction: the parallel_for
   // determinism contract (each outcome depends only on (seed, trace_index)).
   std::vector<WordSampleOutcome> outcomes(samples.size());
-  util::ParallelForOptions options;
-  options.threads = config_.threads;
   util::parallel_for(
-      samples.size(), options,
-      [&](std::size_t begin, std::size_t end) {
+      samples.size(), config_.threads, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const WordSample& sample = samples[i];
           Rng rng = mc::trial_rng(config_.seed, sample.trace_index);
@@ -121,7 +124,8 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
 
 MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) const {
   MnaTierReport report;
-  for (const WordSample& sample : samples) {
+  if (samples.empty()) return report;
+  const auto run_sample = [&](const WordSample& sample) {
     const std::vector<std::size_t> levels = levels_for(sample.data);
     // The whole word at once: cells_per_word columns on one selected row,
     // each bit line terminated at its own level's IrefR — the paper's
@@ -148,26 +152,37 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     // inside the replay budget.
     bank.stop_after_terminated = 50e-9;
     bank.hierarchical = true;
-    bank.threads = config_.threads;  // bit-identical per BlockSchurLu contract
     const array::BankWritePathResult result = array::BankWritePath(bank).run();
-    ++report.samples;
-    bool word_terminated = true;
-    double slowest = 0.0;  // word latency = slowest bit line
+    MnaSampleOutcome outcome;
     for (const array::BankColumnResult& column : result.columns) {
       if (column.terminated) {
-        slowest = std::max(slowest, column.t_terminate);
+        outcome.latency_s = std::max(outcome.latency_s, column.t_terminate);
       } else {
-        word_terminated = false;
+        outcome.terminated = false;
       }
     }
-    if (word_terminated) ++report.terminated;
-    report.mean_t_terminate_s += slowest;
-    report.mean_energy_j += result.energy_source;
+    outcome.energy_j = result.energy_source;
+    return outcome;
+  };
+  // One bank transient per sample on the pool. Each sample builds its own
+  // circuit and solver and writes only its own outcome; the reduction below
+  // runs in ascending sample order, so the report is bit-identical at any
+  // thread count.
+  std::vector<MnaSampleOutcome> outcomes(samples.size());
+  util::parallel_for(samples.size(), config_.threads,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t i = begin; i < end; ++i) {
+                         outcomes[i] = run_sample(samples[i]);
+                       }
+                     });
+  report.samples = samples.size();
+  for (const MnaSampleOutcome& outcome : outcomes) {
+    if (outcome.terminated) ++report.terminated;
+    report.mean_t_terminate_s += outcome.latency_s;
+    report.mean_energy_j += outcome.energy_j;
   }
-  if (report.samples > 0) {
-    report.mean_t_terminate_s /= static_cast<double>(report.samples);
-    report.mean_energy_j /= static_cast<double>(report.samples);
-  }
+  report.mean_t_terminate_s /= static_cast<double>(report.samples);
+  report.mean_energy_j /= static_cast<double>(report.samples);
   return report;
 }
 

@@ -32,16 +32,15 @@
 //                        accelerated retention bakes and scrub_all() rounds —
 //                        the physics behind the scheduler's scrub slots.
 //
-// Determinism contract: tier-1 samples are evaluated through
-// util::parallel_for, and every sample's entire state — device parameters,
-// program/read randomness — derives from mc::trial_rng(config.seed,
-// trace_index) alone. Results land in an index-addressed vector and are
-// reduced sequentially, so reports are bit-identical at any thread count
-// (pinned by the memsys determinism test at 1/2/8 threads). Tier 2 is
-// sequential over samples; within one sample the bank transient may run
-// per-block work on `threads` workers, and BlockSchurLu's reduction-order
-// contract keeps the result bit-identical at any thread count. The witness
-// is sequential and RNG-seeded, hence trivially deterministic.
+// Determinism contract: tiers 1 and 2 each evaluate their samples through
+// one util::parallel_for on `threads` workers. Every tier-1 sample's entire
+// state — device parameters, program/read randomness — derives from
+// mc::trial_rng(config.seed, trace_index) alone; every tier-2 sample builds
+// its own circuit and runs its bank transient on a serial solver, so it is a
+// pure function of its payload. Results land in index-addressed vectors and
+// are reduced in ascending sample order, so reports are bit-identical at any
+// thread count (pinned by the memsys determinism tests at 1/2/8 threads).
+// The witness is sequential and RNG-seeded, hence trivially deterministic.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +64,7 @@ struct FidelityConfig {
   std::size_t witness_scrub_epochs = 2;
   double witness_bake_s = 1e6;         // accelerated retention bake per epoch
   std::uint64_t seed = 0x4D454D53ull;  // "MEMS"
-  std::size_t threads = 0;             // parallel_for workers for tier 1
+  std::size_t threads = 0;             // parallel_for workers for tiers 1 and 2
 };
 
 // One sampled write: the trace position (the RNG index) and its payload.
@@ -116,7 +115,7 @@ class FidelityEngine {
   // Tier 1: parallel over samples, (seed, trace_index)-derived randomness.
   WordTierReport run_word_tier(std::span<const WordSample> samples) const;
 
-  // Tier 2: sequential full-circuit transients (few samples by design).
+  // Tier 2: one full-circuit transient per sample, parallel over samples.
   MnaTierReport run_mna_tier(std::span<const WordSample> samples) const;
 
   // Reliability witness: program sampled payloads into a small managed array,

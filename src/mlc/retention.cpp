@@ -148,9 +148,7 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
   const std::size_t trials = config.study.mc.trials;
   const std::size_t total = n_levels * trials;
   std::vector<TrialSample> samples(total);
-  util::ParallelForOptions pool;
-  pool.threads = config.study.mc.threads;
-  util::parallel_for(total, pool, [&](std::size_t begin, std::size_t end) {
+  util::parallel_for(total, config.study.mc.threads, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t level = i / trials;
       Rng rng = mc::trial_rng(study_level_seed(config.study.mc.seed, level), i % trials);

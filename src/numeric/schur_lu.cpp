@@ -1,13 +1,11 @@
 #include "numeric/schur_lu.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "numeric/linear_error.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace oxmlc::num {
 namespace {
@@ -22,20 +20,12 @@ struct SchurMetrics {
       obs::registry().counter("sparse_lu.schur_block_refactorize_fallbacks");
   obs::Gauge& border_size = obs::registry().gauge("schur.border_size");
   obs::Gauge& blocks = obs::registry().gauge("schur.blocks");
-  obs::Gauge& parallel_efficiency =
-      obs::registry().gauge("schur.parallel_efficiency");
 
   static SchurMetrics& get() {
     static SchurMetrics metrics;
     return metrics;
   }
 };
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -132,10 +122,8 @@ void BlockSchurLu::factor_block(std::size_t k) {
   const std::size_t n = blk.globals.size();
   blk.pattern_hit = false;
   blk.fallback = false;
-  blk.factor_ns = 0;
   if (n == 0) return;
 
-  const std::int64_t t0 = now_ns();
   try {
     blk.solver.factorize_cached(blk.a);
   } catch (const SingularMatrixError& e) {
@@ -165,7 +153,6 @@ void BlockSchurLu::factor_block(std::size_t k) {
     }
     blk.solver.solve(blk.rhs, std::span<double>(blk.z).subspan(j * n, n));
   }
-  blk.factor_ns = now_ns() - t0;
 }
 
 void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
@@ -175,18 +162,10 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
 
   split(triplets);
 
-  // Parallel per-block phase: each block writes only its own state.
-  const std::int64_t wall0 = now_ns();
-  util::ParallelForOptions popt;
-  popt.threads = options_.threads;
-  popt.chunk = 1;
-  util::parallel_for(blocks_.size(), popt,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) factor_block(k);
-                     });
-  const std::int64_t wall_ns = now_ns() - wall0;
+  // Per-block phase: each block writes only its own state.
+  for (std::size_t k = 0; k < blocks_.size(); ++k) factor_block(k);
 
-  // Sequential cross-block phase, ascending block order: S = D - Σ C_k Z_k.
+  // Cross-block phase, ascending block order: S = D - Σ C_k Z_k.
   for (const Block& blk : blocks_) {
     const std::size_t n = blk.globals.size();
     for (const Triplet& t : blk.c) {
@@ -212,11 +191,9 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
 
   std::size_t hits = 0;
   std::size_t fallbacks = 0;
-  std::int64_t block_ns = 0;
   for (const Block& blk : blocks_) {
     if (blk.pattern_hit) ++hits;
     if (blk.fallback) ++fallbacks;
-    block_ns += blk.factor_ns;
   }
   last_refactorized_ = had_prior_factorize_ && hits == blocks_.size() && fallbacks == 0;
   had_prior_factorize_ = true;
@@ -228,13 +205,6 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
   if (fallbacks > 0) metrics.block_fallbacks.add(fallbacks);
   metrics.border_size.set(static_cast<double>(border_.size()));
   metrics.blocks.set(static_cast<double>(blocks_.size()));
-  const std::size_t workers =
-      util::resolve_threads(options_.threads, blocks_.size());
-  if (wall_ns > 0 && workers > 0) {
-    metrics.parallel_efficiency.set(
-        static_cast<double>(block_ns) /
-        (static_cast<double>(wall_ns) * static_cast<double>(workers)));
-  }
 }
 
 void BlockSchurLu::solve(std::span<const double> b, std::span<double> x) {
@@ -243,27 +213,19 @@ void BlockSchurLu::solve(std::span<const double> b, std::span<double> x) {
               "BlockSchurLu::solve size mismatch");
   SchurMetrics& metrics = SchurMetrics::get();
 
-  util::ParallelForOptions popt;
-  popt.threads = options_.threads;
-  popt.chunk = 1;
+  // Interior forward solves g_k = A_k⁻¹ b_k (per-block storage).
+  for (Block& blk : blocks_) {
+    const std::size_t n = blk.globals.size();
+    if (n == 0) continue;
+    blk.rhs.resize(n);
+    blk.sol.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      blk.rhs[i] = b[blk.globals[i]];
+    }
+    blk.solver.solve(blk.rhs, blk.sol);
+  }
 
-  // Interior forward solves g_k = A_k⁻¹ b_k (parallel, per-block storage).
-  util::parallel_for(blocks_.size(), popt,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) {
-                         Block& blk = blocks_[k];
-                         const std::size_t n = blk.globals.size();
-                         if (n == 0) continue;
-                         blk.rhs.resize(n);
-                         blk.sol.resize(n);
-                         for (std::size_t i = 0; i < n; ++i) {
-                           blk.rhs[i] = b[blk.globals[i]];
-                         }
-                         blk.solver.solve(blk.rhs, blk.sol);
-                       }
-                     });
-
-  // Border RHS, sequential in ascending block order.
+  // Border RHS, ascending block order.
   for (std::size_t i = 0; i < border_.size(); ++i) border_rhs_[i] = b[border_[i]];
   for (const Block& blk : blocks_) {
     for (const Triplet& t : blk.c) {
@@ -274,27 +236,23 @@ void BlockSchurLu::solve(std::span<const double> b, std::span<double> x) {
     schur_lu_.solve(border_rhs_, border_y_);
   }
 
-  // Interior back-substitution x_k = A_k⁻¹ (b_k - B_k y) (parallel). Rather
-  // than a second triangular solve, reuse Z: x_k = g_k - Σ_j y_j Z_k[:, j].
-  util::parallel_for(blocks_.size(), popt,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) {
-                         Block& blk = blocks_[k];
-                         const std::size_t n = blk.globals.size();
-                         if (n == 0) continue;
-                         for (std::size_t j = 0; j < blk.border_cols.size(); ++j) {
-                           const double yj = border_y_[blk.border_cols[j]];
-                           if (yj == 0.0) continue;
-                           const double* zcol = blk.z.data() + j * n;
-                           for (std::size_t i = 0; i < n; ++i) {
-                             blk.sol[i] -= yj * zcol[i];
-                           }
-                         }
-                         for (std::size_t i = 0; i < n; ++i) {
-                           x[blk.globals[i]] = blk.sol[i];
-                         }
-                       }
-                     });
+  // Interior back-substitution x_k = A_k⁻¹ (b_k - B_k y). Rather than a
+  // second triangular solve, reuse Z: x_k = g_k - Σ_j y_j Z_k[:, j].
+  for (Block& blk : blocks_) {
+    const std::size_t n = blk.globals.size();
+    if (n == 0) continue;
+    for (std::size_t j = 0; j < blk.border_cols.size(); ++j) {
+      const double yj = border_y_[blk.border_cols[j]];
+      if (yj == 0.0) continue;
+      const double* zcol = blk.z.data() + j * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        blk.sol[i] -= yj * zcol[i];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      x[blk.globals[i]] = blk.sol[i];
+    }
+  }
 
   for (std::size_t i = 0; i < border_.size(); ++i) x[border_[i]] = border_y_[i];
   metrics.solves.add();

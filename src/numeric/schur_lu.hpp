@@ -20,12 +20,13 @@
 // columns per block (its column supports J_k), so forming C_k A_k⁻¹ B_k takes
 // |J_k| block solves, not |B|.
 //
-// DETERMINISM CONTRACT (parallel_for, see util/parallel_for.hpp): the
-// per-block factor/solve loops write only into per-block storage indexed by
-// the block id — no shared accumulation happens in parallel. Every
-// floating-point reduction that crosses blocks (Schur assembly, border RHS)
-// runs sequentially in ascending block order, so results are bit-identical at
-// any thread count.
+// DETERMINISM CONTRACT: the solver is serial. The per-block factor, forward
+// solve and back substitution run in ascending block order and write only
+// into per-block storage; every floating-point reduction that crosses blocks
+// (Schur assembly, border RHS) also runs in ascending block order. A solve is
+// therefore a pure function of its inputs, and callers that run independent
+// solves concurrently (the memsys MNA tier runs one bank transient per pool
+// worker) get bit-identical results at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -57,9 +58,6 @@ struct BlockPartition {
 };
 
 struct SchurOptions {
-  // Workers for the per-block factor/solve loops (0 = hardware concurrency).
-  // Results are bit-identical regardless; see the determinism contract above.
-  std::size_t threads = 1;
   // Pivot tolerance for the dense border factorization.
   double pivot_tol = 1e-14;
 };
@@ -104,7 +102,6 @@ class BlockSchurLu {
     std::vector<double> sol;
     bool pattern_hit = false;
     bool fallback = false;
-    std::int64_t factor_ns = 0;  // for the parallel-efficiency gauge
   };
 
   void build_structure();

@@ -171,9 +171,7 @@ std::vector<OperationResult> CellBatch::run(const BatchRunOptions& options) {
   // Lanes touch disjoint state, so sharding them over the pool is
   // bit-identical to the serial sweep for any thread count or chunking.
   std::atomic<std::uint64_t> steps{0};
-  util::ParallelForOptions pool;
-  pool.threads = options.threads;
-  util::parallel_for(size(), pool, [&](std::size_t begin, std::size_t end) {
+  util::parallel_for(size(), options.threads, [&](std::size_t begin, std::size_t end) {
     steps.fetch_add(run_span(begin, end, backend), std::memory_order_relaxed);
   });
   metrics.steps.add(steps.load(std::memory_order_relaxed));

@@ -1,7 +1,9 @@
 // One shared chunk-claiming task pool for every data-parallel loop in the
-// repo: the Monte-Carlo trial runner (mc::run_trials), CellBatch lane
-// sharding, and the retention sweep all schedule through here instead of
-// carrying three bespoke thread pools.
+// repo. Parallelism lives at one level: each production call is one coarse
+// loop over independent items — the Monte-Carlo trials (mc::run_trials),
+// CellBatch lane shards, the retention sweep, the ECC explorer's words and
+// the memsys word and MNA tiers' samples. Nothing below those loops (the
+// Schur solver, Newton, the device models) starts a pool of its own.
 //
 // Scheduling model. The index space [0, n) is split into fixed-size chunks;
 // workers claim contiguous chunks off an atomic cursor until the space is
@@ -12,97 +14,37 @@
 //   read-only state) alone — never on the executing thread, the chunk
 //   boundaries, or what other indices ran before it. Randomized bodies
 //   derive their stream from a (seed, index) function (mc::trial_rng is the
-//   canonical one); per-worker contexts are allocation caches, not channels.
+//   canonical one).
 //
-// Under that contract results are bit-identical for any thread count and any
-// chunk size, which the parallel_for determinism suite pins for all three
-// migrated call sites at 1, 2 and 8 threads.
+// Under that contract results are bit-identical for any thread count, which
+// the parallel_for determinism suite pins for the call sites at 1, 2 and 8
+// threads.
 //
-// Error handling: a throwing body (or context factory) aborts the run —
-// in-flight chunks finish, no new chunks are claimed, and the first exception
-// is rethrown on the caller after the pool joins. The pool itself records no
-// telemetry (util sits below obs in the layering); call sites instrument
-// their own counters inside the body.
+// Error handling: a throwing body aborts the run — in-flight chunks finish,
+// no new chunks are claimed, and the first exception is rethrown on the
+// caller after the pool joins. The pool itself records no telemetry (util
+// sits below obs in the layering); call sites instrument their own counters
+// inside the body.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace oxmlc::util {
-
-struct ParallelForOptions {
-  std::size_t threads = 0;  // 0 = hardware_concurrency (min 1); capped at n
-  std::size_t chunk = 0;    // indices per claim; 0 = auto (~8 chunks/worker)
-};
 
 // Worker count actually used for `items` work items: `requested` (or
 // hardware_concurrency when 0), capped at the item count, floor 1.
 std::size_t resolve_threads(std::size_t requested, std::size_t items);
 
-// Chunk size actually used: `requested`, or when 0 aim for ~8 chunks per
-// worker — large enough that a per-worker context is reused across many
-// items and the claim counter stays cold, small enough that one straggler
-// chunk cannot idle the rest of the pool.
-std::size_t resolve_chunk(std::size_t requested, std::size_t items, std::size_t threads);
+// Indices per claim: ~8 chunks per worker — small enough that one straggler
+// chunk cannot idle the rest of the pool, large enough that the claim
+// counter stays cold.
+std::size_t resolve_chunk(std::size_t items, std::size_t threads);
 
-// Runs body(begin, end, context) over [0, n) in claimed chunks. make_context
-// builds one context per worker (reused across all chunks that worker
-// claims); the single-threaded path builds one context and visits the same
-// chunk boundaries in order.
-template <typename Context>
-void parallel_for(std::size_t n, const ParallelForOptions& options,
-                  const std::function<Context()>& make_context,
-                  const std::function<void(std::size_t, std::size_t, Context&)>& body) {
-  if (n == 0) return;
-  const std::size_t threads = resolve_threads(options.threads, n);
-  const std::size_t chunk = resolve_chunk(options.chunk, n, threads);
-
-  if (threads <= 1) {
-    Context context = make_context();
-    for (std::size_t begin = 0; begin < n; begin += chunk) {
-      body(begin, std::min(begin + chunk, n), context);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  const auto record_failure = [&] {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (!first_error) first_error = std::current_exception();
-    failed.store(true, std::memory_order_release);
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&] {
-      try {
-        Context context = make_context();
-        while (!failed.load(std::memory_order_acquire)) {
-          const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-          if (begin >= n) break;
-          body(begin, std::min(begin + chunk, n), context);
-        }
-      } catch (...) {
-        record_failure();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-// Context-free convenience overload: body(begin, end).
-void parallel_for(std::size_t n, const ParallelForOptions& options,
+// Runs body(begin, end) over [0, n) in claimed chunks on `threads` workers
+// (0 = hardware_concurrency; capped at n). One worker runs the same chunk
+// boundaries in order on the calling thread.
+void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace oxmlc::util

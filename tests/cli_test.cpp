@@ -153,6 +153,26 @@ TEST(CliContract, EccRejectsOutOfRangeBits) {
       << result.output;
 }
 
+TEST(CliContract, QlcHonoursTheThreadsFlag) {
+  // --threads reaches the Monte-Carlo pool of --qlc (and --retention): the
+  // mc.threads gauge reports the worker count the run actually used.
+  for (const int threads : {1, 3}) {
+    const std::string metrics_path = temp_path("oxmlc_cli_qlc_threads.json");
+    const RunResult result = run_sim("--qlc --bits 2 --trials 4 --threads " +
+                                     std::to_string(threads) + " --metrics '" +
+                                     metrics_path + "'");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    std::ifstream in(metrics_path);
+    ASSERT_TRUE(in.good()) << "metrics not written: " << metrics_path;
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const obs::Json document = obs::Json::parse(text);
+    EXPECT_EQ(document.get("gauges").get("mc.threads").as_number(),
+              static_cast<double>(threads));
+    std::remove(metrics_path.c_str());
+  }
+}
+
 TEST(CliContract, UnknownSimdBackendExits1NamingTheAcceptedValues) {
   // OXMLC_SIMD picks a pack backend. A value it does not know — "off" named
   // the retired scalar engine — must fail the run instead of silently

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -128,26 +127,6 @@ TEST(BlockSchurLu, RefactorizePathMatchesAndReports) {
   mono.solve(sys2.rhs, x_mono);
   hier.solve(sys2.rhs, x_hier);
   EXPECT_LT(rel_max_diff(x_mono, x_hier), 1e-9);
-}
-
-TEST(BlockSchurLu, BitIdenticalAcrossThreadCounts) {
-  BbdSystem sys = make_bbd(8, 40, 12, 0x5EED);
-  const std::size_t n = sys.a.size();
-  std::vector<std::vector<double>> results;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    SchurOptions opt;
-    opt.threads = threads;
-    BlockSchurLu hier(sys.partition, opt);
-    hier.factorize_cached(sys.a);
-    std::vector<double> x(n);
-    hier.solve(sys.rhs, x);
-    results.push_back(std::move(x));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(0, std::memcmp(results[0].data(), results[i].data(),
-                             n * sizeof(double)))
-        << "thread-count variant " << i << " not bit-identical";
-  }
 }
 
 TEST(BlockSchurLu, DegenerateSingleBlockEmptyBorder) {
@@ -352,30 +331,6 @@ TEST(BankEquivalence, EarlyStopPreservesTerminationAndTruncatesTail) {
     // the gap over the truncated tail — well under 1%.
     EXPECT_NEAR(r_early.columns[j].final_gap, r_full.columns[j].final_gap,
                 1e-2 * std::fabs(r_full.columns[j].final_gap));
-  }
-}
-
-TEST(BankEquivalence, ThreadCountBitIdentity) {
-  auto cfg = bank_config(8, 8);
-  cfg.t_stop = 1.0e-6;
-  std::vector<oxmlc::array::BankWritePathResult> runs;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    cfg.threads = threads;
-    oxmlc::array::BankWritePath bank(cfg);
-    runs.push_back(bank.run());
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    ASSERT_EQ(runs[0].transient.times.size(), runs[i].transient.times.size());
-    ASSERT_EQ(0, std::memcmp(runs[0].transient.times.data(),
-                             runs[i].transient.times.data(),
-                             runs[0].transient.times.size() * sizeof(double)));
-    for (std::size_t p = 0; p < runs[0].transient.probe_values.size(); ++p) {
-      ASSERT_EQ(0, std::memcmp(runs[0].transient.probe_values[p].data(),
-                               runs[i].transient.probe_values[p].data(),
-                               runs[0].transient.probe_values[p].size() *
-                                   sizeof(double)))
-          << "probe " << p << " differs at thread variant " << i;
-    }
   }
 }
 

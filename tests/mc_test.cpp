@@ -151,13 +151,13 @@ TEST(McRunner, ChunkedSchedulingBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The chunk policy now lives in the shared pool (util::resolve_chunk); the
-// runner inherits it via parallel_for's auto chunking.
+// The chunk policy lives in the shared pool (util::resolve_chunk); the
+// runner inherits it through parallel_for.
 TEST(McRunner, ClaimChunkTargetsEightChunksPerWorker) {
-  EXPECT_EQ(util::resolve_chunk(0, 500, 8), 7u);
-  EXPECT_EQ(util::resolve_chunk(0, 16, 4), 1u);
+  EXPECT_EQ(util::resolve_chunk(500, 8), 7u);
+  EXPECT_EQ(util::resolve_chunk(16, 4), 1u);
   // Never zero, even when trials < threads * 8.
-  EXPECT_EQ(util::resolve_chunk(0, 3, 16), 1u);
+  EXPECT_EQ(util::resolve_chunk(3, 16), 1u);
 }
 
 // A throwing trial must reach the caller as an exception (the old pool let it
@@ -188,36 +188,6 @@ TEST(McRunner, SerialExceptionPropagatesAndCounts) {
   options.threads = 1;
   EXPECT_THROW(run_trials<double>(options, trial), std::runtime_error);
   EXPECT_EQ(obs::registry().counter("mc.trial_failures").value(), failures_before + 1);
-}
-
-// The context overload: one context per worker, reused across chunks, with
-// results identical to the context-free path (a context is a cache, not a
-// sample input).
-TEST(McRunner, ContextOverloadMatchesContextFreeResults) {
-  struct Scratch {
-    std::vector<double> buffer;  // stands in for a per-thread circuit
-  };
-  const std::function<Scratch()> make_context = [] { return Scratch{}; };
-  const std::function<double(std::size_t, Rng&, Scratch&)> trial_ctx =
-      [](std::size_t index, Rng& rng, Scratch& scratch) {
-        scratch.buffer.assign(4, rng.uniform());
-        return scratch.buffer[index % 4] + static_cast<double>(index);
-      };
-  const std::function<double(std::size_t, Rng&)> trial_plain =
-      [](std::size_t index, Rng& rng) {
-        std::vector<double> buffer(4, rng.uniform());
-        return buffer[index % 4] + static_cast<double>(index);
-      };
-  McOptions options;
-  options.trials = 50;
-  options.threads = 3;
-  const auto with_context = run_trials<double, Scratch>(options, make_context, trial_ctx);
-  options.threads = 1;
-  const auto without = run_trials<double>(options, trial_plain);
-  ASSERT_EQ(with_context.size(), without.size());
-  for (std::size_t i = 0; i < without.size(); ++i) {
-    EXPECT_EQ(with_context[i], without[i]) << "trial " << i;
-  }
 }
 
 TEST(McRunner, SampledMeanConvergesToTruth) {

@@ -558,13 +558,15 @@ TEST(Fidelity, MnaSampleCapRaisedTenfoldByHierarchicalTier) {
   EXPECT_FALSE(engine.is_mna_sample(20u * 25'000u));
 }
 
-// One word through the tier: every bit line carries its own level's IrefR
-// comparator and all of them must terminate; the report is bit-identical at
-// 1/2/8 threads (the BlockSchurLu reduction-order contract, observed here
-// end-to-end through the memsys layer).
+// Three words through the tier: every bit line carries its own level's IrefR
+// comparator and all of them must terminate. The samples run on the pool, so
+// 2 and 8 threads really split them; the report must be bit-identical at
+// 1/2/8 threads (index-addressed outcomes reduced in sample order, each bank
+// transient on a serial solver).
 TEST(Fidelity, MnaTierWordBankTerminatesAndIsThreadBitIdentical) {
   const GeometryConfig geometry = GeometryConfig::rram_isscc_2012();
-  const std::vector<WordSample> samples = {{7, 0x93A61C05u}};
+  const std::vector<WordSample> samples = {
+      {7, 0x93A61C05u}, {25'007, 0x0F1E2D3C4B5A6978ull}, {50'007, 0xFEDCBA9876543210ull}};
 
   std::vector<MnaTierReport> reports;
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -574,17 +576,18 @@ TEST(Fidelity, MnaTierWordBankTerminatesAndIsThreadBitIdentical) {
     reports.push_back(engine.run_mna_tier(samples));
   }
 
-  EXPECT_EQ(reports[0].samples, 1u);
-  EXPECT_EQ(reports[0].terminated, 1u);  // whole word, all bit lines
+  EXPECT_EQ(reports[0].samples, samples.size());
+  EXPECT_EQ(reports[0].terminated, samples.size());  // whole words, all bit lines
   EXPECT_GT(reports[0].mean_t_terminate_s, 0.0);
   EXPECT_LT(reports[0].mean_t_terminate_s, 4.5e-6);
   EXPECT_GT(reports[0].mean_energy_j, 0.0);
   for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].samples, reports[0].samples);
+    EXPECT_EQ(reports[i].terminated, reports[0].terminated);
     EXPECT_EQ(std::memcmp(&reports[i].mean_t_terminate_s,
                           &reports[0].mean_t_terminate_s, sizeof(double)), 0);
     EXPECT_EQ(std::memcmp(&reports[i].mean_energy_j,
                           &reports[0].mean_energy_j, sizeof(double)), 0);
-    EXPECT_EQ(reports[i].terminated, reports[0].terminated);
   }
 }
 

@@ -78,7 +78,7 @@ struct CliOptions {
   std::size_t trace_synth = 0;   // synthesize this many requests instead
   std::string trace_out;         // write the synthesized trace here
   std::string geometry_path;     // .memcfg; empty = built-in ISSCC-2012 shape
-  std::size_t threads = 0;       // fidelity-tier workers (0 = auto)
+  std::size_t threads = 0;       // pool workers (0 = auto)
   std::size_t qlc_bits = 4;
   std::size_t qlc_trials = 50;
   bool seed_set = false;
@@ -128,8 +128,8 @@ struct CliOptions {
                "  --trace-out <file>  write the synthesized trace (use with --trace-synth)\n"
                "  --geometry <file>   trace mode: .memcfg geometry/timing (default: the\n"
                "                      built-in NVMain RRAM ISSCC-2012 4-ch x 4-bank shape)\n"
-               "  --threads <n>       trace/ecc mode: worker threads (0 = auto; ecc reports\n"
-               "                      are bit-identical at any thread count)\n"
+               "  --threads <n>       trace/ecc/qlc/retention mode: worker threads (0 = auto;\n"
+               "                      reports are bit-identical at any thread count)\n"
                "  --bits <n>          QLC/retention mode: bits per cell (default 4);\n"
                "                      ecc mode: restrict the sweep to one bits/cell value\n"
                "                      (default: 4, 5 and 6)\n"
@@ -267,6 +267,7 @@ int run_qlc(const CliOptions& options) {
   mlc::McStudyConfig study =
       mlc::paper_mc_study(options.qlc_bits, options.qlc_trials);
   if (options.seed_set) study.mc.seed = options.seed;
+  study.mc.threads = options.threads;
   const std::vector<mlc::LevelDistribution> levels = mlc::run_level_study(study);
 
   Table t({"level", "iref (uA)", "median R (kOhm)", "median latency (us)",
@@ -313,6 +314,7 @@ int run_retention(const CliOptions& options) {
   mlc::RetentionConfig config =
       mlc::RetentionConfig::paper_default(options.qlc_bits, options.qlc_trials);
   config.study.mc.seed = seed;
+  config.study.mc.threads = options.threads;
   const mlc::RetentionComparison comparison = mlc::run_retention_comparison(config);
 
   std::cout << "as-programmed worst-case dR: "
