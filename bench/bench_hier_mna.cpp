@@ -42,7 +42,7 @@ oxmlc::array::BankWritePathConfig bank_config(std::size_t size, double t_stop) {
   oxmlc::array::BankWritePathConfig cfg;
   cfg.columns = size;
   cfg.rows = size;
-  cfg.iref = 20e-6;
+  cfg.irefs.assign(size, 20e-6);
   cfg.t_stop = t_stop;
   return cfg;
 }

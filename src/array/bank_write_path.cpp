@@ -111,12 +111,10 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
     c.add<dev::Mosfet>("Macc" + col, sl_taps[j], wl_taps[j], be, spice::kGround,
                        config.access);
 
-    const double gap = j < config.initial_gaps.size() ? config.initial_gaps[j]
-                                                      : config.initial_gap;
     const int bl_cell = c.node("blc" + col);
     node_bl_cell_.push_back(bl_cell);
     cells_.push_back(
-        &c.add<oxram::OxramDevice>("cell" + col, bl_cell, be, config.cell, gap));
+        &c.add<oxram::OxramDevice>("cell" + col, bl_cell, be, config.cell, config.cell.g_min));
 
     const int bl_far = build_rc_line(c, "bl" + col, bl_cell, bl);
 
@@ -136,9 +134,7 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
     csel_pulses_.push_back(csel_pulse);
     c.add<dev::VoltageSource>("Vcsel" + col, csel, spice::kGround, csel_pulse);
 
-    const double iref = j < config.irefs.size()
-                            ? config.irefs[j]
-                            : config.iref.value_or(0.0);
+    const double iref = j < config.irefs.size() ? config.irefs[j] : 0.0;
     if (iref > 0.0) {
       terminations_.push_back(build_termination_circuit(
           c, "term" + col, bl_mux, vdd, iref, config.termination));

@@ -24,7 +24,8 @@
 // config.hierarchical) installs it on the MnaSystem so the transient runs
 // through num::BlockSchurLu. With config.hierarchical = false the same
 // netlist solves monolithically — the equivalence tests pin both paths to
-// each other at 1e-9.
+// each other at 1e-9 while they accept the same time points (rounding can
+// flip an adaptive step decision; see BankEquivalenceProperty).
 //
 // When a column's comparator fires, the control logic drops that column's
 // select gate (StoppablePulse on csel_j) after the logic delay, cutting the
@@ -45,12 +46,9 @@
 namespace oxmlc::array {
 
 struct BankWritePathConfig {
-  oxram::OxramParams cell;
+  oxram::OxramParams cell;  // every column starts SET, at cell.g_min
   std::size_t columns = 32;
   std::size_t rows = 32;  // scales per-column BL parasitics below
-  // Per-column initial gaps; padded with `initial_gap` when shorter.
-  std::vector<double> initial_gaps;
-  double initial_gap = 0.25e-9;  // default: LRS
 
   dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
   dev::MosfetParams column_select = dev::tech130hv::nmos(1.6e-6, 0.5e-6);
@@ -74,10 +72,9 @@ struct BankWritePathConfig {
   double pulse_width = 3.5e-6;
   double pulse_fall = 10e-9;
 
-  std::optional<double> iref;  // per-BL termination reference; nullopt = none
   // Per-column reference currents (MLC: each bit line terminates at its own
-  // level's IrefR); entries beyond the vector fall back to `iref`, and a
-  // non-positive entry disables that column's termination.
+  // level's IrefR). A column beyond the vector or with a non-positive entry
+  // gets no termination comparator.
   std::vector<double> irefs;
   double logic_delay = 10e-9;
   double t_stop = 4.0e-6;
@@ -117,7 +114,7 @@ class BankWritePath {
   explicit BankWritePath(const BankWritePathConfig& config);
 
   // Runs the word-parallel RESET (terminated per column when that column has
-  // a reference current via config.irefs / config.iref).
+  // a reference current in config.irefs).
   BankWritePathResult run();
 
   spice::Circuit& circuit() { return circuit_; }

@@ -52,40 +52,6 @@ void FastArray::form_all(const oxram::FormingOperation& op) {
   batch.run();
 }
 
-std::vector<oxram::OperationResult> FastArray::program_word(
-    std::size_t row, std::span<const oxram::ResetOperation> ops) {
-  OXMLC_CHECK(ops.size() == cols_, "FastArray: program_word needs one RESET per column");
-  oxram::CellBatch batch;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    refresh_cycle_rate(row, c);
-    batch.add_reset(at(row, c), ops[c]);
-  }
-  return batch.run();
-}
-
-std::vector<oxram::OperationResult> FastArray::set_word(std::size_t row,
-                                                        const oxram::SetOperation& op) {
-  oxram::CellBatch batch;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    refresh_cycle_rate(row, c);
-    batch.add_set(at(row, c), op);
-  }
-  return batch.run();
-}
-
-std::vector<oxram::OperationResult> FastArray::program_image(
-    std::span<const oxram::ResetOperation> ops) {
-  OXMLC_CHECK(ops.size() == size(), "FastArray: program_image needs one RESET per cell");
-  oxram::CellBatch batch;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      refresh_cycle_rate(r, c);
-      batch.add_reset(at(r, c), ops[r * cols_ + c]);
-    }
-  }
-  return batch.run();
-}
-
 double FastArray::refresh_cycle_rate(std::size_t row, std::size_t col) {
   const double factor = sample_cycle_rate_factor(variability_, rng_at(row, col));
   at(row, col).set_rate_factor(factor);

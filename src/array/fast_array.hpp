@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "oxram/fast_cell.hpp"
@@ -36,23 +35,6 @@ class FastArray {
   // FORMING for every cell (one-time, Table 1 FMG conditions), as one
   // oxram::CellBatch over the whole array.
   void form_all(const oxram::FormingOperation& op = {});
-
-  // Batched word/image programming entry points (oxram::CellBatch underneath).
-  // Each refreshes the touched cells' C2C rate factors — one draw per cell,
-  // exactly as a scalar refresh+apply loop would — then advances every cell
-  // in lockstep with per-lane termination masking. Results are indexed by
-  // column (word forms) or row-major cell index (image form).
-  //
-  // program_word: one RESET per column of `row` (per-column IrefR selects the
-  // level, the paper's parallel word RST of §4.2).
-  std::vector<oxram::OperationResult> program_word(
-      std::size_t row, std::span<const oxram::ResetOperation> ops);
-  // set_word: the unconditional whole-word SET that precedes the RST.
-  std::vector<oxram::OperationResult> set_word(std::size_t row,
-                                               const oxram::SetOperation& op);
-  // program_image: one RESET per cell of the whole array, row-major.
-  std::vector<oxram::OperationResult> program_image(
-      std::span<const oxram::ResetOperation> ops);
 
   // Resamples the per-operation C2C rate factor of a cell and returns it;
   // callers invoke this before each programming pulse.

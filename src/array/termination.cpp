@@ -8,12 +8,6 @@
 
 namespace oxmlc::array {
 
-void TerminationCircuit::set_iref(double iref) const {
-  OXMLC_CHECK(iref_source != nullptr, "termination circuit not built");
-  OXMLC_CHECK(iref > 0.0, "IrefR must be positive");
-  iref_source->set_waveform(std::make_shared<spice::DcWaveform>(iref));
-}
-
 void TerminationCircuit::apply_mismatch(const MismatchModel& model, Rng& rng) const {
   for (dev::Mosfet* fet : {m1, m2, m3, m4, m5, m6, inv_n, inv_p}) {
     OXMLC_CHECK(fet != nullptr, "termination circuit not built");
@@ -43,7 +37,7 @@ TerminationCircuit build_termination_circuit(spice::Circuit& circuit,
 
   // --- IrefR generation: ideal bandgap-derived source into diode M5, copied
   // by M6 into the PMOS diode M3 ---
-  tc.iref_source = &circuit.add<dev::CurrentSource>(prefix + "_Iref", vdd_node, bias, iref);
+  circuit.add<dev::CurrentSource>(prefix + "_Iref", vdd_node, bias, iref);
   tc.m5 = &circuit.add<dev::Mosfet>(prefix + "_M5", bias, bias, spice::kGround,
                                     spice::kGround, sizing.m5);
   tc.m6 = &circuit.add<dev::Mosfet>(prefix + "_M6", refd, bias, spice::kGround,

@@ -45,7 +45,6 @@ struct TerminationCircuit {
   int bl = spice::kGround;        // input: bit line (cell current sink)
   int node_a = spice::kGround;    // comparison node (inverter input)
   int out = spice::kGround;       // comparator output
-  dev::CurrentSource* iref_source = nullptr;  // programs IrefR
   dev::Mosfet* m1 = nullptr;
   dev::Mosfet* m2 = nullptr;
   dev::Mosfet* m3 = nullptr;
@@ -55,9 +54,6 @@ struct TerminationCircuit {
   dev::Mosfet* inv_n = nullptr;
   dev::Mosfet* inv_p = nullptr;
   double vdd = 3.3;
-
-  // Reprograms the reference current (value of the bandgap-derived DAC).
-  void set_iref(double iref) const;
 
   // Applies fresh Pelgrom mismatch to every transistor (one MC trial).
   void apply_mismatch(const MismatchModel& model, Rng& rng) const;

@@ -1,6 +1,5 @@
 #include "devices/sources.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "spice/analyze/diagnostic.hpp"
@@ -40,11 +39,6 @@ std::vector<spice::StructuralEdge> Ccvs::dc_edges() const {
 std::vector<spice::StructuralEdge> VSwitch::dc_edges() const {
   // The a-b pair conducts (r_on..r_off); the control pair only observes.
   return {{nodes_[0], nodes_[1], spice::EdgeKind::kConductance}};
-}
-
-std::vector<spice::StructuralEdge> BehavioralComparator::dc_edges() const {
-  // The output voltage is forced relative to ground; inputs only observe.
-  return {{nodes_[0], spice::kGround, spice::EdgeKind::kVoltageSource}};
 }
 
 VoltageSource::VoltageSource(std::string name, int positive, int negative,
@@ -258,34 +252,6 @@ void VSwitch::stamp(const StampContext& ctx, Stamper& stamper) {
   stamper.jacobian(a, cm, -dg_dvc * vab);
   stamper.jacobian(b, cp, -dg_dvc * vab);
   stamper.jacobian(b, cm, dg_dvc * vab);
-}
-
-BehavioralComparator::BehavioralComparator(std::string name, int out, int in_pos, int in_neg,
-                                           double v_low, double v_high, double gain)
-    : Device(std::move(name)), v_low_(v_low), v_high_(v_high), gain_(gain) {
-  OXMLC_CHECK(gain > 0.0, "comparator " + name_ + ": gain must be positive");
-  nodes_ = {out, in_pos, in_neg};
-}
-
-void BehavioralComparator::stamp(const StampContext& ctx, Stamper& stamper) {
-  const int out = nodes_[0], p = nodes_[1], m = nodes_[2], br = branches_[0];
-  const double i_br = ctx.x[static_cast<std::size_t>(br)];
-  stamper.residual(out, i_br);
-  stamper.jacobian(out, br, 1.0);
-
-  const double dv = v(ctx, p) - v(ctx, m);
-  // Logistic with slope `gain_` at the origin, saturating to the rails.
-  const double swing = v_high_ - v_low_;
-  const double z = 4.0 * gain_ * dv / swing;  // normalized input
-  const double zc = std::clamp(z, -60.0, 60.0);
-  const double s = 1.0 / (1.0 + std::exp(-zc));
-  const double target = v_low_ + swing * s;
-  const double ds_ddv = s * (1.0 - s) * 4.0 * gain_ / swing;
-
-  stamper.residual(br, v(ctx, out) - target);
-  stamper.jacobian(br, out, 1.0);
-  stamper.jacobian(br, p, -swing * ds_ddv);
-  stamper.jacobian(br, m, swing * ds_ddv);
 }
 
 }  // namespace oxmlc::dev

@@ -152,20 +152,4 @@ class VSwitch final : public Device {
   Params params_;
 };
 
-// Behavioral rail-to-rail comparator: Vout = vlow + (vhigh-vlow) * s(Vp - Vn),
-// s = logistic with gain `gain` (V/V). Used for the behavioral variant of the
-// write-termination comparator and in testbenches.
-class BehavioralComparator final : public Device {
- public:
-  BehavioralComparator(std::string name, int out, int in_pos, int in_neg, double v_low,
-                       double v_high, double gain = 1e4);
-
-  std::size_t branch_count() const override { return 1; }
-  void stamp(const StampContext& ctx, Stamper& stamper) override;
-  std::vector<spice::StructuralEdge> dc_edges() const override;
-
- private:
-  double v_low_, v_high_, gain_;
-};
-
 }  // namespace oxmlc::dev

@@ -24,15 +24,7 @@ struct ControllerMetrics {
 }  // namespace
 
 MemoryController::MemoryController(array::FastArray& array, const QlcProgrammer& programmer)
-    : array_(array), programmer_(programmer), written_levels_(array.rows()) {
-  const std::size_t bits = programmer_.config().allocation.bits;
-  OXMLC_CHECK(bits * array_.cols() <= 64,
-              "MemoryController: word payload exceeds 64 bits; use write_word_levels");
-}
-
-std::size_t MemoryController::bits_per_word() const {
-  return programmer_.config().allocation.bits * array_.cols();
-}
+    : array_(array), programmer_(programmer), written_levels_(array.rows()) {}
 
 void MemoryController::form() {
   array_.form_all();
@@ -201,26 +193,6 @@ ScrubStats MemoryController::scrub_all() {
     total.energy += stats.energy;
   }
   return total;
-}
-
-WordWriteStats MemoryController::write_word(std::size_t row, std::uint64_t payload) {
-  const std::size_t bits = programmer_.config().allocation.bits;
-  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-  std::vector<std::size_t> levels(array_.cols());
-  for (std::size_t col = 0; col < array_.cols(); ++col) {
-    levels[col] = static_cast<std::size_t>((payload >> (col * bits)) & mask);
-  }
-  return write_word_levels(row, levels);
-}
-
-std::uint64_t MemoryController::read_word(std::size_t row) {
-  const std::size_t bits = programmer_.config().allocation.bits;
-  const std::vector<std::size_t> levels = read_word_levels(row);
-  std::uint64_t payload = 0;
-  for (std::size_t col = 0; col < levels.size(); ++col) {
-    payload |= static_cast<std::uint64_t>(levels[col]) << (col * bits);
-  }
-  return payload;
 }
 
 }  // namespace oxmlc::mlc

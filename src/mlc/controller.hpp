@@ -9,9 +9,6 @@
 // for the slowest level; word latency is therefore the max per-bit
 // termination time and word energy the sum.
 //
-// On top of the word flow the controller packs/unpacks user data: with 4-bit
-// cells, one 8-cell word carries 32 bits of payload.
-//
 // Reliability-aware operation (attach_reliability): with a ReliabilityEngine
 // attached the controller notifies it of every program/sense event, and two
 // policies become available on top of the plain word flow:
@@ -30,7 +27,8 @@
 //    loop of a managed-reliability controller.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "array/fast_array.hpp"
@@ -74,7 +72,6 @@ class MemoryController {
 
   std::size_t word_count() const { return array_.rows(); }
   std::size_t cells_per_word() const { return array_.cols(); }
-  std::size_t bits_per_word() const;
 
   // One-time FORMING of the whole array.
   void form();
@@ -100,11 +97,6 @@ class MemoryController {
   // notifications — the decode itself is the ordinary read path.
   ScrubStats scrub_word(std::size_t row);
   ScrubStats scrub_all();
-
-  // Packed-payload convenience: bits_per_word() payload bits, little-endian
-  // nibble order (cell 0 holds the least significant bits).
-  WordWriteStats write_word(std::size_t row, std::uint64_t payload);
-  std::uint64_t read_word(std::size_t row);
 
   // Running totals across all operations (energy accounting for EXPERIMENTS).
   double total_energy() const { return total_energy_; }

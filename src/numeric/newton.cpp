@@ -31,12 +31,6 @@ struct NewtonMetrics {
 }  // namespace
 
 NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
-                          const NewtonOptions& options) {
-  NewtonWorkspace workspace;
-  return solve_newton(system, x, options, workspace);
-}
-
-NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
                           const NewtonOptions& options, NewtonWorkspace& workspace) {
   const std::size_t n = system.dimension();
   OXMLC_CHECK(x.size() == n, "solve_newton: initial guess has wrong dimension");

@@ -70,12 +70,9 @@ struct NewtonWorkspace {
 
 // Iterates x_{k+1} = x_k + s * dx, J dx = -F, until both the weighted update
 // norm and the residual infinity-norm are under tolerance.
-// `x` carries the initial guess in and the solution out.
-// The workspace overload reuses caller-owned buffers and the cached
-// factorization pattern; the plain overload allocates a fresh workspace.
+// `x` carries the initial guess in and the solution out; `workspace` holds
+// the reused buffers and the cached factorization pattern.
 NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
                           const NewtonOptions& options, NewtonWorkspace& workspace);
-NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
-                          const NewtonOptions& options = {});
 
 }  // namespace oxmlc::num

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -96,36 +95,6 @@ MetricsSnapshot snapshot_from_json(const Json& json) {
     snap.histograms.push_back({name, h});
   }
   return snap;
-}
-
-std::string to_csv(const MetricsSnapshot& snapshot) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "kind,name,field,value\n";
-  for (const auto& c : snapshot.counters) {
-    out << "counter," << c.name << ",value," << c.value << "\n";
-  }
-  for (const auto& g : snapshot.gauges) {
-    out << "gauge," << g.name << ",value," << g.value << "\n";
-  }
-  for (const auto& t : snapshot.timers) {
-    out << "timer," << t.name << ",count," << t.stats.count << "\n";
-    out << "timer," << t.name << ",total_ns," << t.stats.total_ns << "\n";
-    out << "timer," << t.name << ",min_ns," << t.stats.min_ns << "\n";
-    out << "timer," << t.name << ",max_ns," << t.stats.max_ns << "\n";
-  }
-  for (const auto& h : snapshot.histograms) {
-    out << "histogram," << h.name << ",lo," << h.stats.lo << "\n";
-    out << "histogram," << h.name << ",hi," << h.stats.hi << "\n";
-    out << "histogram," << h.name << ",count," << h.stats.count << "\n";
-    out << "histogram," << h.name << ",sum," << h.stats.sum << "\n";
-    out << "histogram," << h.name << ",min," << h.stats.min << "\n";
-    out << "histogram," << h.name << ",max," << h.stats.max << "\n";
-    for (std::size_t i = 0; i < h.stats.bins.size(); ++i) {
-      out << "histogram," << h.name << ",bin" << i << "," << h.stats.bins[i] << "\n";
-    }
-  }
-  return out.str();
 }
 
 void write_file(const std::string& path, const std::string& text) {

@@ -1,6 +1,5 @@
-// Serialization of a MetricsSnapshot: JSON (structured, schema-tagged) and
-// CSV (flat, one row per scalar — convenient for spreadsheet diffing), plus
-// the inverse JSON reader used by tests and downstream tooling.
+// Serialization of a MetricsSnapshot to schema-tagged JSON, plus the inverse
+// JSON reader used by tests and downstream tooling.
 //
 // JSON schema ("oxmlc.metrics.v1"):
 //   {
@@ -28,11 +27,6 @@ Json to_json(const MetricsSnapshot& snapshot);
 // Inverse of to_json. Throws InvalidArgumentError on a missing/mismatched
 // schema tag or malformed sections.
 MetricsSnapshot snapshot_from_json(const Json& json);
-
-// Flat CSV: header "kind,name,field,value", one row per scalar field
-// ("histogram bins" flatten to bin0..binN-1 rows). Lossless for counters,
-// gauges and timers; histograms round-trip too since lo/hi/bins are emitted.
-std::string to_csv(const MetricsSnapshot& snapshot);
 
 // Writes `text` to `path`, creating parent directories. Throws IoError-style
 // oxmlc::Error on failure.

@@ -79,14 +79,6 @@ Counter& Registry::counter(const char* prefix, std::size_t index, const char* su
   return counter(prefix + std::to_string(index) + suffix);
 }
 
-Gauge& Registry::gauge(const char* prefix, std::size_t index, const char* suffix) {
-  return gauge(prefix + std::to_string(index) + suffix);
-}
-
-Timer& Registry::timer(const char* prefix, std::size_t index, const char* suffix) {
-  return timer(prefix + std::to_string(index) + suffix);
-}
-
 Histogram& Registry::histogram(const std::string& name, double lo, double hi,
                                std::size_t bins) {
   return *find_or_create(name, Kind::kHistogram, lo, hi, bins).histogram;

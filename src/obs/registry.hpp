@@ -84,15 +84,13 @@ class Registry {
   Histogram& histogram(const std::string& name, double lo, double hi,
                        std::size_t bins);
 
-  // Indexed metric families: "<prefix><index><suffix>", e.g.
+  // Indexed counter families: "<prefix><index><suffix>", e.g.
   // counter("mlc.program.level", 3, ".pulses"). This is the one sanctioned
   // way to build a metric name at runtime — the grep-ability contract (and
   // the oxmlc-metrics-literal static check) requires every other call site
   // to pass a string literal, so the full name or the family stem is always
   // searchable in the source.
   Counter& counter(const char* prefix, std::size_t index, const char* suffix);
-  Gauge& gauge(const char* prefix, std::size_t index, const char* suffix);
-  Timer& timer(const char* prefix, std::size_t index, const char* suffix);
 
   MetricsSnapshot snapshot() const;
 

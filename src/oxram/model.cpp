@@ -53,10 +53,6 @@ double cell_conductance(const OxramParams& p, double v, double g) {
   return p.i0 * std::exp(-g / p.g0) * safe_cosh(v / p.v0) / p.v0 + 1.0 / p.r_leak;
 }
 
-double cell_didg(const OxramParams& p, double v, double g) {
-  return -p.i0 / p.g0 * std::exp(-g / p.g0) * safe_sinh(v / p.v0);
-}
-
 double local_temperature(const OxramParams& p, double v, double i) {
   const double rise = std::min(p.r_th * std::fabs(v * i), p.t_max_rise);
   return p.t_ambient + rise;

@@ -14,9 +14,6 @@ double cell_current(const OxramParams& p, double v, double g);
 // dI/dV at constant gap (always positive).
 double cell_conductance(const OxramParams& p, double v, double g);
 
-// dI/dg at constant voltage.
-double cell_didg(const OxramParams& p, double v, double g);
-
 // Local temperature including Joule heating at operating point (v, i).
 double local_temperature(const OxramParams& p, double v, double i);
 

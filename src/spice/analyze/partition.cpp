@@ -106,66 +106,4 @@ num::BlockPartition derive_partition(const Circuit& circuit,
   return partition_from_border(circuit, is_border);
 }
 
-num::BlockPartition auto_partition(const Circuit& circuit,
-                                   const PartitionOptions& options) {
-  OXMLC_CHECK(circuit.finalized(), "auto_partition: circuit not finalized");
-  const std::size_t n = circuit.unknown_count();
-  std::vector<char> is_border(n, 0);
-
-  // Static adjacency (sorted unique neighbor lists) from the device cliques.
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (const auto& device : circuit.devices()) {
-    const std::vector<std::size_t> unknowns = device_unknowns(*device);
-    for (std::size_t a : unknowns) {
-      for (std::size_t b : unknowns) {
-        if (a != b) adj[a].push_back(b);
-      }
-    }
-  }
-  for (auto& neighbors : adj) {
-    std::sort(neighbors.begin(), neighbors.end());
-    neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
-                    neighbors.end());
-  }
-
-  for (std::size_t moved = 0; moved <= options.max_border && moved <= n; ++moved) {
-    num::BlockPartition candidate = partition_from_border(circuit, is_border);
-    // Count non-trivial blocks only: singleton blocks that the removal
-    // stranded are not a useful decomposition on their own.
-    std::vector<std::size_t> sizes(candidate.blocks, 0);
-    for (std::int32_t b : candidate.block_of) {
-      if (b >= 0) ++sizes[static_cast<std::size_t>(b)];
-    }
-    std::size_t useful = 0;
-    for (std::size_t s : sizes) {
-      if (s >= 2) ++useful;
-    }
-    if (useful >= options.min_blocks && candidate.blocks >= options.min_blocks) {
-      return candidate;
-    }
-
-    // Move the highest-degree remaining unknown (degree among non-border
-    // neighbors, lowest index on ties — deterministic) to the border.
-    std::size_t best = n;
-    std::size_t best_degree = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (is_border[i]) continue;
-      std::size_t degree = 0;
-      for (std::size_t nb : adj[i]) {
-        if (!is_border[nb]) ++degree;
-      }
-      if (degree > best_degree) {
-        best_degree = degree;
-        best = i;
-      }
-    }
-    if (best == n) break;  // nothing left to move
-    is_border[best] = 1;
-  }
-
-  num::BlockPartition none;
-  none.blocks = 0;  // caller: stay monolithic
-  return none;
-}
-
 }  // namespace oxmlc::spice::analyze

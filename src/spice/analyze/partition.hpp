@@ -8,12 +8,8 @@
 // unknowns. Removing a chosen border set from that clique graph leaves
 // connected components — those are the interior blocks.
 //
-// Two entry points:
-//  - derive_partition: the caller names the border unknowns (an array builder
-//    knows its shared driver/supply/ladder nodes exactly);
-//  - auto_partition: greedy highest-degree vertex removal picks the border
-//    from the graph alone, falling back to "no useful split" (blocks == 0)
-//    rather than a bad partition.
+// derive_partition takes the border unknowns from the caller: an array
+// builder knows its shared driver/supply/ladder nodes exactly.
 //
 // Components containing only branch-current unknowns are merged into the
 // border: the MNA gmin shunt lands on node unknowns only, so a branch-only
@@ -28,24 +24,9 @@
 
 namespace oxmlc::spice::analyze {
 
-struct PartitionOptions {
-  // auto_partition gives up (returns blocks == 0) once this many unknowns
-  // have been moved to the border without a useful split appearing.
-  std::size_t max_border = 96;
-  // Minimum interior block count for a split to be reported as useful.
-  std::size_t min_blocks = 2;
-};
-
 // Partition with the given unknowns (plus whatever branch-only components
 // they strand) as the border. Ground / negative indices are ignored.
 num::BlockPartition derive_partition(const Circuit& circuit,
                                      std::span<const int> border_unknowns);
-
-// Automatic border selection from the structural graph. Returns a partition
-// with blocks == 0 when no split with >= options.min_blocks interior blocks
-// exists within options.max_border border unknowns — callers should then stay
-// on the monolithic path.
-num::BlockPartition auto_partition(const Circuit& circuit,
-                                   const PartitionOptions& options = {});
 
 }  // namespace oxmlc::spice::analyze

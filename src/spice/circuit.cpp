@@ -29,10 +29,6 @@ int Circuit::node_index(const std::string& name) const {
   return it->second;
 }
 
-bool Circuit::has_node(const std::string& name) const {
-  return is_ground_name(name) || node_ids_.count(name) > 0;
-}
-
 void Circuit::finalize() {
   if (finalized_) return;
   std::size_t next_branch = node_names_.size();

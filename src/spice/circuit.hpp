@@ -27,8 +27,6 @@ class Circuit {
   // Looks up an existing node; throws InvalidArgumentError if absent.
   int node_index(const std::string& name) const;
 
-  bool has_node(const std::string& name) const;
-
   std::size_t node_count() const { return node_names_.size(); }
 
   // Constructs a device in place. Device constructors take the circuit-

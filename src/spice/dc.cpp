@@ -137,22 +137,4 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
   return result;
 }
 
-std::vector<SweepPoint> dc_sweep(MnaSystem& system,
-                                 const std::function<void(double)>& set_parameter,
-                                 const std::vector<double>& values, const DcOptions& options) {
-  std::vector<SweepPoint> points;
-  points.reserve(values.size());
-  const std::vector<double>* seed = nullptr;
-  for (double value : values) {
-    set_parameter(value);
-    SweepPoint point;
-    point.parameter = value;
-    point.result = solve_dc(system, options, seed);
-    if (point.result.converged) seed = &point.result.solution;
-    points.push_back(std::move(point));
-    if (seed) seed = &points.back().result.solution;
-  }
-  return points;
-}
-
 }  // namespace oxmlc::spice

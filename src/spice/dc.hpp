@@ -1,8 +1,6 @@
-// DC analyses: operating point (with gmin and source-stepping homotopies) and
-// parameterized DC sweeps (used for the I-V characteristics of Figs. 1c / 5).
+// DC operating point, with gmin and source-stepping homotopies.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "numeric/newton.hpp"
@@ -35,20 +33,8 @@ struct DcResult {
 };
 
 // Solves for the DC operating point. `initial_guess` (optional) seeds Newton;
-// pass the previous sweep point's solution for fast continuation.
+// pass a nearby solution for fast continuation.
 DcResult solve_dc(MnaSystem& system, const DcOptions& options = {},
                   const std::vector<double>* initial_guess = nullptr);
-
-// DC sweep driver: `set_parameter(value)` mutates the circuit (e.g. a source
-// voltage) before each point; each point is seeded with the previous solution.
-struct SweepPoint {
-  double parameter = 0.0;
-  DcResult result;
-};
-
-std::vector<SweepPoint> dc_sweep(MnaSystem& system,
-                                 const std::function<void(double)>& set_parameter,
-                                 const std::vector<double>& values,
-                                 const DcOptions& options = {});
 
 }  // namespace oxmlc::spice

@@ -15,8 +15,6 @@ void MnaSystem::set_partition(const num::BlockPartition& partition,
   workspace_.newton.solver.set_partition(partition, options);
 }
 
-void MnaSystem::clear_partition() { workspace_.newton.solver.clear_partition(); }
-
 void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix& jacobian,
                          std::span<double> residual) {
   std::fill(residual.begin(), residual.end(), 0.0);

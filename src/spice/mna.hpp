@@ -51,12 +51,10 @@ class MnaSystem final : public num::NonlinearSystem {
 
   // Installs a bordered-block partition on the workspace solver: subsequent
   // DC/transient Newton solves factorize through num::BlockSchurLu instead of
-  // the monolithic paths. Partitions come from
-  // analyze::derive_partition/auto_partition or directly from an array
-  // builder that knows its border nodes. clear_partition() reverts.
+  // the monolithic paths. Partitions come from analyze::derive_partition
+  // or directly from an array builder that knows its border nodes.
   void set_partition(const num::BlockPartition& partition,
                      const num::SchurOptions& options);
-  void clear_partition();
 
   // Codes the precheck drops (forwarded to the analyzer; set before the first
   // solve — the report is computed once and cached).

@@ -192,23 +192,4 @@ void plot_boxes(std::ostream& os, std::span<const BoxLane> lanes, const BoxPlotO
   os << "  ('[' q1, '#' median, ']' q3, '|' whisker, 'o' outlier)\n";
 }
 
-void plot_bars(std::ostream& os, std::span<const std::string> labels,
-               std::span<const double> values, const BarChartOptions& options) {
-  OXMLC_CHECK(labels.size() == values.size(), "plot_bars label/value mismatch");
-  OXMLC_CHECK(!values.empty(), "plot_bars needs at least one bar");
-  double vmax = 0.0;
-  for (double v : values) vmax = std::max(vmax, std::fabs(v));
-  if (vmax == 0.0) vmax = 1.0;
-  std::size_t label_w = 0;
-  for (const auto& l : labels) label_w = std::max(label_w, l.size());
-  if (!options.title.empty()) os << options.title << '\n';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const int len = static_cast<int>(std::fabs(values[i]) / vmax * options.width + 0.5);
-    os << std::setw(static_cast<int>(label_w)) << labels[i] << " |"
-       << std::string(static_cast<std::size_t>(len), '#') << ' '
-       << tick_text(values[i]) << '\n';
-  }
-  if (!options.value_label.empty()) os << "  (" << options.value_label << ")\n";
-}
-
 }  // namespace oxmlc

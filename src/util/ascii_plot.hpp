@@ -55,14 +55,4 @@ struct BoxPlotOptions {
 
 void plot_boxes(std::ostream& os, std::span<const BoxLane> lanes, const BoxPlotOptions& options);
 
-// Vertical bar chart for histograms / per-level scalars.
-struct BarChartOptions {
-  std::string title;
-  std::string value_label;
-  int width = 60;
-};
-
-void plot_bars(std::ostream& os, std::span<const std::string> labels,
-               std::span<const double> values, const BarChartOptions& options);
-
 }  // namespace oxmlc

@@ -21,23 +21,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n_total = static_cast<double>(n_ + other.n_);
-  const double new_mean = mean_ + delta * static_cast<double>(other.n_) / n_total;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / n_total;
-  mean_ = new_mean;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::mean() const {
   OXMLC_CHECK(n_ > 0, "mean of empty sample");
   return mean_;
@@ -74,15 +57,6 @@ double quantile(std::span<const double> sorted_values, double q) {
   const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted_values[lo] + frac * (sorted_values[hi] - sorted_values[lo]);
-}
-
-std::vector<double> quantiles(std::span<const double> values, std::span<const double> qs) {
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (double q : qs) out.push_back(quantile(sorted, q));
-  return out;
 }
 
 BoxPlotSummary box_plot_summary(std::span<const double> values) {
@@ -142,56 +116,6 @@ EmpiricalCdf empirical_cdf(std::span<const double> values) {
     cdf.p[i] = static_cast<double>(i + 1) / n;
   }
   return cdf;
-}
-
-double Histogram::bin_width() const {
-  return counts.empty() ? 0.0 : (hi - lo) / static_cast<double>(counts.size());
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  return lo + (static_cast<double>(i) + 0.5) * bin_width();
-}
-
-Histogram histogram(std::span<const double> values, double lo, double hi, std::size_t bins) {
-  OXMLC_CHECK(hi > lo, "histogram range must be non-empty");
-  OXMLC_CHECK(bins > 0, "histogram needs at least one bin");
-  Histogram h;
-  h.lo = lo;
-  h.hi = hi;
-  h.counts.assign(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double v : values) {
-    auto idx = static_cast<long>(std::floor((v - lo) / width));
-    if (idx < 0) idx = 0;
-    if (idx >= static_cast<long>(bins)) idx = static_cast<long>(bins) - 1;
-    ++h.counts[static_cast<std::size_t>(idx)];
-  }
-  return h;
-}
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  OXMLC_CHECK(x.size() == y.size(), "linear_fit: size mismatch");
-  OXMLC_CHECK(x.size() >= 2, "linear_fit: need at least two points");
-  const auto n = static_cast<double>(x.size());
-  double sx = 0.0, sy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-  }
-  const double mx = sx / n, my = sy / n;
-  double sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double dx = x[i] - mx, dy = y[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  OXMLC_CHECK(sxx > 0.0, "linear_fit: x values are all identical");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r_squared = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-  return fit;
 }
 
 }  // namespace oxmlc

@@ -1,6 +1,6 @@
 // Descriptive statistics used by the Monte-Carlo engine and the benchmark
 // harness: moments, quantiles, box-plot summaries (the paper reports Figs. 11
-// and 13 as box plots), histograms and empirical CDFs (Fig. 3).
+// and 13 as box plots) and empirical CDFs (Fig. 3).
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,6 @@ namespace oxmlc {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const;
@@ -37,9 +36,6 @@ class RunningStats {
 // samples degrade gracefully: empty input returns NaN, a single sample is
 // returned for every q.
 double quantile(std::span<const double> sorted_values, double q);
-
-// Convenience: copies, sorts and evaluates several quantiles at once.
-std::vector<double> quantiles(std::span<const double> values, std::span<const double> qs);
 
 // Five-number box-plot summary with Tukey whiskers (1.5 IQR) and outliers,
 // matching what a Fig. 11/13-style box plot displays. An empty sample yields
@@ -71,27 +67,5 @@ struct EmpiricalCdf {
 };
 
 EmpiricalCdf empirical_cdf(std::span<const double> values);
-
-// Fixed-width histogram over [lo, hi] with `bins` buckets. Samples outside the
-// range are clamped into the first/last bucket.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> counts;
-
-  double bin_width() const;
-  double bin_center(std::size_t i) const;
-};
-
-Histogram histogram(std::span<const double> values, double lo, double hi, std::size_t bins);
-
-// Least-squares fit of y = a + b*x. Returns {a, b, r2}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r_squared = 0.0;
-};
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
 
 }  // namespace oxmlc

@@ -43,17 +43,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_values(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    cells.push_back(os.str());
-  }
-  add_row(std::move(cells));
-}
-
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> width(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) width[c] = header_[c].size();
@@ -102,19 +91,6 @@ void Table::write_csv_file(const std::string& path) const {
   std::ofstream file(path);
   OXMLC_CHECK(file.good(), "cannot open CSV output file: " + path);
   write_csv(file);
-}
-
-void Table::print_markdown(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    os << '|';
-    for (const auto& cell : cells) os << ' ' << cell << " |";
-    os << '\n';
-  };
-  emit(header_);
-  os << '|';
-  for (std::size_t c = 0; c < header_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) emit(row);
 }
 
 std::string format_si(double value, const std::string& unit, int significant_digits) {

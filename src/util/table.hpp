@@ -22,9 +22,6 @@ class Table {
   // Appends a row; must have the same arity as the header.
   void add_row(std::vector<std::string> cells);
 
-  // Convenience: formats doubles with `precision` significant digits.
-  void add_row_values(const std::vector<double>& values, int precision = 4);
-
   std::size_t row_count() const { return rows_.size(); }
 
   // Renders with box-drawing separators, right-aligned numeric-looking cells.
@@ -33,9 +30,6 @@ class Table {
   // Writes RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
   void write_csv(std::ostream& os) const;
   void write_csv_file(const std::string& path) const;
-
-  // Renders a GitHub-flavoured Markdown table.
-  void print_markdown(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -66,6 +66,25 @@ TEST(CliContract, MalformedNumericValueExits2) {
   const RunResult result = run_sim("--trace-synth banana");
   EXPECT_EQ(result.exit_code, 2) << result.output;
   EXPECT_NE(result.output.find("usage"), std::string::npos) << result.output;
+
+  // Values that parse but that the flag cannot mean: a negative count (which
+  // std::stoull would wrap to 2^64 - 1) and a non-finite time. Each must be
+  // rejected up front with an error line naming the flag, not run.
+  const struct {
+    const char* arguments;
+    const char* error;
+  } cases[] = {
+      {"--trace-synth -1", "--trace-synth expects"},
+      {"--qlc --trials -1", "--trials expects"},
+      {"--threads -1 --trace-synth 10", "--threads expects"},
+      {"--tran inf x.cir", "--tran expects"},
+  };
+  for (const auto& c : cases) {
+    const RunResult bad = run_sim(c.arguments);
+    EXPECT_EQ(bad.exit_code, 2) << c.arguments << "\n" << bad.output;
+    EXPECT_NE(bad.output.find(std::string("error: ") + c.error), std::string::npos)
+        << c.arguments << "\n" << bad.output;
+  }
 }
 
 TEST(CliContract, UnreadableTraceFileExits2) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "mlc/controller.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::mlc {
 namespace {
+
+using Levels = std::vector<std::size_t>;
 
 struct ControllerFixture : public ::testing::Test {
   ControllerFixture()
@@ -28,24 +33,25 @@ struct ControllerFixture : public ::testing::Test {
 TEST_F(ControllerFixture, Geometry) {
   EXPECT_EQ(controller.word_count(), 4u);
   EXPECT_EQ(controller.cells_per_word(), 8u);
-  EXPECT_EQ(controller.bits_per_word(), 32u);  // 8 QLC cells
 }
 
 TEST_F(ControllerFixture, PackedWordRoundTrip) {
-  const std::uint64_t payload = 0xDEADBEEFull;
-  const auto stats = controller.write_word(0, payload);
+  const Levels levels = {15, 14, 14, 11, 13, 10, 14, 13};
+  const auto stats = controller.write_word_levels(0, levels);
   EXPECT_EQ(stats.unterminated, 0u);
   EXPECT_GT(stats.energy, 0.0);
   EXPECT_GT(stats.latency, 0.0);
-  EXPECT_EQ(controller.read_word(0), payload);
+  EXPECT_EQ(controller.read_word_levels(0), levels);
 }
 
 TEST_F(ControllerFixture, EveryWordIndependent) {
-  const std::uint64_t payloads[4] = {0x00000000ull, 0xFFFFFFFFull, 0x12345678ull,
-                                     0xCAFEF00Dull};
-  for (std::size_t row = 0; row < 4; ++row) controller.write_word(row, payloads[row]);
+  const Levels words[4] = {Levels(8, 0),
+                           Levels(8, 15),
+                           {8, 7, 6, 5, 4, 3, 2, 1},
+                           {13, 0, 0, 15, 14, 15, 10, 12}};
+  for (std::size_t row = 0; row < 4; ++row) controller.write_word_levels(row, words[row]);
   for (std::size_t row = 0; row < 4; ++row) {
-    EXPECT_EQ(controller.read_word(row), payloads[row]) << row;
+    EXPECT_EQ(controller.read_word_levels(row), words[row]) << row;
   }
 }
 
@@ -66,10 +72,10 @@ TEST_F(ControllerFixture, ParallelLatencyIsMaxOfBits) {
 }
 
 TEST_F(ControllerFixture, RewriteWords) {
-  controller.write_word(3, 0xAAAAAAAAull);
-  EXPECT_EQ(controller.read_word(3), 0xAAAAAAAAull);
-  controller.write_word(3, 0x55555555ull);
-  EXPECT_EQ(controller.read_word(3), 0x55555555ull);
+  controller.write_word_levels(3, Levels(8, 10));
+  EXPECT_EQ(controller.read_word_levels(3), Levels(8, 10));
+  controller.write_word_levels(3, Levels(8, 5));
+  EXPECT_EQ(controller.read_word_levels(3), Levels(8, 5));
   EXPECT_EQ(controller.words_written(), 2u);
   EXPECT_GT(controller.total_energy(), 0.0);
 }
@@ -107,8 +113,8 @@ TEST_F(ControllerFixture, ScrubWordCountsNeverWrittenAsSkipped) {
 }
 
 TEST_F(ControllerFixture, ScrubAllSeparatesVisitedFromSkipped) {
-  controller.write_word(0, 0x13579BDFull);
-  controller.write_word(3, 0x2468ACE0ull);
+  controller.write_word_levels(0, Levels{15, 13, 11, 9, 7, 5, 3, 1});
+  controller.write_word_levels(3, Levels{0, 14, 12, 10, 8, 6, 4, 2});
   const ScrubStats total = controller.scrub_all();
   EXPECT_EQ(total.words, 2u);          // the two written rows were re-sensed
   EXPECT_EQ(total.words_skipped, 2u);  // rows 1 and 2 visibly skipped
@@ -116,7 +122,7 @@ TEST_F(ControllerFixture, ScrubAllSeparatesVisitedFromSkipped) {
 }
 
 TEST_F(ControllerFixture, ScrubbedWrittenWordIsCountedNotSkipped) {
-  controller.write_word(1, 0xFEEDF00Dull);
+  controller.write_word_levels(1, Levels{13, 0, 0, 15, 13, 14, 14, 15});
   const ScrubStats stats = controller.scrub_word(1);
   EXPECT_EQ(stats.words, 1u);
   EXPECT_EQ(stats.words_skipped, 0u);

@@ -285,19 +285,6 @@ TEST(VSwitch, InCircuitOnOff) {
   }
 }
 
-TEST(BehavioralComparator, SaturatesToRails) {
-  Circuit c;
-  const int p = c.node("p");
-  const int out = c.node("out");
-  c.add<VoltageSource>("Vp", p, kGround, 0.1);
-  c.add<BehavioralComparator>("U1", out, p, kGround, 0.0, 3.3, 1e4);
-  c.add<Resistor>("RL", out, kGround, 1e6);
-  MnaSystem system(c);
-  const DcResult result = solve_dc(system);
-  ASSERT_TRUE(result.converged);
-  EXPECT_GT(node_v(result, out), 3.25);
-}
-
 // ---------------------------------------------------------------------------
 // sources: transient behaviour
 // ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@
 
 #include "numeric/dense_matrix.hpp"
 #include "numeric/newton.hpp"
-#include "numeric/ode.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
 #include "numeric/vec.hpp"
@@ -404,7 +403,8 @@ class QuadraticSystem final : public NonlinearSystem {
 TEST(Newton, ConvergesQuadratically) {
   QuadraticSystem system;
   std::vector<double> x = {3.0, 0.0};
-  const NewtonResult result = solve_newton(system, x);
+  NewtonWorkspace workspace;
+  const NewtonResult result = solve_newton(system, x, {}, workspace);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(x[0], 1.0, 1e-8);
   EXPECT_NEAR(x[1], 2.0, 1e-8);
@@ -429,7 +429,8 @@ TEST(Newton, HandlesStiffExponentialWithStepLimiting) {
   std::vector<double> x = {0.0};
   NewtonOptions options;
   options.max_iterations = 400;
-  const NewtonResult result = solve_newton(system, x, options);
+  NewtonWorkspace workspace;
+  const NewtonResult result = solve_newton(system, x, options, workspace);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(x[0], 0.025 * std::log(1e9), 1e-6);
 }
@@ -449,7 +450,8 @@ TEST(Newton, ReportsNonConvergence) {
   std::vector<double> x = {2.0};
   NewtonOptions options;
   options.max_iterations = 30;
-  EXPECT_FALSE(solve_newton(system, x, options).converged);
+  NewtonWorkspace workspace;
+  EXPECT_FALSE(solve_newton(system, x, options, workspace).converged);
 }
 
 // Weakly nonlinear resistive ladder above the dense cutoff, so Newton's
@@ -488,8 +490,9 @@ TEST(Newton, WorkspaceReuseMatchesFreshSolves) {
   for (int rep = 0; rep < 3; ++rep) {
     NonlinearLadder system(n);
     std::vector<double> x_ws(n, 0.0), x_fresh(n, 0.0);
+    NewtonWorkspace fresh_workspace;
     const NewtonResult with_ws = solve_newton(system, x_ws, {}, workspace);
-    const NewtonResult fresh = solve_newton(system, x_fresh, {});
+    const NewtonResult fresh = solve_newton(system, x_fresh, {}, fresh_workspace);
     ASSERT_TRUE(with_ws.converged);
     ASSERT_TRUE(fresh.converged);
     EXPECT_EQ(with_ws.iterations, fresh.iterations);
@@ -519,70 +522,6 @@ TEST(Newton, WarmWorkspaceRefactorizes) {
   EXPECT_GT(obs::registry().counter("newton.refactorizations").value(),
             refactorizations_before);
   EXPECT_GT(obs::registry().counter("sparse_lu.pattern_hits").value(), hits_before);
-}
-
-// ---------------------------------------------------------------------------
-// ODE integration
-// ---------------------------------------------------------------------------
-
-TEST(Ode, ExponentialDecayMatchesAnalytic) {
-  const OdeRhs rhs = [](double, std::span<const double> y, std::span<double> dydt) {
-    dydt[0] = -2.0 * y[0];
-  };
-  const std::vector<double> y0 = {1.0};
-  OdeOptions options;
-  options.max_step = 0.05;
-  const OdeResult result = integrate_rk45(rhs, 0.0, 2.0, y0, options);
-  EXPECT_FALSE(result.event_fired);
-  EXPECT_NEAR(result.end_state[0], std::exp(-4.0), 1e-6);
-}
-
-TEST(Ode, HarmonicOscillatorEnergyConserved) {
-  const OdeRhs rhs = [](double, std::span<const double> y, std::span<double> dydt) {
-    dydt[0] = y[1];
-    dydt[1] = -y[0];
-  };
-  const std::vector<double> y0 = {1.0, 0.0};
-  OdeOptions options;
-  options.rel_tol = 1e-9;
-  options.abs_tol = 1e-12;
-  options.max_step = 0.05;
-  const OdeResult result = integrate_rk45(rhs, 0.0, 20.0, y0, options);
-  const double energy =
-      result.end_state[0] * result.end_state[0] + result.end_state[1] * result.end_state[1];
-  EXPECT_NEAR(energy, 1.0, 1e-5);
-}
-
-TEST(Ode, EventLocalizedAccurately) {
-  // y' = -y from 1; event when y - 0.5 crosses zero => t = ln 2.
-  const OdeRhs rhs = [](double, std::span<const double> y, std::span<double> dydt) {
-    dydt[0] = -y[0];
-  };
-  const OdeEvent event = [](double, std::span<const double> y) { return y[0] - 0.5; };
-  const std::vector<double> y0 = {1.0};
-  const OdeResult result = integrate_rk45(rhs, 0.0, 5.0, y0, OdeOptions{}, event);
-  ASSERT_TRUE(result.event_fired);
-  EXPECT_NEAR(result.end_time, std::log(2.0), 1e-4);
-  EXPECT_NEAR(result.end_state[0], 0.5, 1e-4);
-}
-
-TEST(Ode, Rk4MatchesRk45) {
-  const OdeRhs rhs = [](double t, std::span<const double> y, std::span<double> dydt) {
-    dydt[0] = std::sin(t) - 0.5 * y[0];
-  };
-  const std::vector<double> y0 = {0.3};
-  const OdeResult adaptive = integrate_rk45(rhs, 0.0, 3.0, y0);
-  const OdeResult fixed = integrate_rk4(rhs, 0.0, 3.0, y0, 1e-3);
-  EXPECT_NEAR(adaptive.end_state[0], fixed.end_state[0], 1e-5);
-}
-
-TEST(Ode, RejectsBadArguments) {
-  const OdeRhs rhs = [](double, std::span<const double>, std::span<double> dydt) {
-    dydt[0] = 0.0;
-  };
-  const std::vector<double> y0 = {1.0};
-  EXPECT_THROW(integrate_rk45(rhs, 1.0, 0.5, y0), InvalidArgumentError);
-  EXPECT_THROW(integrate_rk4(rhs, 0.0, 1.0, y0, -1.0), InvalidArgumentError);
 }
 
 }  // namespace

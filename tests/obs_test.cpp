@@ -294,17 +294,6 @@ TEST(ObsExport, RejectsWrongSchema) {
   EXPECT_THROW(snapshot_from_json(Json(1.0)), InvalidArgumentError);
 }
 
-TEST(ObsExport, CsvListsEveryScalar) {
-  const std::string csv = to_csv(populated_snapshot());
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,newton.iterations,value,321"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,mc.threads,value,8"), std::string::npos);
-  EXPECT_NE(csv.find("timer,mc.trial_time,count,2"), std::string::npos);
-  EXPECT_NE(csv.find("timer,mc.trial_time,min_ns,500"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,transient.log10_dt,count,2"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,transient.log10_dt,bin13,"), std::string::npos);
-}
-
 TEST(ObsExport, WriteMetricsJsonProducesParsableFile) {
   registry().counter("obs_test.file_marker").add(1);
   const std::string path = ::testing::TempDir() + "/oxmlc_obs_test_metrics.json";

@@ -63,13 +63,6 @@ TEST(OxramModel, ConductanceMatchesFiniteDifference) {
   }
 }
 
-TEST(OxramModel, DidgMatchesFiniteDifference) {
-  const OxramParams p;
-  const double g = 1e-9, v = 0.4, dg = 1e-13;
-  const double fd = (cell_current(p, v, g + dg) - cell_current(p, v, g - dg)) / (2 * dg);
-  EXPECT_NEAR(cell_didg(p, v, g), fd, std::fabs(fd) * 1e-4);
-}
-
 TEST(OxramModel, ResistanceSpansPaperWindow) {
   const OxramParams p;
   // The LRS floor and the saturated HRS must bracket the paper's numbers:

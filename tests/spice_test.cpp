@@ -229,26 +229,6 @@ TEST(Dc, VccsTransconductance) {
   EXPECT_NEAR(result.solution[static_cast<std::size_t>(out)], -2.0, 1e-5);  // gmin shunt
 }
 
-TEST(Dc, SweepTracksParameter) {
-  Circuit c;
-  const int in = c.node("in");
-  const int mid = c.node("mid");
-  auto& source = c.add<VoltageSource>("V1", in, kGround, 0.0);
-  c.add<Resistor>("R1", in, mid, 1e3);
-  c.add<Resistor>("R2", mid, kGround, 1e3);
-  MnaSystem system(c);
-  const std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
-  const auto points = dc_sweep(
-      system,
-      [&](double v) { source.set_waveform(std::make_shared<DcWaveform>(v)); }, values);
-  ASSERT_EQ(points.size(), 4u);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(points[i].result.converged);
-    EXPECT_NEAR(points[i].result.solution[static_cast<std::size_t>(mid)], values[i] / 2.0,
-                1e-9);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // transient analysis
 // ---------------------------------------------------------------------------

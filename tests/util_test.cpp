@@ -182,20 +182,6 @@ TEST(Stats, RunningStatsBasics) {
   EXPECT_EQ(s.count(), 8u);
 }
 
-TEST(Stats, RunningStatsMergeMatchesSequential) {
-  Rng rng(3);
-  RunningStats all, first, second;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(5.0, 3.0);
-    all.add(v);
-    (i < 500 ? first : second).add(v);
-  }
-  first.merge(second);
-  EXPECT_NEAR(first.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(first.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(first.count(), all.count());
-}
-
 TEST(Stats, QuantileInterpolates) {
   const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(sorted, 0.0), 1.0);
@@ -220,12 +206,6 @@ TEST(Stats, QuantileDegradesGracefullyOnDegenerateSamples) {
   EXPECT_DOUBLE_EQ(quantile(one, 0.0), 42.0);
   EXPECT_DOUBLE_EQ(quantile(one, 0.37), 42.0);
   EXPECT_DOUBLE_EQ(quantile(one, 1.0), 42.0);
-  // The batch helper inherits both behaviours.
-  const std::vector<double> qs = {0.25, 0.75};
-  const std::vector<double> from_empty = quantiles(empty, qs);
-  ASSERT_EQ(from_empty.size(), 2u);
-  EXPECT_TRUE(std::isnan(from_empty[0]));
-  EXPECT_TRUE(std::isnan(from_empty[1]));
 }
 
 TEST(Stats, BoxPlotSummaryHandlesEmptyAndSingleSample) {
@@ -285,29 +265,6 @@ TEST(Stats, EmpiricalCdfIsMonotone) {
   }
 }
 
-TEST(Stats, HistogramCountsAndClamps) {
-  const std::vector<double> values = {-5.0, 0.04, 0.04, 0.55, 0.85, 99.0};
-  const Histogram h = histogram(values, 0.0, 1.0, 10);
-  std::size_t total = 0;
-  for (auto c : h.counts) total += c;
-  EXPECT_EQ(total, values.size());
-  EXPECT_EQ(h.counts.front(), 1u + 2u);  // clamped -5.0 plus the two 0.04s
-  EXPECT_EQ(h.counts.back(), 1u);        // clamped 99.0
-  EXPECT_NEAR(h.bin_center(0), 0.05, 1e-12);
-}
-
-TEST(Stats, LinearFitRecoversLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 50; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const LinearFit fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-}
-
 // ---------------------------------------------------------------------------
 // table
 // ---------------------------------------------------------------------------
@@ -336,14 +293,6 @@ TEST(Table, CsvEscapesSpecialCells) {
   t.write_csv(os);
   EXPECT_NE(os.str().find("\"with,comma\""), std::string::npos);
   EXPECT_NE(os.str().find("\"with\"\"quote\""), std::string::npos);
-}
-
-TEST(Table, MarkdownHasSeparatorRow) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_markdown(os);
-  EXPECT_NE(os.str().find("---|"), std::string::npos);
 }
 
 TEST(Table, FormatSiPicksPrefixes) {
@@ -405,14 +354,6 @@ TEST(AsciiPlot, BoxLanesShowMedianMarker) {
   plot_boxes(os, std::vector<BoxLane>{lane}, BoxPlotOptions{});
   EXPECT_NE(os.str().find('#'), std::string::npos);
   EXPECT_NE(os.str().find("6 uA"), std::string::npos);
-}
-
-TEST(AsciiPlot, BarChartScalesToMax) {
-  std::vector<std::string> labels = {"a", "b"};
-  std::vector<double> values = {1.0, 2.0};
-  std::ostringstream os;
-  plot_bars(os, labels, values, BarChartOptions{});
-  EXPECT_NE(os.str().find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 // The netlist dialect is documented in src/spice/netlist.hpp (R/C/L, V/I with
 // PULSE/PWL/SIN, E/G, D, M NMOS/PMOS, S switches, X OXRAM cells, .param
 // expressions).
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -151,29 +152,38 @@ CliOptions parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) usage("missing value after " + arg);
       return argv[++i];
     };
-    // Numeric flag values: reject trailing garbage ("--trials 5x") and
-    // non-numbers ("--seed abc") with usage instead of silently parsing 0.
+    // Numeric flag values: reject trailing garbage ("--trials 5x"),
+    // non-numbers ("--seed abc"), negative counts (std::stoull would wrap
+    // "-1" to 2^64 - 1) and non-finite numbers ("--tran inf") with usage
+    // instead of running on a value the flag cannot mean.
     auto next_count = [&]() -> std::uint64_t {
       const std::string value = next();
       std::size_t consumed = 0;
       std::uint64_t parsed = 0;
-      try {
-        parsed = std::stoull(value, &consumed, 0);
-      } catch (const std::exception&) {
-        consumed = 0;
+      if (value.find('-') == std::string::npos) {
+        try {
+          parsed = std::stoull(value, &consumed, 0);
+        } catch (const std::exception&) {
+          consumed = 0;
+        }
       }
-      if (consumed != value.size()) {
+      if (consumed == 0 || consumed != value.size()) {
         usage(arg + " expects an unsigned integer, got '" + value + "'");
       }
       return parsed;
     };
     auto next_value = [&]() -> double {
       const std::string value = next();
+      double parsed = 0.0;
       try {
-        return spice::parse_value(value);
+        parsed = spice::parse_value(value);
       } catch (const oxmlc::Error&) {
         usage(arg + " expects a number (SI suffixes ok), got '" + value + "'");
       }
+      if (!std::isfinite(parsed)) {
+        usage(arg + " expects a finite number, got '" + value + "'");
+      }
+      return parsed;
     };
     if (arg == "--tran") {
       options.transient = true;

@@ -266,8 +266,8 @@ def check_metrics_literal(path, rel, raw, scrubbed, ctx):
         found.append(Violation(
             rel, line_of(scrubbed, m.start()), "oxmlc-metrics-literal",
             f"first argument of .{m.group(1)}() must be a string literal so the "
-            f"metric name is grep-able; for indexed families use the sanctioned "
-            f"Registry overload {m.group(1)}(\"family.stem\", index, \".suffix\")"))
+            f"metric name is grep-able; for indexed counter families use the "
+            f"sanctioned Registry overload counter(\"family.stem\", index, \".suffix\")"))
     return found
 
 
