@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "mlc/retention.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::ecc {
@@ -19,49 +20,6 @@ double effective_cycles(const WearLevelingModel& model,
   const double spread = std::min(1.0, model.lifetime_writes / revolution);
   return hot + spread * (uniform - hot);
 }
-
-namespace {
-
-// Per-cell drift trajectory state, tracked exactly like a retention trial:
-// anchor gap at the last program event plus event amplitudes, with the
-// accumulated read-disturb shift carried as an additive offset.
-struct CellState {
-  oxram::FastCell cell;
-  Rng rng;
-  double anchor = 0.0;
-  double relax_amp = 0.0;
-  double drift_amp = 0.0;
-  double t_anchor = 0.0;
-  double offset = 0.0;
-
-  double gap_at(const oxram::DriftParams& drift, double t_abs) const {
-    const double g = oxram::drifted_gap(drift, anchor, cell.params().g_min, relax_amp,
-                                        drift_amp, std::max(t_abs - t_anchor, 0.0));
-    return std::clamp(g + offset, cell.params().g_min, cell.params().g_max);
-  }
-
-  void reprogrammed(const oxram::DriftParams& drift, double t_abs) {
-    anchor = cell.gap();
-    t_anchor = t_abs;
-    offset = 0.0;
-    relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-  }
-};
-
-// Advances to time `t`, bills one sense of disturb, and decodes. Leaves the
-// cell's gap at the post-sense state.
-std::size_t sense_at(CellState& state, const ChannelConfig& config,
-                     const mlc::QlcProgrammer& programmer, double t) {
-  double g = state.gap_at(config.drift, t);
-  const double g_disturbed = reliability::disturbed_gap(
-      state.cell, g, /*virgin=*/false, 1, config.read_disturb, config.study.qlc.v_read,
-      config.study.qlc.v_wl_read);
-  state.offset += g_disturbed - g;
-  state.cell.set_gap(g_disturbed);
-  return programmer.read_level(state.cell, state.rng);
-}
-
-}  // namespace
 
 WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng) {
@@ -88,67 +46,45 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   const auto cycles = static_cast<std::uint64_t>(
       std::llround(effective_cycles(config.wear, config.policy.rotate_every_writes)));
 
-  std::vector<CellState> states;
-  states.reserve(cells);
+  std::vector<oxram::FastCell> word_cells;
+  std::vector<Rng> rngs;
+  word_cells.reserve(cells);
+  rngs.reserve(cells);
   for (std::size_t i = 0; i < cells; ++i) {
-    Rng cell_rng = rng.split();
+    rngs.push_back(rng.split());
     const oxram::OxramParams fresh =
-        oxram::sample_device(config.study.nominal, config.study.variability, cell_rng);
+        oxram::sample_device(config.study.nominal, config.study.variability, rngs.back());
     const oxram::OxramParams device = reliability::worn_params(fresh, config.endurance, cycles);
-    states.push_back({oxram::FastCell::formed_lrs(device, config.study.stack),
-                      std::move(cell_rng), 0.0, 0.0, 0.0, 0.0, 0.0});
+    word_cells.push_back(oxram::FastCell::formed_lrs(device, config.study.stack));
   }
 
-  // Whole-word program through the batched terminated-RESET path (each cell
-  // ends bitwise where program() alone would put it, per the program_word
-  // contract).
-  {
-    std::vector<oxram::FastCell*> cell_ptrs(cells);
-    std::vector<Rng*> rng_ptrs(cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      cell_ptrs[i] = &states[i].cell;
-      rng_ptrs[i] = &states[i].rng;
-    }
-    programmer.program_word(cell_ptrs, trial.target, rng_ptrs);
-  }
-  for (CellState& state : states) {
-    state.anchor = state.cell.gap();
-    state.relax_amp = oxram::sample_relaxation_amplitude(config.drift, state.rng);
-    state.drift_amp = oxram::sample_drift_amplitude(config.drift, state.rng);
-  }
+  // Whole-word program through the batched terminated-RESET path.
+  mlc::DriftingWord word(programmer, config.drift, config.read_disturb, std::move(word_cells),
+                         std::move(rngs), trial.target);
 
   // Relaxation-aware verify: re-sense after tau_relax and re-terminate cells
   // whose tail relaxation event slipped them out of band.
   if (config.policy.relax_verify) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      CellState& state = states[i];
-      double t_now = 0.0;
-      for (std::size_t pass = 0; pass < config.verify_max_passes; ++pass) {
-        t_now += config.tau_relax;
-        if (sense_at(state, config, programmer, t_now) == trial.target[i]) break;
-        if (pass + 1 == config.verify_max_passes) break;  // out of budget
-        programmer.program(state.cell, trial.target[i], state.rng);
-        ++trial.verify_reprograms;
-        state.reprogrammed(config.drift, t_now);
-      }
-    }
+    const mlc::DriftingWord::VerifyCounts verify =
+        word.relax_verify(config.tau_relax, config.verify_max_passes);
+    trial.verify_reprograms = static_cast<std::uint32_t>(verify.reprogrammed);
   }
 
-  // Scrub timeline: periodic read + compare + re-program of slipped cells.
+  // Scrub timeline: periodic read + compare, then one re-program of the
+  // slipped cells per event.
   for (std::size_t event = 1; event <= scrub_events; ++event) {
     const double t = static_cast<double>(event) * config.policy.scrub_period_s;
+    std::vector<std::size_t> slipped;
     for (std::size_t i = 0; i < cells; ++i) {
-      CellState& state = states[i];
-      if (sense_at(state, config, programmer, t) == trial.target[i]) continue;
-      programmer.program(state.cell, trial.target[i], state.rng);
-      ++trial.scrub_reprograms;
-      state.reprogrammed(config.drift, t);
+      if (word.sense(i, t) != trial.target[i]) slipped.push_back(i);
     }
+    word.reprogram(slipped, t);
+    trial.scrub_reprograms += static_cast<std::uint32_t>(slipped.size());
   }
 
   trial.observed.resize(cells);
   for (std::size_t i = 0; i < cells; ++i) {
-    trial.observed[i] = sense_at(states[i], config, programmer, config.horizon_s);
+    trial.observed[i] = word.sense(i, config.horizon_s);
   }
   return trial;
 }

@@ -2,14 +2,16 @@
 //
 // The codes in this module are only as honest as the channel feeding them,
 // so there is deliberately NO iid-bitflip shortcut here. One trial simulates
-// one stored word cell by cell through the same physics the retention study
-// and `ReliabilityEngine` run: device sampled from the D2D distributions
-// (window pre-compressed by endurance wear at the cycle count the
-// wear-leveling policy implies), programmed through the terminated-RESET
-// programmer, evolved along the two-component log-time drift law with
-// read-disturb stress billed per sense, optionally re-terminated by the
-// relaxation-aware verify, scrubbed on the policy's period, and finally read
-// back through the real reference ladder at the horizon. Level errors fall
+// one stored word as an `mlc::DriftingWord`, the word the retention study
+// runs, on the drift trajectory `ReliabilityEngine` keeps per cell: devices
+// sampled from the D2D distributions (window pre-compressed by endurance
+// wear at the cycle count the wear-leveling policy implies), programmed
+// through the terminated-RESET programmer, evolved along the two-component
+// log-time drift law with read-disturb stress billed per sense, optionally
+// re-terminated by the relaxation-aware verify, scrubbed on the policy's
+// period, and finally read back through the real reference ladder at the
+// horizon. Each verify pass and scrub event re-programs its slipped cells
+// in one word-wide call. Level errors fall
 // out as (target, observed) pairs; `error_bits` maps them through the Gray
 // code to the bit-error stream the code catalog consumes.
 //

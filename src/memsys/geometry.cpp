@@ -1,6 +1,7 @@
 #include "memsys/geometry.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -100,10 +101,13 @@ std::uint64_t parse_u64_field(const std::string& key, const std::string& value,
                               std::size_t line_no) {
   std::size_t consumed = 0;
   std::uint64_t parsed = 0;
-  try {
-    parsed = std::stoull(value, &consumed, 0);
-  } catch (const std::exception&) {
-    consumed = 0;
+  // std::stoull accepts a leading '-' and wraps the value; a count never has one.
+  if (value.find('-') == std::string::npos) {
+    try {
+      parsed = std::stoull(value, &consumed, 0);
+    } catch (const std::exception&) {
+      consumed = 0;
+    }
   }
   OXMLC_CHECK(consumed == value.size(), "memsys config line " + std::to_string(line_no) + ": " +
                                             key + " expects an unsigned integer, got '" +
@@ -120,8 +124,9 @@ double parse_double_field(const std::string& key, const std::string& value,
   } catch (const std::exception&) {
     consumed = 0;
   }
-  OXMLC_CHECK(consumed == value.size(), "memsys config line " + std::to_string(line_no) + ": " +
-                                            key + " expects a number, got '" + value + "'");
+  OXMLC_CHECK(consumed == value.size() && std::isfinite(parsed),
+              "memsys config line " + std::to_string(line_no) + ": " + key +
+                  " expects a number, got '" + value + "'");
   return parsed;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -28,6 +29,8 @@ constexpr double kSlowContaminationFraction = 0.01;
 // Boundary slack for the window/compliance comparisons (exact i_max hits are
 // legitimate placements, not violations).
 constexpr double kRelTol = 1e-6;
+// Count fields other than bits= stay exact in a double up to 2^53.
+constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 53;
 
 double parse_si(const std::string& token, std::size_t line_no) {
   const char* begin = token.c_str();
@@ -54,6 +57,21 @@ double parse_si(const std::string& token, std::size_t line_no) {
       throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
                                  ": unknown unit suffix '" + suffix + "' in '" + token + "'");
   }
+}
+
+// Count fields (bits=, .level value=, .verify max_passes=): a finite integer
+// in [lo, hi], or the line-numbered parse error. Casting anything else to
+// std::size_t would be undefined.
+std::size_t parse_count(const std::string& key, const std::string& token,
+                        std::size_t line_no, std::uint64_t lo, std::uint64_t hi) {
+  const double value = parse_si(token, line_no);
+  if (!(value >= static_cast<double>(lo) && value <= static_cast<double>(hi)) ||
+      value != std::floor(value)) {
+    throw InvalidArgumentError("mlc config line " + std::to_string(line_no) + ": " + key +
+                               " expects an integer in [" + std::to_string(lo) + ", " +
+                               std::to_string(hi) + "], got '" + token + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 // Splits "key=value" and fails with the line number on anything else.
@@ -150,7 +168,8 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
         if (key == "bits") {
-          input.bits = static_cast<std::size_t>(parse_si(value, line_no));
+          // The range LevelAllocation accepts.
+          input.bits = parse_count(key, value, line_no, 1, 8);
           bits_seen = true;
         } else {
           unknown_key(".mlc", key, line_no);
@@ -185,7 +204,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
         if (key == "value") {
-          level.value = static_cast<std::size_t>(parse_si(value, line_no));
+          level.value = parse_count(key, value, line_no, 0, kMaxCount);
           value_seen = true;
         } else if (key == "iref") {
           level.iref = parse_si(value, line_no);
@@ -229,7 +248,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
         if (key == "enabled") input.verify_enabled = parse_si(value, line_no) != 0.0;
         else if (key == "tau_relax") input.tau_relax = parse_si(value, line_no);
         else if (key == "max_passes") {
-          input.verify_max_passes = static_cast<std::size_t>(parse_si(value, line_no));
+          input.verify_max_passes = parse_count(key, value, line_no, 0, kMaxCount);
         } else {
           unknown_key(".verify", key, line_no);
         }

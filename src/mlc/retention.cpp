@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
+#include "mc/runner.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 #include "util/provenance.hpp"
 
 namespace oxmlc::mlc {
@@ -22,86 +23,95 @@ struct RetentionMetrics {
   }
 };
 
-// One trial's state trajectory, tracked exactly like ReliabilityEngine does
-// for an array cell: anchor gap + event amplitudes + accumulated disturb
-// offset, evaluated lazily at each observation time.
+// One trial: the word of every level, as programmed and at each observation
+// time (r_at_time is time-major, n_levels entries per time).
 struct TrialSample {
-  double r_initial = 0.0;
-  double energy = 0.0;
-  double latency = 0.0;
+  std::vector<ProgramOutcome> outcomes;
   std::vector<double> r_at_time;
-  std::uint32_t reprogrammed = 0;
-  bool unrecovered = false;
+  DriftingWord::VerifyCounts verify;
 };
 
-double read_resistance(oxram::FastCell& cell, double gap, const QlcConfig& qlc) {
-  cell.set_gap(gap);
+}  // namespace
+
+DriftingWord::DriftingWord(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
+                           const reliability::ReadDisturbModel& read_disturb,
+                           std::vector<oxram::FastCell> cells, std::vector<Rng> rngs,
+                           std::vector<std::size_t> targets)
+    : programmer_(&programmer), drift_(drift), read_disturb_(read_disturb),
+      cells_(std::move(cells)), rngs_(std::move(rngs)), targets_(std::move(targets)),
+      trajectories_(cells_.size()) {
+  OXMLC_CHECK(rngs_.size() == cells_.size() && targets_.size() == cells_.size(),
+              "DriftingWord: cells, rngs and targets differ in length");
+  std::vector<oxram::FastCell*> cell_ptrs(size());
+  std::vector<Rng*> rng_ptrs(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    cell_ptrs[i] = &cells_[i];
+    rng_ptrs[i] = &rngs_[i];
+  }
+  outcomes_ = programmer_->program_word(cell_ptrs, targets_, rng_ptrs);
+  for (std::size_t i = 0; i < size(); ++i) {
+    trajectories_[i].reanchor(drift_, cells_[i].gap(), 0.0, rngs_[i]);
+  }
+}
+
+std::size_t DriftingWord::sense(std::size_t i, double t) {
+  oxram::FastCell& cell = cells_[i];
+  reliability::DriftTrajectory& trajectory = trajectories_[i];
+  const QlcConfig& qlc = programmer_->config();
+  const double g = trajectory.gap_at(drift_, cell.params(), t);
+  const double g_disturbed = reliability::disturbed_gap(
+      cell, g, /*virgin=*/false, 1, read_disturb_, qlc.v_read, qlc.v_wl_read);
+  trajectory.offset += g_disturbed - g;
+  cell.set_gap(g_disturbed);
+  return programmer_->read_level(cell, rngs_[i]);
+}
+
+double DriftingWord::resistance_at(std::size_t i, double t) {
+  oxram::FastCell& cell = cells_[i];
+  const QlcConfig& qlc = programmer_->config();
+  cell.set_gap(trajectories_[i].gap_at(drift_, cell.params(), t));
   return cell.read(qlc.v_read, qlc.v_wl_read).r_cell;
 }
 
-TrialSample run_trial(const RetentionConfig& config, const QlcProgrammer& programmer,
-                      std::size_t level, Rng& rng) {
-  const oxram::OxramParams device =
-      oxram::sample_device(config.study.nominal, config.study.variability, rng);
-  oxram::FastCell cell = oxram::FastCell::formed_lrs(device, config.study.stack);
-  const ProgramOutcome outcome = programmer.program(cell, level, rng);
-
-  TrialSample sample;
-  sample.r_initial = outcome.resistance;
-  sample.energy = outcome.energy;
-  sample.latency = outcome.latency;
-
-  const oxram::DriftParams& drift = config.drift;
-  double anchor = cell.gap();
-  const double g_min = device.g_min;
-  double relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-  const double drift_amp = oxram::sample_drift_amplitude(drift, rng);
-  double t_anchor = 0.0;  // absolute time of the last program event
-  double t_now = 0.0;
-  double offset = 0.0;    // accumulated read-disturb gap shift
-
-  const auto gap_at = [&](double t_abs) {
-    const double g = oxram::drifted_gap(drift, anchor, g_min, relax_amp, drift_amp,
-                                        std::max(t_abs - t_anchor, 0.0));
-    return std::clamp(g + offset, g_min, device.g_max);
-  };
-
-  if (config.relax_verify) {
-    for (std::size_t pass = 0; pass < config.verify_max_passes; ++pass) {
-      t_now += config.tau_relax;
-      double g = gap_at(t_now);
-      const double g_disturbed = reliability::disturbed_gap(
-          cell, g, /*virgin=*/false, 1, config.read_disturb, config.study.qlc.v_read,
-          config.study.qlc.v_wl_read);
-      offset += g_disturbed - g;
-      g = g_disturbed;
-      cell.set_gap(g);
-      const std::size_t decoded = programmer.read_level(cell, rng);
-      sample.unrecovered = decoded != level;
-      if (!sample.unrecovered || pass + 1 == config.verify_max_passes) {
-        break;  // in band, or out of re-program budget
-      }
-      // Re-terminate: a fresh relaxation draw replaces the tail event the
-      // verify just caught — the selection effect that recovers the window.
-      programmer.program(cell, level, rng);
-      ++sample.reprogrammed;
-      anchor = cell.gap();
-      t_anchor = t_now;
-      offset = 0.0;
-      relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
-    }
+void DriftingWord::reprogram(std::span<const std::size_t> cells, double t) {
+  if (cells.empty()) return;
+  std::vector<oxram::FastCell*> cell_ptrs;
+  std::vector<std::size_t> levels;
+  std::vector<Rng*> rng_ptrs;
+  for (const std::size_t i : cells) {
+    cell_ptrs.push_back(&cells_[i]);
+    levels.push_back(targets_[i]);
+    rng_ptrs.push_back(&rngs_[i]);
   }
-
-  sample.r_at_time.reserve(config.times.size());
-  for (double t : config.times) {
-    // Observation times are measured from the initial program; times earlier
-    // than the last verify event evaluate at that event (t_eff clamped >= 0).
-    sample.r_at_time.push_back(read_resistance(cell, gap_at(t), config.study.qlc));
+  programmer_->program_word(cell_ptrs, levels, rng_ptrs);
+  // A fresh relaxation draw replaces the tail event the sense just caught:
+  // the selection effect that recovers the window.
+  for (const std::size_t i : cells) {
+    trajectories_[i].reanchor(drift_, cells_[i].gap(), t, rngs_[i]);
   }
-  return sample;
 }
 
-}  // namespace
+DriftingWord::VerifyCounts DriftingWord::relax_verify(double tau, std::size_t max_passes) {
+  VerifyCounts counts;
+  std::vector<std::size_t> pending(size());
+  for (std::size_t i = 0; i < size(); ++i) pending[i] = i;
+  double t = 0.0;
+  for (std::size_t pass = 0; pass < max_passes && !pending.empty(); ++pass) {
+    t += tau;
+    std::vector<std::size_t> slipped;
+    for (const std::size_t i : pending) {
+      if (sense(i, t) != targets_[i]) slipped.push_back(i);
+    }
+    if (pass + 1 == max_passes) {
+      counts.unrecovered = slipped.size();  // out of re-program budget
+      break;
+    }
+    reprogram(slipped, t);
+    counts.reprogrammed += slipped.size();
+    pending = std::move(slipped);
+  }
+  return counts;
+}
 
 RetentionConfig RetentionConfig::paper_default(std::size_t bits, std::size_t trials) {
   RetentionConfig config;
@@ -140,45 +150,65 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
     report.points[k].levels.resize(n_levels);
   }
 
-  // One flat (level × trial) index space instead of n_levels sequential MC
-  // runs, so every trial across every level can be claimed by the same pool.
-  // Each trial's Rng still derives from (study_level_seed(seed, level), trial)
-  // exactly as the per-level mc::run_trials call did, so samples stay
-  // bit-identical to the sequential sweep for any thread count.
-  const std::size_t trials = config.study.mc.trials;
-  const std::size_t total = n_levels * trials;
-  std::vector<TrialSample> samples(total);
-  util::parallel_for(total, config.study.mc.threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t level = i / trials;
-      Rng rng = mc::trial_rng(study_level_seed(config.study.mc.seed, level), i % trials);
-      samples[i] = run_trial(config, programmer, level, rng);
+  // One trial programs every level as one word; each level's cell keeps the
+  // (study_level_seed, trial)-derived rng run_level_study gives it.
+  const std::function<TrialSample(std::size_t, Rng&)> trial = [&](std::size_t t, Rng&) {
+    std::vector<oxram::FastCell> cells;
+    std::vector<Rng> rngs;
+    std::vector<std::size_t> levels(n_levels);
+    cells.reserve(n_levels);
+    rngs.reserve(n_levels);
+    for (std::size_t level = 0; level < n_levels; ++level) {
+      levels[level] = level;
+      rngs.push_back(mc::trial_rng(study_level_seed(config.study.mc.seed, level), t));
+      const oxram::OxramParams device =
+          oxram::sample_device(config.study.nominal, config.study.variability, rngs.back());
+      cells.push_back(oxram::FastCell::formed_lrs(device, config.study.stack));
     }
-  });
-  metrics.trials.add(total);
+    DriftingWord word(programmer, config.drift, config.read_disturb, std::move(cells),
+                      std::move(rngs), std::move(levels));
+    TrialSample sample;
+    sample.outcomes = word.outcomes();
+    if (config.relax_verify) {
+      sample.verify = word.relax_verify(config.tau_relax, config.verify_max_passes);
+    }
+    // Observation times are measured from the initial program; times earlier
+    // than a cell's last verify event evaluate at that event.
+    sample.r_at_time.reserve(config.times.size() * n_levels);
+    for (const double time : config.times) {
+      for (std::size_t level = 0; level < n_levels; ++level) {
+        sample.r_at_time.push_back(word.resistance_at(level, time));
+      }
+    }
+    return sample;
+  };
+  const std::vector<TrialSample> samples =
+      mc::run_trials<TrialSample>(config.study.mc, trial);
+  const std::size_t trials = samples.size();
+  metrics.trials.add(n_levels * trials);
 
+  for (const TrialSample& sample : samples) {
+    report.verify_reprogrammed += sample.verify.reprogrammed;
+    report.verify_unrecovered += sample.verify.unrecovered;
+  }
   for (std::size_t level = 0; level < n_levels; ++level) {
-    const TrialSample* level_samples = samples.data() + level * trials;
-
     LevelDistribution& dist0 = initial[level];
     dist0.level = config.study.qlc.allocation.levels[level];
-    for (std::size_t t = 0; t < trials; ++t) {
-      const TrialSample& sample = level_samples[t];
-      dist0.resistance.push_back(sample.r_initial);
-      dist0.energy.push_back(sample.energy);
-      dist0.latency.push_back(sample.latency);
-      report.verify_reprogrammed += sample.reprogrammed;
-      report.verify_unrecovered += sample.unrecovered ? 1 : 0;
+    for (const TrialSample& sample : samples) {
+      const ProgramOutcome& outcome = sample.outcomes[level];
+      dist0.resistance.push_back(outcome.resistance);
+      dist0.energy.push_back(outcome.energy);
+      dist0.latency.push_back(outcome.latency);
     }
     for (std::size_t k = 0; k < config.times.size(); ++k) {
       LevelDistribution& dist = report.points[k].levels[level];
       dist.level = config.study.qlc.allocation.levels[level];
       dist.resistance.reserve(trials);
-      for (std::size_t t = 0; t < trials; ++t) {
-        const TrialSample& sample = level_samples[t];
-        dist.resistance.push_back(sample.r_at_time[k]);
-        dist.energy.push_back(sample.energy);
-        dist.latency.push_back(sample.latency);
+      for (const TrialSample& sample : samples) {
+        const ProgramOutcome& outcome = sample.outcomes[level];
+        dist.resistance.push_back(sample.r_at_time[k * n_levels + level]);
+        dist.energy.push_back(outcome.energy);
+        dist.latency.push_back(outcome.latency);
       }
     }
   }

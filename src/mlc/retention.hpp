@@ -1,18 +1,23 @@
 // Retention sweep: the Monte-Carlo level study evaluated over time.
 //
-// One trial = one D2D-sampled device, programmed to its level exactly as in
-// run_level_study, then evolved under the two-component drift law of
-// oxram/drift.hpp and re-read at each observation time. With relax_verify on,
-// the trial additionally runs the relaxation-aware verify of
-// MemoryController/arXiv:2301.08516 right after programming: wait tau_relax,
-// re-sense (one read-disturb event), re-terminate if the decode left the
-// target band, for at most verify_max_passes rounds. Comparing the verify-on
-// and verify-off branches at the same seed quantifies how much of the drift-
-// lost inter-level window the verify recovers (recovered_window_fraction —
-// the acceptance metric of the reliability subsystem).
+// One trial = one word of every level, each cell a D2D-sampled device
+// programmed exactly as in run_level_study, then evolved under the
+// two-component drift law of oxram/drift.hpp and re-read at each observation
+// time. With relax_verify on, the trial additionally runs the
+// relaxation-aware verify of MemoryController/arXiv:2301.08516 right after
+// programming: wait tau_relax, re-sense (one read-disturb event),
+// re-terminate the cells whose decode left the target band, for at most
+// verify_max_passes rounds. Comparing the verify-on and verify-off branches
+// at the same seed quantifies how much of the drift-lost inter-level window
+// the verify recovers (recovered_window_fraction — the acceptance metric of
+// the reliability subsystem).
 //
-// Determinism: each (level, trial) pair draws from mc::trial_rng(
-// study_level_seed(seed, level), trial), so reports are bit-identical for any
+// DriftingWord is the word both this sweep and the ECC channel run: formed
+// cells with their own rngs and targets, one reliability::DriftTrajectory
+// each, and word-wide program, verify and reprogram calls.
+//
+// Determinism: each level's cell in trial t draws from mc::trial_rng(
+// study_level_seed(seed, level), t), so reports are bit-identical for any
 // thread count — the same contract as run_level_study, test-pinned.
 //
 // to_json() emits the `oxmlc.retention.v1` schema consumed by the CI
@@ -20,9 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mlc/mc_study.hpp"
+#include "mlc/program.hpp"
 #include "obs/json.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
@@ -31,6 +38,61 @@
 namespace oxmlc::mlc {
 
 inline constexpr const char* kRetentionSchema = util::kRetentionSchema;
+
+// A word of cells programmed together and then left to drift. Each cell
+// keeps its own rng, and every random draw of a cell (program, amplitudes,
+// sense noise) comes from it, in the order the calls reach that cell. Since
+// program_word lanes are independent too, each cell ends bitwise where the
+// same calls made one cell at a time would leave it. Times are seconds after
+// the constructor's program event.
+class DriftingWord {
+ public:
+  struct VerifyCounts {
+    std::size_t reprogrammed = 0;  // cells re-terminated by the verify
+    std::size_t unrecovered = 0;   // cells still out of band after the last pass
+  };
+
+  // Programs every cell to its target in one program_word, then anchors each
+  // trajectory at t = 0. `programmer` must outlive the word; the three
+  // vectors must have equal length.
+  DriftingWord(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
+               const reliability::ReadDisturbModel& read_disturb,
+               std::vector<oxram::FastCell> cells, std::vector<Rng> rngs,
+               std::vector<std::size_t> targets);
+
+  std::size_t size() const { return cells_.size(); }
+  const oxram::FastCell& cell(std::size_t i) const { return cells_[i]; }
+  const Rng& rng(std::size_t i) const { return rngs_[i]; }
+  // Outcomes of the constructor's program, indexed like the cells.
+  const std::vector<ProgramOutcome>& outcomes() const { return outcomes_; }
+
+  // Senses cell i at time t: bills one read disturb through
+  // reliability::disturbed_gap, leaves the cell at the disturbed gap and
+  // decodes it on the cell's rng.
+  std::size_t sense(std::size_t i, double t);
+
+  // Cell i's resistance at time t at the read point, without disturb.
+  double resistance_at(std::size_t i, double t);
+
+  // Re-terminates the listed (distinct) cells to their targets in one
+  // program_word and re-anchors them at time t.
+  void reprogram(std::span<const std::size_t> cells, double t);
+
+  // Relaxation-aware verify from t = 0: every tau seconds, sense the cells
+  // still in question and re-terminate the ones out of band, for at most
+  // max_passes passes; the last pass only senses.
+  VerifyCounts relax_verify(double tau, std::size_t max_passes);
+
+ private:
+  const QlcProgrammer* programmer_;
+  oxram::DriftParams drift_;
+  reliability::ReadDisturbModel read_disturb_;
+  std::vector<oxram::FastCell> cells_;
+  std::vector<Rng> rngs_;
+  std::vector<std::size_t> targets_;
+  std::vector<reliability::DriftTrajectory> trajectories_;
+  std::vector<ProgramOutcome> outcomes_;
+};
 
 struct RetentionConfig {
   McStudyConfig study;        // allocation, device, variability, mc depth/seed
@@ -83,9 +145,12 @@ RetentionComparison run_retention_comparison(RetentionConfig config);
 
 // Fraction of the drift-lost worst-case window the verify recovered at
 // `point` (default: the last observation time):
-//   (margin_on - margin_off) / (margin_initial - margin_off),
-// clamped to [0, 1]-ish semantics: 1 when nothing was lost and nothing got
-// worse, 0 when the verify bought nothing.
+//   (margin_on - margin_off) / (margin_initial - margin_off).
+// Not clamped: it is 0 when the verify bought nothing, negative when the
+// verify-on window ended narrower (it reads -5.7e-6 at `oxmlc_sim
+// --retention --bits 1 --trials 1`), and above 1 when the verify-on window
+// ends wider than the as-programmed one. When nothing was lost it is 1 if
+// the verify-on window is no narrower, else 0.
 double recovered_window_fraction(const RetentionComparison& comparison,
                                  std::size_t point);
 double recovered_window_fraction(const RetentionComparison& comparison);

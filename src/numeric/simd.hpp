@@ -1,4 +1,4 @@
-// Fixed-width SIMD packs for the hot batch kernels (drift, stack solve, gap
+// Fixed-width SIMD packs for the hot batch kernel (stack solve, gap
 // integration).
 //
 // Two interchangeable backends implement the same 4-lane pack interface:
@@ -15,18 +15,17 @@
 // of IEEE-754 double operations lane by lane and produce BITWISE-IDENTICAL
 // results — which is what lets the equivalence suite pin "same results across
 // SIMD widths/ISAs" as an exact assertion instead of a tolerance. The
-// transcendentals (exp, log1p) are our own fma-explicit polynomial
-// implementations for the same reason: libm's vectorized and scalar exp need
-// not agree bitwise, ours do by construction. Accuracy is ~1 ulp (tested
-// against libm at 1e-13 relative), far inside the 1e-9 pin the scalar
-// reference paths are held to.
+// transcendental (exp) is our own fma-explicit polynomial implementation for
+// the same reason: libm's vectorized and scalar exp need not agree bitwise,
+// ours do by construction. Accuracy is ~1 ulp (tested against libm at 1e-13
+// relative), far inside the 1e-9 pin the scalar reference paths are held to.
 //
 // Backend selection is a runtime decision (see simd.cpp): kAuto resolves to
 // AVX2 when the binary carries the AVX2 instantiation *and* cpuid reports the
 // ISA, else the portable pack. The OXMLC_SIMD environment variable and the
 // set_backend_override() test hook force a specific backend. Either way the
-// call sites (CellBatch, the drift batch) run their one pack engine; the
-// backend only picks which instantiation.
+// call site (CellBatch) runs its one pack engine; the backend only picks
+// which instantiation.
 #pragma once
 
 #include <cmath>
@@ -82,7 +81,6 @@ inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
 inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
 inline constexpr double kExpOverflow = 709.0;    // exp(x) saturates to inf above
 inline constexpr double kExpUnderflow = -708.0;  // exp(x) flushes to 0 below
-inline constexpr double kSqrt2 = 1.41421356237309504880168872421;
 // 2^52 + 2^51: adding it to an integer-valued double in (-2^51, 2^51) leaves
 // that integer in the low mantissa bits (the classic double->int64 round trip).
 inline constexpr double kShifter = 6755399441055744.0;
@@ -105,22 +103,6 @@ inline constexpr double kExpC[14] = {
     1.0 / 39916800.0,
     1.0 / 479001600.0,
     1.0 / 6227020800.0,
-};
-
-// atanh series coefficients for log(m) = 2*atanh(s), s = (m-1)/(m+1),
-// m in [sqrt(1/2), sqrt(2)) so |s| <= 0.1716; the s^19 tail is ~2e-16 of the
-// leading term.
-inline constexpr double kLogC[10] = {
-    2.0,
-    2.0 / 3.0,
-    2.0 / 5.0,
-    2.0 / 7.0,
-    2.0 / 9.0,
-    2.0 / 11.0,
-    2.0 / 13.0,
-    2.0 / 15.0,
-    2.0 / 17.0,
-    2.0 / 19.0,
 };
 }  // namespace detail
 
@@ -248,8 +230,8 @@ struct PackScalar {
     return r;
   }
 
-  // Bit-level helpers used by exp/log1p range reduction (element-wise mirrors
-  // of the AVX2 integer ops).
+  // Bit-level helper used by exp range reduction (element-wise mirror of the
+  // AVX2 integer ops).
   static Vec ldexp_pow2(Vec n) {  // 2^n for integer-valued n in [-1022, 1023]
     Vec r;
     for (int i = 0; i < kPackWidth; ++i) {
@@ -259,28 +241,6 @@ struct PackScalar {
       r.v[i] = d;
     }
     return r;
-  }
-  struct Frexp {
-    Vec mantissa;  // in [sqrt(1/2), sqrt(2))
-    Vec exponent;  // integer-valued double
-  };
-  static Frexp frexp_sqrt2(Vec u) {
-    Frexp f;
-    for (int i = 0; i < kPackWidth; ++i) {
-      std::int64_t bits;
-      std::memcpy(&bits, &u.v[i], sizeof(bits));
-      std::int64_t e = ((bits >> 52) & 0x7FF) - 1023;
-      std::int64_t mbits = (bits & 0x000FFFFFFFFFFFFFLL) | 0x3FF0000000000000LL;
-      double m;
-      std::memcpy(&m, &mbits, sizeof(m));
-      if (m >= detail::kSqrt2) {
-        m *= 0.5;
-        e += 1;
-      }
-      f.mantissa.v[i] = m;
-      f.exponent.v[i] = static_cast<double>(e);
-    }
-    return f;
   }
 };
 
@@ -353,34 +313,11 @@ struct PackAvx {
         _mm256_slli_epi64(_mm256_add_epi64(bits, _mm256_set1_epi64x(1023)), 52);
     return {_mm256_castsi256_pd(pow2)};
   }
-  struct Frexp {
-    Vec mantissa;
-    Vec exponent;
-  };
-  static Frexp frexp_sqrt2(Vec u) {
-    const __m256i bits = _mm256_castpd_si256(u.v);
-    const __m256i raw_exp = _mm256_and_si256(_mm256_srli_epi64(bits, 52),
-                                             _mm256_set1_epi64x(0x7FF));
-    const __m256i mbits =
-        _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFLL)),
-                        _mm256_set1_epi64x(0x3FF0000000000000LL));
-    Vec m{_mm256_castsi256_pd(mbits)};
-    // raw_exp - 1023 as double via the shifter trick in reverse.
-    const __m256i e_biased = _mm256_add_epi64(raw_exp, _mm256_castpd_si256(_mm256_set1_pd(
-                                                           detail::kShifter)));
-    Vec e{_mm256_sub_pd(_mm256_castsi256_pd(e_biased),
-                        _mm256_set1_pd(detail::kShifter + 1023.0))};
-    const Mask above = ge(m, Vec::broadcast(detail::kSqrt2));
-    Frexp f;
-    f.mantissa = select(above, m * Vec::broadcast(0.5), m);
-    f.exponent = select(above, e + Vec::broadcast(1.0), e);
-    return f;
-  }
 };
 #endif  // OXMLC_SIMD_HAS_AVX2
 
 // ---------------------------------------------------------------------------
-// Transcendentals, templated over the pack. Identical operation sequences in
+// Transcendental, templated over the pack. Identical operation sequences in
 // both backends => bitwise-identical results.
 // ---------------------------------------------------------------------------
 
@@ -404,49 +341,6 @@ typename P::Vec exp(typename P::Vec x) {
   result = P::select(P::gt(x, overflow),
                      V::broadcast(std::numeric_limits<double>::infinity()), result);
   result = P::select(P::lt(x, underflow), V::broadcast(0.0), result);
-  return result;
-}
-
-// log1p(x) for x > -1, to ~1 ulp (exact small-x behaviour via the u-correction
-// term). Inputs <= -1 produce -inf / NaN like libm; +/-0 passes through.
-template <typename P>
-typename P::Vec log1p(typename P::Vec x) {
-  using V = typename P::Vec;
-  const V one = V::broadcast(1.0);
-  const V u = x + one;
-
-  const typename P::Frexp f = P::frexp_sqrt2(u);
-  // log(m) = 2*atanh(s), s = (m-1)/(m+1).
-  const V s = (f.mantissa - one) / (f.mantissa + one);
-  const V s2 = s * s;
-  V p = V::broadcast(detail::kLogC[9]);
-  for (int k = 8; k >= 0; --k) p = P::fma(p, s2, V::broadcast(detail::kLogC[k]));
-  const V log_m = p * s;
-
-  // log(u) = e*ln2 + log(m), with ln2 split to keep the product exact.
-  V result = P::fma(f.exponent, V::broadcast(detail::kLn2Lo), log_m);
-  result = P::fma(f.exponent, V::broadcast(detail::kLn2Hi), result);
-
-  // Correction for the rounding in u = 1 + x: log1p(x) ~= log(u) + (x-(u-1))/u.
-  // Guarded so u == 0 (x == -1) or non-finite u do not poison the result.
-  const typename P::Mask finite_u =
-      P::gt(u, V::broadcast(0.0)) & P::lt(u, V::broadcast(std::numeric_limits<double>::infinity()));
-  const V corr = (x - (u - one)) / u;
-  result = result + P::select(finite_u, corr, V::broadcast(0.0));
-
-  // Tiny x: u rounds to exactly 1 and the decomposition returns 0; the
-  // correction term then carries the whole value (log1p(x) ~ x), which the
-  // formula above already does. x == 0 stays exactly 0 because every term is 0.
-
-  // Out-of-domain / non-finite inputs: match libm semantics instead of
-  // returning whatever the bit-level decomposition produced.
-  result = P::select(P::le(u, V::broadcast(0.0)),
-                     P::select(P::lt(u, V::broadcast(0.0)),
-                               V::broadcast(std::numeric_limits<double>::quiet_NaN()),
-                               V::broadcast(-std::numeric_limits<double>::infinity())),
-                     result);
-  result = P::select(P::ge(x, V::broadcast(std::numeric_limits<double>::infinity())),
-                     V::broadcast(std::numeric_limits<double>::infinity()), result);
   return result;
 }
 

@@ -39,12 +39,9 @@
 // worst-case window — the selection effect the relaxation-aware verify
 // exploits.
 //
-// The scalar drifted_gap() is the one-cell path; drifted_gap_batch() is the
-// SoA kernel the reliability engine advances whole arrays with (same
-// trajectories within 1e-9 relative, test-pinned; see DESIGN.md).
+// drifted_gap() is the one implementation of the law; every consumer reaches
+// it through reliability::DriftTrajectory (see DESIGN.md).
 #pragma once
-
-#include <span>
 
 #include "util/rng.hpp"
 
@@ -80,34 +77,11 @@ double drift_phi(double t, double tau, double nu);
 // Arrhenius time-acceleration factor of the slow component.
 double drift_acceleration(const DriftParams& p);
 
-// Scalar reference trajectory: gap `t` seconds after the anchor event.
+// Gap `t` seconds after the anchor event (the anchor itself for t <= 0).
 // `g_anchor` is the gap at the last program event, `g_min` the cell's LRS
 // floor, `relax_amp`/`drift_amp` the sampled fractional amplitudes.
 double drifted_gap(const DriftParams& p, double g_anchor, double g_min,
                    double relax_amp, double drift_amp, double t);
-
-// Batched SoA kernel over parallel lanes:
-//   out[i] = drifted_gap(p, g_anchor[i], g_min[i], relax_amp[i], drift_amp[i], t[i])
-// All spans must have equal length; `out` may alias none of the inputs. The
-// loop hoists the per-call invariants (acceleration, reciprocal taus) and
-// evaluates the power-law kernels as exp(-nu * log1p(t/tau)), which agrees
-// with the scalar std::pow path to ~1 ulp — the batch-vs-scalar suite pins
-// the agreement at 1e-9 relative on a 4096-cell array.
-//
-// Dispatches on num::simd::active_backend(): the AVX2 and portable pack
-// kernels are bitwise-identical to each other (same IEEE op sequence).
-void drifted_gap_batch(const DriftParams& p, std::span<const double> g_anchor,
-                       std::span<const double> g_min, std::span<const double> relax_amp,
-                       std::span<const double> drift_amp, std::span<const double> t,
-                       std::span<double> out);
-
-// The original scalar-libm SoA loop, kept only as the 1e-9-pinned test
-// oracle the pack kernels are held to (DriftSimd suite).
-void drifted_gap_batch_reference(const DriftParams& p, std::span<const double> g_anchor,
-                                 std::span<const double> g_min,
-                                 std::span<const double> relax_amp,
-                                 std::span<const double> drift_amp,
-                                 std::span<const double> t, std::span<double> out);
 
 // Per-program-event fast-relaxation amplitude: lognormal around
 // relax_fraction. One draw per call; 0 when drift is disabled.

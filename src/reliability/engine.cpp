@@ -68,29 +68,39 @@ oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceM
   return worn;
 }
 
+void DriftTrajectory::reanchor(const oxram::DriftParams& drift, double gap, double t,
+                               Rng& rng) {
+  anchor = gap;
+  t_anchor = t;
+  offset = 0.0;
+  relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+  if (!programmed) {
+    // First program event of this cell: its slow-drift activation (the
+    // per-device D2D quantity) follows the first per-event amplitude.
+    drift_amp = oxram::sample_drift_amplitude(drift, rng);
+    programmed = true;
+  }
+}
+
+double DriftTrajectory::gap_at(const oxram::DriftParams& drift,
+                               const oxram::OxramParams& params, double t) const {
+  const double g =
+      oxram::drifted_gap(drift, anchor, params.g_min, relax_amp, drift_amp, t - t_anchor);
+  return std::clamp(g + offset, params.g_min, params.g_max);
+}
+
 ReliabilityEngine::ReliabilityEngine(array::FastArray& array, ReliabilityConfig config)
     : array_(array), config_(config) {
   const std::size_t n = array_.size();
-  anchor_gap_.resize(n);
-  g_min_.resize(n);
-  t_elapsed_.assign(n, 0.0);
-  relax_amp_.assign(n, 0.0);
-  drift_amp_.assign(n, 0.0);
-  disturb_offset_.assign(n, 0.0);
+  trajectories_.resize(n);
   cycles_.assign(n, 0);
   reads_.assign(n, 0);
-  programmed_.assign(n, 0);
   fresh_params_.reserve(n);
   rngs_.reserve(n);
-  scratch_.resize(n);
   for (std::size_t row = 0; row < array_.rows(); ++row) {
     for (std::size_t col = 0; col < array_.cols(); ++col) {
-      const std::size_t i = index(row, col);
-      const oxram::FastCell& cell = array_.at(row, col);
-      anchor_gap_[i] = cell.gap();
-      g_min_[i] = cell.params().g_min;
-      fresh_params_.push_back(cell.params());
-      rngs_.push_back(cell_stream(config_.seed, i));
+      fresh_params_.push_back(array_.at(row, col).params());
+      rngs_.push_back(cell_stream(config_.seed, index(row, col)));
     }
   }
 }
@@ -104,21 +114,10 @@ std::size_t ReliabilityEngine::index(std::size_t row, std::size_t col) const {
 void ReliabilityEngine::on_programmed(std::size_t row, std::size_t col) {
   const std::size_t i = index(row, col);
   oxram::FastCell& cell = array_.at(row, col);
-  if (!programmed_[i]) {
-    // First program event of this cell: draw its slow-drift activation (the
-    // per-device D2D quantity) before the first per-event amplitude.
-    drift_amp_[i] = oxram::sample_drift_amplitude(config_.drift, rngs_[i]);
-    programmed_[i] = 1;
-  }
-  relax_amp_[i] = oxram::sample_relaxation_amplitude(config_.drift, rngs_[i]);
-  anchor_gap_[i] = cell.gap();
-  t_elapsed_[i] = 0.0;
-  disturb_offset_[i] = 0.0;
+  trajectories_[i].reanchor(config_.drift, cell.gap(), now_, rngs_[i]);
   ++cycles_[i];
   if (config_.endurance.enabled) {
-    const oxram::OxramParams worn = worn_params(fresh_params_[i], config_.endurance, cycles_[i]);
-    cell.mutable_params() = worn;
-    g_min_[i] = worn.g_min;
+    cell.mutable_params() = worn_params(fresh_params_[i], config_.endurance, cycles_[i]);
   }
   ReliabilityMetrics::get().program_events.add();
 }
@@ -138,7 +137,7 @@ void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_
   const double g_before = cell.gap();
   const double g_after = disturbed_gap(cell, g_before, cell.virgin(), n,
                                        config_.read_disturb, v_read, v_wl);
-  disturb_offset_[i] += g_after - g_before;
+  trajectories_[i].offset += g_after - g_before;
   cell.set_gap(g_after);
   ReliabilityMetrics::get().reads_disturbed.add(n);
 }
@@ -149,54 +148,24 @@ void ReliabilityEngine::advance(double dt) {
   metrics.advances.add();
   obs::ScopedTimer timer(metrics.advance_time);
 
-  const std::size_t n = array_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    t_elapsed_[i] += dt;
-  }
-  oxram::drifted_gap_batch(config_.drift, anchor_gap_, g_min_, relax_amp_, drift_amp_,
-                           t_elapsed_, scratch_);
+  now_ += dt;
   std::size_t advanced = 0;
   for (std::size_t row = 0; row < array_.rows(); ++row) {
     for (std::size_t col = 0; col < array_.cols(); ++col) {
-      const std::size_t i = row * array_.cols() + col;
-      if (!programmed_[i]) {
+      const DriftTrajectory& trajectory = trajectories_[row * array_.cols() + col];
+      if (!trajectory.programmed) {
         continue;  // as-fabricated state is stationary; nothing to rewrite
       }
       oxram::FastCell& cell = array_.at(row, col);
-      const double g = std::clamp(scratch_[i] + disturb_offset_[i], g_min_[i],
-                                  cell.params().g_max);
-      cell.set_gap(g);
+      cell.set_gap(trajectory.gap_at(config_.drift, cell.params(), now_));
       ++advanced;
     }
   }
   metrics.lanes_advanced.add(advanced);
 }
 
-double ReliabilityEngine::scalar_reference_gap(std::size_t row, std::size_t col,
-                                               double t_since_anchor) const {
-  const std::size_t i = index(row, col);
-  const double g = oxram::drifted_gap(config_.drift, anchor_gap_[i], g_min_[i], relax_amp_[i],
-                                      drift_amp_[i], t_since_anchor);
-  return std::clamp(g + disturb_offset_[i], g_min_[i], array_.at(row, col).params().g_max);
-}
-
-bool ReliabilityEngine::programmed(std::size_t row, std::size_t col) const {
-  return programmed_[index(row, col)] != 0;
-}
-double ReliabilityEngine::anchor_gap(std::size_t row, std::size_t col) const {
-  return anchor_gap_[index(row, col)];
-}
-double ReliabilityEngine::elapsed_since_anchor(std::size_t row, std::size_t col) const {
-  return t_elapsed_[index(row, col)];
-}
-double ReliabilityEngine::relax_amplitude(std::size_t row, std::size_t col) const {
-  return relax_amp_[index(row, col)];
-}
-double ReliabilityEngine::drift_amplitude(std::size_t row, std::size_t col) const {
-  return drift_amp_[index(row, col)];
-}
-double ReliabilityEngine::disturb_offset(std::size_t row, std::size_t col) const {
-  return disturb_offset_[index(row, col)];
+const DriftTrajectory& ReliabilityEngine::trajectory(std::size_t row, std::size_t col) const {
+  return trajectories_[index(row, col)];
 }
 std::uint64_t ReliabilityEngine::cycles(std::size_t row, std::size_t col) const {
   return cycles_[index(row, col)];

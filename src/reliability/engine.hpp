@@ -5,8 +5,8 @@
 // afterwards:
 //
 //   * retention/relaxation drift — the two-component log-time law of
-//     oxram/drift.hpp, advanced for the whole array through the batched SoA
-//     kernel (advance());
+//     oxram/drift.hpp, one DriftTrajectory per cell evaluated at the
+//     engine clock (advance());
 //   * read disturb — every sense operation biases the cell at the read
 //     voltage in the SET polarity, nudging the gap toward LRS by the physics
 //     rate integrated over the sense duration (on_read() / apply_reads());
@@ -16,6 +16,8 @@
 // The engine hangs off an existing array::FastArray and observes program
 // events via on_programmed(): the cell's current gap becomes the drift
 // anchor, a fresh per-event relaxation amplitude is drawn, wear is applied.
+// The retention sweep and the ECC channel (mlc::DriftingWord) track their
+// cells with the same DriftTrajectory, so the three cannot drift apart.
 // All stochastic amplitudes come from per-cell generators derived from
 // (config.seed, cell index) — deterministic regardless of access order, the
 // same contract as FastArray's variability streams.
@@ -77,6 +79,29 @@ double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
                                std::uint64_t cycles);
 
+// One cell's post-program drift trajectory: the gap at its last program
+// event, when that event happened, the amplitudes drawn for it and the
+// read-disturb shift accumulated since. Times are absolute on the owner's
+// clock.
+struct DriftTrajectory {
+  bool programmed = false;  // false until the first reanchor()
+  double anchor = 0.0;      // gap at the last program event
+  double t_anchor = 0.0;    // s, time of the last program event
+  double relax_amp = 0.0;   // per-event fast amplitude
+  double drift_amp = 0.0;   // per-cell slow amplitude, drawn on the first event
+  double offset = 0.0;      // accumulated read-disturb gap shift (<= 0)
+
+  // Program event at time `t` that left the cell at `gap`: re-anchors, clears
+  // the disturb offset and draws a fresh relaxation amplitude from `rng`,
+  // then, on the cell's first event only, its slow-drift amplitude.
+  void reanchor(const oxram::DriftParams& drift, double gap, double t, Rng& rng);
+
+  // drifted_gap() at t - t_anchor, plus the disturb offset, clamped to the
+  // window of `params` (the cell's current, possibly worn, parameters).
+  double gap_at(const oxram::DriftParams& drift, const oxram::OxramParams& params,
+                double t) const;
+};
+
 struct ReliabilityConfig {
   oxram::DriftParams drift;
   ReadDisturbModel read_disturb;
@@ -87,17 +112,17 @@ struct ReliabilityConfig {
 class ReliabilityEngine {
  public:
   // Binds to `array` for the array's lifetime; the engine stores no cell
-  // physics of its own, only the evolution state (anchor gap, amplitudes,
-  // elapsed time, disturb offset, cycle/read counts) per cell.
+  // physics of its own, only the evolution state (drift trajectory,
+  // cycle/read counts) per cell and the engine clock.
   ReliabilityEngine(array::FastArray& array, ReliabilityConfig config);
 
   const ReliabilityConfig& config() const { return config_; }
   array::FastArray& array() { return array_; }
 
-  // Program-event notification: re-anchors the drift trajectory at the
-  // cell's just-programmed gap, draws a fresh fast-relaxation amplitude
-  // (first call also draws the cell's slow-drift activation), bumps the
-  // cycle count and applies endurance wear to the cell's parameters.
+  // Program-event notification: re-anchors the cell's drift trajectory at
+  // its just-programmed gap and the engine clock (DriftTrajectory::reanchor),
+  // bumps the cycle count and applies endurance wear to the cell's
+  // parameters.
   void on_programmed(std::size_t row, std::size_t col);
 
   // Read-disturb notification: integrates the gap ODE at the solved cell
@@ -107,24 +132,13 @@ class ReliabilityEngine {
   void apply_reads(std::size_t row, std::size_t col, std::size_t n, double v_read = 0.3,
                    double v_wl = 2.5);
 
-  // Advances wall-clock time by dt for every cell and rewrites each
-  // programmed cell's gap from its drift trajectory (batched kernel) plus
-  // its accumulated disturb offset. Never-programmed cells are untouched.
+  // Moves the engine clock by dt and rewrites every programmed cell's gap
+  // from its trajectory (DriftTrajectory::gap_at at the new clock).
+  // Never-programmed cells are untouched.
   void advance(double dt);
 
-  // Scalar reference for the state advance() writes into cell (row, col) at
-  // `t_since_anchor` seconds after its last program event — drifted_gap()
-  // plus the disturb offset, clamped to the cell's window. The batch-vs-
-  // scalar acceptance test pins advance() against this at 1e-9 relative.
-  double scalar_reference_gap(std::size_t row, std::size_t col, double t_since_anchor) const;
-
   // Per-cell evolution state, exposed for tests and analysis tooling.
-  bool programmed(std::size_t row, std::size_t col) const;
-  double anchor_gap(std::size_t row, std::size_t col) const;
-  double elapsed_since_anchor(std::size_t row, std::size_t col) const;
-  double relax_amplitude(std::size_t row, std::size_t col) const;
-  double drift_amplitude(std::size_t row, std::size_t col) const;
-  double disturb_offset(std::size_t row, std::size_t col) const;
+  const DriftTrajectory& trajectory(std::size_t row, std::size_t col) const;
   std::uint64_t cycles(std::size_t row, std::size_t col) const;
   std::uint64_t reads(std::size_t row, std::size_t col) const;
 
@@ -133,20 +147,14 @@ class ReliabilityEngine {
 
   array::FastArray& array_;
   ReliabilityConfig config_;
+  double now_ = 0.0;  // s, engine clock
 
-  // SoA evolution state, one lane per cell (row-major, matching FastArray).
-  std::vector<double> anchor_gap_;
-  std::vector<double> g_min_;        // per-cell LRS floor, tracks wear
-  std::vector<double> t_elapsed_;    // s since the cell's last anchor event
-  std::vector<double> relax_amp_;    // per-event fast amplitude (0 until programmed)
-  std::vector<double> drift_amp_;    // per-cell slow amplitude (0 until programmed)
-  std::vector<double> disturb_offset_;  // accumulated read-disturb gap shift (<= 0)
+  // One entry per cell (row-major, matching FastArray).
+  std::vector<DriftTrajectory> trajectories_;
   std::vector<std::uint64_t> cycles_;
   std::vector<std::uint64_t> reads_;
-  std::vector<std::uint8_t> programmed_;
   std::vector<oxram::OxramParams> fresh_params_;  // pre-wear D2D parameters
   std::vector<Rng> rngs_;            // per-cell amplitude streams
-  std::vector<double> scratch_;      // batch kernel output
 };
 
 }  // namespace oxmlc::reliability

@@ -389,11 +389,24 @@ TEST(MlcConfigLint, NolintDirectiveSuppressesCodes) {
 }
 
 TEST(MlcConfigLint, ParseErrorsCarryLineNumbers) {
-  try {
-    mlca::parse_mlc_config(".mlc bits=1\n.level value=0 iref=bogus\n");
-    FAIL() << "expected parse throw";
-  } catch (const InvalidArgumentError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+  const auto expect_line_2 = [](const std::string& text) {
+    try {
+      mlca::parse_mlc_config(text);
+      ADD_FAILURE() << "expected parse throw: " << text;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  };
+  expect_line_2(".mlc bits=1\n.level value=0 iref=bogus\n");
+  // Count fields must be finite integers in range: bits= in [1, 8], level
+  // values and verify passes in [0, 2^53].
+  for (const char* bits : {"-1", "1e30", "nan", "4.7", "64", "0", "9"}) {
+    expect_line_2(std::string("* count fields\n.mlc bits=") + bits +
+                  "\n.level value=0 iref=36u r=40k\n");
+  }
+  for (const char* card : {".level value=-1 iref=36u r=40k", ".level value=14.5 iref=36u r=40k",
+                           ".verify max_passes=-1", ".verify max_passes=nan"}) {
+    expect_line_2(std::string(".mlc bits=1\n") + card + "\n.level value=1 iref=6u r=200k\n");
   }
 }
 

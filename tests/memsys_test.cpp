@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "memsys/fidelity.hpp"
@@ -146,6 +147,19 @@ TEST(MemsysConfig, RejectsMalformedValueAndMissingValue) {
   // Parsed configs are validated: a config that parses but is non-physical
   // still throws.
   EXPECT_THROW(parse_memsys_config("CHANNELS 0\n"), InvalidArgumentError);
+  // A '-' would wrap an unsigned field, and a non-finite number is no value:
+  // both are the line-numbered value errors, never a parsed config.
+  for (const char* line : {"CHANNELS -1", "ROWS -8192", "QUEUE_DEPTH -1", "tSCRUB -5",
+                           "SCRUB_INTERVAL -1", "CLK_MHZ inf", "CLK_MHZ nan"}) {
+    try {
+      parse_memsys_config(std::string("# header\n") + line + "\n");
+      ADD_FAILURE() << "parsed: " << line;
+    } catch (const InvalidArgumentError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("expects"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(MemsysConfig, LoadRejectsMissingFile) {

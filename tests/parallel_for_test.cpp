@@ -198,9 +198,9 @@ TEST(ParallelForDeterminism, RunTrialsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// run_retention_study: the flat (level x trial) index space must reproduce
-// the sequential per-level sweep byte-for-byte (retention_test pins 1/2/5;
-// this pins the 8-thread point the issue calls out).
+// run_retention_study: one word of every level per MC trial, claimed off the
+// pool by mc::run_trials, must give the same report byte-for-byte at any
+// thread count (retention_test pins 1/2/5; this pins 2 and 8).
 TEST(ParallelForDeterminism, RetentionStudyBitIdenticalAcrossThreadCounts) {
   mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(2, 8);
   config.times = {1e-2, 1e2};

