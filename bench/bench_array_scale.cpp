@@ -14,7 +14,6 @@
 // bank takes ~a minute in a Release+OXMLC_NATIVE build; CI smoke passes
 // --rows/--cols to shrink it.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,26 +28,12 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-std::size_t arg_or(int argc, char** argv, const std::string& flag,
-                   std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      return static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t rows = arg_or(argc, argv, "--rows", 1024);
-  const std::size_t cols = arg_or(argc, argv, "--cols", 1024);
-  const std::size_t threads = arg_or(argc, argv, "--threads", 1);
+  const std::size_t rows = bench::size_flag(argc, argv, "--rows", 1024);
+  const std::size_t cols = bench::size_flag(argc, argv, "--cols", 1024);
+  const std::size_t threads = bench::size_flag(argc, argv, "--threads", 1);
   const std::size_t total = rows * cols;
 
   bench::print_header(

@@ -11,7 +11,6 @@
 // Writes batch_throughput.csv (+ the standard telemetry sidecar) and a
 // BENCH_batch.json summary consumed by the bench-smoke CI assertions.
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,12 +40,7 @@ struct Sweep {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  std::size_t max_lanes = 4096;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--max-lanes") {
-      max_lanes = static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
+  const std::size_t max_lanes = bench::size_flag(argc, argv, "--max-lanes", 4096);
 
   bench::print_header(
       "Batch throughput", "SoA batch kernel vs serial reference stepper",

@@ -18,6 +18,7 @@
 
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
+#include "util/parse.hpp"
 #include "util/provenance.hpp"
 #include "util/table.hpp"
 
@@ -77,14 +78,19 @@ inline void save_csv(const Table& table, const std::string& name) {
   std::cout << " [metrics written: " << metrics_path << "]\n";
 }
 
-// Trial-count override: benches accept `--trials N` to trade depth for time.
-inline std::size_t trials_from_args(int argc, char** argv, std::size_t default_trials) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") {
-      return static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
+// `<flag> N` (`--trials`, `--rows`, ...) through util::parse_unsigned, or
+// `fallback` when absent; a missing or malformed N exits 2 naming the flag.
+inline std::size_t size_flag(int argc, char** argv, const std::string& flag,
+                             std::size_t fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != flag) continue;
+    if (const auto value = util::parse_unsigned(i + 1 < argc ? argv[i + 1] : "")) {
+      return *value;
     }
+    std::cerr << "error: " << flag << " expects an unsigned integer\n";
+    std::exit(2);
   }
-  return default_trials;
+  return fallback;
 }
 
 }  // namespace oxmlc::bench

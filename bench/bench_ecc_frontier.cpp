@@ -11,7 +11,6 @@
 // ladder code, uber_monotone) are SIMULATED quantities — pure functions of
 // (seed, config) — so the gate is immune to runner speed; study wall time is
 // reported but not gated.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   config.scrub_periods_s = {0.0, 1e6};
   config.verify = {false, true};
   config.rotations = {0, 2000};
-  config.trials = bench::trials_from_args(argc, argv, 8);
+  config.trials = bench::size_flag(argc, argv, "--trials", 8);
   config.probe_requests = 2048;
 
   bench::print_header(

@@ -15,7 +15,6 @@
 // run, per-column final gaps must agree to 1e-6 relative.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -27,16 +26,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-std::size_t arg_or(int argc, char** argv, const std::string& flag,
-                   std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      return static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
 
 oxmlc::array::BankWritePathConfig bank_config(std::size_t size, double t_stop) {
   oxmlc::array::BankWritePathConfig cfg;
@@ -62,15 +51,15 @@ struct SweepRow {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t max_size = arg_or(argc, argv, "--max-size", 64);
-  const std::size_t mono_max = arg_or(argc, argv, "--mono-max", 64);
+  const std::size_t max_size = bench::size_flag(argc, argv, "--max-size", 64);
+  const std::size_t mono_max = bench::size_flag(argc, argv, "--mono-max", 64);
   // Best-of-N wall clock per configuration: single draws of the sub-second
   // hierarchical transients are timing-noise dominated, and the gated
   // speedup ratios need stable numerators AND denominators.
   const std::size_t repeats =
-      std::max<std::size_t>(1, arg_or(argc, argv, "--repeats", 3));
+      std::max<std::size_t>(1, bench::size_flag(argc, argv, "--repeats", 3));
   const double t_stop =
-      static_cast<double>(arg_or(argc, argv, "--t-stop-ns", 2000)) * 1e-9;
+      static_cast<double>(bench::size_flag(argc, argv, "--t-stop-ns", 2000)) * 1e-9;
 
   bench::print_header(
       "Hierarchical MNA", "bordered-block Schur transients vs monolithic",

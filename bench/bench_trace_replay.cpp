@@ -13,7 +13,6 @@
 // row_hit_rate, retired_fraction) are SIMULATED quantities — pure functions
 // of (trace, geometry) — so the gate is immune to runner speed; wall-clock
 // replay rate is reported but not gated.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -24,25 +23,11 @@
 #include "memsys/trace.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-std::size_t arg_or(int argc, char** argv, const std::string& flag,
-                   std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      return static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t requests = arg_or(argc, argv, "--requests", 1'000'000);
-  const std::size_t threads = arg_or(argc, argv, "--threads", 0);
+  const std::size_t requests = bench::size_flag(argc, argv, "--requests", 1'000'000);
+  const std::size_t threads = bench::size_flag(argc, argv, "--threads", 0);
 
   memsys::ReplayOptions options;
   options.threads = threads;

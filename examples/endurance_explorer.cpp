@@ -11,12 +11,12 @@
 // value so the effect is visible within an example-sized run.
 //
 //   ./endurance_explorer [cycles] [dwell-seconds]
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "mlc/controller.hpp"
 #include "reliability/engine.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -24,12 +24,16 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  std::size_t cycles = 120;
-  double dwell = 1e5;  // s between write and re-read: ~1 day of retention
-  if (argc > 1) cycles = static_cast<std::size_t>(std::strtoul(argv[1], nullptr, 10));
-  if (argc > 2) dwell = std::strtod(argv[2], nullptr);
-  std::cout << "cycling one 8-cell QLC word through " << cycles
-            << " random writes, dwell " << format_si(dwell, "s", 3)
+  const std::optional<std::uint64_t> cycles =
+      argc > 1 ? util::parse_unsigned(argv[1]) : 120;
+  // s between write and re-read: ~1 day of retention by default
+  const std::optional<double> dwell = argc > 2 ? util::parse_real(argv[2]) : 1e5;
+  if (!cycles || !dwell) {
+    std::cerr << "usage: endurance_explorer [cycles] [dwell-seconds]\n";
+    return 2;
+  }
+  std::cout << "cycling one 8-cell QLC word through " << *cycles
+            << " random writes, dwell " << format_si(*dwell, "s", 3)
             << " per cycle, verify + scrub on\n\n";
 
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
@@ -62,11 +66,11 @@ int main(int argc, char** argv) {
   std::size_t epoch_scrubbed = 0;
 
   const std::size_t epochs = 6;
-  const std::size_t epoch_len = (cycles + epochs - 1) / epochs;
+  const std::size_t epoch_len = (*cycles + epochs - 1) / epochs;
   Table report({"cycles", "raw errors", "scrubbed cells", "errors after scrub",
                 "window loss (%)"});
 
-  for (std::size_t cycle = 1; cycle <= cycles; ++cycle) {
+  for (std::size_t cycle = 1; cycle <= *cycles; ++cycle) {
     std::vector<std::size_t> levels(word.cols());
     for (std::size_t& level : levels) level = rng.uniform_index(16);
     const mlc::WordWriteStats stats = controller.write_word_levels(0, levels);
@@ -74,7 +78,7 @@ int main(int argc, char** argv) {
     latency.add(stats.latency);
     verify_reprogrammed += stats.reprogrammed;
 
-    engine.advance(dwell);
+    engine.advance(*dwell);
     const std::vector<std::size_t> read = controller.read_word_levels(0);
     for (std::size_t col = 0; col < word.cols(); ++col) {
       epoch_errors_raw += read[col] != levels[col];
@@ -87,7 +91,7 @@ int main(int argc, char** argv) {
       epoch_errors_fixed += after[col] != levels[col];
     }
 
-    if (cycle % epoch_len == 0 || cycle == cycles) {
+    if (cycle % epoch_len == 0 || cycle == *cycles) {
       const double window =
           word.at(0, 0).params().g_max - word.at(0, 0).params().g_min;
       report.add_row({std::to_string(cycle), std::to_string(epoch_errors_raw),
@@ -99,7 +103,7 @@ int main(int argc, char** argv) {
   report.print(std::cout);
 
   Table summary({"metric", "value"});
-  summary.add_row({"write cycles", std::to_string(cycles)});
+  summary.add_row({"write cycles", std::to_string(*cycles)});
   summary.add_row({"verify re-programs", std::to_string(verify_reprogrammed)});
   summary.add_row({"mean energy / write", format_si(energy.mean(), "J", 3)});
   summary.add_row({"mean write latency (incl. verify)", format_si(latency.mean(), "s", 3)});
@@ -108,7 +112,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   summary.print(std::cout);
 
-  std::cout << "\nNote: raw errors are what a dwell of " << format_si(dwell, "s", 3)
+  std::cout << "\nNote: raw errors are what a dwell of " << format_si(*dwell, "s", 3)
             << " costs an unscrubbed page; the scrub column is the refresh work\n"
                "that keeps the page readable. Window loss comes from the endurance\n"
                "model (onset pulled down to "

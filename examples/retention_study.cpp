@@ -9,24 +9,27 @@
 // fraction of the drift-lost window (the subsystem's acceptance metric).
 //
 //   ./retention_study [trials-per-level] [bits]
-#include <cstdlib>
 #include <iostream>
 
 #include "mlc/retention.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  std::size_t trials = 24;
-  std::size_t bits = 4;
-  if (argc > 1) trials = static_cast<std::size_t>(std::strtoul(argv[1], nullptr, 10));
-  if (argc > 2) bits = static_cast<std::size_t>(std::strtoul(argv[2], nullptr, 10));
+  const std::optional<std::uint64_t> trials =
+      argc > 1 ? util::parse_unsigned(argv[1]) : 24;
+  const std::optional<std::uint64_t> bits = argc > 2 ? util::parse_unsigned(argv[2]) : 4;
+  if (!trials || !bits) {
+    std::cerr << "usage: retention_study [trials-per-level] [bits]\n";
+    return 2;
+  }
 
-  std::cout << "retention sweep: " << bits << " bits/cell, " << trials
+  std::cout << "retention sweep: " << *bits << " bits/cell, " << *trials
             << " trials/level, decade ladder 1 ms .. 10^7 s\n\n";
 
-  mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(bits, trials);
+  mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(*bits, *trials);
   config.verify_max_passes = 3;
   const mlc::RetentionComparison comparison = mlc::run_retention_comparison(config);
   const mlc::RetentionReport& off = comparison.verify_off;

@@ -56,9 +56,15 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
   auto& c = circuit_;
   std::vector<int> border;
 
-  const int vdd = c.node("vdd");
-  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, config.termination.vdd);
-  border.push_back(vdd);
+  // Comparator supply, only if some column has a comparator (else OXA004).
+  int vdd = spice::kGround;
+  const std::size_t compared = std::min(config.columns, config.irefs.size());
+  if (std::any_of(config.irefs.begin(), config.irefs.begin() + compared,
+                  [](double iref) { return iref > 0.0; })) {
+    vdd = c.node("vdd");
+    c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, config.termination.vdd);
+    border.push_back(vdd);
+  }
 
   // --- shared SL driver: one stoppable RST pulse feeds the whole word ---
   spice::PulseSpec spec;

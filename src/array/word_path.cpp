@@ -5,6 +5,7 @@
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::array {
 
@@ -146,7 +147,7 @@ WordPathResult WordPath::run() {
     result.bits[b].final_resistance = cells_[b]->resistance(0.3);
   }
   for (const auto& fired : result.transient.fired_events) {
-    const std::size_t b = static_cast<std::size_t>(std::stoul(fired.name.substr(4)));
+    const std::size_t b = util::parse_unsigned(fired.name.substr(4)).value();
     result.bits[b].terminated = true;
     result.bits[b].t_terminate = fired.time;
     result.word_latency = std::max(result.word_latency, fired.time);

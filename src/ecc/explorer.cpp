@@ -375,12 +375,7 @@ obs::Json to_json(const EccReport& report) {
 
   // Same provenance block as every BENCH_*.json (bench_common.hpp): the CI
   // perf gate refuses to compare artifacts from mismatched builds.
-  obs::Json provenance = obs::Json::object();
-  provenance.set("git_sha", obs::Json(util::build_git_sha()));
-  provenance.set("compiler", obs::Json(util::build_compiler()));
-  provenance.set("flags", obs::Json(util::build_flags()));
-  provenance.set("build_type", obs::Json(util::build_type()));
-  root.set("provenance", std::move(provenance));
+  root.set("provenance", obs::Json::parse(util::provenance_json()));
 
   obs::Json grid = obs::Json::object();
   obs::Json bits = obs::Json::array();

@@ -1,11 +1,11 @@
 #include "memsys/geometry.hpp"
 
-#include <cctype>
-#include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::memsys {
 
@@ -25,8 +25,7 @@ SchedulerPolicy parse_scheduler_policy(const std::string& name) {
   if (name == "FCFS") return SchedulerPolicy::kFcfs;
   if (name == "FR_FCFS") return SchedulerPolicy::kFrFcfs;
   if (name == "WRITE_DRAIN") return SchedulerPolicy::kWriteDrain;
-  throw InvalidArgumentError("memsys geometry: SCHED_POLICY must be FCFS, FR_FCFS or "
-                             "WRITE_DRAIN, got '" +
+  throw InvalidArgumentError("SCHED_POLICY expects FCFS, FR_FCFS or WRITE_DRAIN, got '" +
                              name + "'");
 }
 
@@ -97,37 +96,15 @@ std::uint64_t encode_address(const GeometryConfig& geometry, const DecodedAddres
 
 namespace {
 
-std::uint64_t parse_u64_field(const std::string& key, const std::string& value,
-                              std::size_t line_no) {
-  std::size_t consumed = 0;
-  std::uint64_t parsed = 0;
-  // std::stoull accepts a leading '-' and wraps the value; a count never has one.
-  if (value.find('-') == std::string::npos) {
-    try {
-      parsed = std::stoull(value, &consumed, 0);
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-  }
-  OXMLC_CHECK(consumed == value.size(), "memsys config line " + std::to_string(line_no) + ": " +
-                                            key + " expects an unsigned integer, got '" +
-                                            value + "'");
-  return parsed;
+[[noreturn]] void fail(std::size_t line_no, const std::string& message) {
+  throw util::ParseError("memsys config", line_no, message);
 }
 
-double parse_double_field(const std::string& key, const std::string& value,
-                          std::size_t line_no) {
-  std::size_t consumed = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  OXMLC_CHECK(consumed == value.size() && std::isfinite(parsed),
-              "memsys config line " + std::to_string(line_no) + ": " + key +
-                  " expects a number, got '" + value + "'");
-  return parsed;
+std::uint64_t parse_u64_field(const std::string& key, const std::string& value,
+                              std::size_t line_no) {
+  const std::optional<std::uint64_t> parsed = util::parse_unsigned(value);
+  if (!parsed) fail(line_no, key + " expects an unsigned integer, got '" + value + "'");
+  return *parsed;
 }
 
 }  // namespace
@@ -145,12 +122,9 @@ GeometryConfig parse_memsys_config(const std::string& text) {
     std::string key;
     if (!(fields >> key)) continue;  // blank / comment-only line
     std::string value;
-    OXMLC_CHECK(static_cast<bool>(fields >> value),
-                "memsys config line " + std::to_string(line_no) + ": key '" + key +
-                    "' is missing a value");
+    if (!(fields >> value)) fail(line_no, "key '" + key + "' is missing a value");
     std::string extra;
-    OXMLC_CHECK(!(fields >> extra), "memsys config line " + std::to_string(line_no) +
-                                        ": unexpected trailing token '" + extra + "'");
+    if (fields >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
     if (key == "CHANNELS") {
       config.channels = parse_u64_field(key, value, line_no);
     } else if (key == "BANKS") {
@@ -164,7 +138,9 @@ GeometryConfig parse_memsys_config(const std::string& text) {
     } else if (key == "BITS_PER_CELL") {
       config.bits_per_cell = parse_u64_field(key, value, line_no);
     } else if (key == "CLK_MHZ") {
-      config.timing.clk_mhz = parse_double_field(key, value, line_no);
+      const std::optional<double> mhz = util::parse_real(value);
+      if (!mhz) fail(line_no, key + " expects a finite number, got '" + value + "'");
+      config.timing.clk_mhz = *mhz;
     } else if (key == "tRCD") {
       config.timing.t_rcd = parse_u64_field(key, value, line_no);
     } else if (key == "tCAS") {
@@ -182,7 +158,11 @@ GeometryConfig parse_memsys_config(const std::string& text) {
     } else if (key == "QUEUE_DEPTH") {
       config.queue_depth = parse_u64_field(key, value, line_no);
     } else if (key == "SCHED_POLICY") {
-      config.scheduler_policy = parse_scheduler_policy(value);
+      try {
+        config.scheduler_policy = parse_scheduler_policy(value);
+      } catch (const InvalidArgumentError& e) {
+        fail(line_no, e.what());
+      }
     } else if (key == "WRITE_DRAIN_THRESHOLD") {
       config.write_drain_threshold = parse_u64_field(key, value, line_no);
     } else if (key == "SCRUB_INTERVAL") {
@@ -190,8 +170,7 @@ GeometryConfig parse_memsys_config(const std::string& text) {
     } else if (key == "ROTATE_EVERY_WRITES") {
       config.rotate_every_writes = parse_u64_field(key, value, line_no);
     } else {
-      throw InvalidArgumentError("memsys config line " + std::to_string(line_no) +
-                                 ": unknown key '" + key + "'");
+      fail(line_no, "unknown key '" + key + "'");
     }
   }
   config.validate();

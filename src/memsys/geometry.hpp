@@ -113,13 +113,14 @@ DecodedAddress decode_address(const GeometryConfig& geometry, std::uint64_t addr
 std::uint64_t encode_address(const GeometryConfig& geometry, const DecodedAddress& decoded);
 
 // `.memcfg` parsing: `KEY value` per line (NVMain idiom), `;` or `#`
-// comments, unknown keys rejected with the line number. Keys are the field
-// names above (CHANNELS, BANKS, ROWS, WORDS_PER_ROW, CELLS_PER_WORD,
+// comments, a bad key or value throws util::ParseError at its line. Keys are
+// the field names above (CHANNELS, BANKS, ROWS, WORDS_PER_ROW, CELLS_PER_WORD,
 // BITS_PER_CELL, CLK_MHZ, tRCD, tCAS, tBURST, tRP, tWP_MIN, tWP_MAX, tSCRUB,
 // QUEUE_DEPTH, SCHED_POLICY, WRITE_DRAIN_THRESHOLD, SCRUB_INTERVAL,
 // ROTATE_EVERY_WRITES); unspecified keys keep the rram_isscc_2012 defaults.
-// SCHED_POLICY takes FCFS | FR_FCFS | WRITE_DRAIN. The parsed config is
-// validate()d.
+// Integer keys take util::parse_unsigned (no sign, fraction or exponent),
+// CLK_MHZ a finite util::parse_real ("400", not "400M"), SCHED_POLICY FCFS |
+// FR_FCFS | WRITE_DRAIN. The parsed config is validate()d.
 GeometryConfig parse_memsys_config(const std::string& text);
 GeometryConfig load_memsys_config(const std::string& path);
 

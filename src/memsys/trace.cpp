@@ -3,28 +3,26 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::memsys {
 
 namespace {
 
-std::uint64_t parse_u64_token(const std::string& token, const char* what,
+[[noreturn]] void fail(std::size_t line_no, const std::string& message) {
+  throw util::ParseError("trace", line_no, message);
+}
+
+std::uint64_t parse_u64_token(const std::string& token, const std::string& what,
                               std::size_t line_no) {
-  std::size_t consumed = 0;
-  std::uint64_t parsed = 0;
-  try {
-    parsed = std::stoull(token, &consumed, 0);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  OXMLC_CHECK(consumed == token.size(), "trace line " + std::to_string(line_no) + ": " + what +
-                                            " expects an unsigned integer, got '" + token +
-                                            "'");
-  return parsed;
+  const std::optional<std::uint64_t> parsed = util::parse_unsigned(token);
+  if (!parsed) fail(line_no, what + " expects an unsigned integer, got '" + token + "'");
+  return *parsed;
 }
 
 bool parse_opcode(std::string token, std::size_t line_no) {
@@ -32,8 +30,7 @@ bool parse_opcode(std::string token, std::size_t line_no) {
                  [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
   if (token == "R" || token == "READ") return false;
   if (token == "W" || token == "WRITE") return true;
-  throw InvalidArgumentError("trace line " + std::to_string(line_no) +
-                             ": opcode must be R/W/READ/WRITE, got '" + token + "'");
+  fail(line_no, "opcode must be R/W/READ/WRITE, got '" + token + "'");
 }
 
 }  // namespace
@@ -52,9 +49,9 @@ std::vector<TraceRequest> parse_trace(std::istream& stream) {
     if (!(fields >> cycle_token)) continue;  // blank / comment-only line
     std::string op_token;
     std::string address_token;
-    OXMLC_CHECK(static_cast<bool>(fields >> op_token >> address_token),
-                "trace line " + std::to_string(line_no) +
-                    ": expected '<cycle> <R|W> <address> [<data>] [<thread>]'");
+    if (!(fields >> op_token >> address_token)) {
+      fail(line_no, "expected '<cycle> <R|W> <address> [<data>] [<thread>]'");
+    }
     TraceRequest request;
     request.cycle = parse_u64_token(cycle_token, "cycle", line_no);
     request.is_write = parse_opcode(op_token, line_no);
@@ -66,14 +63,13 @@ std::vector<TraceRequest> parse_trace(std::istream& stream) {
       if (fields >> thread_token) {
         parse_u64_token(thread_token, "thread id", line_no);  // accepted, ignored
         std::string extra;
-        OXMLC_CHECK(!(fields >> extra), "trace line " + std::to_string(line_no) +
-                                            ": unexpected trailing token '" + extra + "'");
+        if (fields >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
       }
     }
-    OXMLC_CHECK(request.cycle >= last_cycle,
-                "trace line " + std::to_string(line_no) + ": cycle " +
-                    std::to_string(request.cycle) + " decreases below " +
-                    std::to_string(last_cycle) + " (trace must be time-sorted)");
+    if (request.cycle < last_cycle) {
+      fail(line_no, "cycle " + std::to_string(request.cycle) + " decreases below " +
+                        std::to_string(last_cycle) + " (trace must be time-sorted)");
+    }
     last_cycle = request.cycle;
     trace.push_back(request);
   }

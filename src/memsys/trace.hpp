@@ -6,12 +6,14 @@
 //
 //   * cycle   — arrival time in memory cycles, non-decreasing;
 //   * R|W     — read or write (also accepts READ/WRITE, case-insensitive);
-//   * address — byte address, decimal or 0x-hex;
-//   * data    — optional payload (decimal or hex); writes use it to derive
-//               per-cell MLC levels, reads ignore it;
+//   * address — byte address;
+//   * data    — optional payload; writes use it to derive per-cell MLC
+//               levels, reads ignore it;
 //   * thread  — optional originator id, accepted and ignored (gem5 emits it).
 //
-// `#` and `;` start comments. Parse errors carry the 1-based line number.
+// Numeric fields are util::parse_unsigned: decimal, 0x hex or leading-0 octal,
+// no sign ("-5" is an error, not 2^64 - 5). `#` and `;` start comments. Parse
+// errors are util::ParseError with the 1-based line number.
 //
 // `synthesize_trace` builds the deterministic workload used by the acceptance
 // run and the bench: a mix of sequential bursts (striding across channels)
@@ -38,8 +40,8 @@ struct TraceRequest {
   bool operator==(const TraceRequest&) const = default;
 };
 
-// Parse a whole trace; throws InvalidArgumentError with the line number on
-// malformed input (bad opcode, non-numeric field, decreasing cycles).
+// Parse a whole trace; throws util::ParseError at the line of malformed input
+// (bad opcode, bad numeric field, decreasing cycles).
 std::vector<TraceRequest> parse_trace(std::istream& stream);
 std::vector<TraceRequest> parse_trace_text(const std::string& text);
 std::vector<TraceRequest> load_trace(const std::string& path);

@@ -1,9 +1,8 @@
 #include "mlc/analyze/config_lint.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -11,6 +10,7 @@
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::mlc::analyze {
 namespace {
@@ -32,31 +32,15 @@ constexpr double kRelTol = 1e-6;
 // Count fields other than bits= stay exact in a double up to 2^53.
 constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 53;
 
-double parse_si(const std::string& token, std::size_t line_no) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double base = std::strtod(begin, &end);
-  if (end == begin) {
-    throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
-                               ": bad numeric literal '" + token + "'");
-  }
-  std::string suffix(end);
-  for (char& c : suffix) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (suffix.empty()) return base;
-  if (suffix == "meg") return base * 1e6;
-  switch (suffix[0]) {
-    case 't': return base * 1e12;
-    case 'g': return base * 1e9;
-    case 'k': return base * 1e3;
-    case 'm': return base * 1e-3;
-    case 'u': return base * 1e-6;
-    case 'n': return base * 1e-9;
-    case 'p': return base * 1e-12;
-    case 'f': return base * 1e-15;
-    default:
-      throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
-                                 ": unknown unit suffix '" + suffix + "' in '" + token + "'");
-  }
+[[noreturn]] void fail(std::size_t line_no, const std::string& message) {
+  throw util::ParseError("mlc config", line_no, message);
+}
+
+// Real fields: a finite number with an optional SI suffix and unit word.
+double number(const std::string& key, const std::string& token, std::size_t line_no) {
+  const std::optional<double> value = util::parse_si(token);
+  if (!value) fail(line_no, key + " expects a finite number, got '" + token + "'");
+  return *value;
 }
 
 // Count fields (bits=, .level value=, .verify max_passes=): a finite integer
@@ -64,30 +48,27 @@ double parse_si(const std::string& token, std::size_t line_no) {
 // std::size_t would be undefined.
 std::size_t parse_count(const std::string& key, const std::string& token,
                         std::size_t line_no, std::uint64_t lo, std::uint64_t hi) {
-  const double value = parse_si(token, line_no);
-  if (!(value >= static_cast<double>(lo) && value <= static_cast<double>(hi)) ||
-      value != std::floor(value)) {
-    throw InvalidArgumentError("mlc config line " + std::to_string(line_no) + ": " + key +
-                               " expects an integer in [" + std::to_string(lo) + ", " +
-                               std::to_string(hi) + "], got '" + token + "'");
+  const std::optional<double> value = util::parse_si(token);
+  if (!value || *value < static_cast<double>(lo) || *value > static_cast<double>(hi) ||
+      *value != std::floor(*value)) {
+    fail(line_no, key + " expects an integer in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "], got '" + token + "'");
   }
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(*value);
 }
 
 // Splits "key=value" and fails with the line number on anything else.
 std::pair<std::string, std::string> split_kv(const std::string& token, std::size_t line_no) {
   const auto eq = token.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-    throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
-                               ": expected key=value, got '" + token + "'");
+    fail(line_no, "expected key=value, got '" + token + "'");
   }
   return {token.substr(0, eq), token.substr(eq + 1)};
 }
 
 [[noreturn]] void unknown_key(const std::string& directive, const std::string& key,
                               std::size_t line_no) {
-  throw InvalidArgumentError("mlc config line " + std::to_string(line_no) + ": unknown " +
-                             directive + " key '" + key + "'");
+  fail(line_no, "unknown " + directive + " key '" + key + "'");
 }
 
 Diagnostic make_diagnostic(Severity severity, const char* code, std::string device,
@@ -180,10 +161,10 @@ MlcLintInput parse_mlc_config(const std::string& text) {
     if (directive == ".window") {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
-        if (key == "imin") input.i_min = parse_si(value, line_no);
-        else if (key == "imax") input.i_max = parse_si(value, line_no);
-        else if (key == "icomp") input.i_compliance = parse_si(value, line_no);
-        else if (key == "rfloor") input.r_floor = parse_si(value, line_no);
+        if (key == "imin") input.i_min = number(key, value, line_no);
+        else if (key == "imax") input.i_max = number(key, value, line_no);
+        else if (key == "icomp") input.i_compliance = number(key, value, line_no);
+        else if (key == "rfloor") input.r_floor = number(key, value, line_no);
         else unknown_key(".window", key, line_no);
       }
       continue;
@@ -191,9 +172,9 @@ MlcLintInput parse_mlc_config(const std::string& text) {
     if (directive == ".spread") {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
-        if (key == "sigma_r") input.sigma_r = parse_si(value, line_no);
-        else if (key == "nsigma") input.n_sigma = parse_si(value, line_no);
-        else if (key == "coverage_z") input.relax_coverage_z = parse_si(value, line_no);
+        if (key == "sigma_r") input.sigma_r = number(key, value, line_no);
+        else if (key == "nsigma") input.n_sigma = number(key, value, line_no);
+        else if (key == "coverage_z") input.relax_coverage_z = number(key, value, line_no);
         else unknown_key(".spread", key, line_no);
       }
       continue;
@@ -207,24 +188,21 @@ MlcLintInput parse_mlc_config(const std::string& text) {
           level.value = parse_count(key, value, line_no, 0, kMaxCount);
           value_seen = true;
         } else if (key == "iref") {
-          level.iref = parse_si(value, line_no);
+          level.iref = number(key, value, line_no);
         } else if (key == "r") {
-          level.r_nominal = parse_si(value, line_no);
+          level.r_nominal = number(key, value, line_no);
         } else {
           unknown_key(".level", key, line_no);
         }
       }
-      if (!value_seen) {
-        throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
-                                   ": .level needs value=");
-      }
+      if (!value_seen) fail(line_no, ".level needs value=");
       input.levels.push_back(level);
       continue;
     }
     if (directive == ".drift") {
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
-        const double v = parse_si(value, line_no);
+        const double v = number(key, value, line_no);
         if (key == "enabled") input.drift.enabled = v != 0.0;
         else if (key == "tau_fast") input.drift.tau_fast = v;
         else if (key == "nu_fast") input.drift.nu_fast = v;
@@ -245,8 +223,8 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       input.verify_enabled = true;
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
-        if (key == "enabled") input.verify_enabled = parse_si(value, line_no) != 0.0;
-        else if (key == "tau_relax") input.tau_relax = parse_si(value, line_no);
+        if (key == "enabled") input.verify_enabled = number(key, value, line_no) != 0.0;
+        else if (key == "tau_relax") input.tau_relax = number(key, value, line_no);
         else if (key == "max_passes") {
           input.verify_max_passes = parse_count(key, value, line_no, 0, kMaxCount);
         } else {
@@ -255,8 +233,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       }
       continue;
     }
-    throw InvalidArgumentError("mlc config line " + std::to_string(line_no) +
-                               ": unknown directive '" + directive + "'");
+    fail(line_no, "unknown directive '" + directive + "'");
   }
 
   if (input.levels.empty()) {

@@ -111,9 +111,11 @@ struct MlcLintInput {
 //   .verify tau_relax=1m max_passes=2
 //   .nolint OXC005
 //
-// Values take spice SI suffixes (f p n u m k meg g t). Unknown directives or
-// keys throw util InvalidArgumentError with the line number; the CLI surfaces
-// that as a single OXC000 diagnostic so the report shape stays uniform.
+// Values are strict util::parse_si literals: finite, with an optional SI
+// suffix and unit word ("36uA", "0.1meg"; not "nan" or "1mxyz"); bits=, value=
+// and max_passes= must be integers in range. A bad value, key or directive
+// throws util::ParseError at its line; the CLI surfaces that as a single
+// OXC000 diagnostic so the report shape stays uniform.
 MlcLintInput parse_mlc_config(const std::string& text);
 
 // Runs every OXC check over the input. Does not throw on findings; `.nolint`

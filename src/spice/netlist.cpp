@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "devices/diode.hpp"
@@ -13,6 +14,7 @@
 #include "oxram/device.hpp"
 #include "spice/waveform.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::spice {
 namespace {
@@ -25,53 +27,6 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
-}
-
-// ---------------------------------------------------------------------------
-// value parsing: numbers with SI suffixes
-// ---------------------------------------------------------------------------
-
-// Parses a number with an optional SI scale suffix. `unit_tail` (optional)
-// receives whatever letters remain after the scale suffix — "ohm" in "10kohm",
-// "" in "1n", "x" in "3x" — so the caller can lint unrecognized tails.
-bool parse_plain_number(const std::string& token, double& out,
-                        std::string* unit_tail = nullptr) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  const double base = std::strtod(token.c_str(), &end);
-  if (end == token.c_str()) return false;
-  std::string suffix = lower(std::string(end));
-  // Strip trailing unit letters after the scale suffix ("10kohm", "5uF").
-  static const struct {
-    const char* name;
-    double scale;
-  } kSuffixes[] = {
-      {"meg", 1e6}, {"t", 1e12}, {"g", 1e9}, {"k", 1e3}, {"m", 1e-3},
-      {"u", 1e-6},  {"n", 1e-9}, {"p", 1e-12}, {"f", 1e-15},
-  };
-  double scale = 1.0;
-  std::string tail = suffix;
-  for (const auto& s : kSuffixes) {
-    if (suffix.starts_with(s.name)) {
-      scale = s.scale;
-      tail = suffix.substr(std::string(s.name).size());
-      break;
-    }
-  }
-  if (unit_tail != nullptr) *unit_tail = tail;
-  out = base * scale;
-  return true;
-}
-
-// Unit words that legitimately trail a scale suffix ("10kohm", "5uF", "3ns").
-// Anything else is flagged as OXA007 — it parses (the tail is ignored, SPICE
-// convention) but usually indicates a typo like "10kk" or "1qF".
-bool known_unit_tail(const std::string& tail) {
-  static const char* kUnits[] = {"",  "ohm", "ohms", "f",   "farad", "h",  "henry",
-                                 "v", "a",   "s",    "sec", "hz",    "amp"};
-  return std::find_if(std::begin(kUnits), std::end(kUnits), [&](const char* u) {
-           return tail == u;
-         }) != std::end(kUnits);
 }
 
 // Recursive-descent expression evaluator for {..} values.
@@ -153,9 +108,10 @@ class ExpressionParser {
     OXMLC_CHECK(pos_ > start, "expected number or name in expression: " + text_);
     const std::string token = text_.substr(start, pos_ - start);
     if (std::isdigit(static_cast<unsigned char>(token[0])) || token[0] == '.') {
-      double v = 0.0;
-      OXMLC_CHECK(parse_plain_number(token, v), "bad number in expression: " + token);
-      return v;
+      std::string unit_tail;
+      const std::optional<double> v = util::parse_si(token, &unit_tail);
+      OXMLC_CHECK(v.has_value(), "bad number in expression: " + token);
+      return *v;
     }
     const auto it = params_.find(lower(token));
     OXMLC_CHECK(it != params_.end(), "unknown parameter in expression: " + token);
@@ -234,10 +190,12 @@ double parse_value(const std::string& token, const std::map<std::string, double>
   if (token.front() == '{') {
     OXMLC_CHECK(token.back() == '}', "unterminated expression: " + token);
     ExpressionParser parser(token.substr(1, token.size() - 2), params);
-    return parser.parse();
+    const double v = parser.parse();
+    OXMLC_CHECK(std::isfinite(v), "expression is not finite: " + token);
+    return v;
   }
-  double v = 0.0;
-  if (parse_plain_number(token, v)) return v;
+  std::string unit_tail;
+  if (const std::optional<double> v = util::parse_si(token, &unit_tail)) return *v;
   // Bare parameter reference.
   const auto it = params.find(lower(token));
   OXMLC_CHECK(it != params.end(), "cannot parse value: " + token);
@@ -293,10 +251,8 @@ ParsedNetlist parse_netlist(const std::string& text) {
   // convention) but "10kk" or "1qF" is almost always a typo.
   auto lint_token = [&](const std::string& token) {
     if (token.empty() || token.front() == '{') return;
-    double parsed = 0.0;
     std::string tail;
-    if (!parse_plain_number(token, parsed, &tail)) return;
-    if (known_unit_tail(tail)) return;
+    if (!util::parse_si(token, &tail) || util::known_unit_tail(tail)) return;
     analyze::Diagnostic d;
     d.severity = analyze::Severity::kWarning;
     d.code = analyze::codes::kSuspiciousSuffix;

@@ -27,8 +27,10 @@
 // Directives: .param NAME=VALUE..., .nolint CODE..., .end, * / ; comments,
 // + continuations.
 //
-// Values accept SI suffixes (f p n u m k meg g t) and {expressions} over
-// numbers and .param names with + - * / and parentheses.
+// Values are util::parse_si literals with SI suffixes (f p n u m k meg g t);
+// letters after the suffix are ignored (SPICE convention; lint OXA007 unless a
+// unit word), or {expressions} over numbers and .param names with + - * / and
+// parentheses. A value must be finite: "nan", "1e400" or {1e308*10} is OXP004.
 #pragma once
 
 #include <cstddef>
@@ -38,26 +40,21 @@
 
 #include "spice/analyze/diagnostic.hpp"
 #include "spice/circuit.hpp"
-#include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::spice {
 
-// Structured parse failure: carries the 1-based netlist line and a stable
-// OXP0xx code alongside the human message (which stays line-prefixed, so
-// existing catch-and-print callers lose nothing).
-class NetlistError : public InvalidArgumentError {
+// Structured parse failure: the ParseError line ("netlist line N: [OXPnnn]
+// message") plus a stable OXP0xx code.
+class NetlistError : public util::ParseError {
  public:
   NetlistError(std::size_t line, std::string code, const std::string& message)
-      : InvalidArgumentError("netlist line " + std::to_string(line) + " [" + code +
-                             "]: " + message),
-        line_(line),
+      : util::ParseError("netlist", line, "[" + code + "] " + message),
         code_(std::move(code)) {}
 
-  std::size_t line() const { return line_; }
   const std::string& code() const { return code_; }
 
  private:
-  std::size_t line_;
   std::string code_;
 };
 
@@ -86,8 +83,9 @@ struct ParsedNetlist {
 //   OXP006  unresolved reference (F/H controlling source)
 ParsedNetlist parse_netlist(const std::string& text);
 
-// Parses one numeric value with SI suffix ("10k", "1p", "2.5meg", "1e-9") or
-// a brace expression ("{2*vdd+1k}") against the given parameter table.
+// Parses one numeric value with SI suffix ("10k", "1p", "2.5meg", "1e-9"), a
+// brace expression ("{2*vdd+1k}") or a parameter name against the given
+// parameter table. Throws InvalidArgumentError unless the value is finite.
 double parse_value(const std::string& token,
                    const std::map<std::string, double>& parameters = {});
 

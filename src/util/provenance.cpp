@@ -31,31 +31,11 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-const std::string& build_git_sha() {
-  static const std::string sha = OXMLC_BUILD_GIT_SHA;
-  return sha;
-}
-
-const std::string& build_compiler() {
-  static const std::string compiler = OXMLC_BUILD_COMPILER;
-  return compiler;
-}
-
-const std::string& build_flags() {
-  static const std::string flags = OXMLC_BUILD_FLAGS;
-  return flags;
-}
-
-const std::string& build_type() {
-  static const std::string type = OXMLC_BUILD_TYPE;
-  return type;
-}
-
 std::string provenance_json() {
-  return "{\"git_sha\": \"" + json_escape(build_git_sha()) + "\", \"compiler\": \"" +
-         json_escape(build_compiler()) + "\", \"flags\": \"" +
-         json_escape(build_flags()) + "\", \"build_type\": \"" +
-         json_escape(build_type()) + "\"}";
+  return "{\"git_sha\": \"" + json_escape(OXMLC_BUILD_GIT_SHA) + "\", \"compiler\": \"" +
+         json_escape(OXMLC_BUILD_COMPILER) + "\", \"flags\": \"" +
+         json_escape(OXMLC_BUILD_FLAGS) + "\", \"build_type\": \"" +
+         json_escape(OXMLC_BUILD_TYPE) + "\"}";
 }
 
 }  // namespace oxmlc::util

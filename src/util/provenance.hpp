@@ -13,24 +13,14 @@
 
 namespace oxmlc::util {
 
-// Short git SHA of HEAD at configure time ("unknown" outside a checkout).
-// Configure-time, not commit-time: a dirty tree or commits made without
-// re-running CMake can lag; CI always configures fresh so its artifacts are
-// exact.
-const std::string& build_git_sha();
-
-// Compiler id and version, e.g. "GNU 12.2.0".
-const std::string& build_compiler();
-
-// The CXX flags the build actually used (base + build-type), plus the
-// OXMLC_NATIVE marker when the native/fast-math perf configuration is on.
-const std::string& build_flags();
-
-// CMAKE_BUILD_TYPE, e.g. "Release".
-const std::string& build_type();
-
-// The whole provenance block as a JSON object string (no trailing newline):
+// The build's provenance as a JSON object string (no trailing newline):
 //   {"git_sha": "...", "compiler": "...", "flags": "...", "build_type": "..."}
+// git_sha is HEAD's short SHA at configure time ("unknown" outside a
+// checkout): a dirty tree or commits made without re-running CMake can lag,
+// but CI always configures fresh. compiler is id and version ("GNU 12.2.0");
+// flags are the CXX flags the build used (base + build type), plus the
+// OXMLC_NATIVE marker when that perf configuration is on; build_type is
+// CMAKE_BUILD_TYPE.
 std::string provenance_json();
 
 }  // namespace oxmlc::util

@@ -17,6 +17,7 @@
 #include "spice/dc.hpp"
 #include "spice/netlist.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::spice::analyze {
 namespace {
@@ -393,11 +394,16 @@ TEST(MlcConfigLint, ParseErrorsCarryLineNumbers) {
     try {
       mlca::parse_mlc_config(text);
       ADD_FAILURE() << "expected parse throw: " << text;
-    } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(e.line(), 2u) << e.what();
     }
   };
   expect_line_2(".mlc bits=1\n.level value=0 iref=bogus\n");
+  // Real fields must be finite, and letters after the SI suffix a unit word.
+  for (const char* card : {".window imin=nan", ".window imax=inf", ".spread nsigma=-inf",
+                           ".level value=0 iref=36u r=1e400", ".verify tau_relax=1mxyz"}) {
+    expect_line_2(std::string(".mlc bits=1\n") + card + "\n.level value=1 iref=6u r=200k\n");
+  }
   // Count fields must be finite integers in range: bits= in [1, 8], level
   // values and verify passes in [0, 2^53].
   for (const char* bits : {"-1", "1e30", "nan", "4.7", "64", "0", "9"}) {

@@ -6,7 +6,8 @@
 //
 // The tests exec the real binary (path injected by CMake as OXMLC_SIM_PATH)
 // through /bin/sh, capturing exit status and combined output. When tools are
-// not built (OXMLC_BUILD_EXAMPLES=OFF) the whole suite skips.
+// not built (OXMLC_BUILD_EXAMPLES=OFF) the whole suite skips. The bench flag
+// cases also need OXMLC_BENCH_FIG11_PATH (OXMLC_BUILD_BENCH=ON).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,9 +27,8 @@ struct RunResult {
 
 #ifdef OXMLC_SIM_PATH
 
-RunResult run_sim(const std::string& arguments) {
-  const std::string command =
-      std::string("'") + OXMLC_SIM_PATH + "' " + arguments + " 2>&1";
+RunResult run(const std::string& binary, const std::string& arguments) {
+  const std::string command = "'" + binary + "' " + arguments + " 2>&1";
   RunResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -41,6 +41,8 @@ RunResult run_sim(const std::string& arguments) {
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
 }
+
+RunResult run_sim(const std::string& arguments) { return run(OXMLC_SIM_PATH, arguments); }
 
 std::string temp_path(const std::string& name) {
   const char* base = std::getenv("TMPDIR");
@@ -78,6 +80,7 @@ TEST(CliContract, MalformedNumericValueExits2) {
       {"--qlc --trials -1", "--trials expects"},
       {"--threads -1 --trace-synth 10", "--threads expects"},
       {"--tran inf x.cir", "--tran expects"},
+      {"--tran 5x x.cir", "--tran expects"},
   };
   for (const auto& c : cases) {
     const RunResult bad = run_sim(c.arguments);
@@ -85,6 +88,16 @@ TEST(CliContract, MalformedNumericValueExits2) {
     EXPECT_NE(bad.output.find(std::string("error: ") + c.error), std::string::npos)
         << c.arguments << "\n" << bad.output;
   }
+
+#ifdef OXMLC_BENCH_FIG11_PATH
+  // The benches read their flags through the same reader.
+  for (const char* trials : {"-1", "abc"}) {
+    const RunResult bad = run(OXMLC_BENCH_FIG11_PATH, std::string("--trials ") + trials);
+    EXPECT_EQ(bad.exit_code, 2) << trials << "\n" << bad.output;
+    EXPECT_NE(bad.output.find("error: --trials expects"), std::string::npos)
+        << trials << "\n" << bad.output;
+  }
+#endif
 }
 
 TEST(CliContract, UnreadableTraceFileExits2) {

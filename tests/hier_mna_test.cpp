@@ -15,6 +15,7 @@
 #include "numeric/schur_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
+#include "spice/analyze/analyzer.hpp"
 #include "spice/dc.hpp"
 #include "spice/mna.hpp"
 #include "util/error.hpp"
@@ -221,6 +222,17 @@ TEST(BankPartition, DerivedShapeMatchesColumns) {
   EXPECT_GE(border, 2 * 8 + 3u);  // taps + drivers + vdd + source branches
   EXPECT_LE(border, 2 * 8 + 12u);
   for (std::size_t s : sizes) EXPECT_GE(s, 8u);  // real column stacks
+}
+
+TEST(BankPartition, BankWithoutComparatorHasNoSupply) {
+  // No column has a reference current, so no column gets a comparator, and
+  // the comparator supply would be a source on a node nothing else touches.
+  oxmlc::array::BankWritePathConfig cfg = bank_config(1, 8);
+  cfg.irefs.clear();
+  oxmlc::array::BankWritePath bank(cfg);
+  const auto report = oxmlc::spice::analyze::analyze_circuit(bank.circuit());
+  EXPECT_FALSE(report.has_code(oxmlc::spice::analyze::codes::kDanglingTerminal))
+      << report.format();
 }
 
 TEST(BankEquivalence, DcHierMatchesMonolithicAt1e9) {

@@ -19,6 +19,7 @@
 #include "memsys/trace.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace oxmlc::memsys {
 namespace {
@@ -149,15 +150,18 @@ TEST(MemsysConfig, RejectsMalformedValueAndMissingValue) {
   EXPECT_THROW(parse_memsys_config("CHANNELS 0\n"), InvalidArgumentError);
   // A '-' would wrap an unsigned field, and a non-finite number is no value:
   // both are the line-numbered value errors, never a parsed config.
+  // So are a fraction or an exponent in an integer key, an overflowing clock
+  // and an unknown scheduler policy.
   for (const char* line : {"CHANNELS -1", "ROWS -8192", "QUEUE_DEPTH -1", "tSCRUB -5",
-                           "SCRUB_INTERVAL -1", "CLK_MHZ inf", "CLK_MHZ nan"}) {
+                           "SCRUB_INTERVAL -1", "CLK_MHZ inf", "CLK_MHZ nan",
+                           "CHANNELS 0.5", "ROWS 1e30", "CLK_MHZ 1e400",
+                           "SCHED_POLICY bogus"}) {
     try {
       parse_memsys_config(std::string("# header\n") + line + "\n");
       ADD_FAILURE() << "parsed: " << line;
-    } catch (const InvalidArgumentError& e) {
-      const std::string message = e.what();
-      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
-      EXPECT_NE(message.find("expects"), std::string::npos) << message;
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(e.line(), 2u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("expects"), std::string::npos) << e.what();
     }
   }
 }
@@ -185,18 +189,26 @@ TEST(Trace, ParsesTheDocumentedFormat) {
 }
 
 TEST(Trace, ParseErrorsCarryTheLineNumber) {
-  const auto expect_line = [](const std::string& text, const std::string& line) {
+  const auto expect_line_2 = [](const std::string& text) {
     try {
       parse_trace_text(text);
       FAIL() << "accepted: " << text;
-    } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find(line), std::string::npos) << e.what();
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(e.line(), 2u) << e.what();
     }
   };
-  expect_line("0 R 0x10\n1 X 0x20\n", "2");      // bad opcode
-  expect_line("0 R 0x10\n1 R\n", "2");           // missing address
-  expect_line("0 R 0x10\n1 R zebra\n", "2");     // non-numeric address
-  expect_line("7 R 0x10\n3 R 0x20\n", "2");      // decreasing cycles
+  expect_line_2("0 R 0x10\n1 X 0x20\n");      // bad opcode
+  expect_line_2("0 R 0x10\n1 R\n");           // missing address
+  expect_line_2("0 R 0x10\n1 R zebra\n");     // non-numeric address
+  expect_line_2("7 R 0x10\n3 R 0x20\n");      // decreasing cycles
+  // Numeric mutations of each field. A '-' must not wrap to 2^64 - N, and
+  // a real, a non-finite value or an exponent is no unsigned integer.
+  for (const std::string value : {"-1", "nan", "inf", "-inf", "1e400", "0.5", "1e30"}) {
+    expect_line_2("0 R 0x10\n" + value + " R 0x20\n");     // cycle
+    expect_line_2("0 R 0x10\n1 R " + value + "\n");         // address
+    expect_line_2("0 R 0x10\n1 W 0x20 " + value + "\n");    // data
+    expect_line_2("0 R 0x10\n1 W 0x20 7 " + value + "\n");  // thread id
+  }
 }
 
 TEST(Trace, WriteAndParseRoundTrip) {

@@ -275,6 +275,12 @@ TEST(NetlistDiagnostics, BadValueLiteral) {
   EXPECT_EQ(line, 2u);
   // {expression} failures surface the same way.
   EXPECT_EQ(parse_failure("R1 a 0 {1/0}\n").first, "OXP004");
+  // A value or an expression result must be finite.
+  for (const char* card : {"V1 a 0 nan", "R1 a 0 1e400", "C1 a 0 {1e308*10}"}) {
+    const auto [card_code, card_line] = parse_failure(std::string("* title\n") + card + "\n");
+    EXPECT_EQ(card_code, "OXP004") << card;
+    EXPECT_EQ(card_line, 2u) << card;
+  }
 }
 
 TEST(NetlistDiagnostics, RejectedDeviceParameterIsRebadged) {

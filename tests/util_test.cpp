@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "util/ascii_plot.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/schema.hpp"
 #include "util/stats.hpp"
@@ -54,6 +56,54 @@ TEST(Error, CheckMacroThrowsWithContext) {
 TEST(Error, HierarchyIsCatchableAsBase) {
   EXPECT_THROW(throw ConvergenceError("x"), Error);
   EXPECT_THROW(throw InternalError("x"), Error);
+}
+
+// ---------------------------------------------------------------------------
+// literal reader
+// ---------------------------------------------------------------------------
+
+TEST(Parse, UnsignedReadsCIntegerSyntaxWithoutSign) {
+  EXPECT_EQ(util::parse_unsigned("0x10"), 16u);
+  EXPECT_EQ(util::parse_unsigned("010"), 8u);  // leading 0: octal, as stoull(.., 0)
+  EXPECT_EQ(util::parse_unsigned("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"-1", "+1", "", "18446744073709551616", "1e3", " 1", "0x", "5x"}) {
+    EXPECT_FALSE(util::parse_unsigned(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Parse, RealIsFiniteAndTakesNoSuffix) {
+  EXPECT_EQ(util::parse_real("-2.5e-3"), -2.5e-3);
+  EXPECT_EQ(util::parse_real("400"), 400.0);
+  for (const char* bad : {"400M", "nan", "inf", "-inf", "1e400", "", " 1"}) {
+    EXPECT_FALSE(util::parse_real(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Parse, SiScalesAndJudgesTheUnitTail) {
+  EXPECT_EQ(util::parse_si("2.5meg"), 2.5e6);
+  EXPECT_EQ(util::parse_si("2.5MEG"), 2.5e6);
+  EXPECT_EQ(util::parse_si("36uA"), 36e-6);
+  EXPECT_EQ(util::parse_si("10kohm"), 10e3);
+  EXPECT_EQ(util::parse_si("1e-9"), 1e-9);
+  // Strict form: letters after the suffix must be a unit word.
+  EXPECT_FALSE(util::parse_si("1mxyz").has_value());
+  // Tail form: the token parses and the caller gets the tail to judge.
+  std::string tail;
+  EXPECT_EQ(util::parse_si("1mxyz", &tail), 1e-3);
+  EXPECT_EQ(tail, "xyz");
+  EXPECT_FALSE(util::known_unit_tail(tail));
+  EXPECT_TRUE(util::known_unit_tail("ohm"));
+  for (const char* bad : {"nan", "inf", "1e400", "1e300t", "", "k"}) {
+    EXPECT_FALSE(util::parse_si(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(util::parse_si(bad, &tail).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Parse, ParseErrorCarriesTheLine) {
+  const util::ParseError e("trace", 7, "cycle expects an unsigned integer");
+  EXPECT_EQ(e.line(), 7u);
+  EXPECT_STREQ(e.what(), "trace line 7: cycle expects an unsigned integer");
+  EXPECT_THROW(throw e, InvalidArgumentError);
 }
 
 // ---------------------------------------------------------------------------

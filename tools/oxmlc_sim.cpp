@@ -32,10 +32,10 @@
 // The netlist dialect is documented in src/spice/netlist.hpp (R/C/L, V/I with
 // PULSE/PWL/SIN, E/G, D, M NMOS/PMOS, S switches, X OXRAM cells, .param
 // expressions).
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,6 +57,7 @@
 #include "spice/transient.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -152,38 +153,19 @@ CliOptions parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) usage("missing value after " + arg);
       return argv[++i];
     };
-    // Numeric flag values: reject trailing garbage ("--trials 5x"),
-    // non-numbers ("--seed abc"), negative counts (std::stoull would wrap
-    // "-1" to 2^64 - 1) and non-finite numbers ("--tran inf") with usage
-    // instead of running on a value the flag cannot mean.
+    // Numeric flag values go through util/parse: "--trials 5x", "--seed abc",
+    // "--trials -1" and "--tran inf" exit with usage instead of running.
     auto next_count = [&]() -> std::uint64_t {
       const std::string value = next();
-      std::size_t consumed = 0;
-      std::uint64_t parsed = 0;
-      if (value.find('-') == std::string::npos) {
-        try {
-          parsed = std::stoull(value, &consumed, 0);
-        } catch (const std::exception&) {
-          consumed = 0;
-        }
-      }
-      if (consumed == 0 || consumed != value.size()) {
-        usage(arg + " expects an unsigned integer, got '" + value + "'");
-      }
-      return parsed;
+      const std::optional<std::uint64_t> parsed = util::parse_unsigned(value);
+      if (!parsed) usage(arg + " expects an unsigned integer, got '" + value + "'");
+      return *parsed;
     };
     auto next_value = [&]() -> double {
       const std::string value = next();
-      double parsed = 0.0;
-      try {
-        parsed = spice::parse_value(value);
-      } catch (const oxmlc::Error&) {
-        usage(arg + " expects a number (SI suffixes ok), got '" + value + "'");
-      }
-      if (!std::isfinite(parsed)) {
-        usage(arg + " expects a finite number, got '" + value + "'");
-      }
-      return parsed;
+      const std::optional<double> parsed = util::parse_si(value);
+      if (!parsed) usage(arg + " expects a finite number, got '" + value + "'");
+      return *parsed;
     };
     if (arg == "--tran") {
       options.transient = true;

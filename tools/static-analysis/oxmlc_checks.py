@@ -35,6 +35,12 @@ Checks
       counter("family.stem", index, ".suffix") whose prefix/suffix are again
       literals.
 
+  oxmlc-one-literal-reader
+      Every number read from text goes through util/parse, so signs, ranges
+      and non-finite values are decided once. std::sto*, strto* and ato* are
+      flagged everywhere but tests/ and SANCTIONED_PARSE (the reader itself
+      and util/table.cpp's alignment probe, which reads no input).
+
 Suppression
 -----------
   // oxmlc-nolint(check-name)            this line
@@ -60,13 +66,6 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
 
-CHECK_NAMES = [
-    "oxmlc-no-ambient-rng",
-    "oxmlc-fp-contract-tu",
-    "oxmlc-unordered-result-iteration",
-    "oxmlc-metrics-literal",
-]
-
 # Files allowed to touch <random> directly: the reproducible-RNG facade and
 # the MC runner that seeds per-trial streams from it.
 SANCTIONED_RNG = {
@@ -75,6 +74,8 @@ SANCTIONED_RNG = {
     "src/mc/runner.hpp",
     "src/mc/runner.cpp",
 }
+
+SANCTIONED_PARSE = {"src/util/parse.cpp", "src/util/table.cpp"}
 
 SOURCE_DIRS = ["src", "tests", "tools", "bench", "examples"]
 SOURCE_EXTS = (".cpp", ".hpp", ".h")
@@ -271,11 +272,31 @@ def check_metrics_literal(path, rel, raw, scrubbed, ctx):
     return found
 
 
+# --- oxmlc-one-literal-reader -----------------------------------------------
+
+C_NUMBER_READER = re.compile(
+    r"(?<![\w.>])(?:std\s*::\s*)?"
+    r"(sto(?:i|l|ll|ul|ull|f|d|ld)|strto(?:f|d|ld|l|ll|ul|ull|imax|umax)|"
+    r"ato(?:i|l|ll|f))\s*\(")
+
+
+def check_one_literal_reader(path, rel, raw, scrubbed, ctx):
+    rel = rel.replace(os.sep, "/")
+    if rel in SANCTIONED_PARSE or rel.startswith("tests/"):
+        return []
+    return [Violation(
+        rel, line_of(scrubbed, m.start()), "oxmlc-one-literal-reader",
+        f"'{m.group(1)}' reads a number outside util/parse; use util::parse_unsigned, "
+        f"parse_real or parse_si so the sign, range and finite rules stay in one place")
+        for m in C_NUMBER_READER.finditer(scrubbed)]
+
+
 CHECKS = {
     "oxmlc-no-ambient-rng": check_no_ambient_rng,
     "oxmlc-fp-contract-tu": check_fp_contract_tu,
     "oxmlc-unordered-result-iteration": check_unordered_result_iteration,
     "oxmlc-metrics-literal": check_metrics_literal,
+    "oxmlc-one-literal-reader": check_one_literal_reader,
 }
 
 
@@ -375,7 +396,7 @@ def main():
     args = parser.parse_args()
 
     if args.list_checks:
-        print("\n".join(CHECK_NAMES))
+        print("\n".join(CHECKS))
         return 0
     if args.self_test:
         return self_test()
