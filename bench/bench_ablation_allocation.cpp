@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
   bench::print_header("Ablation: allocation", "ISO-dI vs ISO-dR (4 bits, " +
                                                   std::to_string(trials) + " runs/level)",
                       "paper 4.1: 'The ISO-dI approach is adopted as the proposed MLC "

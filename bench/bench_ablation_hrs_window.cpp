@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 120);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 120, 1);
   bench::print_header(
       "Ablation: HRS window", "compliance window choice (4 bits, " +
                                   std::to_string(trials) + " runs/level)",

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
   bench::print_header(
       "Ablation: mirror sizing", "termination accuracy vs mirror area",
       "implicit in the paper's 'minimal area overhead (dozens of transistors "

@@ -79,15 +79,15 @@ inline void save_csv(const Table& table, const std::string& name) {
 }
 
 // `<flag> N` (`--trials`, `--rows`, ...) through util::parse_unsigned, or
-// `fallback` when absent; a missing or malformed N exits 2 naming the flag.
+// `fallback` when absent; a missing or malformed N, or one below `min`, exits
+// 2 naming the flag.
 inline std::size_t size_flag(int argc, char** argv, const std::string& flag,
-                             std::size_t fallback) {
+                             std::size_t fallback, std::size_t min = 0) {
   for (int i = 1; i < argc; ++i) {
     if (argv[i] != flag) continue;
-    if (const auto value = util::parse_unsigned(i + 1 < argc ? argv[i + 1] : "")) {
-      return *value;
-    }
-    std::cerr << "error: " << flag << " expects an unsigned integer\n";
+    const auto value = util::parse_unsigned(i + 1 < argc ? argv[i + 1] : "");
+    if (value && *value >= min) return *value;
+    std::cerr << "error: " << flag << " expects an integer >= " << min << "\n";
     std::exit(2);
   }
   return fallback;

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   config.scrub_periods_s = {0.0, 1e6};
   config.verify = {false, true};
   config.rotations = {0, 2000};
-  config.trials = bench::size_flag(argc, argv, "--trials", 8);
+  config.trials = bench::size_flag(argc, argv, "--trials", 8, 1);
   config.probe_requests = 2048;
 
   bench::print_header(

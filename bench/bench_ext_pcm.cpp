@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 120);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 120, 1);
   bench::print_header(
       "Extension: PCM-like MLC", "write-termination MLC on a second technology (" +
                                      std::to_string(trials) + " runs/level)",

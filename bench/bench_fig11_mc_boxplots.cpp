@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500, 1);
   bench::print_header(
       "Fig. 11", "HRS box plots, " + std::to_string(trials) + " MC runs x 16 levels",
       "uniform tight boxes; spread grows toward low compliance currents; no "

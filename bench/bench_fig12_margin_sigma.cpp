@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500, 1);
   bench::print_header(
       "Fig. 12", "sigma(R_HRS) and adjacent margin vs compliance current",
       "sigma evolution follows the margin evolution; both grow roughly "

@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t cycles = bench::size_flag(argc, argv, "--trials", 500);
+  const std::size_t cycles = bench::size_flag(argc, argv, "--trials", 500, 1);
   bench::print_header(
       "Fig. 3", "HRS / LRS distributions, 8x8 array, " + std::to_string(cycles) +
                     " RST/SET cycles",

@@ -51,7 +51,7 @@ struct SweepRow {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t max_size = bench::size_flag(argc, argv, "--max-size", 64);
+  const std::size_t max_size = bench::size_flag(argc, argv, "--max-size", 64, 1);
   const std::size_t mono_max = bench::size_flag(argc, argv, "--mono-max", 64);
   // Best-of-N wall clock per configuration: single draws of the sub-second
   // hierarchical transients are timing-noise dominated, and the gated

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       "EXT-RET", "retention drift + relaxation-aware verify",
       "n/a (extension): log-time drift after arXiv:1810.10528, verify after arXiv:2301.08516");
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 24);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 24, 1);
   std::cout << "retention sweep (4 bits/cell, " << trials << " trials/level):\n";
   mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(4, trials);
   config.verify_max_passes = 3;

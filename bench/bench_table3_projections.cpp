@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
   bench::print_header(
       "Table 3", "Projections beyond QLC (" + std::to_string(trials) + " MC runs/level)",
       "4 bits: min dR 2.5 k / worst 2.1 k; 5 bits: 1.24 k / 490; 6 bits: "

@@ -29,7 +29,7 @@ struct SchemeResult {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 40);
+  const std::size_t trials = bench::size_flag(argc, argv, "--trials", 40, 1);
   bench::print_header(
       "Table 4", "State-of-the-art MLC mechanisms on one device model (" +
                      std::to_string(trials) + " runs/level)",

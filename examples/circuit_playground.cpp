@@ -60,7 +60,6 @@ double propagation_delay(double cell_gap) {
   spice::TransientOptions options;
   options.t_stop = 200e-9;
   options.dt_max = 0.2e-9;
-  options.dt_initial = 1e-12;
 
   double crossing_time = -1.0;
   std::vector<spice::TransientEvent> events(1);

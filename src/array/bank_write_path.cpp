@@ -160,7 +160,7 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
 BankWritePathResult BankWritePath::run() {
   spice::MnaSystem system(circuit_);
   if (config_.hierarchical) {
-    system.set_partition(partition_, num::SchurOptions{});
+    system.set_partition(partition_);
   }
 
   std::vector<spice::Probe> probes;
@@ -221,10 +221,7 @@ BankWritePathResult BankWritePath::run() {
 
   spice::TransientOptions options;
   options.t_stop = config_.t_stop;
-  options.dt_initial = 1e-10;
-  options.dt_min = 1e-14;
   options.dt_max = 20e-9;
-  options.method = spice::IntegrationMethod::kBackwardEuler;
   options.newton.max_iterations = 200;
   if (config_.stop_after_terminated && stop_state->comparators > 0) {
     options.stop_when = [stop_state](double t) {

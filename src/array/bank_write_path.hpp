@@ -106,7 +106,6 @@ struct BankWritePathResult {
   std::size_t blocks = 0;
   // Probe layout: 2 per column (icell_j, gap_j), then vsl last.
   static std::size_t probe_icell(std::size_t column) { return 2 * column; }
-  static std::size_t probe_gap(std::size_t column) { return 2 * column + 1; }
 };
 
 class BankWritePath {

@@ -30,8 +30,6 @@ class FastArray {
   // the cell position, independent of access order).
   Rng& rng_at(std::size_t row, std::size_t col);
 
-  const oxram::OxramVariability& variability() const { return variability_; }
-
   // FORMING for every cell (one-time, Table 1 FMG conditions), as one
   // oxram::CellBatch over the whole array.
   void form_all(const oxram::FormingOperation& op = {});

@@ -134,7 +134,6 @@ WordPathResult WordPath::run() {
 
   spice::TransientOptions options;
   options.t_stop = config_.t_stop;
-  options.dt_initial = 1e-10;
   options.dt_max = 20e-9;
   options.newton.max_iterations = 200;
 

@@ -116,10 +116,7 @@ WritePathResult WritePath::run() {
 
   spice::TransientOptions options;
   options.t_stop = config_.t_stop;
-  options.dt_initial = 1e-10;
-  options.dt_min = 1e-14;
   options.dt_max = 20e-9;
-  options.method = spice::IntegrationMethod::kBackwardEuler;
   options.newton.max_iterations = 200;
 
   result.transient = spice::run_transient(system, options, probes, std::move(events));

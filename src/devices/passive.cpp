@@ -71,24 +71,15 @@ Capacitor::Capacitor(std::string name, int a, int b, double capacitance,
   nodes_ = {a, b};
 }
 
-double Capacitor::companion_current(const StampContext& ctx, double v_now,
-                                    double& geq) const {
-  if (ctx.method == spice::IntegrationMethod::kTrapezoidal) {
-    geq = 2.0 * capacitance_ / ctx.dt;
-    return geq * (v_now - v_prev_) - i_prev_;
-  }
-  geq = capacitance_ / ctx.dt;
-  return geq * (v_now - v_prev_);
-}
-
 void Capacitor::stamp(const StampContext& ctx, Stamper& stamper) {
   if (ctx.mode == spice::AnalysisMode::kDcOperatingPoint || ctx.dt <= 0.0) {
     // Open circuit in DC; nothing to stamp (global gmin keeps nodes anchored).
     return;
   }
+  // Backward Euler: i = C/dt (v - v_prev).
   const double v_now = v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
-  double geq = 0.0;
-  const double i = companion_current(ctx, v_now, geq);
+  const double geq = capacitance_ / ctx.dt;
+  const double i = geq * (v_now - v_prev_);
   stamper.residual(nodes_[0], i);
   stamper.residual(nodes_[1], -i);
   stamper.jacobian(nodes_[0], nodes_[0], geq);
@@ -111,14 +102,10 @@ void Capacitor::stamp_reactive(const StampContext&, num::TripletMatrix& b) const
 void Capacitor::init_state(const StampContext& ctx) {
   v_prev_ = use_initial_voltage_ ? initial_voltage_
                                  : v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
-  i_prev_ = 0.0;
 }
 
 void Capacitor::commit_step(const StampContext& ctx) {
-  const double v_now = v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
-  double geq = 0.0;
-  i_prev_ = companion_current(ctx, v_now, geq);
-  v_prev_ = v_now;
+  v_prev_ = v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
 }
 
 std::vector<spice::StructuralEdge> Capacitor::dc_edges() const {
@@ -152,11 +139,9 @@ void Inductor::stamp(const StampContext& ctx, Stamper& stamper) {
     stamper.jacobian(br, b, -1.0);
     return;
   }
-  // BE: v = L (i - i_prev)/dt ; Trap: v = 2L/dt (i - i_prev) - v_prev.
-  const bool trap = ctx.method == spice::IntegrationMethod::kTrapezoidal;
-  const double req = (trap ? 2.0 : 1.0) * inductance_ / ctx.dt;
-  const double veq = trap ? (-req * i_prev_ - v_prev_) : (-req * i_prev_);
-  stamper.residual(br, va - vb - req * i_br - veq);
+  // Backward Euler: v = L/dt (i - i_prev).
+  const double req = inductance_ / ctx.dt;
+  stamper.residual(br, va - vb - req * i_br + req * i_prev_);
   stamper.jacobian(br, a, 1.0);
   stamper.jacobian(br, b, -1.0);
   stamper.jacobian(br, br, -req);
@@ -171,12 +156,10 @@ void Inductor::stamp_reactive(const StampContext&, num::TripletMatrix& b) const 
 
 void Inductor::init_state(const StampContext& ctx) {
   i_prev_ = ctx.x[static_cast<std::size_t>(branches_[0])];
-  v_prev_ = 0.0;
 }
 
 void Inductor::commit_step(const StampContext& ctx) {
   i_prev_ = ctx.x[static_cast<std::size_t>(branches_[0])];
-  v_prev_ = v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
 }
 
 std::vector<spice::StructuralEdge> Inductor::dc_edges() const {

@@ -26,7 +26,7 @@ class Resistor final : public Device {
   double resistance_;
 };
 
-// Capacitor with Backward-Euler / trapezoidal companion models. Open in DC.
+// Capacitor with a Backward-Euler companion model. Open in DC.
 class Capacitor final : public Device {
  public:
   Capacitor(std::string name, int a, int b, double capacitance,
@@ -39,20 +39,15 @@ class Capacitor final : public Device {
   std::vector<spice::StructuralEdge> dc_edges() const override;
   void self_check(std::vector<spice::analyze::Diagnostic>& out) const override;
 
-  double capacitance() const { return capacitance_; }
-  double branch_current() const { return i_prev_; }
-
  private:
-  double companion_current(const StampContext& ctx, double v_now, double& geq) const;
-
   double capacitance_;
   double initial_voltage_;
   bool use_initial_voltage_;
   double v_prev_ = 0.0;
-  double i_prev_ = 0.0;
 };
 
-// Inductor: short in DC; adds one branch-current unknown.
+// Inductor: short in DC, Backward-Euler companion in transient; adds one
+// branch-current unknown.
 class Inductor final : public Device {
  public:
   Inductor(std::string name, int a, int b, double inductance);
@@ -65,12 +60,9 @@ class Inductor final : public Device {
   std::vector<spice::StructuralEdge> dc_edges() const override;
   void self_check(std::vector<spice::analyze::Diagnostic>& out) const override;
 
-  double inductance() const { return inductance_; }
-
  private:
   double inductance_;
   double i_prev_ = 0.0;
-  double v_prev_ = 0.0;
 };
 
 }  // namespace oxmlc::dev

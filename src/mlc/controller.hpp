@@ -80,7 +80,6 @@ class MemoryController {
   // From then on every program/sense is reported to the engine, and `policy`
   // governs the relaxation-aware verify loop appended to each word write.
   void attach_reliability(reliability::ReliabilityEngine* engine, VerifyPolicy policy = {});
-  const VerifyPolicy& verify_policy() const { return verify_; }
 
   // Writes one word of per-cell levels (size = cells_per_word).
   WordWriteStats write_word_levels(std::size_t row, std::span<const std::size_t> levels);

@@ -7,7 +7,7 @@
 
 namespace oxmlc::num {
 
-void ComplexLu::factorize(const ComplexDenseMatrix& a, double pivot_tol) {
+void ComplexLu::factorize(const ComplexDenseMatrix& a) {
   OXMLC_CHECK(a.rows() == a.cols(), "ComplexLu: matrix must be square");
   n_ = a.rows();
   lu_ = a;
@@ -24,7 +24,7 @@ void ComplexLu::factorize(const ComplexDenseMatrix& a, double pivot_tol) {
         pivot_row = r;
       }
     }
-    if (pivot_mag < pivot_tol) {
+    if (pivot_mag < kPivotTolerance) {
       throw SingularMatrixError(
           "ComplexLu: numerically singular matrix at column " + std::to_string(k), k);
     }

@@ -32,8 +32,9 @@ class ComplexDenseMatrix {
 
 class ComplexLu {
  public:
-  // Factorizes a copy of `a`; throws ConvergenceError when singular.
-  void factorize(const ComplexDenseMatrix& a, double pivot_tol = 1e-14);
+  // Factorizes a copy of `a`; throws SingularMatrixError when a pivot falls
+  // below kPivotTolerance (linear_error.hpp).
+  void factorize(const ComplexDenseMatrix& a);
   void solve(std::span<const Complex> b, std::span<Complex> x) const;
 
   bool factorized() const { return n_ > 0; }

@@ -23,13 +23,12 @@ void DenseMatrix::multiply(std::span<const double> x, std::span<double> y) const
   }
 }
 
-void DenseLu::factorize(const DenseMatrix& a, double pivot_tol) {
+void DenseLu::factorize(const DenseMatrix& a) {
   OXMLC_CHECK(a.rows() == a.cols(), "DenseLu: matrix must be square");
   n_ = a.rows();
   lu_ = a;
   perm_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) perm_[i] = i;
-  pivot_min_ = n_ ? std::fabs(lu_.at(0, 0)) : 0.0;
 
   for (std::size_t k = 0; k < n_; ++k) {
     // Partial pivoting: pick the largest magnitude in column k at/below row k.
@@ -42,7 +41,7 @@ void DenseLu::factorize(const DenseMatrix& a, double pivot_tol) {
         pivot_row = r;
       }
     }
-    if (pivot_mag < pivot_tol) {
+    if (pivot_mag < kPivotTolerance) {
       throw SingularMatrixError(
           "DenseLu: numerically singular matrix (pivot " + std::to_string(pivot_mag) +
               " at column " + std::to_string(k) + ")",
@@ -52,7 +51,6 @@ void DenseLu::factorize(const DenseMatrix& a, double pivot_tol) {
       for (std::size_t c = 0; c < n_; ++c) std::swap(lu_.at(k, c), lu_.at(pivot_row, c));
       std::swap(perm_[k], perm_[pivot_row]);
     }
-    pivot_min_ = std::min(pivot_min_, pivot_mag);
 
     const double inv_pivot = 1.0 / lu_.at(k, k);
     for (std::size_t r = k + 1; r < n_; ++r) {

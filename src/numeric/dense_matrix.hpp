@@ -38,12 +38,12 @@ class DenseMatrix {
   std::vector<double> data_;
 };
 
-// In-place LU with partial pivoting. Throws ConvergenceError if the matrix is
-// numerically singular (pivot below `pivot_tol`).
+// In-place LU with partial pivoting. Throws SingularMatrixError if the matrix
+// is numerically singular (pivot below kPivotTolerance, linear_error.hpp).
 class DenseLu {
  public:
   // Factorizes a copy of `a` (must be square).
-  void factorize(const DenseMatrix& a, double pivot_tol = 1e-14);
+  void factorize(const DenseMatrix& a);
 
   // Solves A x = b using the stored factors. b.size() == n.
   void solve(std::span<const double> b, std::span<double> x) const;
@@ -51,14 +51,10 @@ class DenseLu {
   bool factorized() const { return n_ > 0; }
   std::size_t size() const { return n_; }
 
-  // |det(A)| estimate from the pivots; used in singularity diagnostics.
-  double pivot_min_abs() const { return pivot_min_; }
-
  private:
   std::size_t n_ = 0;
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
-  double pivot_min_ = 0.0;
 };
 
 }  // namespace oxmlc::num

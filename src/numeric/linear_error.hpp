@@ -1,10 +1,11 @@
 // Typed failure for LU factorizations.
 //
 // All three factorizations (DenseLu, SparseLu, ComplexLu) report a numerically
-// singular matrix through this exception instead of a bare ConvergenceError,
-// carrying the zero-pivot column index. Higher layers that know what the
-// unknowns *mean* (the MNA assembler knows column k is node "bl" or the branch
-// current of "VSL") catch it and re-throw with circuit-level context.
+// singular matrix — a best pivot below kPivotTolerance in magnitude — through
+// this exception instead of a bare ConvergenceError, carrying the zero-pivot
+// column index. Higher layers that know what the unknowns *mean* (the MNA
+// assembler knows column k is node "bl" or the branch current of "VSL") catch
+// it and re-throw with circuit-level context.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,9 @@
 #include "util/error.hpp"
 
 namespace oxmlc::num {
+
+// Pivot magnitude below which every LU treats a column as singular.
+inline constexpr double kPivotTolerance = 1e-14;
 
 class SingularMatrixError : public ConvergenceError {
  public:

@@ -11,6 +11,16 @@
 namespace oxmlc::num {
 namespace {
 
+// Converged when the update norm, weighted per component by
+// kRelTol * |x_i| + kAbsTol (volts/amperes), is at most 1 and the residual
+// inf-norm is at most kResidualTol (amperes on KCL rows).
+constexpr double kRelTol = 1e-6;
+constexpr double kAbsTol = 1e-9;
+constexpr double kResidualTol = 1e-9;
+// Damping: when the full step does not reduce the residual norm, halve up to
+// this many times before accepting the best candidate anyway.
+constexpr std::size_t kMaxDampingHalvings = 4;
+
 // Hot-path telemetry: references resolved once, then wait-free atomic adds.
 struct NewtonMetrics {
   obs::Counter& solves = obs::registry().counter("newton.solves");
@@ -64,7 +74,7 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
     result.iterations = iter + 1;
     metrics.iterations.add();
 
-    if (residual_norm <= options.residual_tol && iter > 0 &&
+    if (residual_norm <= kResidualTol && iter > 0 &&
         result.final_update_norm <= 1.0) {
       result.converged = true;
       result.final_residual_norm = residual_norm;
@@ -88,7 +98,7 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
     double scale = 1.0;
     double best_scale = 1.0;
     double best_norm = std::numeric_limits<double>::infinity();
-    for (std::size_t halving = 0; halving <= options.max_damping_halvings; ++halving) {
+    for (std::size_t halving = 0; halving <= kMaxDampingHalvings; ++halving) {
       if (halving > 0) metrics.damping_halvings.add();
       for (std::size_t i = 0; i < n; ++i) x_trial[i] = x[i] + scale * dx[i];
       jacobian.clear();
@@ -100,7 +110,7 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
         best_scale = scale;
       }
       // Accept as soon as the residual decreases (standard Armijo-ish rule).
-      if (trial_norm <= residual_norm || trial_norm <= options.residual_tol) break;
+      if (trial_norm <= residual_norm || trial_norm <= kResidualTol) break;
       scale *= 0.5;
     }
 
@@ -114,12 +124,12 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
     }
 
     result.final_update_norm =
-        weighted_rms(dx, x, options.rel_tol, options.abs_tol) * best_scale;
+        weighted_rms(dx, x, kRelTol, kAbsTol) * best_scale;
     std::copy(x_trial.begin(), x_trial.end(), x.begin());
     residual.assign(residual_trial.begin(), residual_trial.end());
     residual_norm = best_norm;
 
-    if (result.final_update_norm <= 1.0 && residual_norm <= options.residual_tol) {
+    if (result.final_update_norm <= 1.0 && residual_norm <= kResidualTol) {
       result.converged = true;
       result.final_residual_norm = residual_norm;
       return result;

@@ -35,14 +35,12 @@ class NonlinearSystem {
   }
 };
 
+// The convergence test and the damping are fixed: kRelTol 1e-6 and kAbsTol
+// 1e-9 weight the update norm, kResidualTol 1e-9 A bounds the residual, and
+// the line search halves a step at most kMaxDampingHalvings (4) times (all
+// in newton.cpp). Only the iteration budget varies between callers.
 struct NewtonOptions {
   std::size_t max_iterations = 100;
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-9;       // on solution components (volts/amperes)
-  double residual_tol = 1e-9;  // on KCL residual (amperes)
-  // Damping: when the full step does not reduce the residual norm, halve up to
-  // this many times before accepting the best candidate anyway.
-  std::size_t max_damping_halvings = 4;
 };
 
 struct NewtonResult {

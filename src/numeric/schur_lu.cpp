@@ -41,8 +41,8 @@ void BlockPartition::validate() const {
   }
 }
 
-BlockSchurLu::BlockSchurLu(BlockPartition partition, const SchurOptions& options)
-    : partition_(std::move(partition)), options_(options) {
+BlockSchurLu::BlockSchurLu(BlockPartition partition)
+    : partition_(std::move(partition)) {
   OXMLC_CHECK(partition_.blocks > 0, "BlockSchurLu: partition needs >= 1 block");
   partition_.validate();
   build_structure();
@@ -177,7 +177,7 @@ void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {
 
   if (!border_.empty()) {
     try {
-      schur_lu_.factorize(schur_, options_.pivot_tol);
+      schur_lu_.factorize(schur_);
     } catch (const SingularMatrixError& e) {
       const std::size_t global =
           e.column() < border_.size() ? border_[e.column()] : border_.front();

@@ -57,19 +57,15 @@ struct BlockPartition {
   void validate() const;
 };
 
-struct SchurOptions {
-  // Pivot tolerance for the dense border factorization.
-  double pivot_tol = 1e-14;
-};
-
+// The blocks and the dense border factor share the one pivot floor,
+// kPivotTolerance (linear_error.hpp).
 class BlockSchurLu {
  public:
-  BlockSchurLu(BlockPartition partition, const SchurOptions& options);
+  explicit BlockSchurLu(BlockPartition partition);
 
   const BlockPartition& partition() const { return partition_; }
   std::size_t size() const { return partition_.block_of.size(); }
   std::size_t border_size() const { return border_.size(); }
-  std::size_t block_count() const { return blocks_.size(); }
 
   // Splits the triplets into per-block A_k/B_k/C_k plus the border D,
   // factors every block (pattern-cached: numeric-only refactorize on
@@ -109,7 +105,6 @@ class BlockSchurLu {
   void factor_block(std::size_t k);
 
   BlockPartition partition_;
-  SchurOptions options_;
 
   std::vector<std::size_t> border_;  // global unknowns of border slots, ascending
   std::vector<std::size_t> local_;   // global -> block-local or border-local index

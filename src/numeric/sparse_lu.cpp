@@ -17,6 +17,10 @@ struct Entry {
   double value;
 };
 
+// refactorize() rejects a frozen pivot smaller than this fraction of the
+// largest magnitude left in its row.
+constexpr double kDegradeRatio = 1e-8;
+
 // Hot-path telemetry for the cached factorization path.
 struct SparseLuMetrics {
   obs::Counter& pattern_hits = obs::registry().counter("sparse_lu.pattern_hits");
@@ -31,7 +35,7 @@ struct SparseLuMetrics {
 
 }  // namespace
 
-void SparseLu::factorize(const CsrMatrix& a, double pivot_tol) {
+void SparseLu::factorize(const CsrMatrix& a) {
   n_ = a.size();
   perm_.resize(n_);
 
@@ -82,7 +86,7 @@ void SparseLu::factorize(const CsrMatrix& a, double pivot_tol) {
         best = i;
       }
     }
-    if (best_mag < pivot_tol) {
+    if (best_mag < kPivotTolerance) {
       throw SingularMatrixError(
           "SparseLu: numerically singular matrix at column " + std::to_string(k), k);
     }
@@ -248,7 +252,7 @@ void SparseLu::analyze(const CsrMatrix& a) {
   work_.assign(n_, 0.0);
 }
 
-bool SparseLu::refactorize(const CsrMatrix& a, double pivot_tol, double degrade_ratio) {
+bool SparseLu::refactorize(const CsrMatrix& a) {
   if (!factorized() || !pattern_matches(a)) return false;
   if (!analyzed_) {
     analyze(a);
@@ -286,7 +290,7 @@ bool SparseLu::refactorize(const CsrMatrix& a, double pivot_tol, double degrade_
     }
     const double diag = u_values_[u_offsets_[i]];
     u_diag_[i] = diag;
-    if (!(std::fabs(diag) >= pivot_tol) || std::fabs(diag) < degrade_ratio * row_max) {
+    if (!(std::fabs(diag) >= kPivotTolerance) || std::fabs(diag) < kDegradeRatio * row_max) {
       return false;
     }
   }
@@ -323,9 +327,8 @@ LinearSolver::~LinearSolver() = default;
 LinearSolver::LinearSolver(LinearSolver&&) noexcept = default;
 LinearSolver& LinearSolver::operator=(LinearSolver&&) noexcept = default;
 
-void LinearSolver::set_partition(const BlockPartition& partition,
-                                 const SchurOptions& options) {
-  schur_ = std::make_unique<BlockSchurLu>(partition, options);
+void LinearSolver::set_partition(const BlockPartition& partition) {
+  schur_ = std::make_unique<BlockSchurLu>(partition);
   hier_active_ = false;
 }
 

@@ -26,27 +26,26 @@ namespace oxmlc::num {
 // when a partition is installed via set_partition().
 class BlockSchurLu;
 struct BlockPartition;
-struct SchurOptions;
 
 class SparseLu {
  public:
   // Full factorization of A: fresh partial pivoting, pattern discovery
-  // (throws SingularMatrixError when numerically singular). Freezes the
-  // pattern and pivot order for later refactorize() calls.
-  void factorize(const CsrMatrix& a, double pivot_tol = 1e-14);
+  // (throws SingularMatrixError when a best pivot is below kPivotTolerance).
+  // Freezes the pattern and pivot order for later refactorize() calls.
+  void factorize(const CsrMatrix& a);
 
   // Numeric-only refactorization: reuses the pivot order and the structural
   // fill pattern frozen by the last successful factorize(). Returns false —
   // leaving the stored factors invalid until the caller runs a full
   // factorize() — when
   //   (a) A's sparsity pattern differs from the frozen one, or
-  //   (b) a pivot degrades below `pivot_tol` absolutely or below
-  //       `degrade_ratio` times the largest magnitude in its eliminated row
-  //       (the frozen order would amplify roundoff past acceptable growth).
+  //   (b) a pivot degrades below kPivotTolerance absolutely or below
+  //       kDegradeRatio (1e-8, sparse_lu.cpp) times the largest magnitude in
+  //       its eliminated row (the frozen order would amplify roundoff past
+  //       acceptable growth).
   // Never throws for numerical reasons: the fallback full factorize()
   // re-pivots and is the one to diagnose genuine singularity.
-  bool refactorize(const CsrMatrix& a, double pivot_tol = 1e-14,
-                   double degrade_ratio = 1e-8);
+  bool refactorize(const CsrMatrix& a);
 
   // Solves A x = b with the stored factors.
   void solve(std::span<const double> b, std::span<double> x) const;
@@ -100,7 +99,7 @@ class LinearSolver {
   // route through a BlockSchurLu over it instead of the monolithic paths. The
   // partition size must match every subsequent system. clear_partition()
   // returns to monolithic solves.
-  void set_partition(const BlockPartition& partition, const SchurOptions& options);
+  void set_partition(const BlockPartition& partition);
   void clear_partition();
   bool partitioned() const { return schur_ != nullptr; }
 

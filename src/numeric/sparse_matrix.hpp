@@ -95,9 +95,6 @@ class CsrWorkspace {
   // True when the previous compress() reused the cached pattern.
   bool last_was_hit() const { return last_was_hit_; }
 
-  // Drops the cached pattern; the next compress() rebuilds.
-  void invalidate() { valid_ = false; }
-
  private:
   struct Slot {
     std::size_t row;

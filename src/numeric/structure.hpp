@@ -19,7 +19,6 @@ namespace oxmlc::num {
 struct StructuralRankResult {
   std::size_t rank = 0;                     // size of the maximum matching
   std::vector<std::size_t> unmatched_rows;  // rows with no diagonal assignment
-  bool full_rank(std::size_t n) const { return rank == n; }
 };
 
 // Maximum bipartite matching (Kuhn's augmenting paths) between rows and

@@ -33,13 +33,8 @@ class Json {
   static Json array();
   static Json object();
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
-  bool is_bool() const { return type_ == Type::kBool; }
 
   // Typed accessors; throw InvalidArgumentError on type mismatch.
   bool as_bool() const;

@@ -76,10 +76,6 @@ class Histogram {
   Snapshot snapshot() const;
   void reset();
 
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t bin_count() const { return bins_.size(); }
-
  private:
   double lo_;
   double hi_;
@@ -103,9 +99,6 @@ class Timer {
     std::uint64_t max_ns = 0;
 
     double total_seconds() const { return static_cast<double>(total_ns) * 1e-9; }
-    double mean_seconds() const {
-      return count ? total_seconds() / static_cast<double>(count) : 0.0;
-    }
   };
   Snapshot snapshot() const;
   void reset();

@@ -31,7 +31,6 @@ class OxramDevice final : public spice::Device {
   void set_virgin(bool virgin) { virgin_ = virgin; }
 
   const OxramParams& params() const { return params_; }
-  void set_params(const OxramParams& params) { params_ = params; }
 
   // Per-operation C2C rate multiplier (set before each programming pulse).
   void set_rate_factor(double factor) { rate_factor_ = factor; }

@@ -146,7 +146,6 @@ class FastCell {
   const OxramParams& params() const { return params_; }
   OxramParams& mutable_params() { return params_; }
   const StackConfig& stack() const { return stack_; }
-  StackConfig& mutable_stack() { return stack_; }
 
   // Per-operation C2C rate multiplier (resampled by the caller per pulse).
   void set_rate_factor(double f) { rate_factor_ = f; }

@@ -40,7 +40,7 @@ AcResult run_ac(MnaSystem& system, const AcOptions& options) {
   AcResult result;
 
   // --- operating point ---
-  const DcResult dc = solve_dc(system, options.dc);
+  const DcResult dc = solve_dc(system);
   if (!dc.converged) return result;
   result.dc_operating_point = dc.solution;
 

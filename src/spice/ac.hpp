@@ -14,17 +14,17 @@
 #include <complex>
 #include <vector>
 
-#include "spice/dc.hpp"
 #include "spice/mna.hpp"
 #include "util/units.hpp"
 
 namespace oxmlc::spice {
 
+// The sweep linearizes at the default DC operating point (solve_dc with
+// DcOptions{}).
 struct AcOptions {
   double f_start = 1e3;
   double f_stop = 1e9;
   std::size_t points_per_decade = 20;
-  DcOptions dc;  // operating-point solve options
 };
 
 struct AcResult {

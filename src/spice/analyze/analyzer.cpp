@@ -179,24 +179,22 @@ void check_voltage_loops(const Circuit& circuit,
   }
 }
 
-void check_structural_singularity(Circuit& circuit, double gmin,
-                                  DiagnosticReport& report) {
+void check_structural_singularity(Circuit& circuit, DiagnosticReport& report) {
   const std::size_t n = circuit.unknown_count();
   if (n == 0) return;
 
   // Assemble the Jacobian sparsity pattern exactly as MnaSystem::assemble
   // does at the first Newton iterate: devices stamp at x = 0 in DC mode, then
-  // the universal gmin shunt lands on every node diagonal.
+  // the universal kGmin shunt lands on every node diagonal.
   num::TripletMatrix pattern(n);
   std::vector<double> residual(n, 0.0);
   std::vector<double> x(n, 0.0);
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
-  ctx.gmin = gmin;
   ctx.x = x;
   Stamper stamper(pattern, residual);
   for (auto& device : circuit.devices()) device->stamp(ctx, stamper);
-  for (std::size_t i = 0; i < circuit.node_count(); ++i) pattern.add(i, i, gmin);
+  for (std::size_t i = 0; i < circuit.node_count(); ++i) pattern.add(i, i, kGmin);
 
   const num::StructuralRankResult rank = num::structural_rank(pattern);
   for (std::size_t row : rank.unmatched_rows) {
@@ -245,9 +243,7 @@ DiagnosticReport analyze_circuit(Circuit& circuit, const AnalyzerOptions& option
   check_dangling_terminals(circuit, report);
   check_connectivity(circuit, edges, report);
   check_voltage_loops(circuit, edges, report);
-  if (options.structural_check) {
-    check_structural_singularity(circuit, options.gmin, report);
-  }
+  check_structural_singularity(circuit, report);
   report.suppress(options.suppress);
   return report;
 }

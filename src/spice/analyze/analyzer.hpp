@@ -14,7 +14,8 @@
 //   OXA008  structurally singular MNA pattern (symbolic zero pivot)
 //
 // Pass order is fixed (cheap graph passes first, then the symbolic matrix
-// check) and documented in DESIGN.md; codes are stable. Checks can be
+// check, which always runs and shunts every node with the solver's kGmin from
+// device.hpp) and documented in DESIGN.md; codes are stable. Checks can be
 // suppressed per netlist with the `.nolint CODE...` directive or per call via
 // AnalyzerOptions::suppress.
 #pragma once
@@ -30,12 +31,6 @@ namespace oxmlc::spice::analyze {
 struct AnalyzerOptions {
   // Diagnostic codes to drop from the report (e.g. {"OXA001"}).
   std::vector<std::string> suppress;
-  // The OXA008 symbolic-pivot check assembles the Jacobian pattern once; skip
-  // it for huge circuits where the graph passes are enough.
-  bool structural_check = true;
-  // Mirrors MnaSystem::assemble's universal node-to-ground shunt, which keeps
-  // otherwise-floating node rows structurally non-singular.
-  double gmin = 1e-12;
 };
 
 // Analyzes the circuit (finalizing it if needed) and returns all findings.

@@ -77,7 +77,6 @@ class DiagnosticReport {
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   bool empty() const { return diagnostics_.empty(); }
-  std::size_t error_count() const { return errors_; }
   std::size_t warning_count() const { return warnings_; }
   bool has_errors() const { return errors_ > 0; }
   bool has_code(const std::string& code) const;

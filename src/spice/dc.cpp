@@ -9,10 +9,18 @@
 namespace oxmlc::spice {
 namespace {
 
+// gmin stepping ladder: start at kGminStart and divide by kGminRatio until
+// reaching kGmin. Applied only when the direct solve fails.
+constexpr double kGminStart = 1e-3;
+constexpr double kGminRatio = 10.0;
+// Source stepping: number of homotopy points from 0 to full bias. Applied only
+// when gmin stepping also fails.
+constexpr std::size_t kSourceSteps = 20;
+
 num::NewtonResult attempt(MnaSystem& system, std::vector<double>& x,
                           const num::NewtonOptions& newton) {
   try {
-    return num::solve_newton(system, x, newton, system.workspace().newton);
+    return num::solve_newton(system, x, newton, system.workspace());
   } catch (const num::SingularMatrixError& error) {
     // Translate the bare pivot column into circuit vocabulary before the
     // exception escapes to callers that never saw the matrix.
@@ -56,7 +64,7 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
   ctx.time = 0.0;
   ctx.dt = 0.0;
   ctx.source_scale = 1.0;
-  ctx.gmin = options.gmin;
+  ctx.gmin = kGmin;
 
   // Fail fast on broken topology (cached after the first call, so sweeps and
   // Monte-Carlo repetitions pay the analysis cost once).
@@ -77,8 +85,7 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
   {
     std::vector<double> x(n, 0.0);
     bool ladder_ok = true;
-    for (double gmin = options.gmin_start; gmin >= options.gmin * 0.999;
-         gmin /= options.gmin_ratio) {
+    for (double gmin = kGminStart; gmin >= kGmin * 0.999; gmin /= kGminRatio) {
       ctx.gmin = gmin;
       newton_result = attempt(system, x, options.newton);
       result.newton_iterations += newton_result.iterations;
@@ -86,16 +93,16 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
         ladder_ok = false;
         break;
       }
-      if (gmin / options.gmin_ratio < options.gmin && gmin > options.gmin) {
+      if (gmin / kGminRatio < kGmin && gmin > kGmin) {
         // Final rung: land exactly on the target gmin.
-        ctx.gmin = options.gmin;
+        ctx.gmin = kGmin;
         newton_result = attempt(system, x, options.newton);
         result.newton_iterations += newton_result.iterations;
         ladder_ok = newton_result.converged;
         break;
       }
     }
-    ctx.gmin = options.gmin;
+    ctx.gmin = kGmin;
     if (ladder_ok && newton_result.converged) {
       result.converged = true;
       result.strategy = "gmin-stepping";
@@ -109,9 +116,8 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
   {
     std::vector<double> x(n, 0.0);
     bool ok = true;
-    for (std::size_t step = 1; step <= options.source_steps; ++step) {
-      ctx.source_scale =
-          static_cast<double>(step) / static_cast<double>(options.source_steps);
+    for (std::size_t step = 1; step <= kSourceSteps; ++step) {
+      ctx.source_scale = static_cast<double>(step) / static_cast<double>(kSourceSteps);
       newton_result = attempt(system, x, options.newton);
       result.newton_iterations += newton_result.iterations;
       if (!newton_result.converged) {

@@ -1,4 +1,8 @@
 // DC operating point, with gmin and source-stepping homotopies.
+//
+// The homotopies are fixed (dc.cpp): gmin stepping starts at kGminStart
+// (1e-3 S) and divides by kGminRatio (10) down to kGmin (device.hpp); source
+// stepping ramps every source in kSourceSteps (20) equal steps.
 #pragma once
 
 #include <vector>
@@ -10,14 +14,6 @@ namespace oxmlc::spice {
 
 struct DcOptions {
   num::NewtonOptions newton;
-  double gmin = 1e-12;
-  // gmin stepping ladder: start at gmin_start and divide by gmin_ratio until
-  // reaching `gmin`. Applied only when the direct solve fails.
-  double gmin_start = 1e-3;
-  double gmin_ratio = 10.0;
-  // Source stepping: number of homotopy points from 0 to full bias. Applied
-  // only when gmin stepping also fails.
-  std::size_t source_steps = 20;
   // Run the circuit static analyzer (spice/analyze) before the first Newton
   // solve: error-severity findings (V-loops, current cutsets, structural
   // singularity) throw InvalidArgumentError with named nodes/devices instead

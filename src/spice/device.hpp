@@ -43,15 +43,18 @@ struct StructuralEdge {
 };
 
 enum class AnalysisMode { kDcOperatingPoint, kTransient };
-enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
 
-// Everything a device needs to know about the current solver step.
+// The node-to-ground convergence shunt every solve lands on (DC gmin stepping
+// starts above it) and the static analyzer mirrors.
+inline constexpr double kGmin = 1e-12;
+
+// Everything a device needs to know about the current solver step. Transient
+// steps are Backward Euler, the one integration method.
 struct StampContext {
   AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
   double time = 0.0;           // end-of-step time (transient) or 0 (DC)
   double dt = 0.0;             // current step size (transient only)
-  IntegrationMethod method = IntegrationMethod::kBackwardEuler;
-  double gmin = 1e-12;         // convergence shunt applied by nonlinear devices
+  double gmin = kGmin;         // convergence shunt applied by nonlinear devices
   double source_scale = 1.0;   // source-stepping homotopy factor (DC only)
   std::span<const double> x;   // current Newton iterate
 };

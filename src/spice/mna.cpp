@@ -8,11 +8,10 @@
 
 namespace oxmlc::spice {
 
-void MnaSystem::set_partition(const num::BlockPartition& partition,
-                              const num::SchurOptions& options) {
+void MnaSystem::set_partition(const num::BlockPartition& partition) {
   OXMLC_CHECK(partition.block_of.size() == dimension(),
               "MnaSystem::set_partition: partition size != unknown count");
-  workspace_.newton.solver.set_partition(partition, options);
+  workspace_.solver.set_partition(partition);
 }
 
 void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix& jacobian,
@@ -40,7 +39,6 @@ void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix& jacobian
 const analyze::DiagnosticReport& MnaSystem::precheck() {
   if (!prechecked_) {
     prechecked_ = true;
-    analyzer_options_.gmin = context_.gmin > 0.0 ? context_.gmin : analyzer_options_.gmin;
     precheck_report_ = analyze::analyze_circuit(circuit_, analyzer_options_);
     for (const analyze::Diagnostic& d : precheck_report_.diagnostics()) {
       if (d.severity == analyze::Severity::kWarning) {

@@ -11,16 +11,6 @@
 
 namespace oxmlc::spice {
 
-// Reusable per-system solver scratch. Ownership rules:
-//  - lives exactly as long as its MnaSystem; the DC/transient drivers borrow
-//    it for every solve_newton call so the Jacobian pattern cache and the LU
-//    symbolic analysis persist across timesteps and sweep points;
-//  - NOT thread-safe — Monte-Carlo trials build one Circuit + MnaSystem (and
-//    thus one workspace) per thread and reuse it across claimed chunks.
-struct AssemblyWorkspace {
-  num::NewtonWorkspace newton;
-};
-
 class MnaSystem final : public num::NonlinearSystem {
  public:
   explicit MnaSystem(Circuit& circuit) : circuit_(circuit) {
@@ -45,16 +35,18 @@ class MnaSystem final : public num::NonlinearSystem {
 
   Circuit& circuit() { return circuit_; }
 
-  // Solver scratch reused across every Newton solve on this system (see
-  // AssemblyWorkspace for ownership rules).
-  AssemblyWorkspace& workspace() { return workspace_; }
+  // Solver scratch reused across every Newton solve on this system. It lives
+  // exactly as long as the MnaSystem; the DC/transient drivers borrow it for
+  // every solve_newton call so the Jacobian pattern cache and the LU symbolic
+  // analysis persist across timesteps and sweep points. NOT thread-safe —
+  // every pool body that solves a circuit builds its own MnaSystem.
+  num::NewtonWorkspace& workspace() { return workspace_; }
 
   // Installs a bordered-block partition on the workspace solver: subsequent
   // DC/transient Newton solves factorize through num::BlockSchurLu instead of
   // the monolithic paths. Partitions come from analyze::derive_partition
   // or directly from an array builder that knows its border nodes.
-  void set_partition(const num::BlockPartition& partition,
-                     const num::SchurOptions& options);
+  void set_partition(const num::BlockPartition& partition);
 
   // Codes the precheck drops (forwarded to the analyzer; set before the first
   // solve — the report is computed once and cached).
@@ -79,7 +71,7 @@ class MnaSystem final : public num::NonlinearSystem {
  private:
   Circuit& circuit_;
   StampContext context_;
-  AssemblyWorkspace workspace_;
+  num::NewtonWorkspace workspace_;
   analyze::AnalyzerOptions analyzer_options_;
   bool prechecked_ = false;
   analyze::DiagnosticReport precheck_report_;

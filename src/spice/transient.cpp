@@ -12,6 +12,11 @@
 namespace oxmlc::spice {
 namespace {
 
+// Step control, as transient.hpp describes it.
+constexpr double kDtInitial = 1e-10;
+constexpr double kDtMin = 1e-14;
+constexpr double kDtGrowth = 1.5;
+
 struct TransientMetrics {
   obs::Counter& runs = obs::registry().counter("transient.runs");
   obs::Counter& steps_accepted = obs::registry().counter("transient.steps.accepted");
@@ -88,8 +93,6 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
                               const std::vector<Probe>& probes,
                               std::vector<TransientEvent> events) {
   OXMLC_CHECK(options.t_stop > 0.0, "transient: t_stop must be positive");
-  OXMLC_CHECK(options.dt_initial > 0.0 && options.dt_min > 0.0,
-              "transient: step sizes must be positive");
 
   Circuit& circuit = system.circuit();
   StampContext& ctx = system.context();
@@ -104,7 +107,6 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
 
   // --- DC operating point at t = 0 ---
   DcOptions dc_options;
-  dc_options.gmin = options.gmin;
   dc_options.newton = options.newton;
   DcResult dc = solve_dc(system, dc_options);
   if (!dc.converged) {
@@ -116,8 +118,7 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
   std::vector<double> x = dc.solution;
 
   ctx.mode = AnalysisMode::kTransient;
-  ctx.method = options.method;
-  ctx.gmin = options.gmin;
+  ctx.gmin = kGmin;
   ctx.source_scale = 1.0;
   ctx.time = 0.0;
   ctx.dt = 0.0;
@@ -128,9 +129,6 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
     result.times.push_back(t);
     for (std::size_t p = 0; p < probes.size(); ++p) {
       result.probe_values[p].push_back(probes[p].evaluate(t, solution));
-    }
-    if (options.store_solutions) {
-      result.solutions.emplace_back(solution.begin(), solution.end());
     }
   };
   record(0.0, x);
@@ -146,7 +144,7 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
   std::size_t next_bp = 0;
 
   double t = 0.0;
-  double dt = options.dt_initial;
+  double dt = kDtInitial;
   std::vector<double> x_trial(n, 0.0);
 
   while (t < options.t_stop - 1e-18) {
@@ -154,12 +152,12 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
     while (next_bp < breakpoints.size() && breakpoints[next_bp] <= t + 1e-15) ++next_bp;
     double dt_step = std::min(dt, options.t_stop - t);
     if (next_bp < breakpoints.size() && t + dt_step > breakpoints[next_bp]) {
-      // Snap to the breakpoint — unless the gap is below dt_min, which would
+      // Snap to the breakpoint — unless the gap is below kDtMin, which would
       // drive Newton with a degenerate step. Such a breakpoint is merged into
-      // the following step: take (at most) a dt_min step past it and let the
+      // the following step: take (at most) a kDtMin step past it and let the
       // skip loop above consume it on the next iteration.
       const double gap = breakpoints[next_bp] - t;
-      dt_step = gap >= options.dt_min ? gap : std::min(options.dt_min, dt_step);
+      dt_step = gap >= kDtMin ? gap : std::min(kDtMin, dt_step);
     }
     // Device-recommended ceiling (OxRAM state-rate limiting).
     {
@@ -170,7 +168,7 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
       for (const auto& device : circuit.devices()) {
         rec = std::min(rec, device->recommend_dt(ctx));
       }
-      if (rec < dt_step) dt_step = std::max(rec, options.dt_min);
+      if (rec < dt_step) dt_step = std::max(rec, kDtMin);
     }
 
     // --- attempt the step ---
@@ -181,8 +179,7 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
       x_trial = x;  // seed with previous solution
       num::NewtonResult newton;
       try {
-        newton = num::solve_newton(system, x_trial, options.newton,
-                                   system.workspace().newton);
+        newton = num::solve_newton(system, x_trial, options.newton, system.workspace());
       } catch (const num::SingularMatrixError& error) {
         system.rethrow_singular(error, "transient t=" + std::to_string(ctx.time));
       }
@@ -192,11 +189,11 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
       if (!newton.converged) {
         ++result.steps_rejected;
         metrics.steps_rejected.add();
-        if (dt_step <= options.dt_min * 1.0001) {
+        if (dt_step <= kDtMin * 1.0001) {
           throw ConvergenceError("transient: step failed at t=" + std::to_string(t) +
-                                 " with dt_min");
+                                 " at the minimum step");
         }
-        dt_step = std::max(options.dt_min, dt_step * 0.25);
+        dt_step = std::max(kDtMin, dt_step * 0.25);
         dt = dt_step;
         continue;
       }
@@ -208,14 +205,14 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
         if (event_done[e]) continue;
         const double after = events[e].value(ctx.time, x_trial);
         if (crossed(event_value[e], after, events[e].threshold, events[e].direction) &&
-            dt_step > events[e].resolution && dt_step > options.dt_min * 2.0) {
+            dt_step > events[e].resolution && dt_step > kDtMin * 2.0) {
           needs_smaller_step = true;
           break;
         }
       }
       if (needs_smaller_step) {
         metrics.event_shrinks.add();
-        dt_step = std::max({options.dt_min, dt_step * 0.25});
+        dt_step = std::max({kDtMin, dt_step * 0.25});
         continue;
       }
       accepted = true;
@@ -245,7 +242,7 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
           events[e].on_fire(t, x);
           waveforms_changed = true;
         }
-        if (events[e].one_shot) event_done[e] = true;
+        event_done[e] = true;
       }
       event_value[e] = after;
     }
@@ -255,13 +252,13 @@ TransientResult run_transient(MnaSystem& system, const TransientOptions& options
       next_bp = static_cast<std::size_t>(
           std::lower_bound(breakpoints.begin(), breakpoints.end(), t + 1e-15) -
           breakpoints.begin());
-      dt = options.dt_initial;  // resolve the commanded edge accurately
+      dt = kDtInitial;  // resolve the commanded edge accurately
     }
 
     if (options.stop_when && options.stop_when(t)) break;
 
     // Grow the step after success.
-    dt = std::min(options.dt_max, std::max(dt, dt_step) * options.dt_growth);
+    dt = std::min(options.dt_max, std::max(dt, dt_step) * kDtGrowth);
   }
 
   result.completed = true;

@@ -1,5 +1,11 @@
-// Transient analysis with adaptive stepping, source breakpoints, and event
-// detection/callbacks.
+// Backward-Euler transient analysis with adaptive stepping, source
+// breakpoints, and event detection/callbacks.
+//
+// The step control is fixed (transient.cpp): the first step, and the first
+// step after an event callback, is kDtInitial (0.1 ns); an accepted step grows
+// the next by kDtGrowth (1.5x) up to dt_max; a failed Newton solve or an event
+// overshoot quarters the step, never below kDtMin (10 fs); every solve uses
+// the shunt kGmin (device.hpp).
 //
 // Events are the mechanism behind write termination in full-circuit mode: a
 // monitor watches the comparator output voltage; when it crosses the logic
@@ -31,22 +37,16 @@ struct TransientEvent {
   std::function<double(double t, std::span<const double> x)> value;
   double threshold = 0.0;
   EventDirection direction = EventDirection::kFalling;
-  // Called once the crossing has been localized to within `resolution`.
+  // Called once the crossing has been localized to within `resolution`. An
+  // event fires at most once per run.
   std::function<void(double t, std::span<const double> x)> on_fire;
   double resolution = 1e-9;
-  bool one_shot = true;
 };
 
 struct TransientOptions {
   double t_stop = 1e-6;
-  double dt_initial = 1e-10;
-  double dt_min = 1e-14;
   double dt_max = 1e-8;
-  double dt_growth = 1.5;  // growth factor after an easy step
-  IntegrationMethod method = IntegrationMethod::kBackwardEuler;
-  double gmin = 1e-12;
   num::NewtonOptions newton;
-  bool store_solutions = false;  // keep full x at every step (memory heavy)
   // Early-stop predicate, checked after each accepted step (events already
   // fired). Returning true ends the run with completed = true — used by
   // terminated writes whose tail carries no information once every cell has
@@ -64,7 +64,6 @@ struct TransientResult {
   std::vector<double> times;     // accepted step times (starts at 0)
   // probe_values[p][k] = probe p at times[k]
   std::vector<std::vector<double>> probe_values;
-  std::vector<std::vector<double>> solutions;  // only if store_solutions
   std::vector<FiredEvent> fired_events;
   std::size_t steps_accepted = 0;
   std::size_t steps_rejected = 0;
@@ -82,7 +81,7 @@ struct TransientResult {
 // Runs DC at t=0 (devices see their waveform value at time zero), initializes
 // device history, then time-steps to options.t_stop. Probes are sampled at
 // every accepted step. Throws ConvergenceError if the DC point or a transient
-// step cannot be solved even at dt_min.
+// step cannot be solved even at kDtMin.
 TransientResult run_transient(MnaSystem& system, const TransientOptions& options,
                               const std::vector<Probe>& probes = {},
                               std::vector<TransientEvent> events = {});

@@ -22,7 +22,10 @@ struct AxisMap {
     return scale == AxisScale::kLog10 ? std::log10(v) : v;
   }
 
-  bool usable(double v) const { return scale != AxisScale::kLog10 || v > 0.0; }
+  // Finite, and positive on a log axis.
+  bool usable(double v) const {
+    return std::isfinite(v) && (scale != AxisScale::kLog10 || v > 0.0);
+  }
 
   // Maps value -> [0,1]; caller guarantees usable(v).
   double unit(double v) const {
@@ -44,7 +47,7 @@ AxisMap fit_axis(std::span<const double> values, AxisScale scale) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (double v : values) {
-    if (!m.usable(v) || !std::isfinite(v)) continue;
+    if (!m.usable(v)) continue;
     const double t = m.transform(v);
     lo = std::min(lo, t);
     hi = std::max(hi, t);
@@ -96,7 +99,6 @@ void plot_series(std::ostream& os, std::span<const Series> series, const PlotOpt
   for (const auto& s : series) {
     for (std::size_t i = 0; i < s.x.size(); ++i) {
       if (!xm.usable(s.x[i]) || !ym.usable(s.y[i])) continue;
-      if (!std::isfinite(s.x[i]) || !std::isfinite(s.y[i])) continue;
       const double ux = xm.unit(s.x[i]);
       const double uy = ym.unit(s.y[i]);
       if (ux < 0.0 || ux > 1.0 || uy < 0.0 || uy > 1.0) continue;

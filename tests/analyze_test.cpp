@@ -138,13 +138,6 @@ TEST(Analyze, SuppressionDropsListedCodes) {
   EXPECT_TRUE(report.empty()) << report.format();
 }
 
-TEST(Analyze, StructuralCheckCanBeSkipped) {
-  AnalyzerOptions options;
-  options.structural_check = false;
-  const auto report = analyze_text("V1 0 0 DC 1\n", options);
-  EXPECT_FALSE(report.has_code(codes::kStructuralSingular));
-}
-
 // --- MnaSystem precheck gate ---
 
 TEST(Analyze, PrecheckFailsFastOnBrokenTopology) {

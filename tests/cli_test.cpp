@@ -90,8 +90,9 @@ TEST(CliContract, MalformedNumericValueExits2) {
   }
 
 #ifdef OXMLC_BENCH_FIG11_PATH
-  // The benches read their flags through the same reader.
-  for (const char* trials : {"-1", "abc"}) {
+  // The benches read their flags through the same reader; a count must be at
+  // least 1.
+  for (const char* trials : {"-1", "abc", "0"}) {
     const RunResult bad = run(OXMLC_BENCH_FIG11_PATH, std::string("--trials ") + trials);
     EXPECT_EQ(bad.exit_code, 2) << trials << "\n" << bad.output;
     EXPECT_NE(bad.output.find("error: --trials expects"), std::string::npos)
@@ -203,6 +204,66 @@ TEST(CliContract, QlcHonoursTheThreadsFlag) {
               static_cast<double>(threads));
     std::remove(metrics_path.c_str());
   }
+}
+
+// tools/netlists/rc_lowpass.cir: a 1 kOhm / 1 nF low-pass (tau = 1 us) driven
+// by a 1 V step. The netlist modes' numbers below are pinned to its solve.
+constexpr const char* kRcLowpass =
+    "* first-order RC low-pass step response\n"
+    "VIN in 0 PULSE(0 1 0 1n 1n 1m)\n"
+    "R1 in out 1k\n"
+    "C1 out 0 1n\n"
+    ".end\n";
+
+// Writes `text` to a temp netlist and runs `arguments` on it.
+RunResult run_netlist(const std::string& name, const std::string& text,
+                      const std::string& arguments) {
+  const std::string path = temp_path(name);
+  std::ofstream(path) << text;
+  RunResult result = run_sim(arguments + " '" + path + "'");
+  std::remove(path.c_str());
+  return result;
+}
+
+TEST(CliContract, OpModeSolvesTheNetlistDcPoint) {
+  const RunResult result = run_netlist("oxmlc_cli_rc_op.cir", kRcLowpass, "");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("| out  |    0.000000 |"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliContract, TranModeReportsStepsIterationsAndFinalValue) {
+  const RunResult result =
+      run_netlist("oxmlc_cli_rc_tran.cir", kRcLowpass, "--tran 3u --probe out");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("transient: 1007 steps to 3 us (2015 Newton iterations)"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("| out   |        0.949970 |"), std::string::npos)
+      << result.output;
+}
+
+TEST(CliContract, AcModeReportsGainAndPhase) {
+  const RunResult result =
+      run_netlist("oxmlc_cli_rc_ac.cir", kRcLowpass, "--ac VIN 1k 1g --probe out");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("|  100 kHz | out   |    -1.45 |       -32.1 |"),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(CliContract, NolintCodesReachTheSolveTimePrecheck) {
+  // fa/fb float (OXA001). `.nolint` silences it under --lint, and must
+  // silence the precheck that the solve runs too.
+  const RunResult result = run_netlist("oxmlc_cli_nolint.cir",
+                                       ".nolint OXA001\n"
+                                       "V1 in 0 DC 1\n"
+                                       "R1 in 0 1k\n"
+                                       "C1 fa fb 1p\n"
+                                       "R2 fa fb 1k\n",
+                                       "");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(result.output.find("OXA001"), std::string::npos) << result.output;
 }
 
 TEST(CliContract, UnknownSimdBackendExits1NamingTheAcceptedValues) {

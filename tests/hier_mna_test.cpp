@@ -26,7 +26,6 @@ namespace {
 using oxmlc::num::BlockPartition;
 using oxmlc::num::BlockSchurLu;
 using oxmlc::num::LinearSolver;
-using oxmlc::num::SchurOptions;
 using oxmlc::num::SingularMatrixError;
 using oxmlc::num::TripletMatrix;
 
@@ -102,7 +101,7 @@ TEST(BlockSchurLu, MatchesMonolithicSolve) {
     std::vector<double> x_mono(n);
     mono.solve(sys.rhs, x_mono);
 
-    BlockSchurLu hier(sys.partition, SchurOptions{});
+    BlockSchurLu hier(sys.partition);
     hier.factorize_cached(sys.a);
     std::vector<double> x_hier(n);
     hier.solve(sys.rhs, x_hier);
@@ -115,7 +114,7 @@ TEST(BlockSchurLu, RefactorizePathMatchesAndReports) {
   // Same pattern, new values: second factorize must take the block
   // refactorize path (block_n > dense cutoff) and still match monolithic.
   BbdSystem sys = make_bbd(4, 120, 8, 0xAB);
-  BlockSchurLu hier(sys.partition, SchurOptions{});
+  BlockSchurLu hier(sys.partition);
   hier.factorize_cached(sys.a);
   EXPECT_FALSE(hier.last_refactorized());
 
@@ -135,7 +134,7 @@ TEST(BlockSchurLu, RefactorizePathMatchesAndReports) {
 TEST(BlockSchurLu, DegenerateSingleBlockEmptyBorder) {
   // Everything in one interior block: no border, pure block solve.
   BbdSystem sys = make_bbd(1, 24, 0, 0x11);
-  BlockSchurLu hier(sys.partition, SchurOptions{});
+  BlockSchurLu hier(sys.partition);
   hier.factorize_cached(sys.a);
   EXPECT_EQ(hier.border_size(), 0u);
 
@@ -153,7 +152,7 @@ TEST(BlockSchurLu, DegenerateAllBorder) {
   BlockPartition all_border;
   all_border.blocks = 1;  // one (empty) interior block
   all_border.block_of.assign(sys.a.size(), BlockPartition::kBorder);
-  BlockSchurLu hier(all_border, SchurOptions{});
+  BlockSchurLu hier(all_border);
   hier.factorize_cached(sys.a);
   EXPECT_EQ(hier.border_size(), sys.a.size());
 
@@ -175,7 +174,7 @@ TEST(BlockSchurLu, SingularBlockNamesGlobalColumn) {
     if (t.row == dead || t.col == dead) continue;
     broken.add(t.row, t.col, t.value);
   }
-  BlockSchurLu hier(sys.partition, SchurOptions{});
+  BlockSchurLu hier(sys.partition);
   try {
     hier.factorize_cached(broken);
     FAIL() << "expected SingularMatrixError";
@@ -189,7 +188,7 @@ TEST(BlockSchurLu, SingularBlockNamesGlobalColumn) {
 TEST(BlockSchurLu, CrossBlockCouplingRejected) {
   BbdSystem sys = make_bbd(2, 8, 2, 0x44);
   sys.a.add(0, 8, 1.0);  // block 0 directly into block 1
-  BlockSchurLu hier(sys.partition, SchurOptions{});
+  BlockSchurLu hier(sys.partition);
   EXPECT_THROW(hier.factorize_cached(sys.a), oxmlc::InvalidArgumentError);
 }
 
@@ -243,7 +242,7 @@ TEST(BankEquivalence, DcHierMatchesMonolithicAt1e9) {
   ASSERT_TRUE(dc_mono.converged);
 
   oxmlc::spice::MnaSystem hier(bank.circuit());
-  hier.set_partition(bank.partition(), SchurOptions{});
+  hier.set_partition(bank.partition());
   const auto dc_hier = oxmlc::spice::solve_dc(hier);
   ASSERT_TRUE(dc_hier.converged);
 
@@ -398,7 +397,7 @@ TEST(LinearSolverPartition, RoutesThroughSchurAndBack) {
   const std::size_t n = sys.a.size();
 
   LinearSolver solver;
-  solver.set_partition(sys.partition, SchurOptions{});
+  solver.set_partition(sys.partition);
   EXPECT_TRUE(solver.partitioned());
   solver.factorize_cached(sys.a);
   std::vector<double> x_hier(n);

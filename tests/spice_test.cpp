@@ -259,36 +259,6 @@ TEST(Transient, RcChargingMatchesAnalytic) {
   EXPECT_NEAR(v_end, 1.0 - std::exp(-3.0), 5e-3);
 }
 
-TEST(Transient, TrapezoidalMoreAccurateThanBackwardEuler) {
-  auto run = [](IntegrationMethod method) {
-    Circuit c;
-    const int in = c.node("in");
-    const int out = c.node("out");
-    PulseSpec spec;
-    spec.v2 = 1.0;
-    spec.rise = 1e-9;
-    spec.fall = 1e-9;
-    spec.width = 1e-3;
-    c.add<VoltageSource>("V1", in, kGround, std::make_shared<PulseWaveform>(spec));
-    c.add<Resistor>("R1", in, out, 1e3);
-    c.add<Capacitor>("C1", out, kGround, 1e-9);
-    MnaSystem system(c);
-    TransientOptions options;
-    options.t_stop = 1e-6;
-    options.dt_max = 2e-8;  // deliberately coarse
-    options.method = method;
-    std::vector<Probe> probes = {{"v", [out](double, std::span<const double> x) {
-                                    return x[static_cast<std::size_t>(out)];
-                                  }}};
-    const TransientResult r = run_transient(system, options, probes);
-    return r.probe_values[0].back();
-  };
-  const double analytic = 1.0 - std::exp(-1.0);
-  const double be_error = std::fabs(run(IntegrationMethod::kBackwardEuler) - analytic);
-  const double trap_error = std::fabs(run(IntegrationMethod::kTrapezoidal) - analytic);
-  EXPECT_LT(trap_error, be_error);
-}
-
 TEST(Transient, RlcRingingFrequency) {
   // Series RLC driven by a step; check the damped oscillation period.
   Circuit c;
@@ -309,7 +279,6 @@ TEST(Transient, RlcRingingFrequency) {
   TransientOptions options;
   options.t_stop = 1e-6;
   options.dt_max = 1e-9;
-  options.method = IntegrationMethod::kTrapezoidal;
   std::vector<Probe> probes = {{"v", [out](double, std::span<const double> x) {
                                   return x[static_cast<std::size_t>(out)];
                                 }}};
@@ -453,14 +422,16 @@ TEST(Transient, EventRestingOnThresholdDoesNotFire) {
   EXPECT_TRUE(result.fired_events.empty());
 }
 
-// Regression: a breakpoint landing closer than dt_min to the previous one
-// must not clamp the step below dt_min (the old snap drove Newton with a
-// degenerate 2e-15 s step). The sub-dt_min gap is merged into the next step.
+// Regression: a breakpoint landing closer than the minimum step (kDtMin,
+// 1e-14 s in transient.cpp) to the previous one must not clamp the step below
+// it (the old snap drove Newton with a degenerate 2e-15 s step). The sub-kDtMin
+// gap is merged into the next step.
 TEST(Transient, SubDtMinBreakpointGapIsMerged) {
+  constexpr double kDtMin = 1e-14;
   Circuit c;
   const int in = c.node("in");
-  // PWL knots 2e-15 apart: two breakpoints closer than dt_min = 1e-14 (and
-  // farther apart than the 1e-15 dedup window in collect_breakpoints).
+  // PWL knots 2e-15 apart: two breakpoints closer than kDtMin (and farther
+  // apart than the 1e-15 dedup window in collect_breakpoints).
   std::vector<std::pair<double, double>> points = {
       {0.0, 0.0}, {1e-9, 0.0}, {1e-9 + 2e-15, 1.0}, {1e-7, 1.0}};
   c.add<VoltageSource>("V1", in, kGround, std::make_shared<PwlWaveform>(points));
@@ -469,7 +440,6 @@ TEST(Transient, SubDtMinBreakpointGapIsMerged) {
 
   TransientOptions options;
   options.t_stop = 5e-9;
-  options.dt_min = 1e-14;
   options.dt_max = 1e-9;
 
   std::vector<Probe> probes = {{"v", [in](double, std::span<const double> x) {
@@ -480,7 +450,7 @@ TEST(Transient, SubDtMinBreakpointGapIsMerged) {
   ASSERT_GE(result.times.size(), 2u);
   for (std::size_t k = 1; k + 1 < result.times.size(); ++k) {
     const double delta = result.times[k] - result.times[k - 1];
-    EXPECT_GE(delta, options.dt_min * 0.999)
+    EXPECT_GE(delta, kDtMin * 0.999)
         << "step " << k << " at t=" << result.times[k];
   }
   // The source still reaches its post-knot value: the breakpoint was merged,

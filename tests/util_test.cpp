@@ -406,5 +406,14 @@ TEST(AsciiPlot, BoxLanesShowMedianMarker) {
   EXPECT_NE(os.str().find("6 uA"), std::string::npos);
 }
 
+TEST(AsciiPlot, EmptyBoxLaneRendersItsRow) {
+  // A lane with no samples summarizes to NaN quartiles; it must render at the
+  // axis origin, not index the row with a NaN cast to int.
+  BoxLane lane{"empty", box_plot_summary({})};
+  std::ostringstream os;
+  plot_boxes(os, std::vector<BoxLane>{lane}, BoxPlotOptions{});
+  EXPECT_NE(os.str().find("empty #"), std::string::npos) << os.str();
+}
+
 }  // namespace
 }  // namespace oxmlc

@@ -595,6 +595,7 @@ int run_lint(const CliOptions& options, const std::string& netlist_text) {
 
 int run_op(spice::ParsedNetlist& parsed) {
   spice::MnaSystem system(parsed.circuit);
+  system.analyzer_options().suppress = parsed.suppressed;
   const spice::DcResult result = spice::solve_dc(system);
   if (!result.converged) {
     std::cerr << "DC operating point did not converge\n";
@@ -628,6 +629,7 @@ int run_tran(spice::ParsedNetlist& parsed, const CliOptions& options) {
   }
 
   spice::MnaSystem system(parsed.circuit);
+  system.analyzer_options().suppress = parsed.suppressed;
   spice::TransientOptions tran;
   tran.t_stop = options.t_stop;
   tran.dt_max = options.dt_max > 0.0 ? options.dt_max : options.t_stop / 1000.0;
@@ -683,6 +685,7 @@ int run_ac_cli(spice::ParsedNetlist& parsed, const CliOptions& options) {
   source->set_ac(1.0);
 
   spice::MnaSystem system(parsed.circuit);
+  system.analyzer_options().suppress = parsed.suppressed;
   spice::AcOptions ac;
   ac.f_start = options.f_start;
   ac.f_stop = options.f_stop;
