@@ -31,8 +31,8 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t rows = bench::size_flag(argc, argv, "--rows", 1024);
-  const std::size_t cols = bench::size_flag(argc, argv, "--cols", 1024);
+  const std::size_t rows = bench::size_flag(argc, argv, "--rows", 1024, 1);
+  const std::size_t cols = bench::size_flag(argc, argv, "--cols", 1024, 1);
   const std::size_t threads = bench::size_flag(argc, argv, "--threads", 1);
   const std::size_t total = rows * cols;
 

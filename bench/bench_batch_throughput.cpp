@@ -40,7 +40,8 @@ struct Sweep {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t max_lanes = bench::size_flag(argc, argv, "--max-lanes", 4096);
+  // The smallest sweep is 16 lanes; a lower cap would sweep nothing.
+  const std::size_t max_lanes = bench::size_flag(argc, argv, "--max-lanes", 4096, 16);
 
   bench::print_header(
       "Batch throughput", "SoA batch kernel vs serial reference stepper",

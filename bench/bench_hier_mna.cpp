@@ -51,7 +51,8 @@ struct SweepRow {
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t max_size = bench::size_flag(argc, argv, "--max-size", 64, 1);
+  // The smallest sweep is 8 columns; a lower cap would sweep nothing.
+  const std::size_t max_size = bench::size_flag(argc, argv, "--max-size", 64, 8);
   const std::size_t mono_max = bench::size_flag(argc, argv, "--mono-max", 64);
   // Best-of-N wall clock per configuration: single draws of the sub-second
   // hierarchical transients are timing-noise dominated, and the gated
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
   const std::size_t repeats =
       std::max<std::size_t>(1, bench::size_flag(argc, argv, "--repeats", 3));
   const double t_stop =
-      static_cast<double>(bench::size_flag(argc, argv, "--t-stop-ns", 2000)) * 1e-9;
+      static_cast<double>(bench::size_flag(argc, argv, "--t-stop-ns", 2000, 1)) * 1e-9;
 
   bench::print_header(
       "Hierarchical MNA", "bordered-block Schur transients vs monolithic",
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
     row.size = size;
     const auto cfg = bank_config(size, t_stop);
 
-    std::vector<array::BankColumnResult> mono_cols;
+    std::vector<array::ColumnResult> mono_cols;
     if (size <= mono_max) {
       auto mono_cfg = cfg;
       mono_cfg.hierarchical = false;

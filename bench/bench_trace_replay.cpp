@@ -26,7 +26,7 @@
 int main(int argc, char** argv) {
   using namespace oxmlc;
 
-  const std::size_t requests = bench::size_flag(argc, argv, "--requests", 1'000'000);
+  const std::size_t requests = bench::size_flag(argc, argv, "--requests", 1'000'000, 1);
   const std::size_t threads = bench::size_flag(argc, argv, "--threads", 0);
 
   memsys::ReplayOptions options;

@@ -12,30 +12,6 @@
 namespace oxmlc::array {
 namespace {
 
-// Distributed line along the selected row with one tap per column: the shared
-// SL/WL wiring every column hangs off. Returns the tap nodes (all border).
-std::vector<int> build_tapped_line(spice::Circuit& c, const std::string& prefix,
-                                   int from, const LineParasitics& line,
-                                   std::size_t taps) {
-  std::vector<int> nodes;
-  nodes.reserve(taps);
-  const double r_seg = line.total_resistance / static_cast<double>(taps);
-  const double c_seg = line.total_capacitance / static_cast<double>(taps);
-  int previous = from;
-  for (std::size_t j = 0; j < taps; ++j) {
-    const int tap = c.node(prefix + "_" + std::to_string(j));
-    c.add<dev::Resistor>(prefix + "_r" + std::to_string(j), previous, tap,
-                         std::max(r_seg, 1e-3));
-    if (c_seg > 0.0) {
-      c.add<dev::Capacitor>(prefix + "_c" + std::to_string(j), tap,
-                            spice::kGround, c_seg);
-    }
-    nodes.push_back(tap);
-    previous = tap;
-  }
-  return nodes;
-}
-
 LineParasitics scale_line(const LineParasitics& full, std::size_t cells,
                           std::size_t reference_cells, std::size_t segments) {
   LineParasitics out = full;
@@ -66,21 +42,13 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
     border.push_back(vdd);
   }
 
-  // --- shared SL driver: one stoppable RST pulse feeds the whole word ---
-  spice::PulseSpec spec;
-  spec.v1 = 0.0;
-  spec.v2 = config.v_rst;
-  spec.delay = 0.0;
-  spec.rise = config.pulse_rise;
-  spec.width = config.pulse_width;
-  spec.fall = config.pulse_fall;
-  sl_pulse_ = std::make_shared<spice::StoppablePulse>(spec);
-  const int sl_drv = c.node("sl_drv");
-  c.add<dev::VoltageSource>("Vsl", sl_drv, spice::kGround, sl_pulse_);
-  const int sl_rdrv = c.node("sl_rdrv");
-  c.add<dev::Resistor>("Rsl_drv", sl_drv, sl_rdrv, config.r_driver);
-  border.push_back(sl_drv);
-  border.push_back(sl_rdrv);
+  // --- shared SL driver: one RST pulse feeds the whole word ---
+  const SlDriver sl_driver = build_sl_driver(c, config.v_rst, config.pulse_rise,
+                                             config.pulse_width, config.pulse_fall,
+                                             config.r_driver);
+  sl_pulse_ = sl_driver.pulse;
+  border.push_back(sl_driver.source);
+  border.push_back(sl_driver.out);
 
   // --- shared WL driver, DC high for the whole operation ---
   const int wl_drv = c.node("wl_drv");
@@ -89,16 +57,12 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
 
   // Row wiring: horizontal SL and WL ladders, one tap per column. These taps
   // are the only electrical coupling between columns — the BBD border.
-  const std::vector<int> sl_taps = build_tapped_line(
-      c, "slb", sl_rdrv,
-      scale_line(config.sl, config.columns, config.reference_cols,
-                 config.columns),
-      config.columns);
-  const std::vector<int> wl_taps = build_tapped_line(
+  const std::vector<int> sl_taps = build_rc_line(
+      c, "slb", sl_driver.out,
+      scale_line(config.sl, config.columns, config.reference_cols, config.columns));
+  const std::vector<int> wl_taps = build_rc_line(
       c, "wlb", wl_drv,
-      scale_line(config.wl, config.columns, config.reference_cols,
-                 config.columns),
-      config.columns);
+      scale_line(config.wl, config.columns, config.reference_cols, config.columns));
   border.insert(border.end(), sl_taps.begin(), sl_taps.end());
   border.insert(border.end(), wl_taps.begin(), wl_taps.end());
 
@@ -112,33 +76,18 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
   cells_.reserve(config.columns);
   for (std::size_t j = 0; j < config.columns; ++j) {
     const std::string col = std::to_string(j);
-    const int be = c.node("be" + col);
-    node_be_.push_back(be);
-    c.add<dev::Mosfet>("Macc" + col, sl_taps[j], wl_taps[j], be, spice::kGround,
-                       config.access);
-
-    const int bl_cell = c.node("blc" + col);
-    node_bl_cell_.push_back(bl_cell);
-    cells_.push_back(
-        &c.add<oxram::OxramDevice>("cell" + col, bl_cell, be, config.cell, config.cell.g_min));
-
-    const int bl_far = build_rc_line(c, "bl" + col, bl_cell, bl);
+    const CellColumn column = build_cell_column(c, col, sl_taps[j], wl_taps[j],
+                                                config.access, config.cell,
+                                                config.cell.g_min, bl);
+    cells_.push_back(column.cell);
 
     // Column-select switch; its gate driver is the per-column stop target.
     const int bl_mux = c.node("mux" + col);
     const int csel = c.node("csel" + col);
-    c.add<dev::Mosfet>("Msel" + col, bl_far, csel, bl_mux, spice::kGround,
+    c.add<dev::Mosfet>("Msel" + col, column.bl_end, csel, bl_mux, spice::kGround,
                        config.column_select);
-    spice::PulseSpec sel_spec;
-    sel_spec.v1 = 0.0;
-    sel_spec.v2 = config.v_csel;
-    sel_spec.delay = 0.0;
-    sel_spec.rise = 1e-9;
-    sel_spec.width = config.t_stop;  // high for the whole op unless stopped
-    sel_spec.fall = 5e-9;
-    auto csel_pulse = std::make_shared<spice::StoppablePulse>(sel_spec);
-    csel_pulses_.push_back(csel_pulse);
-    c.add<dev::VoltageSource>("Vcsel" + col, csel, spice::kGround, csel_pulse);
+    csel_pulses_.push_back(
+        build_stop_gate(c, "csel" + col, csel, config.v_csel, config.t_stop));
 
     const double iref = j < config.irefs.size() ? config.irefs[j] : 0.0;
     if (iref > 0.0) {
@@ -164,13 +113,11 @@ BankWritePathResult BankWritePath::run() {
   }
 
   std::vector<spice::Probe> probes;
+  std::vector<std::size_t> icell_probes;
   for (std::size_t j = 0; j < config_.columns; ++j) {
     oxram::OxramDevice* cell = cells_[j];
-    probes.push_back({"icell" + std::to_string(j),
-                      [cell](double, std::span<const double> x) {
-                        // RST current flows BE -> TE; report its magnitude.
-                        return -cell->current(x);
-                      }});
+    icell_probes.push_back(probes.size());
+    probes.push_back(cell_current_probe("icell" + std::to_string(j), *cell));
     probes.push_back({"gap" + std::to_string(j),
                       [cell](double, std::span<const double>) {
                         return cell->gap();
@@ -189,40 +136,28 @@ BankWritePathResult BankWritePath::run() {
   };
   auto stop_state = std::make_shared<StopState>();
 
+  BankWritePathResult result;
+  result.columns.resize(config_.columns);
   std::vector<spice::TransientEvent> events;
-  {
-    const double vdd = config_.termination.vdd;
-    for (std::size_t j = 0; j < config_.columns; ++j) {
-      if (terminations_[j].out < 0) continue;  // column has no comparator
-      ++stop_state->comparators;
-      spice::TransientEvent ev;
-      ev.name = "termination" + std::to_string(j);
-      const int out_node = terminations_[j].out;
-      ev.value = [out_node](double, std::span<const double> x) {
-        return out_node < 0 ? 0.0 : x[static_cast<std::size_t>(out_node)];
-      };
-      ev.threshold = 0.5 * vdd;
-      ev.direction = spice::EventDirection::kFalling;
-      ev.resolution = 2e-9;
-      const double logic_delay = config_.logic_delay;
-      const double settle = config_.stop_after_terminated.value_or(0.0);
-      auto pulse = csel_pulses_[j];
-      ev.on_fire = [pulse, logic_delay, settle, stop_state](
-                       double t, std::span<const double>) {
-        pulse->stop(t + logic_delay);
-        ++stop_state->fired;
-        // The settle window must outlast the commanded csel fall (5 ns).
-        stop_state->stop_at =
-            std::max(stop_state->stop_at, t + logic_delay + settle);
-      };
-      events.push_back(std::move(ev));
-    }
+  for (std::size_t j = 0; j < config_.columns; ++j) {
+    if (terminations_[j].out < 0) continue;  // column has no comparator
+    ++stop_state->comparators;
+    spice::TransientEvent event =
+        comparator_stop_event("stop" + std::to_string(j), terminations_[j],
+                              config_.logic_delay, csel_pulses_[j], result.columns[j]);
+    const double logic_delay = config_.logic_delay;
+    const double settle = config_.stop_after_terminated.value_or(0.0);
+    event.on_fire = [stop = std::move(event.on_fire), logic_delay, settle, stop_state](
+                        double t, std::span<const double> x) {
+      stop(t, x);
+      ++stop_state->fired;
+      // The settle window must outlast the commanded csel fall (5 ns).
+      stop_state->stop_at = std::max(stop_state->stop_at, t + logic_delay + settle);
+    };
+    events.push_back(std::move(event));
   }
 
-  spice::TransientOptions options;
-  options.t_stop = config_.t_stop;
-  options.dt_max = 20e-9;
-  options.newton.max_iterations = 200;
+  spice::TransientOptions options = write_transient_options(config_.t_stop);
   if (config_.stop_after_terminated && stop_state->comparators > 0) {
     options.stop_when = [stop_state](double t) {
       return stop_state->fired == stop_state->comparators &&
@@ -230,39 +165,17 @@ BankWritePathResult BankWritePath::run() {
     };
   }
 
-  BankWritePathResult result;
   result.transient = spice::run_transient(system, options, probes, std::move(events));
   result.unknowns = circuit_.unknown_count();
   result.blocks = partition_.blocks;
   for (std::int32_t b : partition_.block_of) {
     if (b == num::BlockPartition::kBorder) ++result.border_size;
   }
-
-  result.columns.resize(config_.columns);
   for (std::size_t j = 0; j < config_.columns; ++j) {
-    BankColumnResult& col = result.columns[j];
-    col.final_gap = cells_[j]->gap();
-    col.final_resistance = cells_[j]->resistance(0.3);
+    record_final_state(result.columns[j], *cells_[j]);
   }
-  for (const auto& fired : result.transient.fired_events) {
-    for (std::size_t j = 0; j < config_.columns; ++j) {
-      if (fired.name == "termination" + std::to_string(j)) {
-        result.columns[j].terminated = true;
-        result.columns[j].t_terminate = fired.time;
-      }
-    }
-  }
-
-  // SL-driver energy: V_sl times the total word current.
-  const auto& times = result.transient.times;
-  const auto& vsl = result.transient.probe_values.back();
-  std::vector<double> power(times.size(), 0.0);
-  for (std::size_t j = 0; j < config_.columns; ++j) {
-    const auto& icell =
-        result.transient.probe_values[BankWritePathResult::probe_icell(j)];
-    for (std::size_t k = 0; k < times.size(); ++k) power[k] += vsl[k] * icell[k];
-  }
-  result.energy_source = spice::TransientResult::integrate(times, power);
+  result.energy_source =
+      sl_source_energy(result.transient, probes.size() - 1, icell_probes);
   return result;
 }
 

@@ -31,17 +31,19 @@
 // select gate (StoppablePulse on csel_j) after the logic delay, cutting the
 // cell current without disturbing the shared SL pulse — per-BL termination as
 // in §3.2 of the paper, generalized to word-parallel operation.
+//
+// The SL driver, the columns, the select-gate drivers, the stop events and
+// the transient settings are the shared write-path core (write_stack.hpp);
+// this testbench adds the tapped SL/WL lines, the column selects, the
+// partition and the early stop.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "array/parasitics.hpp"
-#include "array/termination.hpp"
+#include "array/write_stack.hpp"
 #include "numeric/schur_lu.hpp"
-#include "oxram/device.hpp"
-#include "spice/transient.hpp"
 
 namespace oxmlc::array {
 
@@ -90,22 +92,14 @@ struct BankWritePathConfig {
   bool hierarchical = true;  // false: same netlist, monolithic solver
 };
 
-struct BankColumnResult {
-  bool terminated = false;
-  double t_terminate = 0.0;
-  double final_gap = 0.0;
-  double final_resistance = 0.0;  // at 0.3 V read
-};
-
 struct BankWritePathResult {
   spice::TransientResult transient;
-  std::vector<BankColumnResult> columns;
+  std::vector<ColumnResult> columns;
   double energy_source = 0.0;  // SL-driver energy over all columns
   std::size_t unknowns = 0;
   std::size_t border_size = 0;
   std::size_t blocks = 0;
   // Probe layout: 2 per column (icell_j, gap_j), then vsl last.
-  static std::size_t probe_icell(std::size_t column) { return 2 * column; }
 };
 
 class BankWritePath {
@@ -118,7 +112,6 @@ class BankWritePath {
 
   spice::Circuit& circuit() { return circuit_; }
   const num::BlockPartition& partition() const { return partition_; }
-  oxram::OxramDevice& cell(std::size_t column) { return *cells_[column]; }
 
  private:
   BankWritePathConfig config_;
@@ -128,8 +121,6 @@ class BankWritePath {
   std::vector<oxram::OxramDevice*> cells_;
   std::vector<TerminationCircuit> terminations_;
   std::vector<std::shared_ptr<spice::StoppablePulse>> csel_pulses_;
-  std::vector<int> node_be_;
-  std::vector<int> node_bl_cell_;
 };
 
 }  // namespace oxmlc::array

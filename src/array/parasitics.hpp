@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "spice/circuit.hpp"
 
@@ -29,10 +30,11 @@ struct LineParasitics {
   static LineParasitics none() { return {0.0, 0.0, 0}; }
 };
 
-// Builds an RC ladder between `from` and a newly created far-end node named
-// "<prefix>_end" (intermediate nodes "<prefix>_k"). With zero segments or zero
-// R, returns `from` unchanged (capacitance, if any, is lumped at `from`).
-int build_rc_line(spice::Circuit& circuit, const std::string& prefix, int from,
-                  const LineParasitics& parasitics);
+// Builds an RC ladder from `from` and returns the node at the end of each
+// segment: "<prefix>_k", the last "<prefix>_end". A line tapped once per
+// column hangs each column off one of them. With zero segments or zero R,
+// every returned node is `from` (capacitance, if any, is lumped at `from`).
+std::vector<int> build_rc_line(spice::Circuit& circuit, const std::string& prefix,
+                               int from, const LineParasitics& parasitics);
 
 }  // namespace oxmlc::array

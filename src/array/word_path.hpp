@@ -13,6 +13,10 @@
 // neighbours keep programming. The shared SL pulse simply runs to its full
 // width.
 //
+// The SL driver, the columns, the stop events and the transient settings are
+// the shared write-path core (write_stack.hpp); this testbench adds the SL
+// ladder, the pass gates and the program-inhibit clamps.
+//
 // This is the transistor-level proof that the termination scheme supports
 // multi-bit (word) access; the fast-path MemoryController models the same
 // flow behaviorally at array scale.
@@ -21,10 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "array/parasitics.hpp"
-#include "array/termination.hpp"
-#include "oxram/device.hpp"
-#include "spice/transient.hpp"
+#include "array/write_stack.hpp"
 
 namespace oxmlc::array {
 
@@ -44,15 +45,8 @@ struct WordPathConfig {
   double logic_delay = 10e-9;
 };
 
-struct BitResult {
-  bool terminated = false;
-  double t_terminate = 0.0;
-  double final_gap = 0.0;
-  double final_resistance = 0.0;
-};
-
 struct WordPathResult {
-  std::vector<BitResult> bits;
+  std::vector<ColumnResult> bits;
   double word_latency = 0.0;  // slowest bit's termination time
   spice::TransientResult transient;
   // Probe layout: for bit b, probe 2*b = Icell_b, probe 2*b+1 = comparator out_b.
@@ -64,15 +58,12 @@ class WordPath {
 
   WordPathResult run();
 
-  spice::Circuit& circuit() { return circuit_; }
-
  private:
   WordPathConfig config_;
   spice::Circuit circuit_;
   std::vector<oxram::OxramDevice*> cells_;
   std::vector<TerminationCircuit> terminations_;
   std::vector<std::shared_ptr<spice::StoppablePulse>> gate_controls_;
-  int node_sl_ = spice::kGround;
 };
 
 }  // namespace oxmlc::array

@@ -12,22 +12,21 @@
 // transient event watches that node and, after the control-logic delay,
 // commands the SL driver's StoppablePulse to ramp down — reproducing the
 // "stop pulse to the SL driver" of paper §3.2.
+//
+// The driver, the column, the stop event and the transient settings are the
+// shared write-path core (write_stack.hpp); this testbench adds the SL and WL
+// ladders and makes the SL driver its stop target.
 #pragma once
 
 #include <memory>
 #include <optional>
 
-#include "array/parasitics.hpp"
-#include "array/termination.hpp"
-#include "oxram/device.hpp"
-#include "oxram/fast_cell.hpp"
-#include "spice/transient.hpp"
+#include "array/write_stack.hpp"
 
 namespace oxmlc::array {
 
 struct WritePathConfig {
-  oxram::OxramParams cell;
-  double initial_gap = 0.25e-9;          // default: LRS (g_min)
+  oxram::OxramParams cell;               // starts SET, at cell.g_min
   dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
   TerminationSizing termination;
   LineParasitics bl = LineParasitics::paper_bit_line();
@@ -44,15 +43,10 @@ struct WritePathConfig {
   std::optional<double> iref;            // termination reference; nullopt = standard pulse
   double logic_delay = 10e-9;            // control logic between comparator and driver
   double t_stop = 4.0e-6;                // simulation horizon
-  double c2c_rate_factor = 1.0;
 };
 
-struct WritePathResult {
+struct WritePathResult : ColumnResult {
   spice::TransientResult transient;
-  bool terminated = false;
-  double t_terminate = 0.0;     // comparator flip time
-  double final_gap = 0.0;
-  double final_resistance = 0.0;  // cell R at 0.3 V read (model evaluation)
   double energy_source = 0.0;     // SL-driver energy for the operation
   // Probe indices into transient.probe_values:
   // 0: Icell, 1: V(cell), 2: V(BL at termination input), 3: V(comparator out),
@@ -75,8 +69,6 @@ class WritePath {
   WritePathResult run();
 
   spice::Circuit& circuit() { return circuit_; }
-  oxram::OxramDevice& cell() { return *cell_; }
-  const TerminationCircuit& termination() { return termination_; }
 
   // Applies per-trial mismatch to the termination circuit and the access
   // transistor. Call before run() in Monte-Carlo loops.
@@ -85,16 +77,9 @@ class WritePath {
  private:
   WritePathConfig config_;
   spice::Circuit circuit_;
-  oxram::OxramDevice* cell_ = nullptr;
-  dev::Mosfet* access_ = nullptr;
+  CellColumn column_;  // its BL ladder ends at the termination input
   TerminationCircuit termination_;
   std::shared_ptr<spice::StoppablePulse> sl_pulse_;
-  dev::VoltageSource* sl_driver_ = nullptr;
-  int node_bl_cell_ = spice::kGround;   // TE side, before the BL ladder
-  int node_bl_far_ = spice::kGround;    // termination input
-  int node_be_ = spice::kGround;
-  int node_sl_ = spice::kGround;
-  int node_wl_ = spice::kGround;
 };
 
 }  // namespace oxmlc::array

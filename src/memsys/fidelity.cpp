@@ -11,6 +11,12 @@
 #include "util/parallel_for.hpp"
 
 namespace oxmlc::memsys {
+namespace {
+
+// Accelerated retention bake between the witness's scrub rounds.
+constexpr double kWitnessBakeS = 1e6;
+
+}  // namespace
 
 FidelityEngine::FidelityEngine(const GeometryConfig& geometry, FidelityConfig config)
     : geometry_(geometry),
@@ -25,24 +31,19 @@ FidelityEngine::FidelityEngine(const GeometryConfig& geometry, FidelityConfig co
 }
 
 bool FidelityEngine::is_word_sample(std::size_t write_ordinal) const {
-  if (!config_.word_tier) return false;
   return write_ordinal % config_.word_sample_period == 0 &&
          write_ordinal / config_.word_sample_period < config_.word_max_samples;
 }
 
 bool FidelityEngine::is_mna_sample(std::size_t write_ordinal) const {
-  if (!config_.mna_tier) return false;
   return write_ordinal % config_.mna_sample_period == 0 &&
          write_ordinal / config_.mna_sample_period < config_.mna_max_samples;
 }
 
 std::vector<std::size_t> FidelityEngine::levels_for(std::uint64_t data) const {
-  const std::size_t count = study_.qlc.allocation.count();
-  const std::uint64_t mask = (std::uint64_t{1} << geometry_.bits_per_cell) - 1;
   std::vector<std::size_t> levels(geometry_.cells_per_word);
   for (std::size_t cell = 0; cell < levels.size(); ++cell) {
-    const std::size_t shift = (cell * geometry_.bits_per_cell) % 64;
-    levels[cell] = static_cast<std::size_t>((data >> shift) & mask) % count;
+    levels[cell] = payload_level(geometry_, data, cell);
   }
   return levels;
 }
@@ -154,7 +155,7 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     bank.hierarchical = true;
     const array::BankWritePathResult result = array::BankWritePath(bank).run();
     MnaSampleOutcome outcome;
-    for (const array::BankColumnResult& column : result.columns) {
+    for (const array::ColumnResult& column : result.columns) {
       if (column.terminated) {
         outcome.latency_s = std::max(outcome.latency_s, column.t_terminate);
       } else {
@@ -188,7 +189,6 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
 
 WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) const {
   WitnessReport report;
-  if (!config_.witness_tier) return report;
   array::FastArray witness(config_.witness_rows, geometry_.cells_per_word, study_.nominal,
                            study_.variability, study_.stack, config_.seed ^ 0x57495453ull);
   mlc::MemoryController controller(witness, programmer_);
@@ -209,7 +209,7 @@ WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) c
     ++report.words_written;
   }
   for (std::size_t epoch = 0; epoch < config_.witness_scrub_epochs; ++epoch) {
-    engine.advance(config_.witness_bake_s);
+    engine.advance(kWitnessBakeS);
     const mlc::ScrubStats stats = controller.scrub_all();
     report.scrub_words += stats.words;
     report.cells_checked += stats.cells_checked;

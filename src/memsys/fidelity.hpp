@@ -29,8 +29,11 @@
 //                        cap (2 -> 20 realized on the 1M-request replay).
 //   witness (reliability) a small FastArray + MemoryController +
 //                        ReliabilityEngine carries sampled payloads through
-//                        accelerated retention bakes and scrub_all() rounds —
-//                        the physics behind the scheduler's scrub slots.
+//                        witness_scrub_epochs rounds of a 1e6 s accelerated
+//                        retention bake and scrub_all() — the physics behind
+//                        the scheduler's scrub slots.
+//
+// Every replay runs all of them; the sample periods and caps bound their cost.
 //
 // Determinism contract: tiers 1 and 2 each evaluate their samples through
 // one util::parallel_for on `threads` workers. Every tier-1 sample's entire
@@ -53,16 +56,12 @@
 namespace oxmlc::memsys {
 
 struct FidelityConfig {
-  bool word_tier = true;
   std::size_t word_sample_period = 50'000;  // every Nth retired write
   std::size_t word_max_samples = 64;
-  bool mna_tier = true;
   std::size_t mna_sample_period = 25'000;
   std::size_t mna_max_samples = 20;
-  bool witness_tier = true;
   std::size_t witness_rows = 4;        // words in the reliability witness array
   std::size_t witness_scrub_epochs = 2;
-  double witness_bake_s = 1e6;         // accelerated retention bake per epoch
   std::uint64_t seed = 0x4D454D53ull;  // "MEMS"
   std::size_t threads = 0;             // parallel_for workers for tiers 1 and 2
 };

@@ -38,6 +38,10 @@ void GeometryConfig::validate() const {
   OXMLC_CHECK(bits_per_cell >= 1 && bits_per_cell <= 6,
               "memsys geometry: BITS_PER_CELL must be in [1, 6], got " +
                   std::to_string(bits_per_cell));
+  OXMLC_CHECK(cells_per_word <= 64 / bits_per_cell,
+              "memsys geometry: CELLS_PER_WORD x BITS_PER_CELL (" +
+                  std::to_string(cells_per_word) + " x " + std::to_string(bits_per_cell) +
+                  ") must fit the 64-bit trace payload");
   OXMLC_CHECK(cells_per_word * bits_per_cell % 8 == 0,
               "memsys geometry: CELLS_PER_WORD x BITS_PER_CELL (" +
                   std::to_string(cells_per_word) + " x " + std::to_string(bits_per_cell) +
@@ -92,6 +96,12 @@ std::uint64_t encode_address(const GeometryConfig& geometry, const DecodedAddres
   word = word * geometry.banks_per_channel + decoded.bank;
   word = word * geometry.channels + decoded.channel;
   return word * geometry.bytes_per_access();
+}
+
+std::size_t payload_level(const GeometryConfig& geometry, std::uint64_t data,
+                          std::size_t cell) {
+  const std::uint64_t mask = (std::uint64_t{1} << geometry.bits_per_cell) - 1;
+  return static_cast<std::size_t>((data >> (cell * geometry.bits_per_cell)) & mask);
 }
 
 namespace {

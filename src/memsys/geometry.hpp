@@ -86,7 +86,8 @@ struct GeometryConfig {
   }
 
   // Throws InvalidArgumentError naming the offending field on a non-physical
-  // configuration (zero dims, byte-fractional access, degenerate timing).
+  // configuration (zero dims, a word wider than the 64-bit trace payload or
+  // byte-fractional access, degenerate timing).
   void validate() const;
 
   // The NVMain RRAM_ISSCC_2012_4GB shape: 4 channels x 4 banks x 8192 rows
@@ -111,6 +112,13 @@ DecodedAddress decode_address(const GeometryConfig& geometry, std::uint64_t addr
 
 // Inverse of decode_address (used by tests and the synthetic trace writer).
 std::uint64_t encode_address(const GeometryConfig& geometry, const DecodedAddress& decoded);
+
+// Level index that cell `cell` of a device word takes from a write payload:
+// the cell's bits_per_cell-wide field, counted from the low bits of `data`.
+// validate() keeps every field inside the 64-bit payload. Allocates nothing;
+// the scheduler decodes every write through it.
+std::size_t payload_level(const GeometryConfig& geometry, std::uint64_t data,
+                          std::size_t cell);
 
 // `.memcfg` parsing: `KEY value` per line (NVMain idiom), `;` or `#`
 // comments, a bad key or value throws util::ParseError at its line. Keys are

@@ -9,12 +9,9 @@
 namespace oxmlc::memsys {
 
 std::size_t deepest_level(const GeometryConfig& geometry, std::uint64_t data) {
-  const std::size_t levels = std::size_t{1} << geometry.bits_per_cell;
-  const std::uint64_t mask = levels - 1;
   std::size_t deepest = 0;
   for (std::size_t cell = 0; cell < geometry.cells_per_word; ++cell) {
-    const std::size_t shift = (cell * geometry.bits_per_cell) % 64;
-    deepest = std::max(deepest, static_cast<std::size_t>((data >> shift) & mask));
+    deepest = std::max(deepest, payload_level(geometry, data, cell));
   }
   return deepest;
 }

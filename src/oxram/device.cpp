@@ -33,7 +33,7 @@ void OxramDevice::stamp(const spice::StampContext& ctx, spice::Stamper& stamper)
 void OxramDevice::commit_step(const spice::StampContext& ctx) {
   if (ctx.dt <= 0.0) return;
   const double vcell = terminal_voltage(ctx.x);
-  const double new_gap = advance_gap(params_, vcell, gap_, virgin_, ctx.dt, rate_factor_);
+  const double new_gap = advance_gap(params_, vcell, gap_, virgin_, ctx.dt);
   if (virgin_ && new_gap < params_.g_max * 0.98) {
     virgin_ = false;  // forming completed; barrier permanently removed
   }
@@ -42,7 +42,7 @@ void OxramDevice::commit_step(const spice::StampContext& ctx) {
 
 double OxramDevice::recommend_dt(const spice::StampContext& ctx) const {
   const double vcell = terminal_voltage(ctx.x);
-  return recommended_dt(params_, vcell, gap_, virgin_, rate_factor_);
+  return recommended_dt(params_, vcell, gap_, virgin_, 1.0);
 }
 
 double OxramDevice::current(std::span<const double> x) const {

@@ -5,7 +5,9 @@
 // accepted, integrating dg/dt with the converged cell voltage. The device
 // caps the engine's step size so the gap never moves more than a fraction of
 // g0 per step, which keeps this quasi-static splitting accurate; the fast
-// path (fast_cell.hpp) and a dedicated integration test cross-check it.
+// path (fast_cell.hpp) and a dedicated integration test cross-check it. The
+// device switches at the nominal rate; cycle-to-cycle rate variation belongs
+// to the fast path (FastCell::set_rate_factor).
 #pragma once
 
 #include "oxram/model.hpp"
@@ -32,9 +34,6 @@ class OxramDevice final : public spice::Device {
 
   const OxramParams& params() const { return params_; }
 
-  // Per-operation C2C rate multiplier (set before each programming pulse).
-  void set_rate_factor(double factor) { rate_factor_ = factor; }
-
   // Cell current at iterate x (TE -> BE).
   double current(std::span<const double> x) const;
 
@@ -49,7 +48,6 @@ class OxramDevice final : public spice::Device {
   OxramParams params_;
   double gap_;
   bool virgin_;
-  double rate_factor_ = 1.0;
 };
 
 }  // namespace oxmlc::oxram

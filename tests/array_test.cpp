@@ -74,7 +74,9 @@ TEST(Parasitics, LadderDcResistanceIsTotal) {
   const int in = c.node("in");
   c.add<dev::VoltageSource>("V", in, kGround, 1.0);
   LineParasitics line{1000.0, 1e-12, 8};
-  const int far = build_rc_line(c, "bl", in, line);
+  const std::vector<int> ends = build_rc_line(c, "bl", in, line);
+  ASSERT_EQ(ends.size(), 8u);
+  const int far = ends.back();
   c.add<dev::Resistor>("Rload", far, kGround, 1000.0);
   spice::MnaSystem system(c);
   const auto result = spice::solve_dc(system);
@@ -86,14 +88,14 @@ TEST(Parasitics, LadderDcResistanceIsTotal) {
 TEST(Parasitics, ZeroSegmentsReturnsInput) {
   spice::Circuit c;
   const int in = c.node("in");
-  EXPECT_EQ(build_rc_line(c, "x", in, LineParasitics::none()), in);
+  EXPECT_EQ(build_rc_line(c, "x", in, LineParasitics::none()), std::vector<int>{in});
 }
 
 TEST(Parasitics, LumpedCapacitanceWhenNoResistance) {
   spice::Circuit c;
   const int in = c.node("in");
   LineParasitics line{0.0, 1e-12, 4};
-  EXPECT_EQ(build_rc_line(c, "y", in, line), in);
+  EXPECT_EQ(build_rc_line(c, "y", in, line), std::vector<int>(4, in));
   EXPECT_NE(c.find_device("y_clump"), nullptr);
 }
 

@@ -98,6 +98,32 @@ TEST(CliContract, MalformedNumericValueExits2) {
     EXPECT_NE(bad.output.find("error: --trials expects"), std::string::npos)
         << trials << "\n" << bad.output;
   }
+
+  // A size below the smallest one a bench can run exits 2 before any work,
+  // instead of writing NaN into its JSON, sweeping nothing or aborting.
+  const struct {
+    const char* binary;
+    const char* arguments;
+    const char* error;
+  } sizes[] = {
+      {OXMLC_BENCH_ARRAY_SCALE_PATH, "--rows 0", "--rows expects an integer >= 1"},
+      {OXMLC_BENCH_ARRAY_SCALE_PATH, "--cols 0", "--cols expects an integer >= 1"},
+      {OXMLC_BENCH_TRACE_REPLAY_PATH, "--requests 0",
+       "--requests expects an integer >= 1"},
+      {OXMLC_BENCH_BATCH_THROUGHPUT_PATH, "--max-lanes 0",
+       "--max-lanes expects an integer >= 16"},
+      {OXMLC_BENCH_BATCH_THROUGHPUT_PATH, "--max-lanes 15",
+       "--max-lanes expects an integer >= 16"},
+      {OXMLC_BENCH_HIER_MNA_PATH, "--max-size 1", "--max-size expects an integer >= 8"},
+      {OXMLC_BENCH_HIER_MNA_PATH, "--max-size 7", "--max-size expects an integer >= 8"},
+      {OXMLC_BENCH_HIER_MNA_PATH, "--t-stop-ns 0", "--t-stop-ns expects an integer >= 1"},
+  };
+  for (const auto& c : sizes) {
+    const RunResult bad = run(c.binary, c.arguments);
+    EXPECT_EQ(bad.exit_code, 2) << c.binary << " " << c.arguments << "\n" << bad.output;
+    EXPECT_NE(bad.output.find(std::string("error: ") + c.error), std::string::npos)
+        << c.binary << " " << c.arguments << "\n" << bad.output;
+  }
 #endif
 }
 

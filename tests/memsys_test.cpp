@@ -166,6 +166,23 @@ TEST(MemsysConfig, RejectsMalformedValueAndMissingValue) {
   }
 }
 
+TEST(MemsysConfig, RejectsWordWiderThanTracePayload) {
+  // 16 six-bit cells are 96 bits: whole bytes, but wider than the 64-bit
+  // payload every trace write carries, so cells 11-15 would reread bits of
+  // cells 0-5.
+  try {
+    parse_memsys_config("CELLS_PER_WORD 16\nBITS_PER_CELL 6\nROWS 256\n");
+    FAIL() << "a 96-bit device word parsed";
+  } catch (const InvalidArgumentError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("CELLS_PER_WORD"), std::string::npos) << message;
+    EXPECT_NE(message.find("BITS_PER_CELL"), std::string::npos) << message;
+    EXPECT_NE(message.find("64-bit"), std::string::npos) << message;
+  }
+  // A word that fills the payload exactly is fine.
+  EXPECT_EQ(parse_memsys_config("CELLS_PER_WORD 16\n").bytes_per_access(), 8u);
+}
+
 TEST(MemsysConfig, LoadRejectsMissingFile) {
   EXPECT_THROW(load_memsys_config("/nonexistent/geometry.memcfg"), Error);
 }
@@ -715,19 +732,6 @@ TEST(Replay, ReportIsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(dump, reference) << "threads=" << threads;
     }
   }
-}
-
-TEST(Replay, FidelityTiersCanBeDisabled) {
-  ReplayOptions options = small_replay_options();
-  options.fidelity.word_tier = false;
-  options.fidelity.mna_tier = false;
-  options.fidelity.witness_tier = false;
-  const auto trace = small_trace(options.geometry);
-  const MemsysReport report = replay_trace(trace, options);
-  EXPECT_EQ(report.word_tier.samples, 0u);
-  EXPECT_EQ(report.mna_tier.samples, 0u);
-  EXPECT_EQ(report.witness.words_written, 0u);
-  EXPECT_EQ(report.requests_retired, trace.size());
 }
 
 }  // namespace
