@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       rel_margin = std::min(rel_margin, m.worst_case_margin / m.nominal_spacing);
     }
     const double max_read_i =
-        config.qlc.v_read / config.qlc.allocation.levels.front().r_nominal;
+        oxram::kReadVoltage / config.qlc.allocation.levels.front().r_nominal;
     t.add_row({w.name, format_si(report.worst_case_margin, "Ohm", 3),
                format_scaled(100.0 * rel_margin, 1.0, 1) + " %",
                format_si(max_read_i, "A", 3), format_si(energy.mean(), "J", 3),

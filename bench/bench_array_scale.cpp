@@ -14,7 +14,6 @@
 // bank takes ~a minute in a Release+OXMLC_NATIVE build; CI smoke passes
 // --rows/--cols to shrink it.
 #include <algorithm>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -121,22 +120,20 @@ int main(int argc, char** argv) {
                std::to_string(energy_source / static_cast<double>(total))});
   bench::save_csv(csv, "array_scale.csv");
 
-  const std::string json_path = bench::csv_path("BENCH_array_scale.json");
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"array_scale\",\n"
-       << bench::provenance_field() << ",\n  \"engine\": \""
-       << num::simd::backend_name(num::simd::active_backend())
-       << "\",\n  \"rows\": " << rows << ",\n  \"cols\": " << cols
-       << ",\n  \"cells\": " << total << ",\n  \"threads\": " << threads
-       << ",\n  \"wall_s\": " << elapsed << ",\n  \"cells_per_s\": " << cells_per_s
-       << ",\n  \"terminated\": " << terminated
-       << ",\n  \"lanes_retired\": " << lanes_retired
-       << ",\n  \"mean_latency_s\": " << latency_sum / static_cast<double>(total)
-       << ",\n  \"max_latency_s\": " << latency_max
-       << ",\n  \"mean_energy_j\": " << energy_source / static_cast<double>(total)
-       << "\n}\n";
-  json.close();
-  std::cout << " [json written: " << json_path << "]\n";
+  obs::Json json = bench::bench_json("array_scale");
+  json.set("engine", num::simd::backend_name(num::simd::active_backend()));
+  json.set("rows", static_cast<double>(rows));
+  json.set("cols", static_cast<double>(cols));
+  json.set("cells", static_cast<double>(total));
+  json.set("threads", static_cast<double>(threads));
+  json.set("wall_s", elapsed);
+  json.set("cells_per_s", cells_per_s);
+  json.set("terminated", static_cast<double>(terminated));
+  json.set("lanes_retired", static_cast<double>(lanes_retired));
+  json.set("mean_latency_s", latency_sum / static_cast<double>(total));
+  json.set("max_latency_s", latency_max);
+  json.set("mean_energy_j", energy_source / static_cast<double>(total));
+  bench::save_json(json, "BENCH_array_scale.json");
 
   // Every lane must have reached its reference: a terminated count below the
   // cell count means some reference timed out and the bank image is invalid.

@@ -11,7 +11,6 @@
 // Writes batch_throughput.csv (+ the standard telemetry sidecar) and a
 // BENCH_batch.json summary consumed by the bench-smoke CI assertions.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -133,21 +132,19 @@ int main(int argc, char** argv) {
 
   // Machine-readable summary for the CI throughput assertions and the
   // compare_bench.py perf gate.
-  const std::string json_path = bench::csv_path("BENCH_batch.json");
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"batch_throughput\",\n"
-       << bench::provenance_field() << ",\n  \"engine\": \""
-       << oxmlc::num::simd::backend_name(oxmlc::num::simd::active_backend())
-       << "\",\n  \"lanes_retired\": " << lanes_retired << ",\n  \"sweeps\": [\n";
-  for (std::size_t k = 0; k < sweeps.size(); ++k) {
-    json << "    {\"lanes\": " << sweeps[k].lanes
-         << ", \"scalar_cells_per_s\": " << sweeps[k].scalar_cps
-         << ", \"batch_cells_per_s\": " << sweeps[k].batch_cps
-         << ", \"speedup\": " << sweeps[k].speedup << "}"
-         << (k + 1 < sweeps.size() ? "," : "") << "\n";
+  obs::Json json = bench::bench_json("batch_throughput");
+  json.set("engine", oxmlc::num::simd::backend_name(oxmlc::num::simd::active_backend()));
+  json.set("lanes_retired", static_cast<double>(lanes_retired));
+  obs::Json sweep_list = obs::Json::array();
+  for (const Sweep& sweep : sweeps) {
+    obs::Json entry = obs::Json::object();
+    entry.set("lanes", static_cast<double>(sweep.lanes));
+    entry.set("scalar_cells_per_s", sweep.scalar_cps);
+    entry.set("batch_cells_per_s", sweep.batch_cps);
+    entry.set("speedup", sweep.speedup);
+    sweep_list.push_back(std::move(entry));
   }
-  json << "  ]\n}\n";
-  json.close();
-  std::cout << " [json written: " << json_path << "]\n";
+  json.set("sweeps", std::move(sweep_list));
+  bench::save_json(json, "BENCH_batch.json");
   return 0;
 }

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "util/parse.hpp"
 #include "util/provenance.hpp"
@@ -36,14 +37,6 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(now() - start).count();
 }
 
-// The `"provenance": {...}` member every BENCH_*.json must carry, so
-// scripts/compare_bench.py can tell a real regression from numbers measured
-// under a different compiler or flag set. `indent` is the member's leading
-// whitespace.
-inline std::string provenance_field(const std::string& indent = "  ") {
-  return indent + "\"provenance\": " + util::provenance_json();
-}
-
 inline void print_header(const std::string& experiment_id, const std::string& title,
                          const std::string& paper_summary) {
   std::cout << "==============================================================\n"
@@ -57,6 +50,23 @@ inline void print_header(const std::string& experiment_id, const std::string& ti
 inline std::string csv_path(const std::string& name) {
   std::filesystem::create_directories("bench_results");
   return "bench_results/" + name;
+}
+
+// A BENCH_*.json document: `"bench": bench`, then the `"provenance"` object
+// every one must carry, so scripts/compare_bench.py can tell a real
+// regression from numbers measured under a different compiler or flag set.
+inline obs::Json bench_json(const std::string& bench) {
+  obs::Json doc = obs::Json::object();
+  doc.set("bench", bench);
+  doc.set("provenance", obs::Json::parse(util::provenance_json()));
+  return doc;
+}
+
+// Writes `doc` to bench_results/<name>.
+inline void save_json(const obs::Json& doc, const std::string& name) {
+  const std::string path = csv_path(name);
+  obs::write_file(path, doc.dump(2) + "\n");
+  std::cout << " [json written: " << path << "]\n";
 }
 
 inline void save_csv(const Table& table, const std::string& name) {

@@ -11,7 +11,6 @@
 // ladder code, uber_monotone) are SIMULATED quantities — pure functions of
 // (seed, config) — so the gate is immune to runner speed; study wall time is
 // reported but not gated.
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -95,22 +94,17 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "ecc_frontier.csv");
 
-  const std::string json_path = bench::csv_path("BENCH_ecc.json");
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"ecc_frontier\",\n"
-       << bench::provenance_field() << ",\n  \"trials\": " << config.trials
-       << ",\n  \"seed\": " << report.seed
-       << ",\n  \"policy_points\": " << report.points.size()
-       << ",\n  \"frontier_points\": " << report.frontier.size()
-       << ",\n  \"wall_s\": " << elapsed
-       << ",\n  \"uber_monotone\": " << (monotone ? "1.0" : "0.0");
+  obs::Json json = bench::bench_json("ecc_frontier");
+  json.set("trials", static_cast<double>(config.trials));
+  json.set("seed", static_cast<double>(report.seed));
+  json.set("policy_points", static_cast<double>(report.points.size()));
+  json.set("frontier_points", static_cast<double>(report.frontier.size()));
+  json.set("wall_s", elapsed);
+  json.set("uber_monotone", monotone ? 1.0 : 0.0);
   for (const std::string& code : kGatedCodes) {
-    json << ",\n  \"corrected_word_fraction@" << code
-         << "\": " << corrected_fraction(report, code);
+    json.set("corrected_word_fraction@" + code, corrected_fraction(report, code));
   }
-  json << "\n}\n";
-  json.close();
-  std::cout << " [json written: " << json_path << "]\n";
+  bench::save_json(json, "BENCH_ecc.json");
 
   // Invariants: the monotone ladder is the PR's acceptance claim, and an
   // empty frontier means the Pareto reduction itself broke — both are logic

@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
       for (std::size_t c = 0; c < 8; ++c) {
         memory.refresh_cycle_rate(r, c);
         memory.at(r, c).apply_reset(rst);
-        r_hrs.push_back(memory.at(r, c).read(0.3).r_cell);
+        r_hrs.push_back(memory.at(r, c).read().r_cell);
         memory.refresh_cycle_rate(r, c);
         memory.at(r, c).apply_set(set);
-        r_lrs.push_back(memory.at(r, c).read(0.3).r_cell);
+        r_lrs.push_back(memory.at(r, c).read().r_cell);
       }
     }
   }

@@ -51,10 +51,10 @@ int main() {
   // Nominal read currents through the full read stack.
   std::vector<double> level_current;
   for (const auto& level : config.allocation.levels) {
-    const double gap =
-        oxram::gap_for_resistance(config.nominal_cell, config.v_read, level.r_nominal);
+    const double gap = oxram::gap_for_resistance(config.nominal_cell, oxram::kReadVoltage,
+                                                 level.r_nominal);
     const oxram::FastCell probe(config.nominal_cell, config.stack, gap);
-    level_current.push_back(probe.read(config.v_read, config.v_wl_read).current);
+    level_current.push_back(probe.read().current);
   }
   double min_margin = 1.0;
   for (std::size_t k = 0; k + 1 < config.allocation.count(); ++k) {

@@ -15,7 +15,6 @@
 // run, per-column final gaps must agree to 1e-6 relative.
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -166,22 +165,21 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "hier_mna.csv");
 
-  const std::string json_path = bench::csv_path("BENCH_hier_mna.json");
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"hier_mna\",\n" << bench::provenance_field()
-       << ",\n  \"t_stop_ns\": " << static_cast<std::size_t>(t_stop * 1e9)
-       << ",\n  \"sweeps\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    json << (i ? "," : "") << "\n    {\"size\": " << row.size
-         << ", \"unknowns\": " << row.unknowns
-         << ", \"blocks\": " << row.blocks << ", \"border\": " << row.border
-         << ", \"mono_s\": " << row.mono_s << ", \"hier1_s\": " << row.hier1_s;
-    if (row.speedup > 0.0) json << ", \"speedup\": " << row.speedup;
-    json << "}";
+  obs::Json json = bench::bench_json("hier_mna");
+  json.set("t_stop_ns", static_cast<double>(static_cast<std::size_t>(t_stop * 1e9)));
+  obs::Json sweeps = obs::Json::array();
+  for (const SweepRow& row : rows) {
+    obs::Json entry = obs::Json::object();
+    entry.set("size", static_cast<double>(row.size));
+    entry.set("unknowns", static_cast<double>(row.unknowns));
+    entry.set("blocks", static_cast<double>(row.blocks));
+    entry.set("border", static_cast<double>(row.border));
+    entry.set("mono_s", row.mono_s);
+    entry.set("hier1_s", row.hier1_s);
+    if (row.speedup > 0.0) entry.set("speedup", row.speedup);
+    sweeps.push_back(std::move(entry));
   }
-  json << "\n  ]\n}\n";
-  json.close();
-  std::cout << " [json written: " << json_path << "]\n";
+  json.set("sweeps", std::move(sweeps));
+  bench::save_json(json, "BENCH_hier_mna.json");
   return 0;
 }

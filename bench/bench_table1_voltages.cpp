@@ -32,7 +32,9 @@ int main() {
   t.add_row({"RST (MLC)", format_scaled(rst_mlc.v_wl, 1.0, 2), "SL",
              format_scaled(rst_mlc.pulse.amplitude, 1.0, 3), "terminated",
              "stopped at Icell = IrefR"});
-  t.add_row({"READ", "2.50", "BL", "0.30", "-", "15 reference comparisons (QLC)"});
+  t.add_row({"READ", format_scaled(oxram::kReadWlVoltage, 1.0, 2), "BL",
+             format_scaled(oxram::kReadVoltage, 1.0, 2), "-",
+             "15 reference comparisons (QLC)"});
 
   t.print(std::cout);
   bench::save_csv(t, "table1_voltages.csv");

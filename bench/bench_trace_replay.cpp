@@ -13,7 +13,6 @@
 // row_hit_rate, retired_fraction) are SIMULATED quantities — pure functions
 // of (trace, geometry) — so the gate is immune to runner speed; wall-clock
 // replay rate is reported but not gated.
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -86,28 +85,25 @@ int main(int argc, char** argv) {
                std::to_string(report.word_tier.decode_errors)});
   bench::save_csv(csv, "trace_replay.csv");
 
-  const std::string json_path = bench::csv_path("BENCH_trace.json");
-  std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"trace_replay\",\n"
-       << bench::provenance_field() << ",\n  \"requests\": " << requests
-       << ",\n  \"threads\": " << threads << ",\n  \"wall_s\": " << elapsed
-       << ",\n  \"requests_per_s\": " << replay_rate
-       << ",\n  \"simulated_s\": " << report.simulated_seconds
-       << ",\n  \"sustained_mb_s\": " << report.sustained_mb_s
-       << ",\n  \"row_hit_rate\": " << report.row_hit_rate
-       << ",\n  \"retired_fraction\": " << retired_fraction
-       << ",\n  \"p50_ns\": " << report.latency.p50_ns
-       << ",\n  \"p99_ns\": " << report.latency.p99_ns
-       << ",\n  \"p999_ns\": " << report.latency.p999_ns
-       << ",\n  \"scrub_commands\": " << report.scrub_commands
-       << ",\n  \"wear_rotations\": " << report.wear_rotations
-       << ",\n  \"word_samples\": " << report.word_tier.samples
-       << ",\n  \"word_decode_errors\": " << report.word_tier.decode_errors
-       << ",\n  \"mna_samples\": " << report.mna_tier.samples
-       << ",\n  \"witness_cells_scrubbed\": " << report.witness.cells_scrubbed
-       << "\n}\n";
-  json.close();
-  std::cout << " [json written: " << json_path << "]\n";
+  obs::Json json = bench::bench_json("trace_replay");
+  json.set("requests", static_cast<double>(requests));
+  json.set("threads", static_cast<double>(threads));
+  json.set("wall_s", elapsed);
+  json.set("requests_per_s", replay_rate);
+  json.set("simulated_s", report.simulated_seconds);
+  json.set("sustained_mb_s", report.sustained_mb_s);
+  json.set("row_hit_rate", report.row_hit_rate);
+  json.set("retired_fraction", retired_fraction);
+  json.set("p50_ns", report.latency.p50_ns);
+  json.set("p99_ns", report.latency.p99_ns);
+  json.set("p999_ns", report.latency.p999_ns);
+  json.set("scrub_commands", static_cast<double>(report.scrub_commands));
+  json.set("wear_rotations", static_cast<double>(report.wear_rotations));
+  json.set("word_samples", static_cast<double>(report.word_tier.samples));
+  json.set("word_decode_errors", static_cast<double>(report.word_tier.decode_errors));
+  json.set("mna_samples", static_cast<double>(report.mna_tier.samples));
+  json.set("witness_cells_scrubbed", static_cast<double>(report.witness.cells_scrubbed));
+  bench::save_json(json, "BENCH_trace.json");
 
   // Invariants: every request must retire, the word tier must not time out,
   // and every MNA sample must terminate — a shortfall means the scheduler

@@ -89,7 +89,7 @@ int main() {
     double reference = 0.0;
     double column_current = 0.0;
     for (std::size_t i = 0; i < kInputs; ++i) {
-      const auto read = synapses.at(i, o).read(0.3);
+      const auto read = synapses.at(i, o).read();
       charge += activation[i] * read.current;
       column_current += read.current;
       reference += activation[i] * weights[i][o];

@@ -33,36 +33,37 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
   std::vector<int> border;
 
   // Comparator supply, only if some column has a comparator (else OXA004).
+  const TerminationSizing sizing;
   int vdd = spice::kGround;
   const std::size_t compared = std::min(config.columns, config.irefs.size());
   if (std::any_of(config.irefs.begin(), config.irefs.begin() + compared,
                   [](double iref) { return iref > 0.0; })) {
     vdd = c.node("vdd");
-    c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, config.termination.vdd);
+    c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
     border.push_back(vdd);
   }
 
   // --- shared SL driver: one RST pulse feeds the whole word ---
-  const SlDriver sl_driver = build_sl_driver(c, config.v_rst, config.pulse_rise,
-                                             config.pulse_width, config.pulse_fall,
-                                             config.r_driver);
+  const SlDriver sl_driver = build_sl_driver(c, config.pulse_width, kDriverResistance);
   sl_pulse_ = sl_driver.pulse;
   border.push_back(sl_driver.source);
   border.push_back(sl_driver.out);
 
   // --- shared WL driver, DC high for the whole operation ---
   const int wl_drv = c.node("wl_drv");
-  c.add<dev::VoltageSource>("Vwl", wl_drv, spice::kGround, config.v_wl);
+  c.add<dev::VoltageSource>("Vwl", wl_drv, spice::kGround, oxram::kResetWlVoltage);
   border.push_back(wl_drv);
 
   // Row wiring: horizontal SL and WL ladders, one tap per column. These taps
   // are the only electrical coupling between columns — the BBD border.
-  const std::vector<int> sl_taps = build_rc_line(
-      c, "slb", sl_driver.out,
-      scale_line(config.sl, config.columns, config.reference_cols, config.columns));
-  const std::vector<int> wl_taps = build_rc_line(
-      c, "wlb", wl_drv,
-      scale_line(config.wl, config.columns, config.reference_cols, config.columns));
+  const std::vector<int> sl_taps =
+      build_rc_line(c, "slb", sl_driver.out,
+                    scale_line(LineParasitics::paper_source_line(), config.columns,
+                               kReferenceCols, config.columns));
+  const std::vector<int> wl_taps =
+      build_rc_line(c, "wlb", wl_drv,
+                    scale_line(LineParasitics::paper_word_line(), config.columns,
+                               kReferenceCols, config.columns));
   border.insert(border.end(), sl_taps.begin(), sl_taps.end());
   border.insert(border.end(), wl_taps.begin(), wl_taps.end());
 
@@ -71,28 +72,27 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
       config.bl_segments > 0
           ? config.bl_segments
           : std::max<std::size_t>(2, config.rows / 4);
-  const LineParasitics bl = scale_line(config.bl, config.rows,
-                                       config.reference_rows, bl_segments);
+  const LineParasitics bl = scale_line(LineParasitics::paper_bit_line(), config.rows,
+                                       kReferenceRows, bl_segments);
   cells_.reserve(config.columns);
   for (std::size_t j = 0; j < config.columns; ++j) {
     const std::string col = std::to_string(j);
     const CellColumn column = build_cell_column(c, col, sl_taps[j], wl_taps[j],
-                                                config.access, config.cell,
-                                                config.cell.g_min, bl);
+                                                config.cell, config.cell.g_min, bl);
     cells_.push_back(column.cell);
 
     // Column-select switch; its gate driver is the per-column stop target.
     const int bl_mux = c.node("mux" + col);
     const int csel = c.node("csel" + col);
     c.add<dev::Mosfet>("Msel" + col, column.bl_end, csel, bl_mux, spice::kGround,
-                       config.column_select);
+                       column_select_nmos());
     csel_pulses_.push_back(
-        build_stop_gate(c, "csel" + col, csel, config.v_csel, config.t_stop));
+        build_stop_gate(c, "csel" + col, csel, kSelectGateVoltage, config.t_stop));
 
     const double iref = j < config.irefs.size() ? config.irefs[j] : 0.0;
     if (iref > 0.0) {
-      terminations_.push_back(build_termination_circuit(
-          c, "term" + col, bl_mux, vdd, iref, config.termination));
+      terminations_.push_back(
+          build_termination_circuit(c, "term" + col, bl_mux, vdd, iref, sizing));
     } else {
       c.add<dev::Resistor>("Rgnd" + col, bl_mux, spice::kGround, 10.0);
       terminations_.push_back({});
@@ -142,17 +142,15 @@ BankWritePathResult BankWritePath::run() {
   for (std::size_t j = 0; j < config_.columns; ++j) {
     if (terminations_[j].out < 0) continue;  // column has no comparator
     ++stop_state->comparators;
-    spice::TransientEvent event =
-        comparator_stop_event("stop" + std::to_string(j), terminations_[j],
-                              config_.logic_delay, csel_pulses_[j], result.columns[j]);
-    const double logic_delay = config_.logic_delay;
+    spice::TransientEvent event = comparator_stop_event(
+        "stop" + std::to_string(j), terminations_[j], csel_pulses_[j], result.columns[j]);
     const double settle = config_.stop_after_terminated.value_or(0.0);
-    event.on_fire = [stop = std::move(event.on_fire), logic_delay, settle, stop_state](
+    event.on_fire = [stop = std::move(event.on_fire), settle, stop_state](
                         double t, std::span<const double> x) {
       stop(t, x);
       ++stop_state->fired;
       // The settle window must outlast the commanded csel fall (5 ns).
-      stop_state->stop_at = std::max(stop_state->stop_at, t + logic_delay + settle);
+      stop_state->stop_at = std::max(stop_state->stop_at, t + kLogicDelay + settle);
     };
     events.push_back(std::move(event));
   }

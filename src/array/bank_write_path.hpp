@@ -35,7 +35,9 @@
 // The SL driver, the columns, the select-gate drivers, the stop events and
 // the transient settings are the shared write-path core (write_stack.hpp);
 // this testbench adds the tapped SL/WL lines, the column selects, the
-// partition and the early stop.
+// partition and the early stop. Its lines are the paper's kReferenceRows x
+// kReferenceCols array lines scaled to the bank; every comparator is the
+// default TerminationSizing.
 #pragma once
 
 #include <memory>
@@ -51,34 +53,15 @@ struct BankWritePathConfig {
   oxram::OxramParams cell;  // every column starts SET, at cell.g_min
   std::size_t columns = 32;
   std::size_t rows = 32;  // scales per-column BL parasitics below
-
-  dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
-  dev::MosfetParams column_select = dev::tech130hv::nmos(1.6e-6, 0.5e-6);
-  TerminationSizing termination;
-
-  // Full-length line values (reference_rows-cell column / reference_cols-cell
-  // row); the builder scales them to this bank's geometry.
-  LineParasitics bl = LineParasitics::paper_bit_line();
-  LineParasitics sl = LineParasitics::paper_source_line();
-  LineParasitics wl = LineParasitics::paper_word_line();
-  std::size_t reference_rows = 1024;
-  std::size_t reference_cols = 1024;
   // BL ladder sections per column: 0 = auto (scales with rows, min 2).
   std::size_t bl_segments = 0;
 
-  double r_driver = 100.0;
-  double v_rst = 1.60;
-  double v_wl = 3.3;
-  double v_csel = 3.3;
-  double pulse_rise = 10e-9;
-  double pulse_width = 3.5e-6;
-  double pulse_fall = 10e-9;
+  double pulse_width = oxram::kResetStandardWidth;
 
   // Per-column reference currents (MLC: each bit line terminates at its own
   // level's IrefR). A column beyond the vector or with a non-positive entry
   // gets no termination comparator.
   std::vector<double> irefs;
-  double logic_delay = 10e-9;
   double t_stop = 4.0e-6;
   // When set, stop the transient this long after the LAST comparator fires
   // (once every comparator-equipped column has terminated). The select gates

@@ -6,12 +6,12 @@ namespace oxmlc::array {
 
 double MismatchModel::sigma_vth(const dev::MosfetParams& params) const {
   if (!enabled) return 0.0;
-  return avt / std::sqrt(params.w * params.l);
+  return dev::tech130hv::kAvt / std::sqrt(params.w * params.l);
 }
 
 double MismatchModel::sigma_beta_rel(const dev::MosfetParams& params) const {
   if (!enabled) return 0.0;
-  return abeta / std::sqrt(params.w * params.l);
+  return dev::tech130hv::kAbeta / std::sqrt(params.w * params.l);
 }
 
 dev::MosfetParams MismatchModel::sample(const dev::MosfetParams& params, Rng& rng) const {

@@ -3,7 +3,8 @@
 // The paper's MC targets "the CMOS subsystem and especially the memory cell
 // access transistor" with foundry statistical models; we substitute the
 // Pelgrom area law: sigma(dVth) = Avt / sqrt(W L), sigma(dBeta/Beta) =
-// Abeta / sqrt(W L), independent per transistor.
+// Abeta / sqrt(W L), independent per transistor, with the technology's
+// dev::tech130hv::kAvt and kAbeta.
 #pragma once
 
 #include "devices/mosfet.hpp"
@@ -12,8 +13,6 @@
 namespace oxmlc::array {
 
 struct MismatchModel {
-  double avt = dev::tech130hv::kAvt;      // V * m
-  double abeta = dev::tech130hv::kAbeta;  // (relative) * m
   bool enabled = true;
 
   static MismatchModel disabled() {

@@ -11,8 +11,9 @@
 //
 // Behavioral level (TerminationBehavior): the same decision rule as a current
 // threshold with an effective offset sampled from the transistor mismatch of
-// the two mirrors plus a fixed comparator delay. Used by the fast Monte-Carlo
-// path; the ablation bench quantifies its error against the transistor level.
+// the two mirrors plus a fixed comparator delay (oxram::kTerminationDelay).
+// Used by the fast Monte-Carlo path; the ablation bench quantifies its error
+// against the transistor level.
 #pragma once
 
 #include <string>
@@ -20,6 +21,7 @@
 #include "array/mismatch.hpp"
 #include "devices/mosfet.hpp"
 #include "devices/sources.hpp"
+#include "oxram/fast_cell.hpp"
 #include "spice/circuit.hpp"
 
 namespace oxmlc::array {
@@ -28,9 +30,10 @@ struct TerminationSizing {
   // Mirror devices: long-channel and wide, the classic matching-critical
   // analog sizing — the termination accuracy is the margin budget (Fig. 12),
   // so the mirrors get area (Pelgrom: sigma ~ 1/sqrt(WL)) while Vov stays
-  // small enough to keep headroom over 6-36 uA.
-  dev::MosfetParams m1 = dev::tech130hv::nmos(120e-6, 3e-6);  // diode input
-  dev::MosfetParams m2 = dev::tech130hv::nmos(120e-6, 3e-6);  // copy leg
+  // small enough to keep headroom over 6-36 uA. M1/M2 default to the fast
+  // path's oxram::mirror_nmos(); the mirror-sizing ablation resizes them.
+  dev::MosfetParams m1 = oxram::mirror_nmos();  // diode input
+  dev::MosfetParams m2 = oxram::mirror_nmos();  // copy leg
   dev::MosfetParams m3 = dev::tech130hv::pmos(60e-6, 3e-6);  // IrefR diode
   dev::MosfetParams m4 = dev::tech130hv::pmos(60e-6, 3e-6);  // IrefR out leg
   dev::MosfetParams m5 = dev::tech130hv::nmos(60e-6, 3e-6);  // bias diode
@@ -69,9 +72,9 @@ TerminationCircuit build_termination_circuit(spice::Circuit& circuit,
                                              const TerminationSizing& sizing = {});
 
 // Behavioral equivalent: effective reference current as seen at the bit line,
-// including mirror mismatch, and the end-to-end decision delay.
+// including mirror mismatch. The end-to-end decision delay is
+// oxram::kTerminationDelay, which every terminated ResetOperation applies.
 struct TerminationBehavior {
-  double comparator_delay = 2e-9;   // comparator + control logic + driver stop
   TerminationSizing sizing;
   MismatchModel mismatch;
 

@@ -10,29 +10,26 @@ namespace oxmlc::array {
 
 WordPath::WordPath(const WordPathConfig& config) : config_(config) {
   OXMLC_CHECK(!config.irefs.empty(), "WordPath: need at least one bit line");
-  OXMLC_CHECK(config.initial_gaps.empty() ||
-                  config.initial_gaps.size() == config.irefs.size(),
-              "WordPath: initial_gaps must match irefs");
 
   auto& c = circuit_;
+  const TerminationSizing sizing;
   const int vdd = c.node("vdd");
-  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, config.termination.vdd);
+  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
 
   // Shared SL driver: its pulse runs the full width (per-bit stop happens at
   // the bit lines, not here).
-  const SlDriver sl_driver =
-      build_sl_driver(c, config.v_rst, 10e-9, config.pulse_width, 10e-9, config.r_driver);
-  const int sl = build_rc_line(c, "sl", sl_driver.out, config.sl).back();
+  const SlDriver sl_driver = build_sl_driver(c, config.pulse_width, kDriverResistance);
+  const int sl =
+      build_rc_line(c, "sl", sl_driver.out, LineParasitics::paper_source_line()).back();
 
   const int wl = c.node("wl");
-  c.add<dev::VoltageSource>("Vwl", wl, spice::kGround, config.v_wl);
+  c.add<dev::VoltageSource>("Vwl", wl, spice::kGround, oxram::kResetWlVoltage);
 
+  const oxram::OxramParams cell;
   for (std::size_t b = 0; b < config.irefs.size(); ++b) {
     const std::string id = std::to_string(b);
-    const double gap =
-        config.initial_gaps.empty() ? config.cell.g_min : config.initial_gaps[b];
-    const CellColumn column =
-        build_cell_column(c, id, sl, wl, config.access, config.cell, gap, config.bl);
+    const CellColumn column = build_cell_column(c, id, sl, wl, cell, cell.g_min,
+                                                LineParasitics::paper_bit_line());
     cells_.push_back(column.cell);
 
     // Per-bit stop: a pass gate between the BL ladder and the termination
@@ -40,10 +37,10 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
     // control, isolating this bit line (cell current -> 0).
     const int term_in = c.node("term_in" + id);
     const int gate_ctrl = c.node("gctl" + id);
-    gate_controls_.push_back(build_stop_gate(c, "gctl" + id, gate_ctrl,
-                                             config.termination.vdd, config.t_stop));
+    gate_controls_.push_back(
+        build_stop_gate(c, "gctl" + id, gate_ctrl, sizing.vdd, config.t_stop));
     dev::VSwitch::Params sw;
-    sw.threshold = 0.5 * config.termination.vdd;
+    sw.threshold = 0.5 * sizing.vdd;
     sw.transition = 0.1;
     sw.r_on = 50.0;
     sw.r_off = 1e9;
@@ -57,7 +54,7 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
     // the cell voltage collapses to ~0 and tracks the SL through its fall —
     // the same inhibit idea NAND program-inhibit uses.
     dev::VSwitch::Params clamp;
-    clamp.threshold = 0.5 * config.termination.vdd;
+    clamp.threshold = 0.5 * sizing.vdd;
     clamp.transition = 0.1;
     clamp.r_on = 500.0;
     clamp.r_off = 1e9;
@@ -65,9 +62,8 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
     c.add<dev::VSwitch>("Sinhibit" + id, column.bl_end, sl, gate_ctrl, spice::kGround,
                         clamp);
 
-    terminations_.push_back(build_termination_circuit(c, "term" + id, term_in, vdd,
-                                                      config.irefs[b],
-                                                      config.termination));
+    terminations_.push_back(
+        build_termination_circuit(c, "term" + id, term_in, vdd, config.irefs[b], sizing));
   }
   c.finalize();
 }
@@ -89,8 +85,7 @@ WordPathResult WordPath::run() {
   std::vector<spice::TransientEvent> events;
   for (std::size_t b = 0; b < n; ++b) {
     events.push_back(comparator_stop_event("stop" + std::to_string(b), terminations_[b],
-                                           config_.logic_delay, gate_controls_[b],
-                                           result.bits[b]));
+                                           gate_controls_[b], result.bits[b]));
   }
   result.transient = spice::run_transient(system, write_transient_options(config_.t_stop),
                                           probes, std::move(events));

@@ -15,7 +15,9 @@
 //
 // The SL driver, the columns, the stop events and the transient settings are
 // the shared write-path core (write_stack.hpp); this testbench adds the SL
-// ladder, the pass gates and the program-inhibit clamps.
+// ladder, the pass gates and the program-inhibit clamps. Every cell is the
+// nominal oxram::OxramParams, SET at g_min, on the paper's bit and source
+// lines; every comparator is the default TerminationSizing.
 //
 // This is the transistor-level proof that the termination scheme supports
 // multi-bit (word) access; the fast-path MemoryController models the same
@@ -31,18 +33,8 @@ namespace oxmlc::array {
 
 struct WordPathConfig {
   std::vector<double> irefs = {36e-6, 20e-6, 8e-6};  // one per bit line
-  std::vector<double> initial_gaps;   // empty = all LRS (g_min)
-  oxram::OxramParams cell;
-  dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
-  TerminationSizing termination;
-  LineParasitics bl = LineParasitics::paper_bit_line();
-  LineParasitics sl = LineParasitics::paper_source_line();
-  double r_driver = 100.0;
-  double v_rst = 1.60;
-  double v_wl = 3.3;
   double pulse_width = 8e-6;
   double t_stop = 8.2e-6;
-  double logic_delay = 10e-9;
 };
 
 struct WordPathResult {

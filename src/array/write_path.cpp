@@ -7,28 +7,27 @@ namespace oxmlc::array {
 
 WritePath::WritePath(const WritePathConfig& config) : config_(config) {
   auto& c = circuit_;
+  const TerminationSizing sizing;
   const int vdd = c.node("vdd");
-  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, config.termination.vdd);
+  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
 
   // --- SL driver behind its ladder; the termination event stops its pulse ---
-  const SlDriver sl_driver = build_sl_driver(c, config.v_rst, config.pulse_rise,
-                                             config.pulse_width, config.pulse_fall,
-                                             config.r_driver);
+  const SlDriver sl_driver = build_sl_driver(c, config.pulse_width, config.r_driver);
   sl_pulse_ = sl_driver.pulse;
   const int sl = build_rc_line(c, "sl", sl_driver.out, config.sl).back();
 
   // --- WL driver: DC high during the whole operation, through its ladder ---
   const int wl_drv = c.node("wl_drv");
-  c.add<dev::VoltageSource>("Vwl", wl_drv, spice::kGround, config.v_wl);
+  c.add<dev::VoltageSource>("Vwl", wl_drv, spice::kGround, oxram::kResetWlVoltage);
   const int wl = build_rc_line(c, "wl", wl_drv, config.wl).back();
 
   // --- 1T-1R and the BL ladder (1 pF paper loading) ---
-  column_ = build_cell_column(c, "", sl, wl, config.access, config.cell,
-                              config.cell.g_min, config.bl);
+  const oxram::OxramParams cell;
+  column_ = build_cell_column(c, "", sl, wl, cell, cell.g_min, config.bl);
 
   if (config.iref) {
-    termination_ = build_termination_circuit(c, "term", column_.bl_end, vdd, *config.iref,
-                                             config.termination);
+    termination_ =
+        build_termination_circuit(c, "term", column_.bl_end, vdd, *config.iref, sizing);
   } else {
     // Standard RST: the BL driver grounds the bit line.
     c.add<dev::Resistor>("Rbl_gnd", column_.bl_end, spice::kGround, 10.0);
@@ -39,8 +38,9 @@ WritePath::WritePath(const WritePathConfig& config) : config_(config) {
 
 void WritePath::apply_mismatch(const MismatchModel& model, Rng& rng) {
   if (config_.iref) termination_.apply_mismatch(model, rng);
-  column_.access->apply_mismatch(rng.normal(0.0, model.sigma_vth(config_.access)),
-                                 rng.normal(0.0, model.sigma_beta_rel(config_.access)));
+  const dev::MosfetParams access = oxram::access_nmos();
+  column_.access->apply_mismatch(rng.normal(0.0, model.sigma_vth(access)),
+                                 rng.normal(0.0, model.sigma_beta_rel(access)));
 }
 
 WritePathResult WritePath::run() {
@@ -76,8 +76,7 @@ WritePathResult WritePath::run() {
   WritePathResult result;
   std::vector<spice::TransientEvent> events;
   if (config_.iref) {
-    events.push_back(comparator_stop_event("stop", termination_, config_.logic_delay,
-                                           sl_pulse_, result));
+    events.push_back(comparator_stop_event("stop", termination_, sl_pulse_, result));
   }
   result.transient = spice::run_transient(system, write_transient_options(config_.t_stop),
                                           probes, std::move(events));

@@ -15,7 +15,9 @@
 //
 // The driver, the column, the stop event and the transient settings are the
 // shared write-path core (write_stack.hpp); this testbench adds the SL and WL
-// ladders and makes the SL driver its stop target.
+// ladders and makes the SL driver its stop target. The cell is the nominal
+// oxram::OxramParams, SET at g_min, and the comparator the default
+// TerminationSizing.
 #pragma once
 
 #include <memory>
@@ -26,22 +28,13 @@
 namespace oxmlc::array {
 
 struct WritePathConfig {
-  oxram::OxramParams cell;               // starts SET, at cell.g_min
-  dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
-  TerminationSizing termination;
   LineParasitics bl = LineParasitics::paper_bit_line();
   LineParasitics sl = LineParasitics::paper_source_line();
   LineParasitics wl = LineParasitics::paper_word_line();
-  double r_driver = 100.0;               // SL driver output resistance
+  double r_driver = kDriverResistance;   // SL driver output resistance
 
-  double v_rst = 1.60;                   // SL amplitude during RST
-  double v_wl = 3.3;                     // WL during MLC RST
-  double pulse_rise = 10e-9;
-  double pulse_width = 3.5e-6;           // standard RST width; MLC runs longer
-  double pulse_fall = 10e-9;
-
+  double pulse_width = oxram::kResetStandardWidth;  // MLC runs longer
   std::optional<double> iref;            // termination reference; nullopt = standard pulse
-  double logic_delay = 10e-9;            // control logic between comparator and driver
   double t_stop = 4.0e-6;                // simulation horizon
 };
 

@@ -9,16 +9,15 @@ namespace oxmlc::array {
 
 void record_final_state(ColumnResult& column, const oxram::OxramDevice& cell) {
   column.final_gap = cell.gap();
-  column.final_resistance = cell.resistance(0.3);
+  column.final_resistance = cell.resistance(oxram::kReadVoltage);
 }
 
-SlDriver build_sl_driver(spice::Circuit& circuit, double v_rst, double rise, double width,
-                         double fall, double r_driver) {
+SlDriver build_sl_driver(spice::Circuit& circuit, double width, double r_driver) {
   spice::PulseSpec spec;
-  spec.v2 = v_rst;
-  spec.rise = rise;
+  spec.v2 = oxram::kResetSlVoltage;
+  spec.rise = oxram::kResetEdge;
   spec.width = width;
-  spec.fall = fall;
+  spec.fall = oxram::kResetEdge;
   SlDriver driver;
   driver.pulse = std::make_shared<spice::StoppablePulse>(spec);
   driver.source = circuit.node("sl_drv");
@@ -29,13 +28,12 @@ SlDriver build_sl_driver(spice::Circuit& circuit, double v_rst, double rise, dou
 }
 
 CellColumn build_cell_column(spice::Circuit& circuit, const std::string& id, int sl,
-                             int wl, const dev::MosfetParams& access,
-                             const oxram::OxramParams& cell, double gap,
+                             int wl, const oxram::OxramParams& cell, double gap,
                              const LineParasitics& bl) {
   CellColumn column;
   column.be = circuit.node("be" + id);
-  column.access =
-      &circuit.add<dev::Mosfet>("Macc" + id, sl, wl, column.be, spice::kGround, access);
+  column.access = &circuit.add<dev::Mosfet>("Macc" + id, sl, wl, column.be,
+                                            spice::kGround, oxram::access_nmos());
   column.te = circuit.node("te" + id);
   column.cell =
       &circuit.add<oxram::OxramDevice>("cell" + id, column.te, column.be, cell, gap);
@@ -58,7 +56,6 @@ std::shared_ptr<spice::StoppablePulse> build_stop_gate(spice::Circuit& circuit,
 
 spice::TransientEvent comparator_stop_event(const std::string& name,
                                             const TerminationCircuit& termination,
-                                            double logic_delay,
                                             std::shared_ptr<spice::StoppablePulse> target,
                                             ColumnResult& column) {
   spice::TransientEvent event;
@@ -68,9 +65,9 @@ spice::TransientEvent comparator_stop_event(const std::string& name,
   event.threshold = 0.5 * termination.vdd;
   event.direction = spice::EventDirection::kFalling;
   event.resolution = 2e-9;
-  event.on_fire = [target = std::move(target), logic_delay, &column](
-                      double t, std::span<const double>) {
-    target->stop(t + logic_delay);
+  event.on_fire = [target = std::move(target), &column](double t,
+                                                        std::span<const double>) {
+    target->stop(t + kLogicDelay);
     column.terminated = true;
     column.t_terminate = t;
   };

@@ -5,7 +5,9 @@
 // source energy. WritePath, WordPath and BankWritePath add only their own
 // line wiring and per-column stop element on top.
 //
-// Each builder creates its nodes and devices in a fixed order, so a
+// The pulse, the access device and the read point are the paper's operating
+// point (oxram/fast_cell.hpp); the constants below exist only at transistor
+// level. Each builder creates its nodes and devices in a fixed order, so a
 // testbench that calls them in its own fixed order keeps its MNA unknown
 // numbering, and with it every pivot and result.
 #pragma once
@@ -17,31 +19,44 @@
 #include "array/parasitics.hpp"
 #include "array/termination.hpp"
 #include "oxram/device.hpp"
+#include "oxram/fast_cell.hpp"
 #include "spice/transient.hpp"
 
 namespace oxmlc::array {
+
+inline constexpr double kDriverResistance = 100.0;  // Ohm, SL driver output
+inline constexpr double kLogicDelay = 10e-9;  // s, comparator flip to stop-target fall
+// The bank's column-select switch and its gate drive.
+inline constexpr double kSelectGateVoltage = 3.3;  // V
+inline dev::MosfetParams column_select_nmos() {
+  return dev::tech130hv::nmos(1.6e-6, 0.5e-6);
+}
+// The paper's 1 Kbyte array (§4.2): paper_*_line() are full-length lines of
+// this many cells, and a bank scales them to its size.
+inline constexpr std::size_t kReferenceRows = 1024;
+inline constexpr std::size_t kReferenceCols = 1024;
 
 // What one bit line's RESET ended in.
 struct ColumnResult {
   bool terminated = false;
   double t_terminate = 0.0;       // comparator flip time
   double final_gap = 0.0;
-  double final_resistance = 0.0;  // cell R at 0.3 V read (model evaluation)
+  double final_resistance = 0.0;  // cell R at oxram::kReadVoltage (model evaluation)
 };
 
 // Records the cell's programmed state once the run is over.
 void record_final_state(ColumnResult& column, const oxram::OxramDevice& cell);
 
 struct SlDriver {
-  std::shared_ptr<spice::StoppablePulse> pulse;  // 0 -> v_rst, stoppable
+  std::shared_ptr<spice::StoppablePulse> pulse;  // 0 -> kResetSlVoltage, stoppable
   int source = spice::kGround;                   // node "sl_drv"
   int out = spice::kGround;  // node "sl_rdrv", after the driver resistance
 };
 
-// The SL driver: a StoppablePulse (0 -> v_rst) behind the driver's output
-// resistance. A pulse no event stops is the plain pulse.
-SlDriver build_sl_driver(spice::Circuit& circuit, double v_rst, double rise, double width,
-                         double fall, double r_driver);
+// The SL driver: Table 1's RESET pulse (oxram::kResetSlVoltage, kResetEdge
+// edges) with a `width` plateau, as a StoppablePulse behind the driver's
+// output resistance. A pulse no event stops is the plain pulse.
+SlDriver build_sl_driver(spice::Circuit& circuit, double width, double r_driver);
 
 struct CellColumn {
   oxram::OxramDevice* cell = nullptr;
@@ -52,11 +67,11 @@ struct CellColumn {
 };
 
 // One 1T-1R column, named by suffix `id`: node "be", access NMOS "Macc"
-// (SL -> BE, gate on the WL), node "te", the OxRAM cell at `gap` (TE first:
-// V(TE) < V(BE) during RESET), then the BL ladder "bl" from the TE.
+// (oxram::access_nmos(), SL -> BE, gate on the WL), node "te", the OxRAM
+// cell at `gap` (TE first: V(TE) < V(BE) during RESET), then the BL ladder
+// "bl" from the TE.
 CellColumn build_cell_column(spice::Circuit& circuit, const std::string& id, int sl,
-                             int wl, const dev::MosfetParams& access,
-                             const oxram::OxramParams& cell, double gap,
+                             int wl, const oxram::OxramParams& cell, double gap,
                              const LineParasitics& bl);
 
 // A gate held at `v_high` from 1 ns until a stop event commands its 5 ns fall,
@@ -67,11 +82,10 @@ std::shared_ptr<spice::StoppablePulse> build_stop_gate(spice::Circuit& circuit,
                                                        double v_high, double t_stop);
 
 // The Fig. 7a stop event: the comparator output falling through vdd/2,
-// located to 2 ns, commands `target`'s fall `logic_delay` later and records
-// the flip time in `column`, which must outlive the run.
+// located to 2 ns, commands `target`'s fall kLogicDelay later and records the
+// flip time in `column`, which must outlive the run.
 spice::TransientEvent comparator_stop_event(const std::string& name,
                                             const TerminationCircuit& termination,
-                                            double logic_delay,
                                             std::shared_ptr<spice::StoppablePulse> target,
                                             ColumnResult& column);
 

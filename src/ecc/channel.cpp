@@ -9,15 +9,13 @@
 
 namespace oxmlc::ecc {
 
-double effective_cycles(const WearLevelingModel& model,
-                        std::uint64_t rotate_every_writes) {
-  OXMLC_CHECK(model.region_rows > 0, "WearLevelingModel: region_rows must be > 0");
-  const double uniform = model.lifetime_writes / static_cast<double>(model.region_rows);
-  const double hot = model.hot_row_share * model.lifetime_writes;
+double effective_cycles(std::uint64_t rotate_every_writes) {
+  const double uniform = kLifetimeWrites / static_cast<double>(kWearRegionRows);
+  const double hot = kHotRowShare * kLifetimeWrites;
   if (rotate_every_writes == 0) return hot;
   const double revolution = static_cast<double>(rotate_every_writes) *
-                            static_cast<double>(model.region_rows);
-  const double spread = std::min(1.0, model.lifetime_writes / revolution);
+                            static_cast<double>(kWearRegionRows);
+  const double spread = std::min(1.0, kLifetimeWrites / revolution);
   return hot + spread * (uniform - hot);
 }
 
@@ -27,11 +25,12 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   const std::size_t n_levels = config.study.qlc.allocation.count();
   std::size_t scrub_events = 0;
   if (config.policy.scrub_period_s > 0.0) {
-    scrub_events = static_cast<std::size_t>(config.horizon_s / config.policy.scrub_period_s);
-    OXMLC_CHECK(scrub_events <= config.max_scrub_events,
+    scrub_events =
+        static_cast<std::size_t>(kReadBackHorizon / config.policy.scrub_period_s);
+    OXMLC_CHECK(scrub_events <= kMaxScrubEvents,
                 "simulate_word: scrub period " + std::to_string(config.policy.scrub_period_s) +
                     " s implies " + std::to_string(scrub_events) + " events over the horizon " +
-                    "(cap " + std::to_string(config.max_scrub_events) + ")");
+                    "(cap " + std::to_string(kMaxScrubEvents) + ")");
   }
 
   WordTrial trial;
@@ -44,7 +43,7 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   // has absorbed by read-back time, and the endurance model compresses the
   // sampled device window accordingly before anything is programmed.
   const auto cycles = static_cast<std::uint64_t>(
-      std::llround(effective_cycles(config.wear, config.policy.rotate_every_writes)));
+      std::llround(effective_cycles(config.policy.rotate_every_writes)));
 
   std::vector<oxram::FastCell> word_cells;
   std::vector<Rng> rngs;
@@ -62,11 +61,10 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   mlc::DriftingWord word(programmer, config.drift, config.read_disturb, std::move(word_cells),
                          std::move(rngs), trial.target);
 
-  // Relaxation-aware verify: re-sense after tau_relax and re-terminate cells
-  // whose tail relaxation event slipped them out of band.
+  // Relaxation-aware verify: re-sense after mlc::kVerifyWait and re-terminate
+  // cells whose tail relaxation event slipped them out of band.
   if (config.policy.relax_verify) {
-    const mlc::DriftingWord::VerifyCounts verify =
-        word.relax_verify(config.tau_relax, config.verify_max_passes);
+    const mlc::DriftingWord::VerifyCounts verify = word.relax_verify(kVerifyPasses);
     trial.verify_reprograms = static_cast<std::uint32_t>(verify.reprogrammed);
   }
 
@@ -84,7 +82,7 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
 
   trial.observed.resize(cells);
   for (std::size_t i = 0; i < cells; ++i) {
-    trial.observed[i] = word.sense(i, config.horizon_s);
+    trial.observed[i] = word.sense(i, kReadBackHorizon);
   }
   return trial;
 }

@@ -8,12 +8,13 @@
 // wear at the cycle count the wear-leveling policy implies), programmed
 // through the terminated-RESET programmer, evolved along the two-component
 // log-time drift law with read-disturb stress billed per sense, optionally
-// re-terminated by the relaxation-aware verify, scrubbed on the policy's
-// period, and finally read back through the real reference ladder at the
-// horizon. Each verify pass and scrub event re-programs its slipped cells
-// in one word-wide call. Level errors fall
-// out as (target, observed) pairs; `error_bits` maps them through the Gray
-// code to the bit-error stream the code catalog consumes.
+// re-terminated by the relaxation-aware verify (kVerifyPasses passes of
+// DriftingWord::relax_verify, each after mlc::kVerifyWait), scrubbed on the
+// policy's period (at most kMaxScrubEvents events), and finally read back
+// through the real reference ladder at kReadBackHorizon. Each verify pass
+// and scrub event re-programs its slipped cells in one word-wide call. Level
+// errors fall out as (target, observed) pairs; `error_bits` maps them
+// through the Gray code to the bit-error stream the code catalog consumes.
 //
 // Determinism: everything a trial samples derives from the single `rng`
 // passed in (per-cell streams are split() children), so trials keep the
@@ -34,24 +35,24 @@
 
 namespace oxmlc::ecc {
 
+// Read-back time after program: the retention study's last decade.
+inline constexpr double kReadBackHorizon = 1e7;  // s
+
 // Analytic start-gap wear leveling over one hot region: a skewed write
-// stream (hot_row_share of lifetime_writes on one row) is spread toward
-// uniform as the rotation period shrinks. The result is the program/erase
-// cycle count billed to every cell of the simulated word — which feeds
-// `reliability::worn_params` *before* device sampling, the same order the
-// endurance study uses.
-struct WearLevelingModel {
-  double lifetime_writes = 1e7;  // writes absorbed by the region over life
-  std::size_t region_rows = 4096;
-  double hot_row_share = 0.5;    // fraction of writes hitting the hot row
-};
+// stream (kHotRowShare of kLifetimeWrites on one row of kWearRegionRows) is
+// spread toward uniform as the rotation period shrinks. The result is the
+// program/erase cycle count billed to every cell of the simulated word —
+// which feeds `reliability::worn_params` *before* device sampling, the same
+// order the endurance study uses.
+inline constexpr double kLifetimeWrites = 1e7;  // writes absorbed by the region over life
+inline constexpr std::size_t kWearRegionRows = 4096;
+inline constexpr double kHotRowShare = 0.5;  // fraction of writes hitting the hot row
 
 // rotate_every_writes == 0 disables rotation (the hot row takes its full
 // share); smaller periods approach the uniform floor. One start-gap
-// revolution costs rotate * region_rows writes, so the achieved leveling
-// fraction is min(1, lifetime / (rotate * region_rows)).
-double effective_cycles(const WearLevelingModel& model,
-                        std::uint64_t rotate_every_writes);
+// revolution costs rotate * kWearRegionRows writes, so the achieved leveling
+// fraction is min(1, kLifetimeWrites / (rotate * kWearRegionRows)).
+double effective_cycles(std::uint64_t rotate_every_writes);
 
 // The three per-word policy knobs the explorer sweeps (code rate is the
 // fourth, applied downstream of the channel).
@@ -61,17 +62,17 @@ struct ChannelPolicy {
   std::uint64_t rotate_every_writes = 0;  // start-gap period, 0 = off
 };
 
+// The channel's verify: DriftingWord::relax_verify passes per write.
+inline constexpr std::size_t kVerifyPasses = 2;
+// Guard on the scrub timeline: kReadBackHorizon / scrub period must fit.
+inline constexpr std::size_t kMaxScrubEvents = 128;
+
 struct ChannelConfig {
   mlc::McStudyConfig study;  // allocation (bits/cell), device, variability
   oxram::DriftParams drift;
   reliability::ReadDisturbModel read_disturb;
   reliability::EnduranceModel endurance;
-  WearLevelingModel wear;
   ChannelPolicy policy;
-  double horizon_s = 1e7;      // read-back time after program
-  double tau_relax = 1e-3;     // s between program and each verify re-sense
-  std::size_t verify_max_passes = 2;
-  std::size_t max_scrub_events = 128;  // guard: horizon / period must fit
 };
 
 struct WordTrial {

@@ -81,10 +81,9 @@ SchedulerProbe run_probe(const EccStudyConfig& config, const PolicyGridPoint& po
   // the same number of maintenance slots, not the absolute retention clock.
   geometry.scrub_interval_cycles = 0;
   if (point.scrub_period_s > 0.0) {
-    const double epochs = config.horizon_s / point.scrub_period_s;
-    const double span =
-        static_cast<double>(trace_options.requests) *
-        static_cast<double>(trace_options.mean_gap_cycles);
+    const double epochs = kReadBackHorizon / point.scrub_period_s;
+    const double span = static_cast<double>(trace_options.requests) *
+                        static_cast<double>(memsys::kTraceMeanGapCycles);
     geometry.scrub_interval_cycles =
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(span / epochs));
   }
@@ -187,9 +186,7 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
       channel.drift = config.drift;
       channel.read_disturb = config.read_disturb;
       channel.endurance = config.endurance;
-      channel.wear = config.wear;
       channel.policy = {point.scrub_period_s, point.verify, point.rotate};
-      channel.horizon_s = config.horizon_s;
 
       Rng rng = mc::trial_rng(point_seed(config.seed, i / trials), i % trials);
       words[i] = simulate_word(channel, context.programmer, context.cells, rng);
@@ -199,7 +196,6 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   EccReport report;
   report.seed = config.seed;
   report.trials = trials;
-  report.horizon_s = config.horizon_s;
   report.bits = config.bits;
   report.scrub_periods_s = config.scrub_periods_s;
   report.verify = config.verify;
@@ -217,7 +213,7 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
     outcome.scrub_period_s = point.scrub_period_s;
     outcome.verify = point.verify;
     outcome.rotate_every_writes = point.rotate;
-    outcome.effective_cycles = effective_cycles(config.wear, point.rotate);
+    outcome.effective_cycles = effective_cycles(point.rotate);
     outcome.cells_programmed = context.cells * trials;
     outcome.scrub_duty = scrub_duty(config.geometry, point.scrub_period_s);
     outcome.rotate_overhead =
@@ -370,7 +366,7 @@ obs::Json to_json(const EccReport& report) {
   root.set("schema", obs::Json(kEccSchema));
   root.set("seed", obs::Json(static_cast<double>(report.seed)));
   root.set("trials", obs::Json(static_cast<double>(report.trials)));
-  root.set("horizon_s", obs::Json(report.horizon_s));
+  root.set("horizon_s", obs::Json(kReadBackHorizon));
   root.set("uber_monotone", obs::Json(uber_monotone(report)));
 
   // Same provenance block as every BENCH_*.json (bench_common.hpp): the CI

@@ -54,13 +54,13 @@ struct EccStudyConfig {
   std::size_t trials = 8;      // reference words per policy point
   std::uint64_t seed = 0xECC5EEDULL;
   std::size_t threads = 0;     // 0 = hardware concurrency
-  double horizon_s = 1e7;      // read-back decade (matches the retention study)
   std::size_t mc_trials = 64;  // calibration-curve MC depth per bits value
 
+  // Words are read back at kReadBackHorizon, worn by the analytic start-gap
+  // model (effective_cycles).
   oxram::DriftParams drift;
   reliability::ReadDisturbModel read_disturb;
   reliability::EnduranceModel endurance;
-  WearLevelingModel wear;
 
   // Timing source for the analytic scrub duty and the scheduling probe.
   memsys::GeometryConfig geometry = memsys::GeometryConfig::rram_isscc_2012();
@@ -146,7 +146,6 @@ struct FrontierPoint {
 struct EccReport {
   std::uint64_t seed = 0;
   std::size_t trials = 0;
-  double horizon_s = 0.0;
   std::vector<std::size_t> bits;
   std::vector<double> scrub_periods_s;
   std::vector<bool> verify;

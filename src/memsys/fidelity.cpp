@@ -136,9 +136,9 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     array::BankWritePathConfig bank;
     bank.cell = study_.nominal;
     bank.columns = levels.size();
-    // Physically a bank is tiled into reference_rows-deep subarrays; the
+    // Physically a bank is tiled into kReferenceRows-deep subarrays; the
     // write path drives one subarray's column, not the whole logical bank.
-    bank.rows = std::min(geometry_.rows_per_bank, bank.reference_rows);
+    bank.rows = std::min(geometry_.rows_per_bank, array::kReferenceRows);
     bank.bl_segments = 4;  // fidelity-appropriate lumping, keeps blocks small
     bank.irefs.reserve(levels.size());
     for (const std::size_t level : levels) {

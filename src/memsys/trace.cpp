@@ -14,6 +14,12 @@ namespace oxmlc::memsys {
 
 namespace {
 
+// The synthetic workload's mix: P(request is a write), P(a request starts a
+// sequential burst), and the accesses per burst.
+constexpr double kWriteFraction = 0.5;
+constexpr double kSequentialFraction = 0.7;
+constexpr std::size_t kBurstLength = 64;
+
 [[noreturn]] void fail(std::size_t line_no, const std::string& message) {
   throw util::ParseError("trace", line_no, message);
 }
@@ -89,11 +95,6 @@ std::vector<TraceRequest> load_trace(const std::string& path) {
 
 std::vector<TraceRequest> synthesize_trace(const GeometryConfig& geometry,
                                            const SyntheticTraceOptions& options) {
-  OXMLC_CHECK(options.write_fraction >= 0.0 && options.write_fraction <= 1.0,
-              "synthesize_trace: write_fraction must be in [0, 1]");
-  OXMLC_CHECK(options.sequential_fraction >= 0.0 && options.sequential_fraction <= 1.0,
-              "synthesize_trace: sequential_fraction must be in [0, 1]");
-  OXMLC_CHECK(options.burst_length > 0, "synthesize_trace: burst_length must be positive");
   Rng rng(options.seed);
   std::vector<TraceRequest> trace;
   trace.reserve(options.requests);
@@ -105,10 +106,10 @@ std::vector<TraceRequest> synthesize_trace(const GeometryConfig& geometry,
   bool burst_is_write = false;
   for (std::size_t i = 0; i < options.requests; ++i) {
     TraceRequest request;
-    if (burst_remaining == 0 && rng.uniform() < options.sequential_fraction) {
+    if (burst_remaining == 0 && rng.uniform() < kSequentialFraction) {
       burst_word = rng.uniform_index(capacity);
-      burst_remaining = options.burst_length;
-      burst_is_write = rng.uniform() < options.write_fraction;
+      burst_remaining = kBurstLength;
+      burst_is_write = rng.uniform() < kWriteFraction;
     }
     if (burst_remaining > 0) {
       request.address = (burst_word % capacity) * stride;
@@ -117,13 +118,13 @@ std::vector<TraceRequest> synthesize_trace(const GeometryConfig& geometry,
       --burst_remaining;
     } else {
       request.address = rng.uniform_index(capacity) * stride;
-      request.is_write = rng.uniform() < options.write_fraction;
+      request.is_write = rng.uniform() < kWriteFraction;
     }
     if (request.is_write) request.data = rng.next_u64();
     // Geometric-ish inter-arrival: 0 with p=1/2, else uniform in
     // [1, 2*mean_gap]. Keeps the schedulers busy without saturating.
-    if (options.mean_gap_cycles > 0 && rng.uniform() < 0.5) {
-      cycle += 1 + rng.uniform_index(2 * options.mean_gap_cycles);
+    if (rng.uniform() < 0.5) {
+      cycle += 1 + rng.uniform_index(2 * kTraceMeanGapCycles);
     }
     request.cycle = cycle;
     trace.push_back(request);

@@ -46,17 +46,18 @@ std::vector<TraceRequest> parse_trace(std::istream& stream);
 std::vector<TraceRequest> parse_trace_text(const std::string& text);
 std::vector<TraceRequest> load_trace(const std::string& path);
 
+// Mean inter-arrival gap of the synthetic workload, in memory cycles.
+inline constexpr std::uint64_t kTraceMeanGapCycles = 8;
+
 struct SyntheticTraceOptions {
   std::size_t requests = 1'000'000;
-  double write_fraction = 0.5;       // P(request is a write)
-  double sequential_fraction = 0.7;  // P(request continues a sequential burst)
-  std::size_t burst_length = 64;     // accesses per sequential burst
-  std::uint64_t mean_gap_cycles = 8; // mean inter-arrival gap
   std::uint64_t seed = 0x7261CEull;
 };
 
 // Deterministic synthetic workload for the given geometry (addresses are
-// in-capacity and word-aligned). Same options -> identical trace.
+// in-capacity and word-aligned): half writes, 70 % of requests in 64-access
+// sequential bursts, kTraceMeanGapCycles apart on average. Same options ->
+// identical trace.
 std::vector<TraceRequest> synthesize_trace(const GeometryConfig& geometry,
                                            const SyntheticTraceOptions& options);
 

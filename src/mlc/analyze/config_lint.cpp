@@ -6,9 +6,9 @@
 #include <sstream>
 #include <string>
 
-#include "mlc/controller.hpp"
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
+#include "mlc/retention.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
 
@@ -116,10 +116,9 @@ MlcLintInput MlcLintInput::paper_default(std::size_t bits) {
   for (const Level& level : allocation.levels) {
     input.levels.push_back({level.value, level.iref, level.r_nominal});
   }
-  const VerifyPolicy policy;  // the controller's relaxation-aware defaults
+  // The retention sweep's verify, whose passes the lint counts.
   input.verify_enabled = true;
-  input.tau_relax = policy.tau_relax;
-  input.verify_max_passes = policy.max_passes;
+  input.verify_max_passes = RetentionConfig{}.verify_max_passes;
   return input;
 }
 
@@ -333,12 +332,14 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
     }
   }
 
-  // An effective verify (enabled, at least one pass, re-sense after the fast
-  // component expressed) re-terminates the relaxation tail, so the static
-  // widening is dropped; anything less leaves the full quantile in play.
+  // An effective verify (enabled, at least two passes, re-sense after the
+  // fast component expressed) re-terminates the relaxation tail, so the
+  // static widening is dropped; anything less leaves the full quantile in
+  // play. The last pass only senses (DriftingWord::relax_verify), so a single
+  // pass re-terminates nothing.
   const double phi_fast = oxram::drift_phi(input.tau_relax, input.drift.tau_fast,
                                            input.drift.nu_fast);
-  const bool verify_effective = input.verify_enabled && input.verify_max_passes >= 1 &&
+  const bool verify_effective = input.verify_enabled && input.verify_max_passes >= 2 &&
                                 input.drift.enabled && phi_fast >= kFastExpressedFraction;
 
   // OXC003: adjacent bands, low edges relaxation-widened unless verified.
@@ -359,8 +360,9 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
                 level_name(hi) + " reaches down to " + format_kohm(lower_edge) +
                 ", inside " + level_name(lo) + "'s band (top " + format_kohm(upper_edge) +
                 ")",
-            widened ? "enable a relaxation-aware verify (.verify tau_relax=1m), widen the "
-                      "level spacing, or drop to fewer bits per cell"
+            widened ? "enable a relaxation-aware verify of at least two passes (.verify "
+                      "tau_relax=1m max_passes=2), widen the level spacing, or drop to "
+                      "fewer bits per cell"
                     : "widen the level spacing or reduce the programmed spread"));
       }
     }

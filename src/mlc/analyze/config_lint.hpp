@@ -33,12 +33,12 @@
 // r_floor * (R / r_floor)^(1 - a). The static check uses the one-sided
 // lognormal quantile a_q = relax_fraction * exp(sigma_relax * z) at
 // z = relax_coverage_z (default 3.09, ~99.9 % coverage). An *effective*
-// relaxation-aware verify (enabled, re-sensing after the fast component has
-// expressed) re-terminates exactly the tail draws the quantile models, so the
-// widening is dropped and only the programmed spread is checked — which is
-// how the paper's own 4-bit Table 2 placement lints clean with verify on and
-// trips OXC003 with verify off (the PAPERS.md programmed-state-stability
-// result, reproduced statically).
+// relaxation-aware verify (enabled, at least two passes, re-sensing after the
+// fast component has expressed) re-terminates exactly the tail draws the
+// quantile models, so the widening is dropped and only the programmed spread
+// is checked — which is how the paper's own 4-bit Table 2 placement lints
+// clean with verify on and trips OXC003 with verify off (the PAPERS.md
+// programmed-state-stability result, reproduced statically).
 //
 // Findings reuse spice::analyze::Diagnostic / DiagnosticReport, so the CLI
 // (`oxmlc_sim --lint placement.mlc`), the `.nolint` suppression story and the
@@ -49,6 +49,7 @@
 #include <string>
 #include <vector>
 
+#include "mlc/program.hpp"
 #include "oxram/drift.hpp"
 #include "spice/analyze/diagnostic.hpp"
 
@@ -85,9 +86,11 @@ struct MlcLintInput {
 
   oxram::DriftParams drift;
 
-  // Relaxation-aware verify policy (mirrors mlc::VerifyPolicy).
+  // Relaxation-aware verify policy. A pass counts as in
+  // mlc::DriftingWord::relax_verify (the `--retention` and ECC loop): it waits
+  // tau_relax and re-senses, and all passes but the last re-terminate.
   bool verify_enabled = false;
-  double tau_relax = 1e-3;
+  double tau_relax = kVerifyWait;
   std::size_t verify_max_passes = 2;
 
   // Codes listed by `.nolint` directives in the source file.
@@ -108,7 +111,7 @@ struct MlcLintInput {
 //   .spread sigma_r=0.01 nsigma=3 coverage_z=3.09
 //   .level value=0 iref=36u r=38.17k
 //   .drift tau_fast=1u nu_fast=0.8 relax_fraction=0.015 sigma_relax=0.9
-//   .verify tau_relax=1m max_passes=2
+//   .verify tau_relax=1m max_passes=2    (the last pass only re-senses)
 //   .nolint OXC005
 //
 // Values are strict util::parse_si literals: finite, with an optional SI

@@ -52,8 +52,7 @@ std::vector<std::size_t> MemoryController::drifted_columns(
   std::vector<std::size_t> drifted;
   for (std::size_t col = 0; col < array_.cols(); ++col) {
     if (reliability_ != nullptr) {
-      reliability_->on_read(row, col, programmer_.config().v_read,
-                            programmer_.config().v_wl_read);
+      reliability_->on_read(row, col);
     }
     const std::size_t decoded =
         programmer_.read_level(array_.at(row, col), array_.rng_at(row, col));
@@ -115,8 +114,8 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
       for (std::size_t pass = 0; pass < verify_.max_passes; ++pass) {
         // Let the fast relaxation express before judging the write — an
         // immediate verify would pass every cell and catch nothing.
-        reliability_->advance(verify_.tau_relax);
-        stats.latency += verify_.tau_relax;
+        reliability_->advance(kVerifyWait);
+        stats.latency += kVerifyWait;
         ++stats.verify_passes;
         metrics.verify_passes.add();
         const std::vector<std::size_t> drifted = drifted_columns(row, levels);
@@ -145,8 +144,7 @@ std::vector<std::size_t> MemoryController::read_word_levels(std::size_t row) {
   levels.reserve(array_.cols());
   for (std::size_t col = 0; col < array_.cols(); ++col) {
     if (reliability_ != nullptr) {
-      reliability_->on_read(row, col, programmer_.config().v_read,
-                            programmer_.config().v_wl_read);
+      reliability_->on_read(row, col);
     }
     levels.push_back(
         programmer_.read_level(array_.at(row, col), array_.rng_at(row, col)));

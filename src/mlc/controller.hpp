@@ -16,7 +16,7 @@
 //  * relaxation-aware verify (VerifyPolicy, after arXiv:2301.08516): the
 //    fast post-program relaxation is a stochastic per-event amplitude, so
 //    instead of verifying immediately — when nothing has moved yet — the
-//    controller waits tau_relax (long enough for the fast component to
+//    controller waits kVerifyWait (long enough for the fast component to
 //    mostly express), re-senses the word, and re-terminates only the cells
 //    whose relaxation draw carried them out of their IrefR band. Each
 //    re-program gets a fresh draw; the loop is a selection filter on the
@@ -47,12 +47,11 @@ struct WordWriteStats {
 
 // Relaxation-aware program-verify policy (active only with an attached
 // ReliabilityEngine). Energy/latency of the extra passes are charged to the
-// write's WordWriteStats.
+// write's WordWriteStats. Each pass waits kVerifyWait, re-senses the whole
+// word and re-terminates the cells off their level, the last pass included
+// (DriftingWord::relax_verify's last pass only senses).
 struct VerifyPolicy {
   bool enabled = false;
-  double tau_relax = 1e-3;     // s; wait before each re-sense (fast component
-                               // is >99 % expressed at 1 ms with the default
-                               // tau_fast = 1 us, nu_fast = 0.8)
   std::size_t max_passes = 2;  // re-sense rounds per write
 };
 

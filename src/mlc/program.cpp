@@ -77,7 +77,7 @@ CalibrationCurve build_calibration_curve(const oxram::OxramParams& params,
     reset.iref = iref;
     cell.apply_reset(reset);
     irefs.push_back(iref);
-    resistances.push_back(cell.read(config.v_read, config.v_wl_read).r_cell);
+    resistances.push_back(cell.read().r_cell);
   }
   return CalibrationCurve(std::move(irefs), std::move(resistances));
 }
@@ -95,10 +95,10 @@ QlcProgrammer::QlcProgrammer(QlcConfig config) : config_(std::move(config)) {
   for (const Level& level : levels) {
     OXMLC_CHECK(level.r_nominal > 0.0,
                 "QlcProgrammer: allocation lacks nominal resistances (no calibration curve)");
-    const double gap = gap_for_resistance(config_.nominal_cell, config_.v_read,
-                                          level.r_nominal);
+    const double gap =
+        gap_for_resistance(config_.nominal_cell, oxram::kReadVoltage, level.r_nominal);
     const oxram::FastCell probe(config_.nominal_cell, config_.stack, gap);
-    level_currents.push_back(probe.read(config_.v_read, config_.v_wl_read).current);
+    level_currents.push_back(probe.read().current);
   }
   for (std::size_t v = 0; v + 1 < levels.size(); ++v) {
     read_references_.push_back(std::sqrt(level_currents[v] * level_currents[v + 1]));
@@ -155,7 +155,6 @@ std::vector<ProgramOutcome> QlcProgrammer::program_word(
   for (std::size_t k = 0; k < n; ++k) {
     oxram::ResetOperation reset = config_.reset_op;
     reset.iref = outcomes[k].effective_iref;
-    reset.termination_delay = config_.termination.comparator_delay;
     cells[k]->set_rate_factor(rate_rst[k]);
     batch.add_reset(*cells[k], reset);
   }
@@ -166,7 +165,7 @@ std::vector<ProgramOutcome> QlcProgrammer::program_word(
     outcomes[k].terminated = reset_results[k].terminated;
     outcomes[k].latency = reset_results[k].t_terminate;
     outcomes[k].energy = reset_results[k].energy_source;
-    outcomes[k].resistance = cells[k]->read(config_.v_read, config_.v_wl_read).r_cell;
+    outcomes[k].resistance = cells[k]->read().r_cell;
 
     const ProgramLevelMetrics level_metrics = ProgramLevelMetrics::get(levels[k]);
     level_metrics.pulses.add(outcomes[k].pulses);
@@ -177,7 +176,7 @@ std::vector<ProgramOutcome> QlcProgrammer::program_word(
 }
 
 std::size_t QlcProgrammer::read_level(const oxram::FastCell& cell, Rng& rng) const {
-  const oxram::ReadResult read = cell.read(config_.v_read, config_.v_wl_read);
+  const oxram::ReadResult read = cell.read();
   const std::size_t band =
       array::decode_band(read.current, read_references_, config_.sense, rng);
   // band = number of references the current exceeds; the shallowest level
@@ -252,12 +251,11 @@ ProgramOutcome VrstPulseBaseline::program(oxram::FastCell& cell, std::size_t lev
 
 ProgramAndVerifyBaseline::ProgramAndVerifyBaseline(const LevelAllocation& allocation,
                                                    oxram::ResetOperation reset_template,
-                                                   oxram::SetOperation set_template,
-                                                   const ProgramVerifyConfig& config)
+                                                   oxram::SetOperation set_template)
     : allocation_(allocation), reset_template_(std::move(reset_template)),
-      set_template_(std::move(set_template)), config_(config) {
+      set_template_(std::move(set_template)) {
   reset_template_.iref.reset();
-  reset_template_.pulse.width = config_.pulse_width;
+  reset_template_.pulse.width = kVerifySliceWidth;
   // Gentle incremental slices: the staircase needs each pulse to move the
   // state by a fraction of a level, not to blow through the whole window.
   reset_template_.pulse.amplitude = 1.1;
@@ -269,8 +267,8 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
   OXMLC_CHECK(level < allocation_.count(), "ProgramAndVerify: level out of range");
   const double target = allocation_.levels[level].r_nominal;
   OXMLC_CHECK(target > 0.0, "ProgramAndVerify: allocation lacks nominal R");
-  const double lo_band = target * (1.0 - config_.band_tolerance);
-  const double hi_band = target * (1.0 + config_.band_tolerance);
+  const double lo_band = target * (1.0 - kVerifyBandTolerance);
+  const double hi_band = target * (1.0 + kVerifyBandTolerance);
 
   VerifyMetrics& metrics = VerifyMetrics::get();
   metrics.operations.add();
@@ -285,10 +283,10 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
   outcome.latency += set_template_.pulse.rise + set_template_.pulse.width +
                      set_template_.pulse.fall;
 
-  for (std::size_t pulse = 0; pulse < config_.max_pulses; ++pulse) {
+  for (std::size_t pulse = 0; pulse < kVerifyMaxPulses; ++pulse) {
     const double r = cell.read().r_cell;
     metrics.reads.add();
-    outcome.energy += config_.read_energy;
+    outcome.energy += kVerifyReadEnergy;
     outcome.latency += 50e-9;  // verify-read cycle time
     if (r >= lo_band && r <= hi_band) {
       outcome.terminated = true;
@@ -307,7 +305,7 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
     } else {
       const auto slice = cell.apply_reset(reset_template_);
       outcome.energy += slice.energy_source;
-      outcome.latency += config_.pulse_width + reset_template_.pulse.rise +
+      outcome.latency += kVerifySliceWidth + reset_template_.pulse.rise +
                          reset_template_.pulse.fall;
     }
   }

@@ -19,6 +19,11 @@
 
 namespace oxmlc::mlc {
 
+// The relaxation-aware verify's wait before each re-sense, in every verify
+// loop: the fast relaxation is >99 % expressed at 1 ms with the default
+// tau_fast = 1 us, nu_fast = 0.8.
+inline constexpr double kVerifyWait = 1e-3;  // s
+
 struct ProgramOutcome {
   std::size_t level = 0;
   double effective_iref = 0.0;   // termination current after mismatch sampling
@@ -30,6 +35,7 @@ struct ProgramOutcome {
   std::size_t pulses = 1;        // >1 only for program-and-verify
 };
 
+// Every read of the programmer is Table 1's READ (oxram::FastCell::read).
 struct QlcConfig {
   LevelAllocation allocation;
   oxram::SetOperation set_op;      // the unconditional SET preceding each RST
@@ -42,8 +48,6 @@ struct QlcConfig {
   // references derived from bare V/R would be biased by about one level).
   oxram::OxramParams nominal_cell;
   oxram::StackConfig stack;
-  double v_read = 0.3;
-  double v_wl_read = 2.5;
 
   // Defaults matching the paper's MLC operating point. The RST plateau is
   // stretched beyond the standard 3.5 us so the deepest level (6 uA, ~4 us
@@ -122,20 +126,19 @@ class VrstPulseBaseline {
 
 // Program-and-verify MLC (the multi-step scheme the paper calls "energy and
 // time inefficient", §2.1): repeat {short RST pulse; READ} until the cell
-// lands in the target band; a SET retry recovers overshoot.
-struct ProgramVerifyConfig {
-  double band_tolerance = 0.08;   // accept within +/-8 % of target resistance
-  std::size_t max_pulses = 64;
-  double pulse_width = 100e-9;    // one incremental RST slice
-  double read_energy = 0.3e-12;   // charged to every verify read (~0.3 pJ)
-};
+// lands within kVerifyBandTolerance of its target; a SET retry recovers
+// overshoot. At most kVerifyMaxPulses pulses of kVerifySliceWidth each; every
+// verify read costs kVerifyReadEnergy.
+inline constexpr double kVerifyBandTolerance = 0.08;  // +/-8 % of target resistance
+inline constexpr std::size_t kVerifyMaxPulses = 64;
+inline constexpr double kVerifySliceWidth = 100e-9;   // s, one incremental RST slice
+inline constexpr double kVerifyReadEnergy = 0.3e-12;  // J (~0.3 pJ)
 
 class ProgramAndVerifyBaseline {
  public:
   ProgramAndVerifyBaseline(const LevelAllocation& allocation,
                            oxram::ResetOperation reset_template,
-                           oxram::SetOperation set_template,
-                           const ProgramVerifyConfig& config = {});
+                           oxram::SetOperation set_template);
 
   ProgramOutcome program(oxram::FastCell& cell, std::size_t level, Rng& rng) const;
 
@@ -143,7 +146,6 @@ class ProgramAndVerifyBaseline {
   LevelAllocation allocation_;
   oxram::ResetOperation reset_template_;
   oxram::SetOperation set_template_;
-  ProgramVerifyConfig config_;
 };
 
 // IC-SET MLC (compliance-current-controlled LRS levels, prior art [11,13,17]):

@@ -22,8 +22,8 @@ std::vector<ProjectionRow> run_projections(const std::vector<std::size_t>& bit_w
     row.min_read_delta_i = std::numeric_limits<double>::infinity();
     const auto& levels = config.qlc.allocation.levels;
     for (std::size_t v = 0; v + 1 < levels.size(); ++v) {
-      const double delta = config.qlc.v_read / levels[v].r_nominal -
-                           config.qlc.v_read / levels[v + 1].r_nominal;
+      const double delta = oxram::kReadVoltage / levels[v].r_nominal -
+                           oxram::kReadVoltage / levels[v + 1].r_nominal;
       row.min_read_delta_i = std::min(row.min_read_delta_i, delta);
     }
     rows.push_back(row);

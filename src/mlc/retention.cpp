@@ -57,10 +57,9 @@ DriftingWord::DriftingWord(const QlcProgrammer& programmer, const oxram::DriftPa
 std::size_t DriftingWord::sense(std::size_t i, double t) {
   oxram::FastCell& cell = cells_[i];
   reliability::DriftTrajectory& trajectory = trajectories_[i];
-  const QlcConfig& qlc = programmer_->config();
   const double g = trajectory.gap_at(drift_, cell.params(), t);
-  const double g_disturbed = reliability::disturbed_gap(
-      cell, g, /*virgin=*/false, 1, read_disturb_, qlc.v_read, qlc.v_wl_read);
+  const double g_disturbed =
+      reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, read_disturb_);
   trajectory.offset += g_disturbed - g;
   cell.set_gap(g_disturbed);
   return programmer_->read_level(cell, rngs_[i]);
@@ -68,9 +67,8 @@ std::size_t DriftingWord::sense(std::size_t i, double t) {
 
 double DriftingWord::resistance_at(std::size_t i, double t) {
   oxram::FastCell& cell = cells_[i];
-  const QlcConfig& qlc = programmer_->config();
   cell.set_gap(trajectories_[i].gap_at(drift_, cell.params(), t));
-  return cell.read(qlc.v_read, qlc.v_wl_read).r_cell;
+  return cell.read().r_cell;
 }
 
 void DriftingWord::reprogram(std::span<const std::size_t> cells, double t) {
@@ -91,13 +89,13 @@ void DriftingWord::reprogram(std::span<const std::size_t> cells, double t) {
   }
 }
 
-DriftingWord::VerifyCounts DriftingWord::relax_verify(double tau, std::size_t max_passes) {
+DriftingWord::VerifyCounts DriftingWord::relax_verify(std::size_t max_passes) {
   VerifyCounts counts;
   std::vector<std::size_t> pending(size());
   for (std::size_t i = 0; i < size(); ++i) pending[i] = i;
   double t = 0.0;
   for (std::size_t pass = 0; pass < max_passes && !pending.empty(); ++pass) {
-    t += tau;
+    t += kVerifyWait;
     std::vector<std::size_t> slipped;
     for (const std::size_t i : pending) {
       if (sense(i, t) != targets_[i]) slipped.push_back(i);
@@ -137,7 +135,6 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
   report.trials = config.study.mc.trials;
   report.bits = config.study.qlc.allocation.bits;
   report.relax_verify = config.relax_verify;
-  report.tau_relax = config.tau_relax;
   report.verify_max_passes = config.verify_max_passes;
   report.times = config.times;
 
@@ -170,7 +167,7 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
     TrialSample sample;
     sample.outcomes = word.outcomes();
     if (config.relax_verify) {
-      sample.verify = word.relax_verify(config.tau_relax, config.verify_max_passes);
+      sample.verify = word.relax_verify(config.verify_max_passes);
     }
     // Observation times are measured from the initial program; times earlier
     // than a cell's last verify event evaluate at that event.
@@ -274,7 +271,7 @@ obs::Json to_json(const RetentionReport& report) {
   root.set("trials", obs::Json(static_cast<double>(report.trials)));
   root.set("bits", obs::Json(static_cast<double>(report.bits)));
   root.set("relax_verify", obs::Json(report.relax_verify));
-  root.set("tau_relax_s", obs::Json(report.tau_relax));
+  root.set("tau_relax_s", obs::Json(kVerifyWait));
   root.set("verify_max_passes", obs::Json(static_cast<double>(report.verify_max_passes)));
   root.set("verify_reprogrammed", obs::Json(static_cast<double>(report.verify_reprogrammed)));
   root.set("verify_unrecovered", obs::Json(static_cast<double>(report.verify_unrecovered)));

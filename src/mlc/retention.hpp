@@ -5,12 +5,13 @@
 // two-component drift law of oxram/drift.hpp and re-read at each observation
 // time. With relax_verify on, the trial additionally runs the
 // relaxation-aware verify of MemoryController/arXiv:2301.08516 right after
-// programming: wait tau_relax, re-sense (one read-disturb event),
+// programming: wait kVerifyWait, re-sense (one read-disturb event),
 // re-terminate the cells whose decode left the target band, for at most
-// verify_max_passes rounds. Comparing the verify-on and verify-off branches
-// at the same seed quantifies how much of the drift-lost inter-level window
-// the verify recovers (recovered_window_fraction — the acceptance metric of
-// the reliability subsystem).
+// verify_max_passes rounds (DriftingWord::relax_verify). Comparing the
+// verify-on and verify-off branches at the same seed quantifies how much of
+// the drift-lost inter-level window the verify recovers
+// (recovered_window_fraction — the acceptance metric of the reliability
+// subsystem).
 //
 // DriftingWord is the word both this sweep and the ECC channel run: formed
 // cells with their own rngs and targets, one reliability::DriftTrajectory
@@ -78,10 +79,11 @@ class DriftingWord {
   // program_word and re-anchors them at time t.
   void reprogram(std::span<const std::size_t> cells, double t);
 
-  // Relaxation-aware verify from t = 0: every tau seconds, sense the cells
+  // Relaxation-aware verify from t = 0: every kVerifyWait, sense the cells
   // still in question and re-terminate the ones out of band, for at most
-  // max_passes passes; the last pass only senses.
-  VerifyCounts relax_verify(double tau, std::size_t max_passes);
+  // max_passes passes. The last pass only senses, so re-terminating takes
+  // two passes at least; one pass is a re-sense with no verify.
+  VerifyCounts relax_verify(std::size_t max_passes);
 
  private:
   const QlcProgrammer* programmer_;
@@ -101,8 +103,7 @@ struct RetentionConfig {
   reliability::ReadDisturbModel read_disturb;
   std::vector<double> times;  // ascending observation times (s) after program
   bool relax_verify = false;
-  double tau_relax = 1e-3;    // s between program and each verify re-sense
-  std::size_t verify_max_passes = 2;
+  std::size_t verify_max_passes = 2;  // DriftingWord::relax_verify passes
 
   // The paper study config plus a decade ladder 1 ms .. 10^7 s.
   static RetentionConfig paper_default(std::size_t bits = 4, std::size_t trials = 200);
@@ -120,7 +121,6 @@ struct RetentionReport {
   std::size_t trials = 0;
   std::size_t bits = 0;
   bool relax_verify = false;
-  double tau_relax = 0.0;
   std::size_t verify_max_passes = 0;
   std::vector<double> times;
 

@@ -104,9 +104,9 @@ void write_file(const std::string& path, const std::string& text) {
     std::filesystem::create_directories(p.parent_path(), ec);
   }
   std::ofstream file(path, std::ios::trunc);
-  OXMLC_CHECK(file.good(), "cannot open metrics output file: " + path);
+  OXMLC_CHECK(file.good(), "cannot open output file: " + path);
   file << text;
-  OXMLC_CHECK(file.good(), "failed writing metrics output file: " + path);
+  OXMLC_CHECK(file.good(), "failed writing output file: " + path);
 }
 
 void write_metrics_json(const std::string& path, int indent) {

@@ -28,22 +28,22 @@ struct BatchMetrics {
 std::size_t CellBatch::add_reset(FastCell& cell, const ResetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kReset, op.v_wl,
                   /*through_mirror=*/op.iref.has_value(), op.iref.value_or(-1.0),
-                  op.termination_delay, op.dt_max);
+                  op.dt_max);
 }
 
 std::size_t CellBatch::add_set(FastCell& cell, const SetOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.dt_max);
+                  -1.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_forming(FastCell& cell, const FormingOperation& op) {
   return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, 0.0, op.dt_max);
+                  -1.0, op.dt_max);
 }
 
 std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
                                 Polarity polarity, double v_wl, bool through_mirror,
-                                double iref, double termination_delay, double dt_max) {
+                                double iref, double dt_max) {
   const std::size_t lane = gap_.size();
 
   gap_.push_back(cell.gap());
@@ -70,7 +70,6 @@ std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
   control.v_wl = v_wl;
   control.dt_max = dt_max;
   control.iref = iref;
-  control.termination_delay = termination_delay;
   control.natural_end = pulse.rise + pulse.width + pulse.fall;
   control.t_end = control.natural_end;
   control.virgin = cell.virgin();
@@ -122,7 +121,7 @@ void CellBatch::update_sample(std::size_t lane, double v_d, double current,
       }
       result.terminated = true;
       result.t_terminate = t_cross;
-      c.ramp_start = t_cross + c.termination_delay;
+      c.ramp_start = t_cross + kTerminationDelay;
       c.ramp_from = drive_value(c, c.ramp_start);
       c.t_end = std::min(c.t_end, c.ramp_start + c.pulse.fall);
     }

@@ -84,7 +84,6 @@ class CellBatch {
     double v_wl = 0.0;
     double dt_max = 0.0;
     double iref = -1.0;  // < 0: no termination (SET / forming / untimed RESET)
-    double termination_delay = 0.0;
     double natural_end = 0.0;
     double t = 0.0;
     double t_end = 0.0;
@@ -99,8 +98,7 @@ class CellBatch {
   };
 
   std::size_t add_lane(FastCell& cell, const PulseShape& pulse, Polarity polarity,
-                       double v_wl, bool through_mirror, double iref,
-                       double termination_delay, double dt_max);
+                       double v_wl, bool through_mirror, double iref, double dt_max);
 
   double drive_value(const LaneControl& lane, double t) const;
 

@@ -38,7 +38,7 @@ class OxramDevice final : public spice::Device {
   double current(std::span<const double> x) const;
 
   // Read-equivalent resistance of the present state at `v_read`.
-  double resistance(double v_read = 0.3) const {
+  double resistance(double v_read) const {
     return resistance_at(params_, v_read, gap_);
   }
 

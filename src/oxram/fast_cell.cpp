@@ -133,14 +133,14 @@ OperationResult FastCell::apply_forming(const FormingOperation& op) {
   return batch.run().front();
 }
 
-ReadResult FastCell::read(double v_read, double v_wl) const {
+ReadResult FastCell::read() const {
   ReadResult r;
   const StackOperatingPoint op = solve_stack(params_, gap_, stack_, Polarity::kSet,
-                                             v_read, v_wl);
+                                             kReadVoltage, kReadWlVoltage);
   r.current = op.current;
   if (op.current > 0.0) {
     r.r_cell = op.v_cell / op.current;
-    r.r_apparent = v_read / op.current;
+    r.r_apparent = kReadVoltage / op.current;
   } else {
     r.r_cell = r.r_apparent = params_.r_leak;
   }

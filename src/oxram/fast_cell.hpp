@@ -29,15 +29,29 @@
 
 namespace oxmlc::oxram {
 
+// The paper's operating point, declared once: the fast path, the write
+// testbenches (array/write_stack.hpp), the QLC programmer and the reliability
+// engine read it from here. The MLC RESET (SL pulse, boosted WL, edges and
+// standard plateau) and the READ (BL and WL bias) are Table 1's; the
+// termination delay is §3.2's comparator flip to SL-driver stop.
+inline constexpr double kResetSlVoltage = 1.60;        // V
+inline constexpr double kResetWlVoltage = 3.3;         // V
+inline constexpr double kResetEdge = 10e-9;            // s, rise and fall
+inline constexpr double kResetStandardWidth = 3.5e-6;  // s
+inline constexpr double kReadVoltage = 0.3;            // V
+inline constexpr double kReadWlVoltage = 2.5;          // V
+inline constexpr double kTerminationDelay = 2e-9;      // s
+// The access transistor (W = 0.8 um, L = 0.5 um, Fig. 1b) and the Fig. 7a
+// input mirror M1/M2, sized wide so its Vgs stays near Vth over 6-36 uA.
+inline dev::MosfetParams access_nmos() { return dev::tech130hv::nmos(0.8e-6, 0.5e-6); }
+inline dev::MosfetParams mirror_nmos() { return dev::tech130hv::nmos(120e-6, 3e-6); }
+
 // Electrical environment of the cell during an operation.
 struct StackConfig {
-  // Access transistor (paper: W = 0.8 um, L = 0.5 um, Fig. 1b).
-  dev::MosfetParams access = dev::tech130hv::nmos(0.8e-6, 0.5e-6);
-  // Input mirror of the write-termination circuit (M1 of Fig. 7a); sized wide
-  // so its Vgs stays near Vth across the 6-36 uA termination range.
-  dev::MosfetParams mirror = dev::tech130hv::nmos(120e-6, 3e-6);
+  dev::MosfetParams access = access_nmos();
+  dev::MosfetParams mirror = mirror_nmos();  // BL sink of a terminated RESET
   double r_series = 870.0;      // driver output + SL + BL line resistance (lumped;
-                                // must match the WritePathConfig ladder totals)
+                                // a test pins it to the WritePath ladder's 868 Ohm)
   bool bl_through_mirror = false;  // true: BL sinks into the mirror (terminated RST)
 };
 
@@ -93,12 +107,13 @@ struct OperationResult {
   double energy_cell = 0.0;    // integral of V_cell * I
 };
 
+// Table 1's RESET: the standard pulse on the SL, the WL boosted.
 struct ResetOperation {
-  PulseShape pulse{1.60, 10e-9, 3.5e-6, 10e-9};  // standard RST width 3.5 us
-  double v_wl = 3.3;            // WL boosted during MLC RESET
-  // Termination: stop when I falls to iref. nullopt = standard (fixed) pulse.
+  PulseShape pulse{kResetSlVoltage, kResetEdge, kResetStandardWidth, kResetEdge};
+  double v_wl = kResetWlVoltage;
+  // Termination: the pulse ramps down kTerminationDelay after I falls to
+  // iref. nullopt = standard (fixed) pulse.
   std::optional<double> iref;
-  double termination_delay = 2e-9;   // comparator + control-logic + driver delay
   double dt_max = 20e-9;
 };
 
@@ -135,8 +150,8 @@ class FastCell {
   OperationResult apply_set(const SetOperation& op);
   OperationResult apply_forming(const FormingOperation& op);
 
-  // READ at `v_read` on the bit line with the read word-line bias.
-  ReadResult read(double v_read = 0.3, double v_wl = 2.5) const;
+  // Table 1's READ: kReadVoltage on the bit line, kReadWlVoltage on the WL.
+  ReadResult read() const;
 
   double gap() const { return gap_; }
   void set_gap(double gap) { gap_ = gap; }

@@ -32,17 +32,17 @@ OxramParams sample_device(const OxramParams& nominal, const OxramVariability& va
   // stay nominal — which is precisely why the current-terminated RESET is
   // "agnostic about resistance distribution" (paper §4.4.2): the feedback
   // pins the final current, and a uniform I(V) law maps it to a tight R.
-  p.alpha = rng.truncated_normal(nominal.alpha, variability.sigma_alpha_rel * nominal.alpha,
-                                 0.05, 0.95);
-  p.lx = rng.truncated_normal(nominal.lx, variability.sigma_lx_rel * nominal.lx,
-                              0.5 * nominal.lx, 1.5 * nominal.lx);
+  p.alpha =
+      rng.truncated_normal(nominal.alpha, kSigmaAlphaRel * nominal.alpha, 0.05, 0.95);
+  p.lx = rng.truncated_normal(nominal.lx, kSigmaLxRel * nominal.lx, 0.5 * nominal.lx,
+                              1.5 * nominal.lx);
   p.xi = nominal.xi * (OxramParams::kNominalLx / p.lx);
   return p;
 }
 
 double sample_cycle_rate_factor(const OxramVariability& variability, Rng& rng) {
-  if (!variability.enabled || variability.sigma_rate_c2c <= 0.0) return 1.0;
-  return rng.lognormal(0.0, variability.sigma_rate_c2c);
+  if (!variability.enabled) return 1.0;
+  return rng.lognormal(0.0, kSigmaRateC2c);
 }
 
 double cell_current(const OxramParams& p, double v, double g) {

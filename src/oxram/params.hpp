@@ -73,19 +73,20 @@ struct OxramParams {
 
 // Device-to-device (D2D) and cycle-to-cycle (C2C) variability.
 //
-// The paper states +/-5 % sigma on alpha and Lx for D2D; C2C is modelled as a
-// lognormal fluctuation of the switching rates per operation, which captures
-// the stochastic (thermally-activated) nature of each switching event.
+// The paper states +/-5 % sigma on alpha and Lx for D2D
+// (kSigmaAlphaRel, kSigmaLxRel); C2C is modelled as a lognormal fluctuation
+// of the switching rates per operation (kSigmaRateC2c), which captures the
+// stochastic (thermally-activated) nature of each switching event.
+inline constexpr double kSigmaAlphaRel = 0.05;  // paper: 5 % on alpha
+inline constexpr double kSigmaLxRel = 0.05;     // paper: 5 % on Lx
+inline constexpr double kSigmaRateC2c = 0.10;   // lognormal sigma on k0 per operation
+
 struct OxramVariability {
-  double sigma_alpha_rel = 0.05;  // paper: 5 % on alpha
-  double sigma_lx_rel = 0.05;     // paper: 5 % on Lx
-  double sigma_rate_c2c = 0.10;   // lognormal sigma on k0 per operation
   bool enabled = true;
 
   static OxramVariability disabled() {
     OxramVariability v;
     v.enabled = false;
-    v.sigma_alpha_rel = v.sigma_lx_rel = v.sigma_rate_c2c = 0.0;
     return v;
   }
 };

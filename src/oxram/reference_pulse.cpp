@@ -10,8 +10,7 @@ namespace {
 
 OperationResult step_pulse(FastCell& cell, const PulseShape& pulse, Polarity polarity,
                            double v_wl, bool through_mirror, std::optional<double> iref,
-                           double termination_delay, double dt_max,
-                           std::vector<TrajectoryPoint>* trajectory) {
+                           double dt_max, std::vector<TrajectoryPoint>* trajectory) {
   const OxramParams& params = cell.params();
   const double rate_factor = cell.rate_factor();
   double gap = cell.gap();
@@ -79,7 +78,7 @@ OperationResult step_pulse(FastCell& cell, const PulseShape& pulse, Polarity pol
         }
         result.terminated = true;
         result.t_terminate = t_cross;
-        ramp_start = t_cross + termination_delay;
+        ramp_start = t_cross + kTerminationDelay;
         ramp_from = drive_value(ramp_start);
         t_end = std::min(t_end, ramp_start + pulse.fall);
       }
@@ -125,20 +124,20 @@ OperationResult step_pulse(FastCell& cell, const PulseShape& pulse, Polarity pol
 OperationResult reference_pulse(FastCell& cell, const ResetOperation& op,
                                 std::vector<TrajectoryPoint>* trajectory) {
   return step_pulse(cell, op.pulse, Polarity::kReset, op.v_wl,
-                    /*through_mirror=*/op.iref.has_value(), op.iref, op.termination_delay,
-                    op.dt_max, trajectory);
+                    /*through_mirror=*/op.iref.has_value(), op.iref, op.dt_max,
+                    trajectory);
 }
 
 OperationResult reference_pulse(FastCell& cell, const SetOperation& op,
                                 std::vector<TrajectoryPoint>* trajectory) {
   return step_pulse(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                    std::nullopt, 0.0, op.dt_max, trajectory);
+                    std::nullopt, op.dt_max, trajectory);
 }
 
 OperationResult reference_pulse(FastCell& cell, const FormingOperation& op,
                                 std::vector<TrajectoryPoint>* trajectory) {
   return step_pulse(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                    std::nullopt, 0.0, op.dt_max, trajectory);
+                    std::nullopt, op.dt_max, trajectory);
 }
 
 }  // namespace oxmlc::oxram

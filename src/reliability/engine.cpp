@@ -33,8 +33,7 @@ Rng cell_stream(std::uint64_t seed, std::size_t cell_index) {
 }  // namespace
 
 double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
-                     std::size_t reads, const ReadDisturbModel& model, double v_read,
-                     double v_wl) {
+                     std::size_t reads, const ReadDisturbModel& model) {
   if (!model.enabled || reads == 0) {
     return gap;
   }
@@ -44,9 +43,10 @@ double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
   // barriers also produce a small V = 0 drift (a time-scale artifact, see
   // bench_ext_read_disturb/DESIGN.md) that is not the read's fault, hence
   // the bias-minus-rest difference.
-  const oxram::StackOperatingPoint op = oxram::solve_stack(
-      cell.params(), gap, cell.stack(), oxram::Polarity::kSet, v_read, v_wl);
-  const double stress = static_cast<double>(reads) * model.t_read * model.accel;
+  const oxram::StackOperatingPoint op =
+      oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
+                         oxram::kReadVoltage, oxram::kReadWlVoltage);
+  const double stress = static_cast<double>(reads) * kSenseDuration * model.accel;
   const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, gap, virgin, stress,
                                            cell.rate_factor());
   const double g_rest =
@@ -60,7 +60,7 @@ oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceM
     return fresh;
   }
   const double decades = std::log10(static_cast<double>(cycles) / model.onset_cycles);
-  const double loss = std::min(model.max_window_loss, model.loss_per_decade * decades);
+  const double loss = std::min(kMaxWindowLoss, model.loss_per_decade * decades);
   const double window = fresh.g_max - fresh.g_min;
   oxram::OxramParams worn = fresh;
   worn.g_min = fresh.g_min + 0.5 * loss * window;
@@ -122,12 +122,11 @@ void ReliabilityEngine::on_programmed(std::size_t row, std::size_t col) {
   ReliabilityMetrics::get().program_events.add();
 }
 
-void ReliabilityEngine::on_read(std::size_t row, std::size_t col, double v_read, double v_wl) {
-  apply_reads(row, col, 1, v_read, v_wl);
+void ReliabilityEngine::on_read(std::size_t row, std::size_t col) {
+  apply_reads(row, col, 1);
 }
 
-void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_t n,
-                                    double v_read, double v_wl) {
+void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_t n) {
   const std::size_t i = index(row, col);
   reads_[i] += n;
   if (!config_.read_disturb.enabled || n == 0) {
@@ -135,8 +134,8 @@ void ReliabilityEngine::apply_reads(std::size_t row, std::size_t col, std::size_
   }
   oxram::FastCell& cell = array_.at(row, col);
   const double g_before = cell.gap();
-  const double g_after = disturbed_gap(cell, g_before, cell.virgin(), n,
-                                       config_.read_disturb, v_read, v_wl);
+  const double g_after =
+      disturbed_gap(cell, g_before, cell.virgin(), n, config_.read_disturb);
   trajectories_[i].offset += g_after - g_before;
   cell.set_gap(g_after);
   ReliabilityMetrics::get().reads_disturbed.add(n);

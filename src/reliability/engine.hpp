@@ -7,9 +7,10 @@
 //   * retention/relaxation drift — the two-component log-time law of
 //     oxram/drift.hpp, one DriftTrajectory per cell evaluated at the
 //     engine clock (advance());
-//   * read disturb — every sense operation biases the cell at the read
-//     voltage in the SET polarity, nudging the gap toward LRS by the physics
-//     rate integrated over the sense duration (on_read() / apply_reads());
+//   * read disturb — every sense operation biases the cell at Table 1's
+//     READ point (oxram::kReadVoltage, kReadWlVoltage) in the SET polarity,
+//     nudging the gap toward LRS by the physics rate integrated over the
+//     sense duration (on_read() / apply_reads());
 //   * endurance — cycle counts per cell compress the switching window
 //     (g_min up, g_max down) log-linearly past an onset (EnduranceModel).
 //
@@ -41,39 +42,41 @@
 
 namespace oxmlc::reliability {
 
-// Read disturb: one sense holds v_read across the stack for t_read. The
-// resulting gap reduction per read is tiny at nominal 0.3 V (that is the
-// point of a low read voltage); `accel` scales the effective stress time for
-// disturb-margin studies (equivalent to raising read count per notification).
+// Read disturb: one sense holds Table 1's READ bias across the stack for
+// kSenseDuration. The resulting gap reduction per read is tiny at the
+// nominal 0.3 V (that is the point of a low read voltage); `accel` scales the
+// effective stress time for disturb-margin studies (equivalent to raising
+// read count per notification).
+inline constexpr double kSenseDuration = 100e-9;  // s, one sense operation
+
 struct ReadDisturbModel {
   bool enabled = true;
-  double t_read = 100e-9;  // s, one sense operation
-  double accel = 1.0;      // stress-time multiplier
+  double accel = 1.0;  // stress-time multiplier
 };
 
 // Endurance: window compression past an onset cycle count. The fractional
 // loss per decade is split between the two window edges,
-//   loss = min(max_window_loss, loss_per_decade * log10(cycles / onset)),
+//   loss = min(kMaxWindowLoss, loss_per_decade * log10(cycles / onset)),
 // raising g_min by loss/2 * window and lowering g_max symmetrically — the
 // classic tail-bit signature where cycled cells can no longer reach the
 // deepest HRS levels nor the strongest LRS.
+inline constexpr double kMaxWindowLoss = 0.5;  // fraction of the fresh window
+
 struct EnduranceModel {
   bool enabled = true;
   double onset_cycles = 1e5;
   double loss_per_decade = 0.05;  // fraction of the fresh window per decade
-  double max_window_loss = 0.5;
 };
 
 // The one read-disturb step, shared by ReliabilityEngine::apply_reads, the
 // retention sweep and the ECC channel: the gap of `cell` (its parameters,
-// stack and C2C rate factor) after `reads` senses at (v_read, v_wl),
+// stack and C2C rate factor) after `reads` senses at Table 1's READ point,
 // starting from `gap`. The sense biases the cell in the SET polarity; only
 // the excess over the zero-bias trajectory in the same stress window is
 // billed to the reads. Returns `gap` unchanged when the model is disabled
 // or `reads` is 0.
 double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
-                     std::size_t reads, const ReadDisturbModel& model, double v_read,
-                     double v_wl);
+                     std::size_t reads, const ReadDisturbModel& model);
 
 // The window compression applied to `fresh` after `cycles` program events.
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
@@ -128,9 +131,8 @@ class ReliabilityEngine {
   // Read-disturb notification: integrates the gap ODE at the solved cell
   // voltage of one sense (n senses for apply_reads) and folds the result
   // into the cell state immediately.
-  void on_read(std::size_t row, std::size_t col, double v_read = 0.3, double v_wl = 2.5);
-  void apply_reads(std::size_t row, std::size_t col, std::size_t n, double v_read = 0.3,
-                   double v_wl = 2.5);
+  void on_read(std::size_t row, std::size_t col);
+  void apply_reads(std::size_t row, std::size_t col, std::size_t n);
 
   // Moves the engine clock by dt and rewrites every programmed cell's gap
   // from its trajectory (DriftTrajectory::gap_at at the new clock).

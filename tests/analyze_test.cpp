@@ -318,6 +318,20 @@ TEST(MlcConfigLint, DisablingVerifyWidensBandsIntoOverlap) {
   EXPECT_TRUE(report.has_errors());
 }
 
+TEST(MlcConfigLint, SinglePassVerifyKeepsWidening) {
+  // The last verify pass only re-senses (mlc::DriftingWord::relax_verify), so
+  // one pass re-terminates nothing: the bands stay relaxation-widened, as with
+  // the verify off. Two passes are the fewest that filter the tail.
+  mlca::MlcLintInput input = two_level_input();
+  input.levels = {{0, 36e-6, 100e3}, {1, 6e-6, 140e3}};
+  input.verify_max_passes = 2;
+  EXPECT_TRUE(mlca::lint_mlc_config(input).empty());
+  input.verify_max_passes = 1;
+  const auto report = mlca::lint_mlc_config(input);
+  EXPECT_TRUE(report.has_code(codes::kBandOverlap)) << report.format();
+  EXPECT_NE(report.format().find("max_passes"), std::string::npos) << report.format();
+}
+
 TEST(MlcConfigLint, UnderHorizonVerifyKeepsWideningAndWarns) {
   // A verify that re-senses at 2 us (fast component ~58 % expressed) does not
   // filter the tail: the widening stays in play on top of the OXC006 warning.

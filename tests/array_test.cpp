@@ -105,6 +105,16 @@ TEST(Parasitics, PaperBitLineMatchesPaperNumbers) {
   EXPECT_GT(bl.total_resistance, 500.0);
 }
 
+// The fast path lumps the write path's series resistance into one
+// StackConfig::r_series; it must stand for the ladder WritePath builds (the
+// SL driver plus the paper SL and BL totals, 868 Ohm against 870 Ohm).
+TEST(Parasitics, FastPathSeriesResistanceMatchesLadderTotals) {
+  const WritePathConfig ladder;
+  const double total =
+      ladder.r_driver + ladder.sl.total_resistance + ladder.bl.total_resistance;
+  EXPECT_NEAR(oxram::StackConfig{}.r_series, total, 0.005 * total);
+}
+
 // ---------------------------------------------------------------------------
 // termination circuit (transistor level, DC decision behaviour)
 // ---------------------------------------------------------------------------

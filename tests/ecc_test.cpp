@@ -527,23 +527,19 @@ TEST(Channel, OneLevelSlipYieldsExactlyOneErrorBit) {
 }
 
 TEST(Channel, EffectiveCyclesInterpolatesHotToUniform) {
-  WearLevelingModel model;
-  model.lifetime_writes = 1e7;
-  model.region_rows = 4096;
-  model.hot_row_share = 0.5;
-  const double hot = model.hot_row_share * model.lifetime_writes;
-  const double uniform = model.lifetime_writes / static_cast<double>(model.region_rows);
+  const double hot = kHotRowShare * kLifetimeWrites;
+  const double uniform = kLifetimeWrites / static_cast<double>(kWearRegionRows);
   // No rotation: the hot row absorbs its full share.
-  EXPECT_DOUBLE_EQ(effective_cycles(model, 0), hot);
+  EXPECT_DOUBLE_EQ(effective_cycles(0), hot);
   // Rotating every write revolves lifetime/(1 * 4096) ~ 2441 times >= 1 full
   // leveling pass: the billed wear collapses to the uniform floor.
-  EXPECT_DOUBLE_EQ(effective_cycles(model, 1), uniform);
+  EXPECT_DOUBLE_EQ(effective_cycles(1), uniform);
   // A partial revolution interpolates between the two.
-  const double partial = effective_cycles(model, 10'000);
+  const double partial = effective_cycles(10'000);
   EXPECT_GT(partial, uniform);
   EXPECT_LT(partial, hot);
   // More frequent rotation never increases billed wear.
-  EXPECT_LE(effective_cycles(model, 2000), effective_cycles(model, 20'000));
+  EXPECT_LE(effective_cycles(2000), effective_cycles(20'000));
 }
 
 // ---------------------------------------------------------------------------

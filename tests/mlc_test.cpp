@@ -397,9 +397,8 @@ TEST(Baselines, VrstSpreadExceedsTerminationSpread) {
 
 TEST(Baselines, ProgramAndVerifyLandsInBandAtACost) {
   const QlcConfig config = test_config(2);
-  ProgramVerifyConfig pv;
   const ProgramAndVerifyBaseline baseline(config.allocation, config.reset_op,
-                                          config.set_op, pv);
+                                          config.set_op);
   Rng rng(17);
   const std::size_t level = 2;
   const double target = config.allocation.levels[level].r_nominal;
@@ -407,7 +406,7 @@ TEST(Baselines, ProgramAndVerifyLandsInBandAtACost) {
   oxram::FastCell cell = oxram::FastCell::formed_lrs(device, oxram::StackConfig{});
   const auto outcome = baseline.program(cell, level, rng);
   ASSERT_TRUE(outcome.terminated);  // converged into the band
-  EXPECT_NEAR(outcome.resistance, target, target * pv.band_tolerance * 1.2);
+  EXPECT_NEAR(outcome.resistance, target, target * kVerifyBandTolerance * 1.2);
   EXPECT_GT(outcome.pulses, 1u);  // needed multiple program slices
 }
 
@@ -478,13 +477,12 @@ ProgramOutcome reference_program(const QlcConfig& config, oxram::FastCell& cell,
       config.termination.sample_effective_iref(config.allocation.levels[level].iref, rng);
   oxram::ResetOperation reset = config.reset_op;
   reset.iref = outcome.effective_iref;
-  reset.termination_delay = config.termination.comparator_delay;
   cell.set_rate_factor(sample_cycle_rate_factor(config.variability, rng));
   const oxram::OperationResult result = oxram::reference_pulse(cell, reset);
   outcome.terminated = result.terminated;
   outcome.latency = result.t_terminate;
   outcome.energy = result.energy_source;
-  outcome.resistance = cell.read(config.v_read, config.v_wl_read).r_cell;
+  outcome.resistance = cell.read().r_cell;
   return outcome;
 }
 

@@ -88,7 +88,6 @@ TEST(Endurance, WindowCompressesPastOnset) {
   EnduranceModel model;
   model.onset_cycles = 1e3;
   model.loss_per_decade = 0.1;
-  model.max_window_loss = 0.5;
 
   // Below and at the onset: untouched.
   EXPECT_DOUBLE_EQ(worn_params(fresh, model, 10).g_min, fresh.g_min);
@@ -100,7 +99,7 @@ TEST(Endurance, WindowCompressesPastOnset) {
   EXPECT_NEAR(one_decade.g_min, fresh.g_min + 0.05 * window, 1e-15);
   EXPECT_NEAR(one_decade.g_max, fresh.g_max - 0.05 * window, 1e-15);
 
-  // Deep wear saturates at max_window_loss rather than inverting the window.
+  // Deep wear saturates at kMaxWindowLoss (0.5) rather than inverting the window.
   const oxram::OxramParams saturated = worn_params(fresh, model, 1000000000000ULL);
   EXPECT_NEAR(saturated.g_max - saturated.g_min, 0.5 * window, 1e-15);
   EXPECT_LT(saturated.g_min, saturated.g_max);
@@ -338,7 +337,7 @@ TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
   EXPECT_GE(stats.verify_passes, 1u);
   EXPECT_LE(stats.verify_passes, policy.max_passes);
   EXPECT_GT(stats.reprogrammed, 0u);
-  EXPECT_GT(stats.latency, policy.tau_relax);  // the wait is charged to the write
+  EXPECT_GT(stats.latency, mlc::kVerifyWait);  // the wait is charged to the write
 }
 
 TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {

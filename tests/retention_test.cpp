@@ -193,8 +193,7 @@ struct ReplayCell {
                     const reliability::ReadDisturbModel& disturb, double t) {
     const double g = gap_at(drift, t);
     const double g_disturbed =
-        reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, disturb,
-                                   programmer.config().v_read, programmer.config().v_wl_read);
+        reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, disturb);
     offset += g_disturbed - g;
     cell.set_gap(g_disturbed);
     return programmer.read_level(cell, rng);
@@ -212,7 +211,7 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   oxram::DriftParams drift;
   drift.relax_fraction = 0.05;  // amplified so verify and scrub find work
   const reliability::ReadDisturbModel disturb;
-  constexpr double kTau = 1e-3;
+  constexpr double kTau = kVerifyWait;
   constexpr std::size_t kPasses = 3;
   const double kScrubTimes[] = {1e5, 1e6, 1e7};
 
@@ -232,7 +231,7 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   for (std::size_t i = 0; i < n; ++i) replay.push_back({cells[i], rngs[i], targets[i]});
 
   DriftingWord word(programmer, drift, disturb, cells, rngs, targets);
-  const DriftingWord::VerifyCounts verify = word.relax_verify(kTau, kPasses);
+  const DriftingWord::VerifyCounts verify = word.relax_verify(kPasses);
   std::vector<double> r_word(n);
   for (std::size_t i = 0; i < n; ++i) r_word[i] = word.resistance_at(i, 1.0);
   std::vector<std::size_t> levels_word;
@@ -272,9 +271,7 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   for (std::size_t i = 0; i < n; ++i) {
     ReplayCell& c = replay[i];
     c.cell.set_gap(c.gap_at(drift, 1.0));
-    EXPECT_EQ(bits_of(c.cell.read(programmer.config().v_read, programmer.config().v_wl_read)
-                          .r_cell),
-              bits_of(r_word[i]))
+    EXPECT_EQ(bits_of(c.cell.read().r_cell), bits_of(r_word[i]))
         << "cell " << i;
   }
   for (const double t : kScrubTimes) {

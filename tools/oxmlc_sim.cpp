@@ -247,6 +247,13 @@ CliOptions parse_cli(int argc, char** argv) {
   return options;
 }
 
+// Writes a `--report` document. An unwritable path throws, and main reports
+// it, naming the path, with exit 1.
+void write_report(const std::string& path, const obs::Json& report) {
+  obs::write_file(path, report.dump(2) + "\n");
+  std::cout << "[report written: " << path << "]\n";
+}
+
 // QLC program run: the paper's §4.2 flow end-to-end, instrumented. First a
 // Monte-Carlo program of every level through the fast path (termination
 // mismatch + C2C sampling -> per-level pulse/latency statistics), then one
@@ -348,7 +355,6 @@ int run_retention(const CliOptions& options) {
   reliability::ReliabilityEngine engine(grid, rel);
   mlc::VerifyPolicy verify;
   verify.enabled = true;
-  verify.tau_relax = config.tau_relax;
   verify.max_passes = config.verify_max_passes;
   controller.attach_reliability(&engine, verify);
   controller.form();
@@ -381,13 +387,7 @@ int run_retention(const CliOptions& options) {
     demo.set("cells_scrubbed", obs::Json(static_cast<double>(scrub.cells_scrubbed)));
     demo.set("scrub_energy_j", obs::Json(scrub.energy));
     report.set("scrub_demo", std::move(demo));
-    std::ofstream out(options.report_path);
-    if (!out.good()) {
-      std::cerr << "cannot write report: " << options.report_path << "\n";
-      return 1;
-    }
-    out << report.dump(2) << "\n";
-    std::cout << "[report written: " << options.report_path << "]\n";
+    write_report(options.report_path, report);
   }
   return 0;
 }
@@ -434,13 +434,7 @@ int run_ecc(const CliOptions& options) {
   }
 
   if (!options.report_path.empty()) {
-    std::ofstream out(options.report_path);
-    if (!out.good()) {
-      std::cerr << "cannot write report: " << options.report_path << "\n";
-      return 1;
-    }
-    out << ecc::to_json(report).dump(2) << "\n";
-    std::cout << "[report written: " << options.report_path << "]\n";
+    write_report(options.report_path, ecc::to_json(report));
   }
   return 0;
 }
@@ -511,13 +505,7 @@ int run_trace(const CliOptions& options) {
   t.print(std::cout);
 
   if (!options.report_path.empty()) {
-    std::ofstream out(options.report_path);
-    if (!out.good()) {
-      std::cerr << "cannot write report: " << options.report_path << "\n";
-      return 1;
-    }
-    out << memsys::to_json(report).dump(2) << "\n";
-    std::cout << "[report written: " << options.report_path << "]\n";
+    write_report(options.report_path, memsys::to_json(report));
   }
   return 0;
 }
