@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
                       "paper 4.1: 'The ISO-dI approach is adopted as the proposed MLC "
                       "scheme is based on RST current control'");
 
-  mlc::McStudyConfig config = mlc::paper_mc_study(4, trials);
-  const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      config.nominal, config.stack, config.qlc, mlc::kPaperIrefMin, mlc::kPaperIrefMax, 25);
+  const mlc::McStudyConfig config = mlc::paper_mc_study(4, trials);
+  const mlc::CalibrationCurve curve =
+      mlc::build_calibration_curve(config.qlc, mlc::kPaperIrefMin, mlc::kPaperIrefMax);
 
   Table t({"allocation", "min nominal dR", "worst-case margin", "overlap",
            "smallest iref step", "margin @ shallow pair", "margin @ deep pair"});
@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
                format_si(report.margins.back().worst_case_margin, "Ohm", 3)});
   };
 
-  run("ISO-dI (paper)", mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin,
-                                                          mlc::kPaperIrefMax, curve));
+  run("ISO-dI (paper)", config.qlc.allocation);
   const double r_min = curve.resistance_at(mlc::kPaperIrefMax);
   const double r_max = curve.resistance_at(mlc::kPaperIrefMin);
   run("ISO-dR", mlc::LevelAllocation::iso_delta_r(4, r_min, r_max, curve));

@@ -38,9 +38,8 @@ int main(int argc, char** argv) {
            "avg RST energy", "avg latency", "read I < 8 uA"});
   for (const auto& w : windows) {
     mlc::McStudyConfig config = mlc::paper_mc_study(4, trials);
-    const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-        config.nominal, config.stack, config.qlc, w.i_min, w.i_max, 17);
-    config.qlc.allocation = mlc::LevelAllocation::iso_delta_i(4, w.i_min, w.i_max, curve);
+    config.qlc.allocation = mlc::LevelAllocation::iso_delta_i(
+        4, w.i_min, w.i_max, mlc::build_calibration_curve(config.qlc, w.i_min, w.i_max, 17));
     const auto dists = mlc::run_level_study(config);
     const auto report = mlc::analyze_margins(dists);
 

@@ -23,24 +23,20 @@ int main(int argc, char** argv) {
       "presented MLC design scheme to any resistive RAM technology providing "
       "an analog programming mechanism, such as PCM'");
 
+  // The PCM cell, its stack and pulses; the variability keeps the same
+  // +/-5 % discipline.
   mlc::McStudyConfig config;
-  config.nominal = oxram::pcm_like_params();
-  config.stack = oxram::pcm_like_stack();
-  config.variability = oxram::OxramVariability{};  // same +/-5 % discipline
-
-  mlc::QlcConfig qlc;
-  qlc.set_op = oxram::pcm_like_set();
-  qlc.reset_op = oxram::pcm_like_reset();
-  qlc.nominal_cell = config.nominal;
-  qlc.stack = config.stack;
+  config.qlc.set_op = oxram::pcm_like_set();
+  config.qlc.reset_op = oxram::pcm_like_reset();
+  config.qlc.nominal_cell = oxram::pcm_like_params();
+  config.qlc.stack = oxram::pcm_like_stack();
   const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      config.nominal, config.stack, qlc, oxram::kPcmIrefMin, oxram::kPcmIrefMax, 17);
+      config.qlc, oxram::kPcmIrefMin, oxram::kPcmIrefMax, 17);
 
   // 3 bits on the PCM window (8 levels; the wider window could carry more,
   // but the point is scheme portability, not a PCM record).
-  qlc.allocation = mlc::LevelAllocation::iso_delta_i(3, oxram::kPcmIrefMin,
-                                                     oxram::kPcmIrefMax, curve);
-  config.qlc = qlc;
+  config.qlc.allocation = mlc::LevelAllocation::iso_delta_i(3, oxram::kPcmIrefMin,
+                                                            oxram::kPcmIrefMax, curve);
   config.mc.trials = trials;
 
   const auto dists = mlc::run_level_study(config);

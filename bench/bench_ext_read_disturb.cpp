@@ -1,16 +1,17 @@
 // Extension: read-disturb analysis — why VREAD = 0.3 V.
 //
 // Reads bias the cell in the SET polarity; every read nudges the gap toward
-// LRS by rate(V_cell) * t_read. This bench sweeps the read voltage and counts
-// how many reads fit before the *most fragile* level (the deepest one, whose
-// SET rate is largest at fixed voltage... actually whose margin is smallest)
-// drifts by half a level — quantifying the read-budget cliff that motivates
-// the paper's 0.3 V read point and its <8 uA read-current argument.
+// LRS by rate(V_cell) over one sense (reliability::kSenseDuration). This
+// bench sweeps the read voltage and counts how many reads fit before the
+// *most fragile* level (the one that uses up its half-band first) drifts by
+// half a level — quantifying the read-budget cliff that motivates the
+// paper's 0.3 V read point and its <8 uA read-current argument.
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "mlc/program.hpp"
+#include "reliability/engine.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
@@ -22,12 +23,9 @@ int main() {
       "(supports the paper's VREAD = 0.3 V choice; disturb is never evaluated "
       "in the paper but bounds any read-intensive in-memory workload)");
 
-  const oxram::OxramParams params;
-  const oxram::StackConfig stack;
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(params, stack, mlc::QlcConfig::paper_default(),
-                                   mlc::kPaperIrefMin, mlc::kPaperIrefMax, 17));
-  const double t_read = 100e-9;  // one read access
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
+  const oxram::OxramParams& params = config.nominal_cell;
+  const oxram::StackConfig& stack = config.stack;
 
   Table t({"VREAD (V)", "worst level", "gap drift/read (pm)", "reads to 1/2 level",
            "max read I (uA)"});
@@ -38,31 +36,28 @@ int main() {
     std::size_t worst_level = 0;
     double worst_drift = 0.0;
     for (std::size_t v = 0; v + 1 < config.allocation.count(); ++v) {
-      // Gap positions of this level and the band edge toward the next.
-      const double g_level =
-          oxram::gap_for_resistance(params, 0.3, config.allocation.levels[v].r_nominal);
-      const double g_next = oxram::gap_for_resistance(
-          params, 0.3, config.allocation.levels[v + 1].r_nominal);
-      // Reads pull the gap DOWN (SET direction): the failure is crossing the
-      // half-band toward the shallower neighbour (v-1) — for level 0 there is
-      // none, so the hazard is levels 1..15 drifting shallow.
+      // Gap positions of this level and the band edge toward the shallower
+      // neighbour. Reads pull the gap DOWN (SET direction): the failure is
+      // crossing the half-band toward level v-1 — for level 0 there is none,
+      // so the hazard is levels 1..15 drifting shallow.
+      const double g_level = oxram::gap_for_resistance(params, oxram::kReadVoltage,
+                                                       config.allocation.levels[v].r_nominal);
       if (v == 0) continue;
       const double g_prev = oxram::gap_for_resistance(
-          params, 0.3, config.allocation.levels[v - 1].r_nominal);
+          params, oxram::kReadVoltage, config.allocation.levels[v - 1].r_nominal);
       const double half_band = 0.5 * (g_level - g_prev);
-      (void)g_next;
 
       // Cell voltage during a read through the stack. The *read-induced*
       // drift is the rate at the read bias minus the zero-bias rate: the
       // model's accelerated barriers give a small V=0 drift (a time-scale
       // artifact documented in DESIGN.md) that must not be billed to reads.
-      const auto op = oxram::solve_stack(params, g_level, stack,
-                                         oxram::Polarity::kSet, v_read, 2.5);
+      const auto op = oxram::solve_stack(params, g_level, stack, oxram::Polarity::kSet,
+                                         v_read, oxram::kReadWlVoltage);
       const double rate_bias = oxram::gap_rate(params, op.v_cell, g_level, false);
       const double rate_rest = oxram::gap_rate(params, 0.0, g_level, false);
       // Reads bias the SET polarity: the induced component pulls shallow.
       const double drift_per_read =
-          std::max(rate_rest - rate_bias, 0.0) * t_read;
+          std::max(rate_rest - rate_bias, 0.0) * reliability::kSenseDuration;
       const double reads =
           drift_per_read > 0.0 ? half_band / drift_per_read
                                : std::numeric_limits<double>::infinity();
@@ -73,10 +68,10 @@ int main() {
       }
     }
     // Read current ceiling at this voltage (shallowest level conducts most).
-    const double g0_level =
-        oxram::gap_for_resistance(params, 0.3, config.allocation.levels[0].r_nominal);
-    const auto op0 =
-        oxram::solve_stack(params, g0_level, stack, oxram::Polarity::kSet, v_read, 2.5);
+    const double g0_level = oxram::gap_for_resistance(params, oxram::kReadVoltage,
+                                                      config.allocation.levels[0].r_nominal);
+    const auto op0 = oxram::solve_stack(params, g0_level, stack, oxram::Polarity::kSet,
+                                        v_read, oxram::kReadWlVoltage);
 
     t.add_row({format_scaled(v_read, 1.0, 1), std::to_string(worst_level),
                std::isfinite(worst_reads)

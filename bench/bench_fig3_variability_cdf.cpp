@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
 
   // Characterization pulses at the Table 1 cell-level conditions.
   oxram::ResetOperation rst;
-  rst.pulse.amplitude = 1.2;  // SL = 1.2 V
+  rst.pulse.amplitude = oxram::kCellResetSlVoltage;
   rst.pulse.width = 1e-6;
-  rst.v_wl = 2.5;
+  rst.v_wl = oxram::kCellResetWlVoltage;
   oxram::SetOperation set;  // characterization SET: completed transition
   set.pulse.amplitude = 1.25;
   set.pulse.width = 300e-9;

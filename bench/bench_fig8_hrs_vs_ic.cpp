@@ -15,9 +15,8 @@ int main() {
       "Fig. 8", "HRS resistance vs RST compliance current (6-36 uA)",
       "pseudo-exponential decrease from 267 kOhm at 6 uA to 38 kOhm at 36 uA");
 
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
-  const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      oxram::OxramParams{}, oxram::StackConfig{}, config, 6e-6, 36e-6, 31);
+  const mlc::CalibrationCurve curve =
+      mlc::build_calibration_curve(mlc::QlcConfig::paper_default(), 6e-6, 36e-6, 31);
 
   Series series{{"R_HRS(IrefR)", '*'}, {}, {}};
   Table t({"IrefR (uA)", "R_HRS measured (kOhm)", "R_HRS paper (kOhm)", "ratio"});

@@ -17,13 +17,7 @@ int main() {
       "each state = one I-V slope 1/Rx; 15 reference currents sit between the "
       "currents of consecutive states at VRead = 0.3 V");
 
-  const mlc::QlcConfig base = mlc::QlcConfig::paper_default();
-  const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      oxram::OxramParams{}, oxram::StackConfig{}, base, mlc::kPaperIrefMin,
-      mlc::kPaperIrefMax, 25);
-  mlc::QlcConfig config = base;
-  config.allocation =
-      mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin, mlc::kPaperIrefMax, curve);
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default();
   const mlc::QlcProgrammer programmer(config);
 
   // I-V fan: each level's line I = V / Rx up to VRead.

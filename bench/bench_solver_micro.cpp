@@ -151,16 +151,12 @@ void BM_SpiceTerminatedReset(benchmark::State& state) {
 BENCHMARK(BM_SpiceTerminatedReset)->Unit(benchmark::kMillisecond);
 
 void BM_QlcProgramAndRead(benchmark::State& state) {
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 13));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 13);
   const mlc::QlcProgrammer programmer(config);
   Rng rng(7);
   std::size_t level = 0;
   for (auto _ : state) {
-    oxram::FastCell cell =
-        oxram::FastCell::formed_lrs(oxram::OxramParams{}, oxram::StackConfig{});
+    oxram::FastCell cell = oxram::FastCell::formed_lrs(config.nominal_cell, config.stack);
     programmer.program(cell, level, rng);
     benchmark::DoNotOptimize(programmer.read_level(cell, rng));
     level = (level + 5) % 16;

@@ -14,12 +14,7 @@ int main() {
                       "IrefR 6..36 uA in 2 uA steps; RHRS 267..38.17 kOhm; "
                       "R*I product ~1.37..1.60 V");
 
-  const mlc::QlcConfig base = mlc::QlcConfig::paper_default();
-  const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      oxram::OxramParams{}, oxram::StackConfig{}, base, mlc::kPaperIrefMin,
-      mlc::kPaperIrefMax, 25);
-  const mlc::LevelAllocation alloc =
-      mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin, mlc::kPaperIrefMax, curve);
+  const mlc::LevelAllocation alloc = mlc::QlcConfig::paper_default().allocation;
 
   Table t({"state", "IrefR (uA)", "RHRS ours (kOhm)", "RHRS paper (kOhm)", "ratio",
            "R*I ours (V)"});

@@ -36,10 +36,7 @@ int main(int argc, char** argv) {
       "prior art: <= 8 states (VRST or IC-SET modes, mostly device level); "
       "this work: 16 HRS states via IC-controlled RST at circuit level");
 
-  const mlc::QlcConfig base = mlc::QlcConfig::paper_default();
-  const mlc::CalibrationCurve curve = mlc::build_calibration_curve(
-      oxram::OxramParams{}, oxram::StackConfig{}, base, mlc::kPaperIrefMin,
-      mlc::kPaperIrefMax, 17);
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
 
   std::vector<SchemeResult> results;
   Rng rng(0x50714);
@@ -54,9 +51,8 @@ int main(int argc, char** argv) {
     for (std::size_t level = 0; level < levels; ++level) {
       RunningStats res;
       for (std::size_t trial = 0; trial < trials; ++trial) {
-        const auto device =
-            sample_device(oxram::OxramParams{}, oxram::OxramVariability{}, rng);
-        oxram::FastCell cell = oxram::FastCell::formed_lrs(device, oxram::StackConfig{});
+        const auto device = sample_device(config.nominal_cell, config.variability, rng);
+        oxram::FastCell cell = oxram::FastCell::formed_lrs(device, config.stack);
         const mlc::ProgramOutcome outcome = program_fn(cell, level, rng);
         res.add(outcome.resistance);
         energy.add(outcome.energy + outcome.set_energy);
@@ -73,9 +69,6 @@ int main(int argc, char** argv) {
 
   // --- This work: IC-controlled RST with write termination, 16 HRS levels ---
   {
-    mlc::QlcConfig config = base;
-    config.allocation =
-        mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin, mlc::kPaperIrefMax, curve);
     const mlc::QlcProgrammer programmer(config);
     evaluate("this work [14]+", "IC RST + termination", 16,
              [&](oxram::FastCell& cell, std::size_t level, Rng& r) {
@@ -84,11 +77,7 @@ int main(int argc, char** argv) {
   }
   // --- VRST-amplitude mode (prior art [8,12,39,40]), 8 HRS levels ---
   {
-    const auto alloc =
-        mlc::LevelAllocation::iso_delta_i(3, mlc::kPaperIrefMin, mlc::kPaperIrefMax, curve);
-    const mlc::VrstPulseBaseline baseline(alloc, oxram::OxramParams{},
-                                          oxram::StackConfig{}, base.reset_op,
-                                          base.set_op);
+    const mlc::VrstPulseBaseline baseline(mlc::QlcConfig::paper_default(3, 17));
     evaluate("VRST mode [12,39]", "RST amplitude, open loop", 8,
              [&](oxram::FastCell& cell, std::size_t level, Rng& r) {
                return baseline.program(cell, level, r);
@@ -96,9 +85,7 @@ int main(int argc, char** argv) {
   }
   // --- program-and-verify (multi-step, paper 2.1), 16 levels ---
   {
-    const auto alloc =
-        mlc::LevelAllocation::iso_delta_i(4, mlc::kPaperIrefMin, mlc::kPaperIrefMax, curve);
-    const mlc::ProgramAndVerifyBaseline baseline(alloc, base.reset_op, base.set_op);
+    const mlc::ProgramAndVerifyBaseline baseline(config);
     evaluate("program-and-verify [8]", "RST staircase + read-verify", 16,
              [&](oxram::FastCell& cell, std::size_t level, Rng& r) {
                return baseline.program(cell, level, r);
@@ -106,8 +93,7 @@ int main(int argc, char** argv) {
   }
   // --- IC-SET mode (prior art [11,13,17]), 4 LRS levels ---
   {
-    const mlc::IcSetBaseline baseline(4, oxram::OxramParams{}, oxram::StackConfig{},
-                                      base.set_op);
+    const mlc::IcSetBaseline baseline(4, config);
     evaluate("IC SET mode [13,17]", "SET compliance via WL", 4,
              [&](oxram::FastCell& cell, std::size_t level, Rng& r) {
                return baseline.program(cell, level, r);

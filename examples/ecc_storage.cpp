@@ -50,17 +50,14 @@ int main() {
 
   std::cout << "SECDED-protected QLC storage (18 cells per 64-bit payload)\n\n";
 
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 17));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
   const std::vector<std::uint64_t> payloads = {
       0xDEADBEEFCAFEF00Dull, 0x0123456789ABCDEFull, 0xFFFFFFFF00000000ull};
 
-  array::FastArray memory(payloads.size(), 18, oxram::OxramParams{},
-                          oxram::OxramVariability{}, oxram::StackConfig{}, 0xECC);
+  array::FastArray memory(payloads.size(), 18, config.nominal_cell, config.variability,
+                          config.stack, 0xECC);
   memory.form_all();
 
   // --- write codewords ---

@@ -10,6 +10,10 @@
 // accumulated cycles cost. The wear onset is pulled down from the technology
 // value so the effect is visible within an example-sized run.
 //
+// Exits 1 unless, in every epoch, the scrub leaves fewer decode errors than
+// the dwells caused (or none), and the window loss never shrinks from one
+// epoch to the next.
+//
 //   ./endurance_explorer [cycles] [dwell-seconds]
 #include <iostream>
 #include <vector>
@@ -36,14 +40,10 @@ int main(int argc, char** argv) {
             << " random writes, dwell " << format_si(*dwell, "s", 3)
             << " per cycle, verify + scrub on\n\n";
 
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 17));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
-  array::FastArray word(1, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-                        oxram::StackConfig{}, 0xE77D);
+  array::FastArray word(1, 8, config.nominal_cell, config.variability, config.stack, 0xE77D);
   mlc::MemoryController controller(word, programmer);
 
   reliability::ReliabilityConfig rel;
@@ -64,6 +64,9 @@ int main(int argc, char** argv) {
   std::size_t epoch_errors_raw = 0;    // decode errors at re-read, before scrub
   std::size_t epoch_errors_fixed = 0;  // still wrong after the scrub pass
   std::size_t epoch_scrubbed = 0;
+  bool scrub_repairs = true;  // every epoch: fewer errors after scrub than raw, or none
+  bool loss_grows = true;     // the window loss never shrinks
+  double last_loss = 0.0;
 
   const std::size_t epochs = 6;
   const std::size_t epoch_len = (*cycles + epochs - 1) / epochs;
@@ -94,9 +97,14 @@ int main(int argc, char** argv) {
     if (cycle % epoch_len == 0 || cycle == *cycles) {
       const double window =
           word.at(0, 0).params().g_max - word.at(0, 0).params().g_min;
+      const double loss = 1.0 - window / fresh_window;
+      scrub_repairs = scrub_repairs &&
+                      (epoch_errors_fixed == 0 || epoch_errors_fixed < epoch_errors_raw);
+      loss_grows = loss_grows && loss >= last_loss;
+      last_loss = loss;
       report.add_row({std::to_string(cycle), std::to_string(epoch_errors_raw),
                       std::to_string(epoch_scrubbed), std::to_string(epoch_errors_fixed),
-                      format_scaled(100.0 * (1.0 - window / fresh_window), 1.0, 1)});
+                      format_scaled(100.0 * loss, 1.0, 1)});
       epoch_errors_raw = epoch_errors_fixed = epoch_scrubbed = 0;
     }
   }
@@ -109,6 +117,8 @@ int main(int argc, char** argv) {
   summary.add_row({"mean write latency (incl. verify)", format_si(latency.mean(), "s", 3)});
   summary.add_row({"reads seen by cell (0,0)", std::to_string(engine.reads(0, 0))});
   summary.add_row({"cycles seen by cell (0,0)", std::to_string(engine.cycles(0, 0))});
+  summary.add_row({"scrub repairs every epoch", scrub_repairs ? "yes" : "NO"});
+  summary.add_row({"window loss never shrinks", loss_grows ? "yes" : "NO"});
   std::cout << "\n";
   summary.print(std::cout);
 
@@ -117,5 +127,5 @@ int main(int argc, char** argv) {
                "that keeps the page readable. Window loss comes from the endurance\n"
                "model (onset pulled down to "
             << rel.endurance.onset_cycles << " cycles for visibility).\n";
-  return 0;
+  return scrub_repairs && loss_grows ? 0 : 1;
 }

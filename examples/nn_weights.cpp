@@ -31,10 +31,7 @@ int main() {
   std::cout << "analog " << kInputs << "x" << kOutputs
             << " synaptic layer on QLC OxRAM conductances\n\n";
 
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 17));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
   // Calibrated weight of each level: normalized nominal read conductance.
@@ -63,8 +60,8 @@ int main() {
   }
 
   // Program the synapse array.
-  array::FastArray synapses(kInputs, kOutputs, oxram::OxramParams{},
-                            oxram::OxramVariability{}, oxram::StackConfig{}, 7);
+  array::FastArray synapses(kInputs, kOutputs, config.nominal_cell, config.variability,
+                            config.stack, 7);
   synapses.form_all();
   for (std::size_t i = 0; i < kInputs; ++i) {
     for (std::size_t o = 0; o < kOutputs; ++o) {

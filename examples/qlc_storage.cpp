@@ -30,15 +30,11 @@ int main() {
   const std::size_t cols = 32;
   const std::size_t rows = (cells_needed + cols - 1) / cols;
 
-  array::FastArray memory(rows, cols, oxram::OxramParams{}, oxram::OxramVariability{},
-                          oxram::StackConfig{}, /*seed=*/2026);
-  memory.form_all();
-
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 17));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
+  array::FastArray memory(rows, cols, config.nominal_cell, config.variability, config.stack,
+                          /*seed=*/2026);
+  memory.form_all();
 
   // --- write ---
   RunningStats write_energy, write_latency;

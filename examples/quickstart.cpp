@@ -26,10 +26,9 @@ int main() {
   std::cout << "after FORMING: R = " << format_si(cell.read().r_cell, "Ohm", 3) << "\n";
 
   // 3. A QLC programmer: ISO-dI allocation over the paper's 6-36 uA window,
-  //    read references derived from the nominal calibration curve.
-  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(device, stack, mlc::QlcConfig::paper_default(),
-                                   mlc::kPaperIrefMin, mlc::kPaperIrefMax, 17));
+  //    read references derived from the calibration curve of the paper's
+  //    nominal cell (`device` in `stack`).
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
   // 4. Program the value 13 ('1101'): one SET, one terminated RESET — no

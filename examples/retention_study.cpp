@@ -8,6 +8,10 @@
 // window and raw decode BER at each observation decade, plus the recovered
 // fraction of the drift-lost window (the subsystem's acceptance metric).
 //
+// Exits 1 unless the verify-on window is no narrower than the verify-off
+// window at every observation time up to 1 s, and the recovered fraction at
+// 1 s is positive.
+//
 //   ./retention_study [trials-per-level] [bits]
 #include <iostream>
 
@@ -56,11 +60,18 @@ int main(int argc, char** argv) {
   // Quote the recovery where the fast relaxation dominates (about 1 s): the
   // slow retention component is a per-cell activation no verify can filter,
   // so the late decades converge toward the unverified branch again.
+  bool never_narrower = true;
+  double recovered = 0.0;  // at the last time up to 1 s
   for (std::size_t k = 0; k < off.points.size(); ++k) {
     if (off.points[k].t > 1.0 + 1e-12) break;
+    never_narrower = never_narrower && on.points[k].margins.worst_case_margin >=
+                                           off.points[k].margins.worst_case_margin;
+    recovered = mlc::recovered_window_fraction(comparison, k);
     std::cout << "recovered fraction of lost window at " << format_si(off.points[k].t, "s", 3)
-              << ": " << format_scaled(mlc::recovered_window_fraction(comparison, k), 1.0, 3)
-              << "\n";
+              << ": " << format_scaled(recovered, 1.0, 3) << "\n";
   }
-  return 0;
+  std::cout << "verify-on window no narrower up to 1 s: " << (never_narrower ? "yes" : "NO")
+            << "; recovered fraction at 1 s positive: " << (recovered > 0.0 ? "yes" : "NO")
+            << "\n";
+  return never_narrower && recovered > 0.0 ? 0 : 1;
 }

@@ -22,7 +22,8 @@ double effective_cycles(std::uint64_t rotate_every_writes) {
 WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng) {
   OXMLC_CHECK(cells > 0, "simulate_word: need at least one cell");
-  const std::size_t n_levels = config.study.qlc.allocation.count();
+  const mlc::QlcConfig& qlc = programmer.config();
+  const std::size_t n_levels = qlc.allocation.count();
   std::size_t scrub_events = 0;
   if (config.policy.scrub_period_s > 0.0) {
     scrub_events =
@@ -52,9 +53,9 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   for (std::size_t i = 0; i < cells; ++i) {
     rngs.push_back(rng.split());
     const oxram::OxramParams fresh =
-        oxram::sample_device(config.study.nominal, config.study.variability, rngs.back());
+        oxram::sample_device(qlc.nominal_cell, qlc.variability, rngs.back());
     const oxram::OxramParams device = reliability::worn_params(fresh, config.endurance, cycles);
-    word_cells.push_back(oxram::FastCell::formed_lrs(device, config.study.stack));
+    word_cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
   }
 
   // Whole-word program through the batched terminated-RESET path.

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ecc/gray.hpp"
-#include "mlc/mc_study.hpp"
 #include "mlc/program.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
@@ -67,8 +66,9 @@ inline constexpr std::size_t kVerifyPasses = 2;
 // Guard on the scrub timeline: kReadBackHorizon / scrub period must fit.
 inline constexpr std::size_t kMaxScrubEvents = 128;
 
+// The operating point (allocation, cell, stack, variability) is the
+// programmer's QlcConfig, so the channel samples the devices it programs.
 struct ChannelConfig {
-  mlc::McStudyConfig study;  // allocation (bits/cell), device, variability
   oxram::DriftParams drift;
   reliability::ReadDisturbModel read_disturb;
   reliability::EnduranceModel endurance;

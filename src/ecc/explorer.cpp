@@ -144,7 +144,6 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   // Per-bits physics: allocation + calibration are the expensive part, built
   // once per bits value and shared (const) across points and threads.
   struct BitsContext {
-    mlc::McStudyConfig study;
     mlc::QlcProgrammer programmer;
     LevelCoder coder;
     std::size_t cells;
@@ -152,11 +151,10 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   std::vector<BitsContext> contexts;
   contexts.reserve(config.bits.size());
   for (const std::size_t bits : config.bits) {
-    mlc::McStudyConfig study = mlc::paper_mc_study(bits, config.mc_trials);
-    mlc::QlcProgrammer programmer(study.qlc);
+    mlc::QlcProgrammer programmer(mlc::QlcConfig::paper_default(bits));
     LevelCoder coder(bits);
     const std::size_t cells = coder.cells_for_bits(max_n);
-    contexts.push_back({std::move(study), std::move(programmer), coder, cells});
+    contexts.push_back({std::move(programmer), coder, cells});
   }
 
   // The policy grid, outermost bits so frontier grouping is contiguous.
@@ -182,7 +180,6 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
       const BitsContext& context = contexts[point.bits_index];
 
       ChannelConfig channel;
-      channel.study = context.study;
       channel.drift = config.drift;
       channel.read_disturb = config.read_disturb;
       channel.endurance = config.endurance;

@@ -54,7 +54,10 @@ struct EccStudyConfig {
   std::size_t trials = 8;      // reference words per policy point
   std::uint64_t seed = 0xECC5EEDULL;
   std::size_t threads = 0;     // 0 = hardware concurrency
-  std::size_t mc_trials = 64;  // calibration-curve MC depth per bits value
+  // Read by no study: it never set the calibration depth (that is
+  // QlcConfig::paper_default's curve_points). perfbench still passes it to
+  // mlc::paper_mc_study as a trial count.
+  std::size_t mc_trials = 64;
 
   // Words are read back at kReadBackHorizon, worn by the analytic start-gap
   // model (effective_cycles).

@@ -21,8 +21,7 @@ constexpr double kWitnessBakeS = 1e6;
 FidelityEngine::FidelityEngine(const GeometryConfig& geometry, FidelityConfig config)
     : geometry_(geometry),
       config_(config),
-      study_(mlc::paper_mc_study(geometry.bits_per_cell, /*trials=*/1)),
-      programmer_(study_.qlc) {
+      programmer_(mlc::QlcConfig::paper_default(geometry.bits_per_cell)) {
   geometry_.validate();
   OXMLC_CHECK(config_.word_sample_period > 0, "FidelityConfig: word_sample_period must be > 0");
   OXMLC_CHECK(config_.mna_sample_period > 0, "FidelityConfig: mna_sample_period must be > 0");
@@ -71,6 +70,7 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
   // Index-addressed results + sequential reduction: the parallel_for
   // determinism contract (each outcome depends only on (seed, trace_index)).
   std::vector<WordSampleOutcome> outcomes(samples.size());
+  const mlc::QlcConfig& qlc = programmer_.config();
   util::parallel_for(
       samples.size(), config_.threads, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -83,8 +83,8 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
           cells.reserve(levels.size());
           for (std::size_t c = 0; c < levels.size(); ++c) {
             const oxram::OxramParams device =
-                oxram::sample_device(study_.nominal, study_.variability, rng);
-            cells.push_back(oxram::FastCell::formed_lrs(device, study_.stack));
+                oxram::sample_device(qlc.nominal_cell, qlc.variability, rng);
+            cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
           }
           std::vector<Rng> cell_rngs;
           cell_rngs.reserve(levels.size());
@@ -126,6 +126,7 @@ WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples
 MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) const {
   MnaTierReport report;
   if (samples.empty()) return report;
+  const mlc::QlcConfig& qlc = programmer_.config();
   const auto run_sample = [&](const WordSample& sample) {
     const std::vector<std::size_t> levels = levels_for(sample.data);
     // The whole word at once: cells_per_word columns on one selected row,
@@ -134,7 +135,7 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     // solver (num::BlockSchurLu) is what makes 10x the sample count fit the
     // wall-clock budget the old monolithic single-cell tier had.
     array::BankWritePathConfig bank;
-    bank.cell = study_.nominal;
+    bank.cell = qlc.nominal_cell;
     bank.columns = levels.size();
     // Physically a bank is tiled into kReferenceRows-deep subarrays; the
     // write path drives one subarray's column, not the whole logical bank.
@@ -142,7 +143,7 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     bank.bl_segments = 4;  // fidelity-appropriate lumping, keeps blocks small
     bank.irefs.reserve(levels.size());
     for (const std::size_t level : levels) {
-      bank.irefs.push_back(study_.qlc.allocation.levels[level].iref);
+      bank.irefs.push_back(qlc.allocation.levels[level].iref);
     }
     // Stretch the plateau past the deepest level's ~4 us termination so the
     // comparators, not the horizon, end the pulse.
@@ -189,8 +190,9 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
 
 WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) const {
   WitnessReport report;
-  array::FastArray witness(config_.witness_rows, geometry_.cells_per_word, study_.nominal,
-                           study_.variability, study_.stack, config_.seed ^ 0x57495453ull);
+  const mlc::QlcConfig& qlc = programmer_.config();
+  array::FastArray witness(config_.witness_rows, geometry_.cells_per_word, qlc.nominal_cell,
+                           qlc.variability, qlc.stack, config_.seed ^ 0x57495453ull);
   mlc::MemoryController controller(witness, programmer_);
   reliability::ReliabilityConfig rel_config;
   rel_config.seed = config_.seed ^ 0x52454C49ull;

@@ -51,7 +51,7 @@
 #include <vector>
 
 #include "memsys/geometry.hpp"
-#include "mlc/mc_study.hpp"
+#include "mlc/program.hpp"
 
 namespace oxmlc::memsys {
 
@@ -100,8 +100,9 @@ struct WitnessReport {
 
 class FidelityEngine {
  public:
-  // Builds the calibrated QLC operating point (paper_mc_study) for the
-  // geometry's bits_per_cell once; sampling decisions and evaluation are
+  // Builds the calibrated QLC operating point (QlcConfig::paper_default) for
+  // the geometry's bits_per_cell once; its programmer holds it, and every
+  // tier samples cells from it. Sampling decisions and evaluation are
   // methods on top.
   FidelityEngine(const GeometryConfig& geometry, FidelityConfig config);
 
@@ -128,7 +129,6 @@ class FidelityEngine {
  private:
   GeometryConfig geometry_;
   FidelityConfig config_;
-  mlc::McStudyConfig study_;
   mlc::QlcProgrammer programmer_;
 };
 

@@ -103,11 +103,7 @@ std::string format_ua(double i) {
 }  // namespace
 
 MlcLintInput MlcLintInput::paper_default(std::size_t bits) {
-  QlcConfig qlc = QlcConfig::paper_default();
-  const CalibrationCurve curve = build_calibration_curve(
-      qlc.nominal_cell, qlc.stack, qlc, kPaperIrefMin, kPaperIrefMax, 25);
-  const LevelAllocation allocation =
-      LevelAllocation::iso_delta_i(bits, kPaperIrefMin, kPaperIrefMax, curve);
+  const LevelAllocation allocation = QlcConfig::paper_default(bits).allocation;
 
   MlcLintInput input;
   input.bits = bits;

@@ -62,8 +62,8 @@ struct LintLevel {
 };
 
 // Everything the static pass needs to judge a placement. Parsed from a .mlc
-// file (parse_mlc_config) or built from live configuration (from_study /
-// paper_default).
+// file (parse_mlc_config) or built from the calibrated paper point
+// (paper_default).
 struct MlcLintInput {
   std::size_t bits = 4;
   std::vector<LintLevel> levels;  // ascending by value

@@ -8,15 +8,7 @@ std::uint64_t study_level_seed(std::uint64_t base, std::size_t level) {
 
 McStudyConfig paper_mc_study(std::size_t bits, std::size_t trials) {
   McStudyConfig config;
-  config.nominal = oxram::OxramParams{};
-  config.stack = oxram::StackConfig{};
-  config.variability = oxram::OxramVariability{};
-
-  QlcConfig qlc = QlcConfig::paper_default();
-  const CalibrationCurve curve = build_calibration_curve(
-      config.nominal, config.stack, qlc, kPaperIrefMin, kPaperIrefMax, 25);
-  qlc.allocation = LevelAllocation::iso_delta_i(bits, kPaperIrefMin, kPaperIrefMax, curve);
-  config.qlc = qlc;
+  config.qlc = QlcConfig::paper_default(bits);
   config.mc.trials = trials;
   return config;
 }
@@ -49,8 +41,8 @@ std::vector<LevelDistribution> run_level_study(const McStudyConfig& config) {
           levels[level] = level;
           rngs.push_back(mc::trial_rng(study_level_seed(config.mc.seed, level), t));
           const oxram::OxramParams device =
-              sample_device(config.nominal, config.variability, rngs.back());
-          cells.push_back(oxram::FastCell::formed_lrs(device, config.stack));
+              sample_device(config.qlc.nominal_cell, config.qlc.variability, rngs.back());
+          cells.push_back(oxram::FastCell::formed_lrs(device, config.qlc.stack));
         }
         std::vector<oxram::FastCell*> cell_ptrs(n_levels);
         std::vector<Rng*> rng_ptrs(n_levels);

@@ -12,16 +12,11 @@
 namespace oxmlc::mlc {
 
 struct McStudyConfig {
-  QlcConfig qlc;                      // allocation + ops + mismatch models
-  oxram::OxramParams nominal;         // nominal device
-  oxram::StackConfig stack;
-  oxram::OxramVariability variability;  // D2D sampling (C2C comes from qlc)
-  mc::McOptions mc;                   // trials per level, seed
+  QlcConfig qlc;     // the operating point: devices are sampled from its cell
+  mc::McOptions mc;  // trials per level, seed
 };
 
-// Default configuration reproducing the paper's 4-bit study: builds the
-// nominal calibration curve, the ISO-dI allocation over 6-36 uA, and the
-// paper's operating pulses.
+// The paper's study: QlcConfig::paper_default(bits) at `trials` per level.
 McStudyConfig paper_mc_study(std::size_t bits = 4, std::size_t trials = 500);
 
 // Independent seed per level so adding levels never reshuffles existing ones.

@@ -55,23 +55,23 @@ struct VerifyMetrics {
 
 }  // namespace
 
-QlcConfig QlcConfig::paper_default(const CalibrationCurve& curve) {
+QlcConfig QlcConfig::paper_default(std::size_t bits, std::size_t curve_points) {
   QlcConfig config;
-  config.allocation = LevelAllocation::iso_delta_i(4, kPaperIrefMin, kPaperIrefMax, curve);
   config.reset_op.pulse.width = 12e-6;  // cover the slowest 6 uA C2C tail (paper worst ~4 us)
+  config.allocation = LevelAllocation::iso_delta_i(
+      bits, kPaperIrefMin, kPaperIrefMax,
+      build_calibration_curve(config, kPaperIrefMin, kPaperIrefMax, curve_points));
   return config;
 }
 
-CalibrationCurve build_calibration_curve(const oxram::OxramParams& params,
-                                         const oxram::StackConfig& stack,
-                                         const QlcConfig& config, double i_min, double i_max,
+CalibrationCurve build_calibration_curve(const QlcConfig& config, double i_min, double i_max,
                                          std::size_t points) {
   OXMLC_CHECK(points >= 2, "calibration curve needs at least two points");
   std::vector<double> irefs, resistances;
   for (std::size_t k = 0; k < points; ++k) {
     const double iref =
         i_min + (i_max - i_min) * static_cast<double>(k) / static_cast<double>(points - 1);
-    oxram::FastCell cell = oxram::FastCell::formed_lrs(params, stack);
+    oxram::FastCell cell = oxram::FastCell::formed_lrs(config.nominal_cell, config.stack);
     cell.apply_set(config.set_op);
     oxram::ResetOperation reset = config.reset_op;
     reset.iref = iref;
@@ -188,27 +188,23 @@ std::size_t QlcProgrammer::read_level(const oxram::FastCell& cell, Rng& rng) con
 // VRST-amplitude baseline
 // ---------------------------------------------------------------------------
 
-VrstPulseBaseline::VrstPulseBaseline(const LevelAllocation& allocation,
-                                     const oxram::OxramParams& nominal,
-                                     const oxram::StackConfig& stack,
-                                     oxram::ResetOperation reset_template,
-                                     oxram::SetOperation set_template)
-    : allocation_(allocation), reset_template_(std::move(reset_template)),
-      set_template_(std::move(set_template)) {
+VrstPulseBaseline::VrstPulseBaseline(const QlcConfig& config)
+    : reset_template_(config.reset_op), set_template_(config.set_op),
+      variability_(config.variability) {
   reset_template_.iref.reset();  // open loop: no termination
   // The amplitude-mode prior art ([8,12,39,40]) applies short fixed-width
   // pulses whose amplitude selects the level; a termination-scheme-length
   // plateau would saturate every level at any amplitude.
   reset_template_.pulse.width = 200e-9;
-  reset_template_.v_wl = 2.5;
+  reset_template_.v_wl = oxram::kCellResetWlVoltage;
   // Calibrate one amplitude per level on the nominal cell (bisection; the
   // post-pulse resistance increases monotonically with amplitude).
-  for (const Level& level : allocation_.levels) {
+  for (const Level& level : config.allocation.levels) {
     OXMLC_CHECK(level.r_nominal > 0.0, "VrstPulseBaseline: allocation lacks nominal R");
     double lo = 0.5, hi = 2.2;
     for (int iter = 0; iter < 24; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      oxram::FastCell cell = oxram::FastCell::formed_lrs(nominal, stack);
+      oxram::FastCell cell = oxram::FastCell::formed_lrs(config.nominal_cell, config.stack);
       cell.apply_set(set_template_);
       oxram::ResetOperation reset = reset_template_;
       reset.pulse.amplitude = mid;
@@ -230,13 +226,12 @@ ProgramOutcome VrstPulseBaseline::program(oxram::FastCell& cell, std::size_t lev
   outcome.level = level;
 
   // The baseline sees the same stochastic device as the termination scheme.
-  oxram::OxramVariability c2c;  // default C2C magnitudes
-  cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+  cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
   outcome.set_energy = cell.apply_set(set_template_).energy_source;
 
   oxram::ResetOperation reset = reset_template_;
   reset.pulse.amplitude = amplitudes_[level];
-  cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+  cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
   const oxram::OperationResult result = cell.apply_reset(reset);
   outcome.latency = result.t_terminate;  // = full pulse width (no termination)
   outcome.energy = result.energy_source;
@@ -249,17 +244,15 @@ ProgramOutcome VrstPulseBaseline::program(oxram::FastCell& cell, std::size_t lev
 // Program-and-verify baseline
 // ---------------------------------------------------------------------------
 
-ProgramAndVerifyBaseline::ProgramAndVerifyBaseline(const LevelAllocation& allocation,
-                                                   oxram::ResetOperation reset_template,
-                                                   oxram::SetOperation set_template)
-    : allocation_(allocation), reset_template_(std::move(reset_template)),
-      set_template_(std::move(set_template)) {
+ProgramAndVerifyBaseline::ProgramAndVerifyBaseline(const QlcConfig& config)
+    : allocation_(config.allocation), reset_template_(config.reset_op),
+      set_template_(config.set_op), variability_(config.variability) {
   reset_template_.iref.reset();
   reset_template_.pulse.width = kVerifySliceWidth;
   // Gentle incremental slices: the staircase needs each pulse to move the
   // state by a fraction of a level, not to blow through the whole window.
   reset_template_.pulse.amplitude = 1.1;
-  reset_template_.v_wl = 2.5;
+  reset_template_.v_wl = oxram::kCellResetWlVoltage;
 }
 
 ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::size_t level,
@@ -277,8 +270,7 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
   outcome.level = level;
   outcome.pulses = 0;
 
-  oxram::OxramVariability c2c;
-  cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+  cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
   outcome.set_energy = cell.apply_set(set_template_).energy_source;
   outcome.latency += set_template_.pulse.rise + set_template_.pulse.width +
                      set_template_.pulse.fall;
@@ -294,7 +286,7 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
     }
     ++outcome.pulses;
     metrics.pulses.add();
-    cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+    cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
     if (r > hi_band) {
       // Overshoot: recover through SET and restart the staircase.
       metrics.set_retries.add();
@@ -318,13 +310,12 @@ ProgramOutcome ProgramAndVerifyBaseline::program(oxram::FastCell& cell, std::siz
 // IC-SET baseline
 // ---------------------------------------------------------------------------
 
-IcSetBaseline::IcSetBaseline(std::size_t levels, const oxram::OxramParams& nominal,
-                             const oxram::StackConfig& stack,
-                             oxram::SetOperation set_template)
-    : set_template_(std::move(set_template)) {
+IcSetBaseline::IcSetBaseline(std::size_t levels, const QlcConfig& config)
+    : set_template_(config.set_op), variability_(config.variability) {
   OXMLC_CHECK(levels >= 2 && levels <= 8, "IcSetBaseline: levels must be in [2, 8]");
   // Target LRS resistances geometrically spaced above the full-compliance LRS.
-  oxram::FastCell probe = oxram::FastCell::formed_lrs(nominal, stack);
+  const oxram::OxramParams& nominal = config.nominal_cell;
+  oxram::FastCell probe = oxram::FastCell::formed_lrs(nominal, config.stack);
   probe.apply_set(set_template_);
   const double r_floor = probe.read().r_cell;
   for (std::size_t k = 0; k < levels; ++k) {
@@ -334,7 +325,7 @@ IcSetBaseline::IcSetBaseline(std::size_t levels, const oxram::OxramParams& nomin
     double lo = 0.75, hi = set_template_.v_wl;
     for (int iter = 0; iter < 24; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      oxram::FastCell cell(nominal, stack, nominal.g_max, /*virgin=*/false);
+      oxram::FastCell cell(nominal, config.stack, nominal.g_max, /*virgin=*/false);
       oxram::SetOperation op = set_template_;
       op.v_wl = mid;
       cell.apply_set(op);
@@ -353,14 +344,13 @@ ProgramOutcome IcSetBaseline::program(oxram::FastCell& cell, std::size_t level,
   OXMLC_CHECK(level < wl_voltages_.size(), "IcSetBaseline: level out of range");
   ProgramOutcome outcome;
   outcome.level = level;
-  oxram::OxramVariability c2c;
-  cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+  cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
   // Start from a RESET state, then SET with the level's compliance.
   oxram::ResetOperation reset;
   const auto reset_result = cell.apply_reset(reset);
   oxram::SetOperation op = set_template_;
   op.v_wl = wl_voltages_[level];
-  cell.set_rate_factor(sample_cycle_rate_factor(c2c, rng));
+  cell.set_rate_factor(sample_cycle_rate_factor(variability_, rng));
   const auto set_result = cell.apply_set(op);
   outcome.energy = reset_result.energy_source + set_result.energy_source;
   outcome.latency = reset_result.t_end + set_result.t_end;

@@ -35,32 +35,37 @@ struct ProgramOutcome {
   std::size_t pulses = 1;        // >1 only for program-and-verify
 };
 
-// Every read of the programmer is Table 1's READ (oxram::FastCell::read).
+// The MLC operating point, held once: the Monte-Carlo studies, the ECC
+// channel and the memsys fidelity tiers sample their devices from its cell,
+// stack and variability. Every read of the programmer is Table 1's READ
+// (oxram::FastCell::read).
 struct QlcConfig {
   LevelAllocation allocation;
   oxram::SetOperation set_op;      // the unconditional SET preceding each RST
   oxram::ResetOperation reset_op;  // template; iref is overridden per level
   array::TerminationBehavior termination;
   array::SenseAmpModel sense;
-  oxram::OxramVariability variability;  // C2C sampling during program()
-  // Nominal cell + stack: used to place the read references through the real
-  // read path (the access-device drop shifts every level's current, so
-  // references derived from bare V/R would be biased by about one level).
+  oxram::OxramVariability variability;  // D2D device sampling and C2C during program()
+  // Nominal cell + stack: the calibration programs this cell, and the read
+  // references are placed through its real read path (the access-device drop
+  // shifts every level's current, so references derived from bare V/R would
+  // be biased by about one level).
   oxram::OxramParams nominal_cell;
   oxram::StackConfig stack;
 
-  // Defaults matching the paper's MLC operating point. The RST plateau is
-  // stretched beyond the standard 3.5 us so the deepest level (6 uA, ~4 us
-  // latency) always terminates rather than timing out.
-  static QlcConfig paper_default(const CalibrationCurve& curve = {});
+  // The paper's calibrated MLC operating point: the ISO-dI allocation of
+  // `bits` over 6-36 uA, its nominal resistances read off a `curve_points`
+  // calibration of this config's cell. The RST plateau is stretched beyond
+  // the standard 3.5 us so the deepest level (6 uA, ~4 us latency) always
+  // terminates rather than timing out.
+  static QlcConfig paper_default(std::size_t bits = 4, std::size_t curve_points = 25);
 };
 
-// Builds the nominal R(IrefR) calibration curve by programming a nominal
-// (variability-free) cell across `points` currents in [i_min, i_max].
-CalibrationCurve build_calibration_curve(const oxram::OxramParams& params,
-                                         const oxram::StackConfig& stack,
-                                         const QlcConfig& config, double i_min,
-                                         double i_max, std::size_t points = 25);
+// Builds the nominal R(IrefR) calibration curve: programs the config's
+// nominal cell in its stack (variability-free) with its SET and RESET, at
+// `points` currents in [i_min, i_max].
+CalibrationCurve build_calibration_curve(const QlcConfig& config, double i_min, double i_max,
+                                         std::size_t points = 25);
 
 class QlcProgrammer {
  public:
@@ -100,7 +105,9 @@ class QlcProgrammer {
 };
 
 // ---------------------------------------------------------------------------
-// Baselines (Table 4 comparison)
+// Baselines (Table 4 comparison). Each takes its cell, stack, SET template
+// and C2C variability from a QlcConfig; the VRST and program-and-verify
+// baselines take its allocation and RESET template too.
 // ---------------------------------------------------------------------------
 
 // VRST-amplitude MLC (device-level prior art [8,12,39,40]): one fixed-width
@@ -110,17 +117,15 @@ class VrstPulseBaseline {
  public:
   // Calibrates pulse amplitudes on the nominal cell so each level's nominal
   // resistance is hit, then programs with those fixed amplitudes.
-  VrstPulseBaseline(const LevelAllocation& allocation, const oxram::OxramParams& nominal,
-                    const oxram::StackConfig& stack, oxram::ResetOperation reset_template,
-                    oxram::SetOperation set_template);
+  explicit VrstPulseBaseline(const QlcConfig& config);
 
   ProgramOutcome program(oxram::FastCell& cell, std::size_t level, Rng& rng) const;
   const std::vector<double>& amplitudes() const { return amplitudes_; }
 
  private:
-  LevelAllocation allocation_;
   oxram::ResetOperation reset_template_;
   oxram::SetOperation set_template_;
+  oxram::OxramVariability variability_;
   std::vector<double> amplitudes_;
 };
 
@@ -136,9 +141,7 @@ inline constexpr double kVerifyReadEnergy = 0.3e-12;  // J (~0.3 pJ)
 
 class ProgramAndVerifyBaseline {
  public:
-  ProgramAndVerifyBaseline(const LevelAllocation& allocation,
-                           oxram::ResetOperation reset_template,
-                           oxram::SetOperation set_template);
+  explicit ProgramAndVerifyBaseline(const QlcConfig& config);
 
   ProgramOutcome program(oxram::FastCell& cell, std::size_t level, Rng& rng) const;
 
@@ -146,6 +149,7 @@ class ProgramAndVerifyBaseline {
   LevelAllocation allocation_;
   oxram::ResetOperation reset_template_;
   oxram::SetOperation set_template_;
+  oxram::OxramVariability variability_;
 };
 
 // IC-SET MLC (compliance-current-controlled LRS levels, prior art [11,13,17]):
@@ -153,14 +157,14 @@ class ProgramAndVerifyBaseline {
 // Limited to few levels; included to reproduce the Table 4 landscape.
 class IcSetBaseline {
  public:
-  IcSetBaseline(std::size_t levels, const oxram::OxramParams& nominal,
-                const oxram::StackConfig& stack, oxram::SetOperation set_template);
+  IcSetBaseline(std::size_t levels, const QlcConfig& config);
 
   ProgramOutcome program(oxram::FastCell& cell, std::size_t level, Rng& rng) const;
   const std::vector<double>& wl_voltages() const { return wl_voltages_; }
 
  private:
   oxram::SetOperation set_template_;
+  oxram::OxramVariability variability_;
   std::vector<double> wl_voltages_;
 };
 

@@ -158,9 +158,9 @@ RetentionReport run_retention_study(const RetentionConfig& config) {
     for (std::size_t level = 0; level < n_levels; ++level) {
       levels[level] = level;
       rngs.push_back(mc::trial_rng(study_level_seed(config.study.mc.seed, level), t));
-      const oxram::OxramParams device =
-          oxram::sample_device(config.study.nominal, config.study.variability, rngs.back());
-      cells.push_back(oxram::FastCell::formed_lrs(device, config.study.stack));
+      const oxram::OxramParams device = oxram::sample_device(
+          config.study.qlc.nominal_cell, config.study.qlc.variability, rngs.back());
+      cells.push_back(oxram::FastCell::formed_lrs(device, config.study.qlc.stack));
     }
     DriftingWord word(programmer, config.drift, config.read_disturb, std::move(cells),
                       std::move(rngs), std::move(levels));

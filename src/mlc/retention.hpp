@@ -97,7 +97,7 @@ class DriftingWord {
 };
 
 struct RetentionConfig {
-  McStudyConfig study;        // allocation, device, variability, mc depth/seed
+  McStudyConfig study;        // operating point (allocation, device), mc depth/seed
   oxram::DriftParams drift;
   // Disturb stress charged to each verify re-sense (the verify is not free).
   reliability::ReadDisturbModel read_disturb;

@@ -33,11 +33,15 @@ namespace oxmlc::oxram {
 // testbenches (array/write_stack.hpp), the QLC programmer and the reliability
 // engine read it from here. The MLC RESET (SL pulse, boosted WL, edges and
 // standard plateau) and the READ (BL and WL bias) are Table 1's; the
-// termination delay is §3.2's comparator flip to SL-driver stop.
+// termination delay is §3.2's comparator flip to SL-driver stop. Table 1's
+// cell-level RESET is the bias the characterization (Fig. 3) and the
+// open-loop prior-art baselines apply without the termination stack.
 inline constexpr double kResetSlVoltage = 1.60;        // V
 inline constexpr double kResetWlVoltage = 3.3;         // V
 inline constexpr double kResetEdge = 10e-9;            // s, rise and fall
 inline constexpr double kResetStandardWidth = 3.5e-6;  // s
+inline constexpr double kCellResetSlVoltage = 1.2;     // V
+inline constexpr double kCellResetWlVoltage = 2.5;     // V
 inline constexpr double kReadVoltage = 0.3;            // V
 inline constexpr double kReadWlVoltage = 2.5;          // V
 inline constexpr double kTerminationDelay = 2e-9;      // s

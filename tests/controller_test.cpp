@@ -13,13 +13,9 @@ using Levels = std::vector<std::size_t>;
 
 struct ControllerFixture : public ::testing::Test {
   ControllerFixture()
-      : config(QlcConfig::paper_default(
-            build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                    QlcConfig::paper_default(), kPaperIrefMin,
-                                    kPaperIrefMax, 13))),
+      : config(QlcConfig::paper_default(4, 13)),
         programmer(config),
-        memory(4, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-               oxram::StackConfig{}, 314),
+        memory(4, 8, config.nominal_cell, config.variability, config.stack, 314),
         controller(memory, programmer) {
     controller.form();
   }

@@ -13,12 +13,7 @@
 namespace oxmlc {
 namespace {
 
-mlc::QlcConfig make_config() {
-  return mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 13));
-}
+mlc::QlcConfig make_config() { return mlc::QlcConfig::paper_default(4, 13); }
 
 // ---------------------------------------------------------------------------
 // unterminated writes

@@ -145,14 +145,10 @@ TEST(Fig10Circuit, MismatchShiftsTerminatedResistance) {
 // ---------------------------------------------------------------------------
 
 TEST(QlcWord, StoreAndRecallPatternOn8x8Array) {
-  mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 13));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 13);
   const mlc::QlcProgrammer programmer(config);
 
-  array::FastArray memory(8, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-                          oxram::StackConfig{}, 12345);
+  array::FastArray memory(8, 8, config.nominal_cell, config.variability, config.stack, 12345);
   memory.form_all();
 
   // Store a deterministic 4-bit pattern in every cell (8 cells per word x 8
@@ -178,13 +174,9 @@ TEST(QlcWord, StoreAndRecallPatternOn8x8Array) {
 }
 
 TEST(QlcWord, RewriteChangesStoredLevel) {
-  mlc::QlcConfig config = mlc::QlcConfig::paper_default(
-      mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{},
-                                   mlc::QlcConfig::paper_default(), mlc::kPaperIrefMin,
-                                   mlc::kPaperIrefMax, 13));
+  const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 13);
   const mlc::QlcProgrammer programmer(config);
-  oxram::FastCell cell =
-      oxram::FastCell::formed_lrs(oxram::OxramParams{}, oxram::StackConfig{});
+  oxram::FastCell cell = oxram::FastCell::formed_lrs(config.nominal_cell, config.stack);
   Rng rng(31);
   programmer.program(cell, 15, rng);
   EXPECT_EQ(programmer.read_level(cell, rng), 15u);

@@ -9,6 +9,7 @@
 #include "mlc/margins.hpp"
 #include "mlc/mc_study.hpp"
 #include "mlc/program.hpp"
+#include "oxram/presets.hpp"
 #include "oxram/reference_pulse.hpp"
 #include "util/error.hpp"
 
@@ -18,11 +19,8 @@ namespace {
 // A shared nominal calibration curve (built once; programming sweeps are
 // moderately expensive).
 const CalibrationCurve& nominal_curve() {
-  static const CalibrationCurve curve = [] {
-    const QlcConfig config = QlcConfig::paper_default();
-    return build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{}, config,
-                                   kPaperIrefMin, kPaperIrefMax, 13);
-  }();
+  static const CalibrationCurve curve =
+      build_calibration_curve(QlcConfig::paper_default(), kPaperIrefMin, kPaperIrefMax, 13);
   return curve;
 }
 
@@ -133,16 +131,107 @@ TEST(Calibration, IsoDeltaRUsesCurve) {
   }
 }
 
+// build_calibration_curve programs the config's own cell in its own stack: a
+// config on the PCM preset must give the PCM device's curve, point by point,
+// not the OxRAM cell's under the same pulses.
+TEST(Calibration, ProgramsTheConfigsOwnCell) {
+  QlcConfig pcm;
+  pcm.set_op = oxram::pcm_like_set();
+  pcm.reset_op = oxram::pcm_like_reset();
+  pcm.nominal_cell = oxram::pcm_like_params();
+  pcm.stack = oxram::pcm_like_stack();
+  const CalibrationCurve curve =
+      build_calibration_curve(pcm, oxram::kPcmIrefMin, oxram::kPcmIrefMax, 5);
+  ASSERT_EQ(curve.irefs().size(), 5u);
+  const auto program = [&](const oxram::OxramParams& cell_params,
+                           const oxram::StackConfig& stack, double iref) {
+    oxram::FastCell cell = oxram::FastCell::formed_lrs(cell_params, stack);
+    cell.apply_set(pcm.set_op);
+    oxram::ResetOperation reset = pcm.reset_op;
+    reset.iref = iref;
+    cell.apply_reset(reset);
+    return cell.read().r_cell;
+  };
+  for (std::size_t k = 0; k < curve.irefs().size(); ++k) {
+    const double iref = curve.irefs()[k];
+    EXPECT_EQ(curve.resistances()[k],
+              program(oxram::pcm_like_params(), oxram::pcm_like_stack(), iref))
+        << iref;
+    EXPECT_NE(curve.resistances()[k],
+              program(oxram::OxramParams{}, oxram::StackConfig{}, iref))
+        << iref;
+  }
+}
+
+// The calibrated operating point, pinned bitwise: every level's nominal
+// resistance and the 15 read references, for the three calibrations in use
+// (the paper study's 25 points, the examples' 17 and the tests' 13). How the
+// point is calibrated or held may change; these doubles may not.
+struct OperatingPointPin {
+  std::vector<double> r_nominal;   // by level value
+  std::vector<double> references;  // ascending
+};
+
+void expect_operating_point(const QlcConfig& config, const OperatingPointPin& pin) {
+  ASSERT_EQ(config.allocation.count(), pin.r_nominal.size());
+  for (std::size_t v = 0; v < pin.r_nominal.size(); ++v) {
+    EXPECT_EQ(config.allocation.levels[v].r_nominal, pin.r_nominal[v]) << "level " << v;
+  }
+  const QlcProgrammer programmer(config);
+  const std::vector<double>& refs = programmer.read_references();
+  ASSERT_EQ(refs.size(), pin.references.size());
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    EXPECT_EQ(refs[k], pin.references[k]) << "reference " << k;
+  }
+}
+
+TEST(OperatingPointPin, PaperStudy) {
+  expect_operating_point(
+      paper_mc_study(4, 1).qlc,
+      {{35682.913762775817, 38728.946425722948, 42198.280231606746, 46174.726982745524,
+        50769.952532855401, 56137.495301627881, 62461.148454307462, 70024.953250199804,
+        79199.998038275706, 90534.074701207763, 104874.40156737794, 123480.40658675221,
+        148586.95920514755, 184112.70052877584, 237964.71499975538, 328902.09789606096},
+       {1.0597468572004635e-06, 1.4109697855013926e-06, 1.7783667978716574e-06,
+        2.1622959607172804e-06, 2.5623424901355217e-06, 2.9785922044485906e-06,
+        3.4109769834094368e-06, 3.8589604417478155e-06, 4.322697071554379e-06,
+        4.8017331308234175e-06, 5.2961226724329364e-06, 5.805718678132733e-06,
+        6.3299794204800736e-06, 6.8689812670025247e-06, 7.422194391586702e-06}});
+}
+
+TEST(OperatingPointPin, SeventeenPointCalibration) {
+  expect_operating_point(
+      QlcConfig::paper_default(4, 17),
+      {{35682.913762775817, 38729.77951021734, 42197.262399654734, 46172.285529231995,
+        50767.03822935927, 56128.851683272973, 62454.708167522826, 70014.237357340535,
+        79186.710160915056, 90521.183355023066, 104845.21480196796, 123464.51570510962,
+        148564.35773856132, 184095.377375638, 237997.94864927101, 328902.09789606096},
+       {1.0596738676238793e-06, 1.4109378269638891e-06, 1.7785813749510895e-06,
+        2.1625924774415311e-06, 2.5628490583288869e-06, 2.9791990571705002e-06,
+        3.4114863825003955e-06, 3.8595537419728954e-06, 4.3232251648501566e-06,
+        4.8023181576432049e-06, 5.2966512449319956e-06, 5.8060188880265349e-06,
+        6.330206836266146e-06, 6.8689900192824272e-06, 7.4221206578573578e-06}});
+}
+
+TEST(OperatingPointPin, ThirteenPointCalibration) {
+  expect_operating_point(
+      QlcConfig::paper_default(4, 13),
+      {{35682.913762775817, 38725.598480594563, 42190.268959124231, 46165.075619585405,
+        50764.080480003562, 56137.495301627881, 62452.656832095694, 70003.744945063401,
+        79172.738528655667, 90515.716097603115, 104874.40156737794, 123448.8869747619,
+        148493.4209019267, 183963.90468980212, 237832.37222584683, 328902.09789606096},
+       {1.0600376654135085e-06, 1.4119176748958842e-06, 1.7796215029595489e-06,
+        2.1632312565995458e-06, 2.5626611733398687e-06, 2.9788837885886519e-06,
+        3.4118750062513389e-06, 3.8601573483555486e-06, 4.3236023362820438e-06,
+        4.8020435043330713e-06, 5.2964107071807939e-06, 5.8066018164269176e-06,
+        6.3311565689743145e-06, 6.8698616022536842e-06, 7.4224907300474429e-06}});
+}
+
 // ---------------------------------------------------------------------------
 // programmer: program + read round trip
 // ---------------------------------------------------------------------------
 
-QlcConfig test_config(std::size_t bits = 4) {
-  QlcConfig config = QlcConfig::paper_default();
-  config.allocation =
-      LevelAllocation::iso_delta_i(bits, kPaperIrefMin, kPaperIrefMax, nominal_curve());
-  return config;
-}
+QlcConfig test_config(std::size_t bits = 4) { return QlcConfig::paper_default(bits, 13); }
 
 TEST(Programmer, ReferenceBankSizeAndOrder) {
   const QlcProgrammer programmer(test_config());
@@ -367,9 +456,7 @@ TEST(Margins, ZeroWidthIrefBandIsAnEmptyBandNotACrash) {
 // ---------------------------------------------------------------------------
 
 TEST(Baselines, VrstAmplitudesIncreaseWithLevel) {
-  const QlcConfig config = test_config(2);  // 4 levels: keep calibration cheap
-  const VrstPulseBaseline baseline(config.allocation, oxram::OxramParams{},
-                                   oxram::StackConfig{}, config.reset_op, config.set_op);
+  const VrstPulseBaseline baseline(test_config(2));  // 4 levels: keep calibration cheap
   const auto& amps = baseline.amplitudes();
   ASSERT_EQ(amps.size(), 4u);
   for (std::size_t k = 1; k < amps.size(); ++k) EXPECT_GT(amps[k], amps[k - 1]);
@@ -379,8 +466,7 @@ TEST(Baselines, VrstSpreadExceedsTerminationSpread) {
   // The reason the paper's scheme wins: open-loop VRST programming passes the
   // full C2C/D2D dynamics variation into the resistance; termination does not.
   const QlcConfig config = test_config(2);
-  const VrstPulseBaseline baseline(config.allocation, oxram::OxramParams{},
-                                   oxram::StackConfig{}, config.reset_op, config.set_op);
+  const VrstPulseBaseline baseline(config);
   const QlcProgrammer programmer(config);
   Rng rng(5);
   RunningStats vrst_log_r, term_log_r;
@@ -397,8 +483,7 @@ TEST(Baselines, VrstSpreadExceedsTerminationSpread) {
 
 TEST(Baselines, ProgramAndVerifyLandsInBandAtACost) {
   const QlcConfig config = test_config(2);
-  const ProgramAndVerifyBaseline baseline(config.allocation, config.reset_op,
-                                          config.set_op);
+  const ProgramAndVerifyBaseline baseline(config);
   Rng rng(17);
   const std::size_t level = 2;
   const double target = config.allocation.levels[level].r_nominal;
@@ -411,8 +496,7 @@ TEST(Baselines, ProgramAndVerifyLandsInBandAtACost) {
 }
 
 TEST(Baselines, IcSetProducesDistinctLrsLevels) {
-  const IcSetBaseline baseline(4, oxram::OxramParams{}, oxram::StackConfig{},
-                               oxram::SetOperation{});
+  const IcSetBaseline baseline(4, QlcConfig{});
   const auto& wl = baseline.wl_voltages();
   ASSERT_EQ(wl.size(), 4u);
   // Deeper levels = lower compliance = lower WL voltage.

@@ -228,14 +228,7 @@ double rel_diff(double a, double b) {
 }
 
 const mlc::QlcProgrammer& qlc_programmer() {
-  static const mlc::QlcProgrammer programmer = [] {
-    mlc::QlcConfig config = mlc::QlcConfig::paper_default();
-    config.allocation = mlc::LevelAllocation::iso_delta_i(
-        4, mlc::kPaperIrefMin, mlc::kPaperIrefMax,
-        mlc::build_calibration_curve(oxram::OxramParams{}, oxram::StackConfig{}, config,
-                                     mlc::kPaperIrefMin, mlc::kPaperIrefMax, 13));
-    return mlc::QlcProgrammer(config);
-  }();
+  static const mlc::QlcProgrammer programmer(mlc::QlcConfig::paper_default(4, 13));
   return programmer;
 }
 

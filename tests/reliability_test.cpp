@@ -293,12 +293,9 @@ TEST(ReliabilityEngine, RejectsOutOfRangeCells) {
 
 struct ReliabilityControllerFixture : public ::testing::Test {
   ReliabilityControllerFixture()
-      : config(mlc::QlcConfig::paper_default(mlc::build_calibration_curve(
-            oxram::OxramParams{}, oxram::StackConfig{}, mlc::QlcConfig::paper_default(),
-            mlc::kPaperIrefMin, mlc::kPaperIrefMax, 13))),
+      : config(mlc::QlcConfig::paper_default(4, 13)),
         programmer(config),
-        memory(2, 8, oxram::OxramParams{}, oxram::OxramVariability{}, oxram::StackConfig{},
-               314),
+        memory(2, 8, config.nominal_cell, config.variability, config.stack, 314),
         controller(memory, programmer) {}
 
   mlc::QlcConfig config;

@@ -206,8 +206,8 @@ struct ReplayCell {
 class DriftingWordEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
-  static const McStudyConfig study = paper_mc_study(4, 1);
-  static const QlcProgrammer programmer(study.qlc);
+  static const QlcProgrammer programmer(QlcConfig::paper_default());
+  const QlcConfig& qlc = programmer.config();
   oxram::DriftParams drift;
   drift.relax_fraction = 0.05;  // amplified so verify and scrub find work
   const reliability::ReadDisturbModel disturb;
@@ -221,11 +221,11 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   std::vector<Rng> rngs;
   std::vector<std::size_t> targets;
   for (std::size_t i = 0; i < n; ++i) {
-    targets.push_back(rng.uniform_index(study.qlc.allocation.count()));
+    targets.push_back(rng.uniform_index(qlc.allocation.count()));
     rngs.push_back(rng.split());
     const oxram::OxramParams device =
-        oxram::sample_device(study.nominal, study.variability, rngs.back());
-    cells.push_back(oxram::FastCell::formed_lrs(device, study.stack));
+        oxram::sample_device(qlc.nominal_cell, qlc.variability, rngs.back());
+    cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
   }
   std::vector<ReplayCell> replay;
   for (std::size_t i = 0; i < n; ++i) replay.push_back({cells[i], rngs[i], targets[i]});

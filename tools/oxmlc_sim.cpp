@@ -344,9 +344,10 @@ int run_retention(const CliOptions& options) {
             << format_scaled(recovered, 1.0, 3) << "\n";
 
   // Array-level bake + scrub demo on the paper's 8x8 test array.
-  array::FastArray grid(8, 8, config.study.nominal, config.study.variability,
-                        config.study.stack, seed ^ 0xA11A5EEDULL);
-  const mlc::QlcProgrammer programmer(config.study.qlc);
+  const mlc::QlcConfig& qlc = config.study.qlc;
+  array::FastArray grid(8, 8, qlc.nominal_cell, qlc.variability, qlc.stack,
+                        seed ^ 0xA11A5EEDULL);
+  const mlc::QlcProgrammer programmer(qlc);
   mlc::MemoryController controller(grid, programmer);
   reliability::ReliabilityConfig rel;
   rel.drift = config.drift;
@@ -359,7 +360,7 @@ int run_retention(const CliOptions& options) {
   controller.attach_reliability(&engine, verify);
   controller.form();
   Rng pattern_rng(seed ^ 0x7A77E24ULL);
-  const std::size_t level_count = config.study.qlc.allocation.count();
+  const std::size_t level_count = qlc.allocation.count();
   for (std::size_t row = 0; row < grid.rows(); ++row) {
     std::vector<std::size_t> levels(grid.cols());
     for (std::size_t& level : levels) level = pattern_rng.uniform_index(level_count);
