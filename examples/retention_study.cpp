@@ -3,10 +3,11 @@
 // relaxation-aware verify (wait tau_relax, re-sense, re-terminate the tail)
 // buy back?
 //
-// Runs the Monte-Carlo drift sweep of mlc/retention.hpp twice from the same
-// seed — verify-off and verify-on — and prints the worst-case inter-level
-// window and raw decode BER at each observation decade, plus the recovered
-// fraction of the drift-lost window (the subsystem's acceptance metric).
+// Runs the Monte-Carlo drift sweep of mlc/retention.hpp, which observes each
+// programmed word both verify-off and verify-on, and prints the worst-case
+// inter-level window and raw decode BER at each observation decade, plus the
+// recovered fraction of the drift-lost window (the subsystem's acceptance
+// metric).
 //
 // Exits 1 unless the verify-on window is no narrower than the verify-off
 // window at every observation time up to 1 s, and the recovered fraction at

@@ -5,6 +5,8 @@
 #include <string>
 
 #include "mlc/retention.hpp"
+#include "oxram/drift.hpp"
+#include "reliability/engine.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::ecc {
@@ -19,17 +21,17 @@ double effective_cycles(std::uint64_t rotate_every_writes) {
   return hot + spread * (uniform - hot);
 }
 
-WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
+WordTrial simulate_word(const ChannelPolicy& policy, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng) {
   OXMLC_CHECK(cells > 0, "simulate_word: need at least one cell");
   const mlc::QlcConfig& qlc = programmer.config();
   const std::size_t n_levels = qlc.allocation.count();
   std::size_t scrub_events = 0;
-  if (config.policy.scrub_period_s > 0.0) {
+  if (policy.scrub_period_s > 0.0) {
     scrub_events =
-        static_cast<std::size_t>(kReadBackHorizon / config.policy.scrub_period_s);
+        static_cast<std::size_t>(kReadBackHorizon / policy.scrub_period_s);
     OXMLC_CHECK(scrub_events <= kMaxScrubEvents,
-                "simulate_word: scrub period " + std::to_string(config.policy.scrub_period_s) +
+                "simulate_word: scrub period " + std::to_string(policy.scrub_period_s) +
                     " s implies " + std::to_string(scrub_events) + " events over the horizon " +
                     "(cap " + std::to_string(kMaxScrubEvents) + ")");
   }
@@ -44,7 +46,7 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   // has absorbed by read-back time, and the endurance model compresses the
   // sampled device window accordingly before anything is programmed.
   const auto cycles = static_cast<std::uint64_t>(
-      std::llround(effective_cycles(config.policy.rotate_every_writes)));
+      std::llround(effective_cycles(policy.rotate_every_writes)));
 
   std::vector<oxram::FastCell> word_cells;
   std::vector<Rng> rngs;
@@ -54,17 +56,18 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
     rngs.push_back(rng.split());
     const oxram::OxramParams fresh =
         oxram::sample_device(qlc.nominal_cell, qlc.variability, rngs.back());
-    const oxram::OxramParams device = reliability::worn_params(fresh, config.endurance, cycles);
+    const oxram::OxramParams device =
+        reliability::worn_params(fresh, reliability::EnduranceModel{}, cycles);
     word_cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
   }
 
   // Whole-word program through the batched terminated-RESET path.
-  mlc::DriftingWord word(programmer, config.drift, config.read_disturb, std::move(word_cells),
-                         std::move(rngs), trial.target);
+  mlc::DriftingWord word(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
+                         std::move(word_cells), std::move(rngs), trial.target);
 
   // Relaxation-aware verify: re-sense after mlc::kVerifyWait and re-terminate
   // cells whose tail relaxation event slipped them out of band.
-  if (config.policy.relax_verify) {
+  if (policy.relax_verify) {
     const mlc::DriftingWord::VerifyCounts verify = word.relax_verify(kVerifyPasses);
     trial.verify_reprograms = static_cast<std::uint32_t>(verify.reprogrammed);
   }
@@ -72,7 +75,7 @@ WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& p
   // Scrub timeline: periodic read + compare, then one re-program of the
   // slipped cells per event.
   for (std::size_t event = 1; event <= scrub_events; ++event) {
-    const double t = static_cast<double>(event) * config.policy.scrub_period_s;
+    const double t = static_cast<double>(event) * policy.scrub_period_s;
     std::vector<std::size_t> slipped;
     for (std::size_t i = 0; i < cells; ++i) {
       if (word.sense(i, t) != trial.target[i]) slipped.push_back(i);

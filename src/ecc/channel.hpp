@@ -28,8 +28,6 @@
 
 #include "ecc/gray.hpp"
 #include "mlc/program.hpp"
-#include "oxram/drift.hpp"
-#include "reliability/engine.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::ecc {
@@ -66,15 +64,6 @@ inline constexpr std::size_t kVerifyPasses = 2;
 // Guard on the scrub timeline: kReadBackHorizon / scrub period must fit.
 inline constexpr std::size_t kMaxScrubEvents = 128;
 
-// The operating point (allocation, cell, stack, variability) is the
-// programmer's QlcConfig, so the channel samples the devices it programs.
-struct ChannelConfig {
-  oxram::DriftParams drift;
-  reliability::ReadDisturbModel read_disturb;
-  reliability::EnduranceModel endurance;
-  ChannelPolicy policy;
-};
-
 struct WordTrial {
   std::vector<std::size_t> target;    // per-cell programmed level index
   std::vector<std::size_t> observed;  // per-cell decoded level at the horizon
@@ -82,11 +71,15 @@ struct WordTrial {
   std::uint32_t scrub_reprograms = 0;
 };
 
-// Simulates one stored word of `cells` cells end to end. Target levels are
-// uniform draws (a Gray-mapped random payload is level-uniform in aggregate,
-// and a data-independent reference word is what lets every code in the
-// catalog score against the same channel realization).
-WordTrial simulate_word(const ChannelConfig& config, const mlc::QlcProgrammer& programmer,
+// Simulates one stored word of `cells` cells end to end under `policy`. The
+// operating point (allocation, cell, stack, variability) is the programmer's
+// QlcConfig, so the channel samples the devices it programs; drift, read
+// disturb and wear follow the default oxram::DriftParams,
+// reliability::ReadDisturbModel and reliability::EnduranceModel. Target
+// levels are uniform draws (a Gray-mapped random payload is level-uniform in
+// aggregate, and a data-independent reference word is what lets every code in
+// the catalog score against the same channel realization).
+WordTrial simulate_word(const ChannelPolicy& policy, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng);
 
 // Gray-maps a (target, observed) level pair stream to bit errors: bit i is 1

@@ -7,6 +7,7 @@
 
 #include "ecc/code.hpp"
 #include "mc/runner.hpp"
+#include "memsys/geometry.hpp"
 #include "memsys/scheduler.hpp"
 #include "memsys/trace.hpp"
 #include "obs/registry.hpp"
@@ -37,8 +38,8 @@ struct EccMetrics {
   }
 };
 
-// Per-point trial seed, mixed like mlc::study_level_seed so points get
-// unrelated (seed, trial) planes.
+// Per-point trial seed, mixed like mlc::sample_study_word's per-level seeds
+// so points get unrelated (seed, trial) planes.
 std::uint64_t point_seed(std::uint64_t base, std::size_t point) {
   return base ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(point) + 1));
 }
@@ -55,8 +56,9 @@ struct PolicyGridPoint {
 // period, words_per_bank of them per bank. The swept periods are retention
 // decades (>= 1e12 memory cycles), so this is computed — no replayable trace
 // could sample it.
-double scrub_duty(const memsys::GeometryConfig& geometry, double period_s) {
+double scrub_duty(double period_s) {
   if (period_s <= 0.0) return 0.0;
+  const memsys::GeometryConfig geometry = memsys::GeometryConfig::rram_isscc_2012();
   const double words = static_cast<double>(geometry.rows_per_bank) *
                        static_cast<double>(geometry.words_per_row);
   const double slot_s =
@@ -68,7 +70,7 @@ SchedulerProbe run_probe(const EccStudyConfig& config, const PolicyGridPoint& po
   SchedulerProbe probe;
   if (config.probe_requests == 0) return probe;
 
-  memsys::GeometryConfig geometry = config.geometry;
+  memsys::GeometryConfig geometry = memsys::GeometryConfig::rram_isscc_2012();
   geometry.bits_per_cell = point.bits;
   // Keep one-byte-aligned accesses across 4/5/6 bits/cell.
   geometry.cells_per_word = 8;
@@ -179,14 +181,9 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
       const PolicyGridPoint& point = grid[i / trials];
       const BitsContext& context = contexts[point.bits_index];
 
-      ChannelConfig channel;
-      channel.drift = config.drift;
-      channel.read_disturb = config.read_disturb;
-      channel.endurance = config.endurance;
-      channel.policy = {point.scrub_period_s, point.verify, point.rotate};
-
+      const ChannelPolicy policy{point.scrub_period_s, point.verify, point.rotate};
       Rng rng = mc::trial_rng(point_seed(config.seed, i / trials), i % trials);
-      words[i] = simulate_word(channel, context.programmer, context.cells, rng);
+      words[i] = simulate_word(policy, context.programmer, context.cells, rng);
     }
   });
 
@@ -212,7 +209,7 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
     outcome.rotate_every_writes = point.rotate;
     outcome.effective_cycles = effective_cycles(point.rotate);
     outcome.cells_programmed = context.cells * trials;
-    outcome.scrub_duty = scrub_duty(config.geometry, point.scrub_period_s);
+    outcome.scrub_duty = scrub_duty(point.scrub_period_s);
     outcome.rotate_overhead =
         point.rotate == 0 ? 0.0 : 1.0 / static_cast<double>(point.rotate);
 

@@ -20,13 +20,13 @@
 // (`delivered_uber`), where miscorrections are visible instead of hidden.
 //
 // Overhead accounting per point: code redundancy (n-k)/k, analytic scrub
-// bank-duty from the memsys TimingParams (one t_scrub slot per word per
-// period — the retention-scale periods are ~1e12 memory cycles, far beyond
-// any replayable trace, so bandwidth is computed, not sampled), measured
-// verify reprogram fraction, and 1/rotation start-gap write amplification. A
-// small CommandScheduler probe (scrub epochs compressed onto the trace span,
-// rotation passed through) reports the *scheduling* side — row-hit rate and
-// p99 — of the same knobs.
+// bank-duty from the timing of memsys::GeometryConfig::rram_isscc_2012() (one
+// t_scrub slot per word per period — the retention-scale periods are ~1e12
+// memory cycles, far beyond any replayable trace, so bandwidth is computed,
+// not sampled), measured verify reprogram fraction, and 1/rotation start-gap
+// write amplification. A small CommandScheduler probe on the same geometry
+// (scrub epochs compressed onto the trace span, rotation passed through)
+// reports the *scheduling* side — row-hit rate and p99 — of the same knobs.
 //
 // Determinism: trials parallelize over a flat (policy point x trial) index
 // with Rng(point seed, trial) — reports are bit-identical at any thread
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "ecc/channel.hpp"
-#include "memsys/geometry.hpp"
 #include "obs/json.hpp"
 #include "util/schema.hpp"
 
@@ -58,15 +57,6 @@ struct EccStudyConfig {
   // QlcConfig::paper_default's curve_points). perfbench still passes it to
   // mlc::paper_mc_study as a trial count.
   std::size_t mc_trials = 64;
-
-  // Words are read back at kReadBackHorizon, worn by the analytic start-gap
-  // model (effective_cycles).
-  oxram::DriftParams drift;
-  reliability::ReadDisturbModel read_disturb;
-  reliability::EnduranceModel endurance;
-
-  // Timing source for the analytic scrub duty and the scheduling probe.
-  memsys::GeometryConfig geometry = memsys::GeometryConfig::rram_isscc_2012();
   std::size_t probe_requests = 4096;  // 0 skips the CommandScheduler probe
 };
 

@@ -19,16 +19,24 @@ struct McStudyConfig {
 // The paper's study: QlcConfig::paper_default(bits) at `trials` per level.
 McStudyConfig paper_mc_study(std::size_t bits = 4, std::size_t trials = 500);
 
-// Independent seed per level so adding levels never reshuffles existing ones.
-// Shared by the level study and the retention sweep (mlc/retention.hpp) so
-// both consume bit-identical random streams for the same (seed, level,
-// trial).
-std::uint64_t study_level_seed(std::uint64_t base, std::size_t level);
+// One MC trial's word, before programming: one formed cell per level of the
+// allocation, level k at index k. Level k's device is sampled on its own
+// rng, derived from (mc.seed, k, trial) alone, and the cell keeps that rng
+// for every later draw, so adding levels never reshuffles existing ones.
+struct StudyWord {
+  std::vector<oxram::FastCell> cells;
+  std::vector<Rng> rngs;
+  std::vector<std::size_t> levels;
+};
+
+// The word trial `trial` of `config` programs: the level study
+// (run_level_study) and the retention sweep (mlc/retention.hpp) both build
+// their trials here, so they consume bit-identical random streams.
+StudyWord sample_study_word(const McStudyConfig& config, std::size_t trial);
 
 // Runs the study for every level of the allocation; distributions are ordered
-// by level value (ascending resistance). One MC trial programs every level as
-// a single program_word; each level draws from its own (mc.seed, level,
-// trial)-derived rng, so levels are independent and reproducible.
+// by level value (ascending resistance). One MC trial programs its
+// sample_study_word as a single program_word.
 std::vector<LevelDistribution> run_level_study(const McStudyConfig& config);
 
 }  // namespace oxmlc::mlc

@@ -1,6 +1,7 @@
 #include "mlc/retention.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 
@@ -23,13 +24,80 @@ struct RetentionMetrics {
   }
 };
 
-// One trial: the word of every level, as programmed and at each observation
-// time (r_at_time is time-major, n_levels entries per time).
+// One trial: the word of every level as programmed, and each branch's
+// resistances at every observation time (r_at_time[relax_verify], time-major,
+// n_levels entries per time).
 struct TrialSample {
   std::vector<ProgramOutcome> outcomes;
-  std::vector<double> r_at_time;
+  std::array<std::vector<double>, 2> r_at_time;
   DriftingWord::VerifyCounts verify;
 };
+
+// Observation times are measured from the initial program; times earlier
+// than a cell's last verify event evaluate at that event.
+std::vector<double> observe(DriftingWord& word, const std::vector<double>& times) {
+  std::vector<double> r;
+  r.reserve(times.size() * word.size());
+  for (const double time : times) {
+    for (std::size_t i = 0; i < word.size(); ++i) r.push_back(word.resistance_at(i, time));
+  }
+  return r;
+}
+
+// One branch's report: the trials' shared outcomes as programmed, then the
+// branch's own resistances at each time.
+RetentionReport branch_report(const RetentionConfig& config,
+                              const std::vector<TrialSample>& samples, bool relax_verify) {
+  const LevelAllocation& allocation = config.study.qlc.allocation;
+  const std::size_t n_levels = allocation.count();
+  const std::vector<double> thresholds = midpoint_thresholds(allocation);
+
+  RetentionReport report;
+  report.seed = config.study.mc.seed;
+  report.trials = config.study.mc.trials;
+  report.bits = allocation.bits;
+  report.relax_verify = relax_verify;
+  report.verify_max_passes = config.verify_max_passes;
+  if (relax_verify) {
+    for (const TrialSample& sample : samples) {
+      report.verify_reprogrammed += sample.verify.reprogrammed;
+      report.verify_unrecovered += sample.verify.unrecovered;
+    }
+  }
+
+  // A level's distribution over the trials, with the resistance `r` reads.
+  const auto distribution = [&](std::size_t level, const auto& r) {
+    LevelDistribution dist;
+    dist.level = allocation.levels[level];
+    for (const TrialSample& sample : samples) {
+      dist.resistance.push_back(r(sample));
+      dist.energy.push_back(sample.outcomes[level].energy);
+      dist.latency.push_back(sample.outcomes[level].latency);
+    }
+    return dist;
+  };
+
+  std::vector<LevelDistribution> initial;
+  for (std::size_t level = 0; level < n_levels; ++level) {
+    initial.push_back(distribution(
+        level, [&](const TrialSample& sample) { return sample.outcomes[level].resistance; }));
+  }
+  report.initial_margins = analyze_margins(initial);
+  report.initial_ber = decode_ber(initial, thresholds);
+  report.points.resize(config.times.size());
+  for (std::size_t k = 0; k < config.times.size(); ++k) {
+    RetentionPoint& point = report.points[k];
+    point.t = config.times[k];
+    for (std::size_t level = 0; level < n_levels; ++level) {
+      point.levels.push_back(distribution(level, [&](const TrialSample& sample) {
+        return sample.r_at_time[relax_verify][k * n_levels + level];
+      }));
+    }
+    point.margins = analyze_margins(point.levels);
+    point.ber = decode_ber(point.levels, thresholds);
+  }
+  return report;
+}
 
 }  // namespace
 
@@ -118,114 +186,35 @@ RetentionConfig RetentionConfig::paper_default(std::size_t bits, std::size_t tri
   return config;
 }
 
-RetentionReport run_retention_study(const RetentionConfig& config) {
-  OXMLC_CHECK(!config.times.empty(), "run_retention_study: need observation times");
+RetentionComparison run_retention_comparison(const RetentionConfig& config) {
+  OXMLC_CHECK(!config.times.empty(), "run_retention_comparison: need observation times");
   OXMLC_CHECK(std::is_sorted(config.times.begin(), config.times.end()),
-              "run_retention_study: times must be ascending");
+              "run_retention_comparison: times must be ascending");
   RetentionMetrics& metrics = RetentionMetrics::get();
   metrics.studies.add();
   obs::ScopedTimer timer(metrics.study_time);
 
   const QlcProgrammer programmer(config.study.qlc);
-  const std::size_t n_levels = config.study.qlc.allocation.count();
-  const std::vector<double> thresholds = midpoint_thresholds(config.study.qlc.allocation);
-
-  RetentionReport report;
-  report.seed = config.study.mc.seed;
-  report.trials = config.study.mc.trials;
-  report.bits = config.study.qlc.allocation.bits;
-  report.relax_verify = config.relax_verify;
-  report.verify_max_passes = config.verify_max_passes;
-  report.times = config.times;
-
-  // Per-level MC (seeded exactly like run_level_study), collected into one
-  // distribution per (time, level).
-  std::vector<LevelDistribution> initial(n_levels);
-  report.points.resize(config.times.size());
-  for (std::size_t k = 0; k < config.times.size(); ++k) {
-    report.points[k].t = config.times[k];
-    report.points[k].levels.resize(n_levels);
-  }
-
-  // One trial programs every level as one word; each level's cell keeps the
-  // (study_level_seed, trial)-derived rng run_level_study gives it.
+  // One trial programs every level as one word, then hands a copy to the
+  // verify: both branches continue from the same cells, rngs and
+  // trajectories.
   const std::function<TrialSample(std::size_t, Rng&)> trial = [&](std::size_t t, Rng&) {
-    std::vector<oxram::FastCell> cells;
-    std::vector<Rng> rngs;
-    std::vector<std::size_t> levels(n_levels);
-    cells.reserve(n_levels);
-    rngs.reserve(n_levels);
-    for (std::size_t level = 0; level < n_levels; ++level) {
-      levels[level] = level;
-      rngs.push_back(mc::trial_rng(study_level_seed(config.study.mc.seed, level), t));
-      const oxram::OxramParams device = oxram::sample_device(
-          config.study.qlc.nominal_cell, config.study.qlc.variability, rngs.back());
-      cells.push_back(oxram::FastCell::formed_lrs(device, config.study.qlc.stack));
-    }
-    DriftingWord word(programmer, config.drift, config.read_disturb, std::move(cells),
-                      std::move(rngs), std::move(levels));
+    StudyWord sampled = sample_study_word(config.study, t);
+    DriftingWord off(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
+                     std::move(sampled.cells), std::move(sampled.rngs),
+                     std::move(sampled.levels));
+    DriftingWord on = off;
     TrialSample sample;
-    sample.outcomes = word.outcomes();
-    if (config.relax_verify) {
-      sample.verify = word.relax_verify(config.verify_max_passes);
-    }
-    // Observation times are measured from the initial program; times earlier
-    // than a cell's last verify event evaluate at that event.
-    sample.r_at_time.reserve(config.times.size() * n_levels);
-    for (const double time : config.times) {
-      for (std::size_t level = 0; level < n_levels; ++level) {
-        sample.r_at_time.push_back(word.resistance_at(level, time));
-      }
-    }
+    sample.outcomes = off.outcomes();
+    sample.verify = on.relax_verify(config.verify_max_passes);
+    sample.r_at_time = {observe(off, config.times), observe(on, config.times)};
     return sample;
   };
   const std::vector<TrialSample> samples =
       mc::run_trials<TrialSample>(config.study.mc, trial);
-  const std::size_t trials = samples.size();
-  metrics.trials.add(n_levels * trials);
+  metrics.trials.add(config.study.qlc.allocation.count() * samples.size());
 
-  for (const TrialSample& sample : samples) {
-    report.verify_reprogrammed += sample.verify.reprogrammed;
-    report.verify_unrecovered += sample.verify.unrecovered;
-  }
-  for (std::size_t level = 0; level < n_levels; ++level) {
-    LevelDistribution& dist0 = initial[level];
-    dist0.level = config.study.qlc.allocation.levels[level];
-    for (const TrialSample& sample : samples) {
-      const ProgramOutcome& outcome = sample.outcomes[level];
-      dist0.resistance.push_back(outcome.resistance);
-      dist0.energy.push_back(outcome.energy);
-      dist0.latency.push_back(outcome.latency);
-    }
-    for (std::size_t k = 0; k < config.times.size(); ++k) {
-      LevelDistribution& dist = report.points[k].levels[level];
-      dist.level = config.study.qlc.allocation.levels[level];
-      dist.resistance.reserve(trials);
-      for (const TrialSample& sample : samples) {
-        const ProgramOutcome& outcome = sample.outcomes[level];
-        dist.resistance.push_back(sample.r_at_time[k * n_levels + level]);
-        dist.energy.push_back(outcome.energy);
-        dist.latency.push_back(outcome.latency);
-      }
-    }
-  }
-
-  report.initial_margins = analyze_margins(initial);
-  report.initial_ber = decode_ber(initial, thresholds);
-  for (RetentionPoint& point : report.points) {
-    point.margins = analyze_margins(point.levels);
-    point.ber = decode_ber(point.levels, thresholds);
-  }
-  return report;
-}
-
-RetentionComparison run_retention_comparison(RetentionConfig config) {
-  RetentionComparison comparison;
-  config.relax_verify = false;
-  comparison.verify_off = run_retention_study(config);
-  config.relax_verify = true;
-  comparison.verify_on = run_retention_study(config);
-  return comparison;
+  return {branch_report(config, samples, false), branch_report(config, samples, true)};
 }
 
 double recovered_window_fraction(const RetentionComparison& comparison, std::size_t point) {

@@ -1,15 +1,16 @@
 // Retention sweep: the Monte-Carlo level study evaluated over time.
 //
 // One trial = one word of every level, each cell a D2D-sampled device
-// programmed exactly as in run_level_study, then evolved under the
-// two-component drift law of oxram/drift.hpp and re-read at each observation
-// time. With relax_verify on, the trial additionally runs the
-// relaxation-aware verify of MemoryController/arXiv:2301.08516 right after
-// programming: wait kVerifyWait, re-sense (one read-disturb event),
-// re-terminate the cells whose decode left the target band, for at most
-// verify_max_passes rounds (DriftingWord::relax_verify). Comparing the
-// verify-on and verify-off branches at the same seed quantifies how much of
-// the drift-lost inter-level window the verify recovers
+// programmed exactly as in run_level_study (sample_study_word), then evolved
+// under the two-component drift law of oxram/drift.hpp and re-read at each
+// observation time. The programmed word is copied: the verify-off branch
+// observes it as programmed, the verify-on branch first runs the
+// relaxation-aware verify of MemoryController/arXiv:2301.08516 on its copy
+// (wait kVerifyWait, re-sense with one read-disturb event, re-terminate the
+// cells whose decode left the target band, for at most verify_max_passes
+// rounds: DriftingWord::relax_verify). Both branches thus start from the same
+// as-programmed population, and the comparison measures how much of the
+// drift-lost inter-level window the verify recovers
 // (recovered_window_fraction — the acceptance metric of the reliability
 // subsystem).
 //
@@ -17,9 +18,9 @@
 // cells with their own rngs and targets, one reliability::DriftTrajectory
 // each, and word-wide program, verify and reprogram calls.
 //
-// Determinism: each level's cell in trial t draws from mc::trial_rng(
-// study_level_seed(seed, level), t), so reports are bit-identical for any
-// thread count — the same contract as run_level_study, test-pinned.
+// Determinism: every draw of a trial comes from its cells' rngs, which
+// sample_study_word derives from (seed, level, trial) alone, so reports are
+// bit-identical for any thread count — test-pinned.
 //
 // to_json() emits the `oxmlc.retention.v1` schema consumed by the CI
 // retention smoke test and the BENCH_retention.json artifact.
@@ -96,13 +97,11 @@ class DriftingWord {
   std::vector<ProgramOutcome> outcomes_;
 };
 
+// Words drift on the default oxram::DriftParams, and each verify re-sense
+// bills the default reliability::ReadDisturbModel (the verify is not free).
 struct RetentionConfig {
   McStudyConfig study;        // operating point (allocation, device), mc depth/seed
-  oxram::DriftParams drift;
-  // Disturb stress charged to each verify re-sense (the verify is not free).
-  reliability::ReadDisturbModel read_disturb;
   std::vector<double> times;  // ascending observation times (s) after program
-  bool relax_verify = false;
   std::size_t verify_max_passes = 2;  // DriftingWord::relax_verify passes
 
   // The paper study config plus a decade ladder 1 ms .. 10^7 s.
@@ -122,7 +121,6 @@ struct RetentionReport {
   std::size_t bits = 0;
   bool relax_verify = false;
   std::size_t verify_max_passes = 0;
-  std::vector<double> times;
 
   MarginReport initial_margins;  // as-programmed (t = 0), before any drift
   BerReport initial_ber;
@@ -132,16 +130,14 @@ struct RetentionReport {
   std::size_t verify_unrecovered = 0;     // still out of band after last pass
 };
 
-RetentionReport run_retention_study(const RetentionConfig& config);
-
-// Runs the verify-off and verify-on branches from the same seed (identical
-// as-programmed populations; the branches diverge only in the verify loop).
+// The verify-off and verify-on branches over the same programmed words, from
+// one mc::run_trials pass.
 struct RetentionComparison {
   RetentionReport verify_off;
   RetentionReport verify_on;
 };
 
-RetentionComparison run_retention_comparison(RetentionConfig config);
+RetentionComparison run_retention_comparison(const RetentionConfig& config);
 
 // Fraction of the drift-lost worst-case window the verify recovered at
 // `point` (default: the last observation time):

@@ -4,7 +4,7 @@
 //   1. The pool itself: full index coverage for awkward (n, threads)
 //      combinations, first-exception propagation, n = 0 as a no-op.
 //   2. The bit-identity contract at every migrated call site: mc::run_trials,
-//      run_retention_study, and CellBatch lane sharding must return
+//      run_retention_comparison, and CellBatch lane sharding must return
 //      byte-for-byte identical results at 1, 2 and 8 threads — the property
 //      every EXPERIMENTS.md number relies on.
 #include <gtest/gtest.h>
@@ -198,19 +198,18 @@ TEST(ParallelForDeterminism, RunTrialsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// run_retention_study: one word of every level per MC trial, claimed off the
-// pool by mc::run_trials, must give the same report byte-for-byte at any
+// run_retention_comparison: one word of every level per MC trial, claimed off
+// the pool by mc::run_trials, must give the same report byte-for-byte at any
 // thread count (retention_test pins 1/2/5; this pins 2 and 8).
 TEST(ParallelForDeterminism, RetentionStudyBitIdenticalAcrossThreadCounts) {
   mlc::RetentionConfig config = mlc::RetentionConfig::paper_default(2, 8);
   config.times = {1e-2, 1e2};
-  config.relax_verify = true;
 
   config.study.mc.threads = 1;
-  const std::string reference = to_json(run_retention_study(config)).dump(2);
+  const std::string reference = to_json(run_retention_comparison(config)).dump(2);
   for (std::size_t threads : {2u, 8u}) {
     config.study.mc.threads = threads;
-    EXPECT_EQ(to_json(run_retention_study(config)).dump(2), reference)
+    EXPECT_EQ(to_json(run_retention_comparison(config)).dump(2), reference)
         << "threads=" << threads;
   }
 }

@@ -299,9 +299,9 @@ int run_qlc(const CliOptions& options) {
   return 0;
 }
 
-// Retention sweep: (1) the Monte-Carlo drift study of mlc/retention.hpp run
-// twice from the same seed — verify-off vs relaxation-aware verify — so the
-// recovered-window fraction is directly comparable; (2) an 8x8 array bake +
+// Retention sweep: (1) the Monte-Carlo drift study of mlc/retention.hpp,
+// verify-off vs relaxation-aware verify over the same programmed words, so
+// the recovered-window fraction is directly comparable; (2) an 8x8 array bake +
 // scrub demonstration driving MemoryController/ReliabilityEngine end-to-end
 // (this is what populates the reliability.cells_scrubbed counter the CI
 // smoke asserts). `--report` writes the whole thing as oxmlc.retention.v1.
@@ -350,8 +350,6 @@ int run_retention(const CliOptions& options) {
   const mlc::QlcProgrammer programmer(qlc);
   mlc::MemoryController controller(grid, programmer);
   reliability::ReliabilityConfig rel;
-  rel.drift = config.drift;
-  rel.read_disturb = config.read_disturb;
   rel.seed = seed ^ 0x0DD5EEDULL;
   reliability::ReliabilityEngine engine(grid, rel);
   mlc::VerifyPolicy verify;
