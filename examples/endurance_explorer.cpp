@@ -43,20 +43,14 @@ int main(int argc, char** argv) {
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
-  array::FastArray word(1, 8, config.nominal_cell, config.variability, config.stack, 0xE77D);
-  mlc::MemoryController controller(word, programmer);
-
   reliability::ReliabilityConfig rel;
   rel.endurance.onset_cycles = 20;     // technology value is ~1e9 writes; pulled
   rel.endurance.loss_per_decade = 0.08;  // down so an example-sized run shows wear
-  reliability::ReliabilityEngine engine(word, rel);
-  mlc::VerifyPolicy verify;
-  verify.enabled = true;
-  controller.attach_reliability(&engine, verify);
-  controller.form();
+  mlc::MemoryController controller(programmer, 1, 8, 0xE77D, rel, 2);
+  const oxram::FastCell& cell00 = controller.array().at(0, 0);
+  reliability::ReliabilityEngine& engine = controller.reliability();
 
-  const double fresh_window =
-      word.at(0, 0).params().g_max - word.at(0, 0).params().g_min;
+  const double fresh_window = cell00.params().g_max - cell00.params().g_min;
 
   Rng rng(0xE77D);
   RunningStats energy, latency;
@@ -74,7 +68,7 @@ int main(int argc, char** argv) {
                 "window loss (%)"});
 
   for (std::size_t cycle = 1; cycle <= *cycles; ++cycle) {
-    std::vector<std::size_t> levels(word.cols());
+    std::vector<std::size_t> levels(controller.cells_per_word());
     for (std::size_t& level : levels) level = rng.uniform_index(16);
     const mlc::WordWriteStats stats = controller.write_word_levels(0, levels);
     energy.add(stats.energy);
@@ -83,20 +77,19 @@ int main(int argc, char** argv) {
 
     engine.advance(*dwell);
     const std::vector<std::size_t> read = controller.read_word_levels(0);
-    for (std::size_t col = 0; col < word.cols(); ++col) {
+    for (std::size_t col = 0; col < levels.size(); ++col) {
       epoch_errors_raw += read[col] != levels[col];
     }
 
     const mlc::ScrubStats scrub = controller.scrub_word(0);
     epoch_scrubbed += scrub.cells_scrubbed;
     const std::vector<std::size_t> after = controller.read_word_levels(0);
-    for (std::size_t col = 0; col < word.cols(); ++col) {
+    for (std::size_t col = 0; col < levels.size(); ++col) {
       epoch_errors_fixed += after[col] != levels[col];
     }
 
     if (cycle % epoch_len == 0 || cycle == *cycles) {
-      const double window =
-          word.at(0, 0).params().g_max - word.at(0, 0).params().g_min;
+      const double window = cell00.params().g_max - cell00.params().g_min;
       const double loss = 1.0 - window / fresh_window;
       scrub_repairs = scrub_repairs &&
                       (epoch_errors_fixed == 0 || epoch_errors_fixed < epoch_errors_raw);

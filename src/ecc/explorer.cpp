@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
+#include <tuple>
 
 #include "ecc/code.hpp"
 #include "mc/runner.hpp"
@@ -66,10 +68,9 @@ double scrub_duty(double period_s) {
   return words * slot_s / period_s;
 }
 
+// The probe reads the point's bits, scrub period and rotation, never its
+// verify setting.
 SchedulerProbe run_probe(const EccStudyConfig& config, const PolicyGridPoint& point) {
-  SchedulerProbe probe;
-  if (config.probe_requests == 0) return probe;
-
   memsys::GeometryConfig geometry = memsys::GeometryConfig::rram_isscc_2012();
   geometry.bits_per_cell = point.bits;
   // Keep one-byte-aligned accesses across 4/5/6 bits/cell.
@@ -103,7 +104,7 @@ SchedulerProbe run_probe(const EccStudyConfig& config, const PolicyGridPoint& po
     conflicts += bank.row_conflicts;
   }
   const std::uint64_t total = hits + misses + conflicts;
-  probe.ran = true;
+  SchedulerProbe probe;
   probe.row_hit_rate = total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
   std::vector<double> latencies(result.latency_cycles.begin(), result.latency_cycles.end());
   std::sort(latencies.begin(), latencies.end());
@@ -197,7 +198,10 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   report.points.reserve(grid.size());
 
   // Scoring phase (sequential, cheap): every code consumes the same error
-  // stream per trial; payloads are deterministic per (point, trial).
+  // stream per trial; payloads are deterministic per (point, trial). The
+  // verify-off and verify-on points of one (bits, scrub, rotation) share its
+  // scheduler probe, run once.
+  std::map<std::tuple<std::size_t, double, std::uint64_t>, SchedulerProbe> probes;
   for (std::size_t p = 0; p < grid.size(); ++p) {
     const PolicyGridPoint& point = grid[p];
     const BitsContext& context = contexts[point.bits_index];
@@ -297,7 +301,12 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
     }
     outcome.verify_overhead = static_cast<double>(outcome.verify_reprograms) /
                               static_cast<double>(outcome.cells_programmed);
-    outcome.probe = run_probe(config, point);
+    const auto probe_key = std::make_tuple(point.bits, point.scrub_period_s, point.rotate);
+    auto probe = probes.find(probe_key);
+    if (probe == probes.end()) {
+      probe = probes.emplace(probe_key, run_probe(config, point)).first;
+    }
+    outcome.probe = probe->second;
 
     metrics.policy_points.add();
     metrics.words_simulated.add(trials);
@@ -399,16 +408,12 @@ obs::Json to_json(const EccReport& report) {
     p.set("scrub_duty", obs::Json(point.scrub_duty));
     p.set("verify_overhead", obs::Json(point.verify_overhead));
     p.set("rotate_overhead", obs::Json(point.rotate_overhead));
-    if (point.probe.ran) {
-      obs::Json probe = obs::Json::object();
-      probe.set("row_hit_rate", obs::Json(point.probe.row_hit_rate));
-      probe.set("p99_ns", obs::Json(point.probe.p99_ns));
-      probe.set("scrub_commands",
-                obs::Json(static_cast<double>(point.probe.scrub_commands)));
-      probe.set("wear_rotations",
-                obs::Json(static_cast<double>(point.probe.wear_rotations)));
-      p.set("scheduler_probe", std::move(probe));
-    }
+    obs::Json probe = obs::Json::object();
+    probe.set("row_hit_rate", obs::Json(point.probe.row_hit_rate));
+    probe.set("p99_ns", obs::Json(point.probe.p99_ns));
+    probe.set("scrub_commands", obs::Json(static_cast<double>(point.probe.scrub_commands)));
+    probe.set("wear_rotations", obs::Json(static_cast<double>(point.probe.wear_rotations)));
+    p.set("scheduler_probe", std::move(probe));
     obs::Json codes = obs::Json::array();
     for (const CodeOutcome& code : point.codes) {
       obs::Json c = obs::Json::object();

@@ -57,7 +57,7 @@ struct EccStudyConfig {
   // QlcConfig::paper_default's curve_points). perfbench still passes it to
   // mlc::paper_mc_study as a trial count.
   std::size_t mc_trials = 64;
-  std::size_t probe_requests = 4096;  // 0 skips the CommandScheduler probe
+  std::size_t probe_requests = 4096;  // synthetic requests per scheduler probe
 };
 
 // One code's score at one policy point.
@@ -92,7 +92,6 @@ struct CodeOutcome {
 // Scheduling-side probe of the same knobs (CommandScheduler on a small
 // synthetic trace, scrub epochs compressed onto the trace span).
 struct SchedulerProbe {
-  bool ran = false;
   double row_hit_rate = 0.0;
   double p99_ns = 0.0;
   std::uint64_t scrub_commands = 0;

@@ -13,8 +13,12 @@
 namespace oxmlc::memsys {
 namespace {
 
-// Accelerated retention bake between the witness's scrub rounds.
+// The witness's words (the last stays unwritten), its rounds of bake and
+// scrub, and the accelerated retention bake of each round.
+constexpr std::size_t kWitnessRows = 4;
+constexpr std::size_t kWitnessScrubEpochs = 2;
 constexpr double kWitnessBakeS = 1e6;
+static_assert(kWitnessRows >= 2, "the witness needs a written and an unwritten row");
 
 }  // namespace
 
@@ -25,8 +29,6 @@ FidelityEngine::FidelityEngine(const GeometryConfig& geometry, FidelityConfig co
   geometry_.validate();
   OXMLC_CHECK(config_.word_sample_period > 0, "FidelityConfig: word_sample_period must be > 0");
   OXMLC_CHECK(config_.mna_sample_period > 0, "FidelityConfig: mna_sample_period must be > 0");
-  OXMLC_CHECK(config_.witness_rows >= 2,
-              "FidelityConfig: witness_rows must be >= 2 (one row stays unwritten)");
 }
 
 bool FidelityEngine::is_word_sample(std::size_t write_ordinal) const {
@@ -190,28 +192,22 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
 
 WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) const {
   WitnessReport report;
-  const mlc::QlcConfig& qlc = programmer_.config();
-  array::FastArray witness(config_.witness_rows, geometry_.cells_per_word, qlc.nominal_cell,
-                           qlc.variability, qlc.stack, config_.seed ^ 0x57495453ull);
-  mlc::MemoryController controller(witness, programmer_);
   reliability::ReliabilityConfig rel_config;
   rel_config.seed = config_.seed ^ 0x52454C49ull;
-  reliability::ReliabilityEngine engine(witness, rel_config);
-  controller.attach_reliability(&engine);
-  controller.form();
+  mlc::MemoryController controller(programmer_, kWitnessRows, geometry_.cells_per_word,
+                                   config_.seed ^ 0x57495453ull, rel_config);
   // Program all rows but the last from sampled payloads (or a seeded stream
   // when the trace carried no writes); the last row stays unwritten so the
   // scrub loop's words_skipped accounting is always exercised.
   Rng fallback(config_.seed ^ 0x46414C4Cull);
-  const std::size_t written_rows = config_.witness_rows - 1;
-  for (std::size_t row = 0; row < written_rows; ++row) {
+  for (std::size_t row = 0; row + 1 < kWitnessRows; ++row) {
     const std::uint64_t data =
         samples.empty() ? fallback.next_u64() : samples[row % samples.size()].data;
     controller.write_word_levels(row, levels_for(data));
     ++report.words_written;
   }
-  for (std::size_t epoch = 0; epoch < config_.witness_scrub_epochs; ++epoch) {
-    engine.advance(kWitnessBakeS);
+  for (std::size_t epoch = 0; epoch < kWitnessScrubEpochs; ++epoch) {
+    controller.reliability().advance(kWitnessBakeS);
     const mlc::ScrubStats stats = controller.scrub_all();
     report.scrub_words += stats.words;
     report.cells_checked += stats.cells_checked;

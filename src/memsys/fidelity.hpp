@@ -27,11 +27,11 @@
 //                        vs solving the same netlist monolithically to
 //                        t_stop; that is what pays for the 10x-raised sample
 //                        cap (2 -> 20 realized on the 1M-request replay).
-//   witness (reliability) a small FastArray + MemoryController +
-//                        ReliabilityEngine carries sampled payloads through
-//                        witness_scrub_epochs rounds of a 1e6 s accelerated
-//                        retention bake and scrub_all() — the physics behind
-//                        the scheduler's scrub slots.
+//   witness (reliability) a 4-word MemoryController (its own sampled array
+//                        and ReliabilityEngine) carries sampled payloads
+//                        through 2 rounds of a 1e6 s accelerated retention
+//                        bake and scrub_all() — the physics behind the
+//                        scheduler's scrub slots.
 //
 // Every replay runs all of them; the sample periods and caps bound their cost.
 //
@@ -60,8 +60,6 @@ struct FidelityConfig {
   std::size_t word_max_samples = 64;
   std::size_t mna_sample_period = 25'000;
   std::size_t mna_max_samples = 20;
-  std::size_t witness_rows = 4;        // words in the reliability witness array
-  std::size_t witness_scrub_epochs = 2;
   std::uint64_t seed = 0x4D454D53ull;  // "MEMS"
   std::size_t threads = 0;             // parallel_for workers for tiers 1 and 2
 };
@@ -106,8 +104,6 @@ class FidelityEngine {
   // methods on top.
   FidelityEngine(const GeometryConfig& geometry, FidelityConfig config);
 
-  const FidelityConfig& config() const { return config_; }
-
   // Sampling rule for the i-th retired write (0-based): deterministic in i.
   bool is_word_sample(std::size_t write_ordinal) const;
   bool is_mna_sample(std::size_t write_ordinal) const;
@@ -119,7 +115,7 @@ class FidelityEngine {
   MnaTierReport run_mna_tier(std::span<const WordSample> samples) const;
 
   // Reliability witness: program sampled payloads into a small managed array,
-  // bake, scrub, repeat. Leaves at least one row never written so scrub_all's
+  // bake, scrub, repeat. Leaves its last row never written so scrub_all's
   // words_skipped accounting stays visibly exercised.
   WitnessReport run_witness(std::span<const WordSample> samples) const;
 

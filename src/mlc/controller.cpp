@@ -23,37 +23,31 @@ struct ControllerMetrics {
 
 }  // namespace
 
-MemoryController::MemoryController(array::FastArray& array, const QlcProgrammer& programmer)
-    : array_(array), programmer_(programmer), written_levels_(array.rows()) {}
-
-void MemoryController::form() {
+MemoryController::MemoryController(const QlcProgrammer& programmer, std::size_t words,
+                                   std::size_t cells_per_word, std::uint64_t seed,
+                                   const reliability::ReliabilityConfig& reliability,
+                                   std::size_t verify_passes)
+    : programmer_(programmer),
+      array_(words, cells_per_word, programmer.config().nominal_cell,
+             programmer.config().variability, programmer.config().stack, seed),
+      reliability_(array_, reliability),
+      verify_passes_(verify_passes),
+      written_levels_(words) {
   array_.form_all();
-  if (reliability_ != nullptr) {
-    // FORMING is a program event: anchor every cell's drift trajectory at the
-    // freshly formed LRS gap.
-    for (std::size_t row = 0; row < array_.rows(); ++row) {
-      for (std::size_t col = 0; col < array_.cols(); ++col) {
-        reliability_->on_programmed(row, col);
-      }
+  // FORMING is a program event: anchor every cell's drift trajectory at the
+  // freshly formed LRS gap.
+  for (std::size_t row = 0; row < array_.rows(); ++row) {
+    for (std::size_t col = 0; col < array_.cols(); ++col) {
+      reliability_.on_programmed(row, col);
     }
   }
-}
-
-void MemoryController::attach_reliability(reliability::ReliabilityEngine* engine,
-                                          VerifyPolicy policy) {
-  OXMLC_CHECK(engine == nullptr || &engine->array() == &array_,
-              "attach_reliability: engine must be bound to this controller's array");
-  reliability_ = engine;
-  verify_ = policy;
 }
 
 std::vector<std::size_t> MemoryController::drifted_columns(
     std::size_t row, std::span<const std::size_t> expected) {
   std::vector<std::size_t> drifted;
   for (std::size_t col = 0; col < array_.cols(); ++col) {
-    if (reliability_ != nullptr) {
-      reliability_->on_read(row, col);
-    }
+    reliability_.on_read(row, col);
     const std::size_t decoded =
         programmer_.read_level(array_.at(row, col), array_.rng_at(row, col));
     if (decoded != expected[col]) drifted.push_back(col);
@@ -73,9 +67,7 @@ std::vector<ProgramOutcome> MemoryController::program_columns(
     target[k] = levels[cols[k]];
   }
   std::vector<ProgramOutcome> outcomes = programmer_.program_word(cells, target, rngs);
-  if (reliability_ != nullptr) {
-    for (std::size_t col : cols) reliability_->on_programmed(row, col);
-  }
+  for (std::size_t col : cols) reliability_.on_programmed(row, col);
   return outcomes;
 }
 
@@ -105,34 +97,30 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
     stats.unterminated += outcome.terminated ? 0 : 1;
   }
   written_levels_[row].assign(levels.begin(), levels.end());
-  if (reliability_ != nullptr) {
-    for (std::size_t col = 0; col < array_.cols(); ++col) {
-      reliability_->on_programmed(row, col);
+  for (std::size_t col = 0; col < array_.cols(); ++col) {
+    reliability_.on_programmed(row, col);
+  }
+  for (std::size_t pass = 0; pass < verify_passes_; ++pass) {
+    ControllerMetrics& metrics = ControllerMetrics::get();
+    // Let the fast relaxation express before judging the write — an
+    // immediate verify would pass every cell and catch nothing.
+    reliability_.advance(kVerifyWait);
+    stats.latency += kVerifyWait;
+    ++stats.verify_passes;
+    metrics.verify_passes.add();
+    const std::vector<std::size_t> drifted = drifted_columns(row, levels);
+    metrics.verify_resenses.add(array_.cols());
+    if (drifted.empty()) break;
+    const std::vector<ProgramOutcome> redo = program_columns(row, drifted, levels);
+    double redo_latency = 0.0;
+    for (const ProgramOutcome& outcome : redo) {
+      stats.energy += outcome.energy + outcome.set_energy;
+      redo_latency = std::max(redo_latency, outcome.latency);
+      stats.unterminated += outcome.terminated ? 0 : 1;
     }
-    if (verify_.enabled) {
-      ControllerMetrics& metrics = ControllerMetrics::get();
-      for (std::size_t pass = 0; pass < verify_.max_passes; ++pass) {
-        // Let the fast relaxation express before judging the write — an
-        // immediate verify would pass every cell and catch nothing.
-        reliability_->advance(kVerifyWait);
-        stats.latency += kVerifyWait;
-        ++stats.verify_passes;
-        metrics.verify_passes.add();
-        const std::vector<std::size_t> drifted = drifted_columns(row, levels);
-        metrics.verify_resenses.add(array_.cols());
-        if (drifted.empty()) break;
-        const std::vector<ProgramOutcome> redo = program_columns(row, drifted, levels);
-        double redo_latency = 0.0;
-        for (const ProgramOutcome& outcome : redo) {
-          stats.energy += outcome.energy + outcome.set_energy;
-          redo_latency = std::max(redo_latency, outcome.latency);
-          stats.unterminated += outcome.terminated ? 0 : 1;
-        }
-        stats.latency += redo_latency;
-        stats.reprogrammed += drifted.size();
-        metrics.verify_reprograms.add(drifted.size());
-      }
-    }
+    stats.latency += redo_latency;
+    stats.reprogrammed += drifted.size();
+    metrics.verify_reprograms.add(drifted.size());
   }
   total_energy_ += stats.energy;
   ++words_written_;
@@ -143,9 +131,7 @@ std::vector<std::size_t> MemoryController::read_word_levels(std::size_t row) {
   std::vector<std::size_t> levels;
   levels.reserve(array_.cols());
   for (std::size_t col = 0; col < array_.cols(); ++col) {
-    if (reliability_ != nullptr) {
-      reliability_->on_read(row, col);
-    }
+    reliability_.on_read(row, col);
     levels.push_back(
         programmer_.read_level(array_.at(row, col), array_.rng_at(row, col)));
   }

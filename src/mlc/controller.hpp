@@ -9,11 +9,11 @@
 // for the slowest level; word latency is therefore the max per-bit
 // termination time and word energy the sum.
 //
-// Reliability-aware operation (attach_reliability): with a ReliabilityEngine
-// attached the controller notifies it of every program/sense event, and two
-// policies become available on top of the plain word flow:
+// Managed operation: the controller owns its array and the ReliabilityEngine
+// bound to it, and reports every program/sense event to the engine. Two
+// policies sit on top of the plain word flow:
 //
-//  * relaxation-aware verify (VerifyPolicy, after arXiv:2301.08516): the
+//  * relaxation-aware verify (verify_passes, after arXiv:2301.08516): the
 //    fast post-program relaxation is a stochastic per-event amplitude, so
 //    instead of verifying immediately — when nothing has moved yet — the
 //    controller waits kVerifyWait (long enough for the fast component to
@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,16 +46,6 @@ struct WordWriteStats {
   std::size_t reprogrammed = 0;   // cells re-terminated by the verify loop
 };
 
-// Relaxation-aware program-verify policy (active only with an attached
-// ReliabilityEngine). Energy/latency of the extra passes are charged to the
-// write's WordWriteStats. Each pass waits kVerifyWait, re-senses the whole
-// word and re-terminates the cells off their level, the last pass included
-// (DriftingWord::relax_verify's last pass only senses).
-struct VerifyPolicy {
-  bool enabled = false;
-  std::size_t max_passes = 2;  // re-sense rounds per write
-};
-
 struct ScrubStats {
   std::size_t words = 0;          // words re-sensed
   std::size_t words_skipped = 0;  // words never written, hence not re-sensed
@@ -65,20 +56,33 @@ struct ScrubStats {
 
 class MemoryController {
  public:
-  // `array` rows are words; every column is one bit line with its own
-  // termination circuit (the paper's 8x8 array: words_per_row = 1).
-  MemoryController(array::FastArray& array, const QlcProgrammer& programmer);
+  // A managed array of `words` words of `cells_per_word` cells: each row is a
+  // word and every column one bit line with its own termination circuit (the
+  // paper's 8x8 array: words_per_row = 1). The constructor samples the cells
+  // from programmer.config()'s nominal cell, variability and stack (array
+  // seed `seed`), binds a ReliabilityEngine configured by `reliability` to
+  // them and FORMs the whole array, anchoring each cell's drift trajectory at
+  // its formed LRS gap (FORMING is a program event). Each word write is
+  // followed by `verify_passes` relaxation-aware verify passes (0 = no
+  // verify), their energy and latency charged to its WordWriteStats. Each
+  // pass waits kVerifyWait, re-senses the whole word and re-terminates the
+  // cells off their level, the last pass included (DriftingWord::relax_verify's
+  // last pass only senses).
+  MemoryController(const QlcProgrammer& programmer, std::size_t words,
+                   std::size_t cells_per_word, std::uint64_t seed,
+                   const reliability::ReliabilityConfig& reliability = {},
+                   std::size_t verify_passes = 0);
+  // The engine is bound to the array member.
+  MemoryController(const MemoryController&) = delete;
+  MemoryController& operator=(const MemoryController&) = delete;
 
   std::size_t word_count() const { return array_.rows(); }
   std::size_t cells_per_word() const { return array_.cols(); }
 
-  // One-time FORMING of the whole array.
-  void form();
-
-  // Attaches a reliability engine (must be bound to this controller's array).
-  // From then on every program/sense is reported to the engine, and `policy`
-  // governs the relaxation-aware verify loop appended to each word write.
-  void attach_reliability(reliability::ReliabilityEngine* engine, VerifyPolicy policy = {});
+  // The managed cells, and their reliability state: the engine clock
+  // (advance) and the per-cell read and cycle counts.
+  const array::FastArray& array() const { return array_; }
+  reliability::ReliabilityEngine& reliability() { return reliability_; }
 
   // Writes one word of per-cell levels (size = cells_per_word).
   WordWriteStats write_word_levels(std::size_t row, std::span<const std::size_t> levels);
@@ -91,8 +95,7 @@ class MemoryController {
   // written through this controller are not re-sensed; they are counted in
   // ScrubStats::words_skipped so a scrub pass over a sparsely-written array
   // stays auditable. Out-of-range rows throw with the (row, col) + dims
-  // phrasing of FastArray::at(). Requires an attached reliability engine only for the event
-  // notifications — the decode itself is the ordinary read path.
+  // phrasing of FastArray::at().
   ScrubStats scrub_word(std::size_t row);
   ScrubStats scrub_all();
 
@@ -110,10 +113,10 @@ class MemoryController {
                                               std::span<const std::size_t> cols,
                                               std::span<const std::size_t> levels);
 
-  array::FastArray& array_;
   const QlcProgrammer& programmer_;
-  reliability::ReliabilityEngine* reliability_ = nullptr;
-  VerifyPolicy verify_;
+  array::FastArray array_;
+  reliability::ReliabilityEngine reliability_;  // bound to array_
+  std::size_t verify_passes_;
   std::vector<std::vector<std::size_t>> written_levels_;  // per row; empty = never written
   double total_energy_ = 0.0;
   std::size_t words_written_ = 0;

@@ -56,7 +56,7 @@ double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
 
 oxram::OxramParams worn_params(const oxram::OxramParams& fresh, const EnduranceModel& model,
                                std::uint64_t cycles) {
-  if (!model.enabled || static_cast<double>(cycles) <= model.onset_cycles) {
+  if (static_cast<double>(cycles) <= model.onset_cycles) {
     return fresh;
   }
   const double decades = std::log10(static_cast<double>(cycles) / model.onset_cycles);
@@ -116,9 +116,7 @@ void ReliabilityEngine::on_programmed(std::size_t row, std::size_t col) {
   oxram::FastCell& cell = array_.at(row, col);
   trajectories_[i].reanchor(config_.drift, cell.gap(), now_, rngs_[i]);
   ++cycles_[i];
-  if (config_.endurance.enabled) {
-    cell.mutable_params() = worn_params(fresh_params_[i], config_.endurance, cycles_[i]);
-  }
+  cell.mutable_params() = worn_params(fresh_params_[i], config_.endurance, cycles_[i]);
   ReliabilityMetrics::get().program_events.add();
 }
 

@@ -23,11 +23,11 @@
 // (config.seed, cell index) — deterministic regardless of access order, the
 // same contract as FastArray's variability streams.
 //
-// MemoryController::attach_reliability() wires program/read notifications
-// automatically and adds the relaxation-aware verify and scrub policies on
-// top (see mlc/controller.hpp). Cells mutated outside the engine's view
-// (manual set_gap) must be re-anchored with on_programmed() or the next
-// advance() will overwrite the manual state.
+// mlc::MemoryController builds one on the array it samples, reports every
+// program/read event to it and adds the relaxation-aware verify and scrub
+// policies on top (see mlc/controller.hpp). Cells mutated outside the
+// engine's view (manual set_gap) must be re-anchored with on_programmed() or
+// the next advance() will overwrite the manual state.
 //
 // Telemetry: reliability.* counters/timers in the oxmlc.metrics.v1 registry
 // (advances, lanes_advanced, reads_disturbed, program_events, advance_time).
@@ -63,7 +63,6 @@ struct ReadDisturbModel {
 inline constexpr double kMaxWindowLoss = 0.5;  // fraction of the fresh window
 
 struct EnduranceModel {
-  bool enabled = true;
   double onset_cycles = 1e5;
   double loss_per_decade = 0.05;  // fraction of the fresh window per decade
 };
@@ -118,9 +117,6 @@ class ReliabilityEngine {
   // physics of its own, only the evolution state (drift trajectory,
   // cycle/read counts) per cell and the engine clock.
   ReliabilityEngine(array::FastArray& array, ReliabilityConfig config);
-
-  const ReliabilityConfig& config() const { return config_; }
-  array::FastArray& array() { return array_; }
 
   // Program-event notification: re-anchors the cell's drift trajectory at
   // its just-programmed gap and the engine clock (DriftTrajectory::reanchor),

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "numeric/complex_lu.hpp"
+#include "numeric/dense_matrix.hpp"
 #include "spice/dc.hpp"
 #include "util/error.hpp"
 

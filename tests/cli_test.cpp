@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "obs/json.hpp"
 
@@ -202,6 +203,67 @@ TEST(CliContract, EccExplorerEmitsTheEccSchema) {
   EXPECT_TRUE(document.get("uber_monotone").as_bool());
   EXPECT_EQ(document.get("seed").as_number(), 3.0);
   EXPECT_GT(document.get("frontier").size(), 0u);
+  std::remove(report_path.c_str());
+}
+
+// Reads the JSON file at `path`.
+obs::Json read_json(const std::string& path) {
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return obs::Json::parse(text);
+}
+
+TEST(CliContract, RetentionScrubDemoIsPinned) {
+  // The 8x8 bake + scrub demo of --retention and the reliability counters of
+  // the whole run, pinned to what they read when every caller wired the
+  // array, the ReliabilityEngine and the controller by hand. The controller
+  // now builds all three, so these values must not move.
+  const std::string report_path = temp_path("oxmlc_cli_retention_report.json");
+  const std::string metrics_path = temp_path("oxmlc_cli_retention_metrics.json");
+  const RunResult result =
+      run_sim("--retention --bits 4 --trials 6 --seed 99 --threads 1 --report '" +
+              report_path + "' --metrics '" + metrics_path + "'");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("scrub demo (8x8, 1 Ms bake): 58/64 cells re-terminated, "
+                               "3.95 nJ"),
+            std::string::npos)
+      << result.output;
+
+  const obs::Json demo = read_json(report_path).get("scrub_demo");
+  EXPECT_EQ(demo.get("cells_checked").as_number(), 64.0);
+  EXPECT_EQ(demo.get("cells_scrubbed").as_number(), 58.0);
+  EXPECT_EQ(demo.get("scrub_energy_j").as_number(), 3.951805965659859e-09);
+
+  const obs::Json counters = read_json(metrics_path).get("counters");
+  const std::pair<const char*, double> pinned[] = {
+      {"reliability.verify_passes", 15},    {"reliability.verify_resenses", 120},
+      {"reliability.verify_reprograms", 18}, {"reliability.program_events", 204},
+      {"reliability.reads_disturbed", 184}, {"reliability.advances", 16},
+      {"reliability.lanes_advanced", 1024}, {"reliability.scrub_words", 8},
+      {"reliability.cells_scrubbed", 58},
+  };
+  for (const auto& [name, value] : pinned) {
+    EXPECT_EQ(counters.get(name).as_number(), value) << name;
+  }
+  std::remove(report_path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
+TEST(CliContract, ReplayWitnessIsPinned) {
+  // The reliability witness of a 2000-request synthetic replay, pinned like
+  // the scrub demo above: how the controller is built may change, these
+  // values may not.
+  const std::string report_path = temp_path("oxmlc_cli_witness_report.json");
+  const RunResult result = run_sim("--trace-synth 2000 --report '" + report_path + "'");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  const obs::Json witness = read_json(report_path).get("witness");
+  EXPECT_EQ(witness.get("words_written").as_number(), 3.0);
+  EXPECT_EQ(witness.get("scrub_words").as_number(), 6.0);
+  EXPECT_EQ(witness.get("cells_checked").as_number(), 48.0);
+  EXPECT_EQ(witness.get("cells_scrubbed").as_number(), 48.0);
+  EXPECT_EQ(witness.get("words_skipped").as_number(), 2.0);
+  EXPECT_EQ(witness.get("scrub_energy_j").as_number(), 2.947065898818458e-09);
   std::remove(report_path.c_str());
 }
 

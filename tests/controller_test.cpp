@@ -15,14 +15,10 @@ struct ControllerFixture : public ::testing::Test {
   ControllerFixture()
       : config(QlcConfig::paper_default(4, 13)),
         programmer(config),
-        memory(4, 8, config.nominal_cell, config.variability, config.stack, 314),
-        controller(memory, programmer) {
-    controller.form();
-  }
+        controller(programmer, 4, 8, 314) {}
 
   QlcConfig config;
   QlcProgrammer programmer;
-  array::FastArray memory;
   MemoryController controller;
 };
 

@@ -156,10 +156,7 @@ TEST(FailureInjection, ControllerSurfacesUnterminatedBits) {
   mlc::QlcConfig config = make_config();
   config.reset_op.pulse.width = 0.4e-6;  // too short for deep levels
   const mlc::QlcProgrammer programmer(config);
-  array::FastArray memory(1, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-                          oxram::StackConfig{}, 99);
-  mlc::MemoryController controller(memory, programmer);
-  controller.form();
+  mlc::MemoryController controller(programmer, 1, 8, 99);
   const std::vector<std::size_t> deep(8, 15);
   const auto stats = controller.write_word_levels(0, deep);
   EXPECT_EQ(stats.unterminated, 8u);

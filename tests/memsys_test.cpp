@@ -646,8 +646,6 @@ ReplayOptions small_replay_options() {
   options.fidelity.word_max_samples = 4;
   options.fidelity.mna_sample_period = 200;
   options.fidelity.mna_max_samples = 1;
-  options.fidelity.witness_rows = 3;
-  options.fidelity.witness_scrub_epochs = 1;
   return options;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "numeric/dense_matrix.hpp"
@@ -46,69 +47,111 @@ TEST(Vec, WeightedRmsConvergenceSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// dense LU
+// dense LU: each test runs the real (DenseLu) and the complex (ComplexLu)
+// instantiation of the one template
 // ---------------------------------------------------------------------------
 
+// Calls `check` with a zero of each scalar type.
+template <typename Check>
+void for_each_scalar(Check check) {
+  check(0.0);
+  check(Complex{});
+}
+
+// `v` as a matrix or right-hand-side entry. The complex case turns each real
+// system by one unit phase, which leaves its solution unchanged.
+template <typename T>
+T entry(double v) {
+  if constexpr (std::is_same_v<T, Complex>) {
+    return v * Complex(0.6, 0.8);
+  } else {
+    return v;
+  }
+}
+
+// A standard normal draw; both parts drawn in the complex case.
+template <typename T>
+T draw(Rng& rng) {
+  if constexpr (std::is_same_v<T, Complex>) {
+    const double re = rng.normal(0, 1);
+    return {re, rng.normal(0, 1)};
+  } else {
+    return rng.normal(0, 1);
+  }
+}
+
 TEST(DenseLu, SolvesKnownSystem) {
-  DenseMatrix a(2, 2);
-  a.at(0, 0) = 2.0;
-  a.at(0, 1) = 1.0;
-  a.at(1, 0) = 1.0;
-  a.at(1, 1) = 3.0;
-  DenseLu lu;
-  lu.factorize(a);
-  const std::vector<double> b = {5.0, 10.0};
-  std::vector<double> x(2);
-  lu.solve(b, x);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
+  for_each_scalar([](auto zero) {
+    using T = decltype(zero);
+    BasicDenseMatrix<T> a(2, 2);
+    a.at(0, 0) = entry<T>(2.0);
+    a.at(0, 1) = entry<T>(1.0);
+    a.at(1, 0) = entry<T>(1.0);
+    a.at(1, 1) = entry<T>(3.0);
+    BasicDenseLu<T> lu;
+    lu.factorize(a);
+    const std::vector<T> b = {entry<T>(5.0), entry<T>(10.0)};
+    std::vector<T> x(2);
+    lu.solve(b, x);
+    EXPECT_NEAR(std::abs(x[0] - T(1.0)), 0.0, 1e-12);
+    EXPECT_NEAR(std::abs(x[1] - T(3.0)), 0.0, 1e-12);
+  });
 }
 
 TEST(DenseLu, RequiresPivoting) {
   // Zero on the diagonal: fails without partial pivoting.
-  DenseMatrix a(2, 2);
-  a.at(0, 0) = 0.0;
-  a.at(0, 1) = 1.0;
-  a.at(1, 0) = 1.0;
-  a.at(1, 1) = 1.0;
-  DenseLu lu;
-  lu.factorize(a);
-  const std::vector<double> b = {2.0, 3.0};
-  std::vector<double> x(2);
-  lu.solve(b, x);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
+  for_each_scalar([](auto zero) {
+    using T = decltype(zero);
+    BasicDenseMatrix<T> a(2, 2);
+    a.at(0, 0) = entry<T>(0.0);
+    a.at(0, 1) = entry<T>(1.0);
+    a.at(1, 0) = entry<T>(1.0);
+    a.at(1, 1) = entry<T>(1.0);
+    BasicDenseLu<T> lu;
+    lu.factorize(a);
+    const std::vector<T> b = {entry<T>(2.0), entry<T>(3.0)};
+    std::vector<T> x(2);
+    lu.solve(b, x);
+    EXPECT_NEAR(std::abs(x[0] - T(1.0)), 0.0, 1e-12);
+    EXPECT_NEAR(std::abs(x[1] - T(2.0)), 0.0, 1e-12);
+  });
 }
 
 TEST(DenseLu, SingularMatrixThrows) {
-  DenseMatrix a(2, 2);
-  a.at(0, 0) = 1.0;
-  a.at(0, 1) = 2.0;
-  a.at(1, 0) = 2.0;
-  a.at(1, 1) = 4.0;
-  DenseLu lu;
-  EXPECT_THROW(lu.factorize(a), ConvergenceError);
+  for_each_scalar([](auto zero) {
+    using T = decltype(zero);
+    BasicDenseMatrix<T> a(2, 2);
+    a.at(0, 0) = entry<T>(1.0);
+    a.at(0, 1) = entry<T>(2.0);
+    a.at(1, 0) = entry<T>(2.0);
+    a.at(1, 1) = entry<T>(4.0);
+    BasicDenseLu<T> lu;
+    EXPECT_THROW(lu.factorize(a), ConvergenceError);
+  });
 }
 
 TEST(DenseLu, RandomSystemsRoundTrip) {
-  Rng rng(101);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + rng.uniform_index(30);
-    DenseMatrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) a.at(r, c) = rng.normal(0, 1);
-      a.at(r, r) += 3.0;  // diagonally dominant => well conditioned
-    }
-    std::vector<double> x_true(n), b(n);
-    for (auto& v : x_true) v = rng.normal(0, 1);
-    a.multiply(x_true, b);
+  for_each_scalar([](auto zero) {
+    using T = decltype(zero);
+    Rng rng(101);
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n = 1 + rng.uniform_index(30);
+      BasicDenseMatrix<T> a(n, n);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) a.at(r, c) = draw<T>(rng);
+        a.at(r, r) += 3.0;  // diagonally dominant => well conditioned
+      }
+      std::vector<T> x_true(n), b(n);
+      for (auto& v : x_true) v = draw<T>(rng);
+      a.multiply(x_true, b);
 
-    DenseLu lu;
-    lu.factorize(a);
-    std::vector<double> x(n);
-    lu.solve(b, x);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-  }
+      BasicDenseLu<T> lu;
+      lu.factorize(a);
+      std::vector<T> x(n);
+      lu.solve(b, x);
+      for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-9);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

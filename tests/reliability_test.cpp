@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "mlc/controller.hpp"
@@ -105,7 +106,7 @@ TEST(Endurance, WindowCompressesPastOnset) {
   EXPECT_LT(saturated.g_min, saturated.g_max);
 
   EnduranceModel off = model;
-  off.enabled = false;
+  off.onset_cycles = std::numeric_limits<double>::infinity();
   EXPECT_DOUBLE_EQ(worn_params(fresh, off, 1000000).g_min, fresh.g_min);
 }
 
@@ -293,24 +294,11 @@ TEST(ReliabilityEngine, RejectsOutOfRangeCells) {
 
 struct ReliabilityControllerFixture : public ::testing::Test {
   ReliabilityControllerFixture()
-      : config(mlc::QlcConfig::paper_default(4, 13)),
-        programmer(config),
-        memory(2, 8, config.nominal_cell, config.variability, config.stack, 314),
-        controller(memory, programmer) {}
+      : config(mlc::QlcConfig::paper_default(4, 13)), programmer(config) {}
 
   mlc::QlcConfig config;
   mlc::QlcProgrammer programmer;
-  array::FastArray memory;
-  mlc::MemoryController controller;
 };
-
-TEST_F(ReliabilityControllerFixture, AttachRejectsForeignArray) {
-  array::FastArray other(2, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-                         oxram::StackConfig{}, 315);
-  ReliabilityConfig rel;
-  ReliabilityEngine engine(other, rel);
-  EXPECT_THROW(controller.attach_reliability(&engine), InvalidArgumentError);
-}
 
 TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
   ReliabilityConfig rel;
@@ -320,41 +308,27 @@ TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
   // half-band, so an 8-cell word is guaranteed to give the verify work.
   rel.drift.relax_fraction = 0.05;
   rel.drift.sigma_relax = 0.7;
-  ReliabilityEngine engine(memory, rel);
-  mlc::VerifyPolicy policy;
-  policy.enabled = true;
-  policy.max_passes = 3;
-  controller.attach_reliability(&engine, policy);
-  controller.form();
+  const std::size_t verify_passes = 3;
+  mlc::MemoryController controller(programmer, 2, 8, 314, rel, verify_passes);
 
   // The deepest HRS levels relax by the most gap, so the verify must find
   // work on a deep word.
   const std::vector<std::size_t> deep(8, 15);
   const mlc::WordWriteStats stats = controller.write_word_levels(0, deep);
   EXPECT_GE(stats.verify_passes, 1u);
-  EXPECT_LE(stats.verify_passes, policy.max_passes);
+  EXPECT_LE(stats.verify_passes, verify_passes);
   EXPECT_GT(stats.reprogrammed, 0u);
   EXPECT_GT(stats.latency, mlc::kVerifyWait);  // the wait is charged to the write
 }
 
 TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
   // Twin setups from identical seeds: the only difference is the verify loop.
-  array::FastArray memory_on(2, 8, oxram::OxramParams{}, oxram::OxramVariability{},
-                             oxram::StackConfig{}, 314);
-  mlc::MemoryController controller_on(memory_on, programmer);
   ReliabilityConfig rel;
   rel.read_disturb.enabled = false;
   rel.drift.relax_fraction = 0.05;  // amplified so 16 cells show the effect
   rel.drift.sigma_relax = 0.7;
-  ReliabilityEngine engine_off(memory, rel);
-  ReliabilityEngine engine_on(memory_on, rel);
-  mlc::VerifyPolicy policy;
-  policy.enabled = true;
-  policy.max_passes = 3;
-  controller.attach_reliability(&engine_off);  // notifications only, no verify
-  controller_on.attach_reliability(&engine_on, policy);
-  controller.form();
-  controller_on.form();
+  mlc::MemoryController controller(programmer, 2, 8, 314, rel);  // no verify
+  mlc::MemoryController controller_on(programmer, 2, 8, 314, rel, 3);
 
   const std::vector<std::size_t> deep(8, 15);
   controller.write_word_levels(0, deep);
@@ -363,8 +337,8 @@ TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
   controller_on.write_word_levels(1, deep);
 
   // Give the fast component time to express in both, then compare fidelity.
-  engine_off.advance(1.0);
-  engine_on.advance(1.0);
+  controller.reliability().advance(1.0);
+  controller_on.reliability().advance(1.0);
   std::size_t errors_off = 0;
   std::size_t errors_on = 0;
   for (std::size_t row = 0; row < 2; ++row) {
@@ -382,16 +356,14 @@ TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
 TEST_F(ReliabilityControllerFixture, ScrubRepairsRetentionDrift) {
   ReliabilityConfig rel;
   rel.read_disturb.enabled = false;
-  ReliabilityEngine engine(memory, rel);
-  controller.attach_reliability(&engine);
-  controller.form();
+  mlc::MemoryController controller(programmer, 2, 8, 314, rel);
 
   std::vector<std::size_t> word0 = {15, 14, 13, 12, 11, 10, 9, 8};
   std::vector<std::size_t> word1 = {8, 9, 10, 11, 12, 13, 14, 15};
   controller.write_word_levels(0, word0);
   controller.write_word_levels(1, word1);
 
-  engine.advance(1e6);  // ~12 days of retention: deep levels cross bands
+  controller.reliability().advance(1e6);  // ~12 days of retention: deep levels cross bands
 
   std::size_t errors_before = 0;
   {
@@ -423,10 +395,7 @@ TEST_F(ReliabilityControllerFixture, ScrubRepairsRetentionDrift) {
 }
 
 TEST_F(ReliabilityControllerFixture, ScrubSkipsNeverWrittenWords) {
-  ReliabilityConfig rel;
-  ReliabilityEngine engine(memory, rel);
-  controller.attach_reliability(&engine);
-  controller.form();
+  mlc::MemoryController controller(programmer, 2, 8, 314);
   const std::vector<std::size_t> word(8, 7);
   controller.write_word_levels(0, word);
   const mlc::ScrubStats untouched = controller.scrub_word(1);

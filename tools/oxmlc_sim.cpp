@@ -343,29 +343,21 @@ int run_retention(const CliOptions& options) {
             << format_si(comparison.verify_off.points[fast_idx].t, "s", 3) << ": "
             << format_scaled(recovered, 1.0, 3) << "\n";
 
-  // Array-level bake + scrub demo on the paper's 8x8 test array.
-  const mlc::QlcConfig& qlc = config.study.qlc;
-  array::FastArray grid(8, 8, qlc.nominal_cell, qlc.variability, qlc.stack,
-                        seed ^ 0xA11A5EEDULL);
-  const mlc::QlcProgrammer programmer(qlc);
-  mlc::MemoryController controller(grid, programmer);
+  // Array-level bake + scrub demo on the paper's 8x8 test array, two verify
+  // passes after each write.
+  const mlc::QlcProgrammer programmer(config.study.qlc);
   reliability::ReliabilityConfig rel;
   rel.seed = seed ^ 0x0DD5EEDULL;
-  reliability::ReliabilityEngine engine(grid, rel);
-  mlc::VerifyPolicy verify;
-  verify.enabled = true;
-  verify.max_passes = config.verify_max_passes;
-  controller.attach_reliability(&engine, verify);
-  controller.form();
+  mlc::MemoryController controller(programmer, 8, 8, seed ^ 0xA11A5EEDULL, rel, 2);
   Rng pattern_rng(seed ^ 0x7A77E24ULL);
-  const std::size_t level_count = qlc.allocation.count();
-  for (std::size_t row = 0; row < grid.rows(); ++row) {
-    std::vector<std::size_t> levels(grid.cols());
+  const std::size_t level_count = config.study.qlc.allocation.count();
+  for (std::size_t row = 0; row < controller.word_count(); ++row) {
+    std::vector<std::size_t> levels(controller.cells_per_word());
     for (std::size_t& level : levels) level = pattern_rng.uniform_index(level_count);
     controller.write_word_levels(row, levels);
   }
   const double bake_s = 1e6;
-  engine.advance(bake_s);
+  controller.reliability().advance(bake_s);
   const mlc::ScrubStats scrub = controller.scrub_all();
   std::cout << "scrub demo (8x8, " << format_si(bake_s, "s", 3) << " bake): "
             << scrub.cells_scrubbed << "/" << scrub.cells_checked
@@ -379,8 +371,8 @@ int run_retention(const CliOptions& options) {
     fast.set("recovered_fraction", obs::Json(recovered));
     report.set("recovery_relaxation", std::move(fast));
     obs::Json demo = obs::Json::object();
-    demo.set("rows", obs::Json(static_cast<double>(grid.rows())));
-    demo.set("cols", obs::Json(static_cast<double>(grid.cols())));
+    demo.set("rows", obs::Json(static_cast<double>(controller.word_count())));
+    demo.set("cols", obs::Json(static_cast<double>(controller.cells_per_word())));
     demo.set("bake_s", obs::Json(bake_s));
     demo.set("cells_checked", obs::Json(static_cast<double>(scrub.cells_checked)));
     demo.set("cells_scrubbed", obs::Json(static_cast<double>(scrub.cells_scrubbed)));
