@@ -36,10 +36,8 @@ int main(int argc, char** argv) {
   for (const auto& s : sweep) {
     mlc::McStudyConfig config = mlc::paper_mc_study(4, trials);
     auto& sizing = config.qlc.termination.sizing;
-    sizing.m1 = dev::tech130hv::nmos(s.w, s.l);
-    sizing.m2 = sizing.m1;
-    sizing.m3 = dev::tech130hv::pmos(s.w / 2.0, s.l);
-    sizing.m4 = sizing.m3;
+    sizing.copy_mirror = dev::tech130hv::nmos(s.w, s.l);
+    sizing.reference_mirror = dev::tech130hv::pmos(s.w / 2.0, s.l);
     const auto dists = mlc::run_level_study(config);
     const auto report = mlc::analyze_margins(dists);
     t.add_row({s.name, format_scaled(2.0 * s.w * s.l * 1e12, 1.0, 1),

@@ -14,7 +14,7 @@ int main() {
                       "SET: WL 2 V / BL 1.2 V; READ: WL 2.5 V / BL 0.2-0.3 V");
 
   const oxram::SetOperation set;
-  const oxram::FormingOperation forming;
+  const oxram::SetOperation& forming = oxram::kForming;
   oxram::ResetOperation rst_std;     // standard fixed pulse
   oxram::ResetOperation rst_mlc;     // terminated MLC RESET
   rst_mlc.iref = 10e-6;

@@ -22,7 +22,7 @@ int main() {
 
   // 2. One-time FORMING (Table 1: BL = 3.3 V).
   oxram::FastCell cell(device, stack, device.g_virgin, /*virgin=*/true);
-  cell.apply_forming(oxram::FormingOperation{});
+  cell.apply_set(oxram::kForming);
   std::cout << "after FORMING: R = " << format_si(cell.read().r_cell, "Ohm", 3) << "\n";
 
   // 3. A QLC programmer: ISO-dI allocation over the paper's 6-36 uA window,

@@ -33,13 +33,12 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
   std::vector<int> border;
 
   // Comparator supply, only if some column has a comparator (else OXA004).
-  const TerminationSizing sizing;
   int vdd = spice::kGround;
   const std::size_t compared = std::min(config.columns, config.irefs.size());
   if (std::any_of(config.irefs.begin(), config.irefs.begin() + compared,
                   [](double iref) { return iref > 0.0; })) {
     vdd = c.node("vdd");
-    c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
+    c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, dev::tech130hv::kVdd);
     border.push_back(vdd);
   }
 
@@ -92,7 +91,7 @@ BankWritePath::BankWritePath(const BankWritePathConfig& config)
     const double iref = j < config.irefs.size() ? config.irefs[j] : 0.0;
     if (iref > 0.0) {
       terminations_.push_back(
-          build_termination_circuit(c, "term" + col, bl_mux, vdd, iref, sizing));
+          build_termination_circuit(c, "term" + col, bl_mux, vdd, iref));
     } else {
       c.add<dev::Resistor>("Rgnd" + col, bl_mux, spice::kGround, 10.0);
       terminations_.push_back({});

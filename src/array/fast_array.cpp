@@ -41,12 +41,12 @@ const oxram::FastCell& FastArray::at(std::size_t row, std::size_t col) const {
 
 Rng& FastArray::rng_at(std::size_t row, std::size_t col) { return rngs_[index(row, col)]; }
 
-void FastArray::form_all(const oxram::FormingOperation& op) {
+void FastArray::form_all() {
   oxram::CellBatch batch;
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
       refresh_cycle_rate(r, c);
-      batch.add_forming(at(r, c), op);
+      batch.add_set(at(r, c), oxram::kForming);
     }
   }
   batch.run();

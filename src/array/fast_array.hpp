@@ -30,9 +30,9 @@ class FastArray {
   // the cell position, independent of access order).
   Rng& rng_at(std::size_t row, std::size_t col);
 
-  // FORMING for every cell (one-time, Table 1 FMG conditions), as one
+  // FORMING for every cell (one-time, oxram::kForming), as one
   // oxram::CellBatch over the whole array.
-  void form_all(const oxram::FormingOperation& op = {});
+  void form_all();
 
   // Resamples the per-operation C2C rate factor of a cell and returns it;
   // callers invoke this before each programming pulse.

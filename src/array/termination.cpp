@@ -19,10 +19,12 @@ void TerminationCircuit::apply_mismatch(const MismatchModel& model, Rng& rng) co
 
 TerminationCircuit build_termination_circuit(spice::Circuit& circuit,
                                              const std::string& prefix, int bl,
-                                             int vdd_node, double iref,
-                                             const TerminationSizing& sizing) {
+                                             int vdd_node, double iref) {
+  const TerminationSizing mirrors;
+  const dev::MosfetParams bias_nmos = dev::tech130hv::nmos(60e-6, 3e-6);  // M5, M6
+  const dev::MosfetParams inverter_n = dev::tech130hv::nmos(2e-6, 0.5e-6);
+  const dev::MosfetParams inverter_p = dev::tech130hv::pmos(4e-6, 0.5e-6);
   TerminationCircuit tc;
-  tc.vdd = sizing.vdd;
   tc.bl = bl;
   tc.node_a = circuit.node(prefix + "_A");
   tc.out = circuit.node(prefix + "_out");
@@ -31,29 +33,29 @@ TerminationCircuit build_termination_circuit(spice::Circuit& circuit,
 
   // --- current copy stage: M1 diode-connected on the BL, M2 copies Icell ---
   tc.m1 = &circuit.add<dev::Mosfet>(prefix + "_M1", bl, bl, spice::kGround, spice::kGround,
-                                    sizing.m1);
+                                    mirrors.copy_mirror);
   tc.m2 = &circuit.add<dev::Mosfet>(prefix + "_M2", tc.node_a, bl, spice::kGround,
-                                    spice::kGround, sizing.m2);
+                                    spice::kGround, mirrors.copy_mirror);
 
   // --- IrefR generation: ideal bandgap-derived source into diode M5, copied
   // by M6 into the PMOS diode M3 ---
   circuit.add<dev::CurrentSource>(prefix + "_Iref", vdd_node, bias, iref);
   tc.m5 = &circuit.add<dev::Mosfet>(prefix + "_M5", bias, bias, spice::kGround,
-                                    spice::kGround, sizing.m5);
+                                    spice::kGround, bias_nmos);
   tc.m6 = &circuit.add<dev::Mosfet>(prefix + "_M6", refd, bias, spice::kGround,
-                                    spice::kGround, sizing.m6);
+                                    spice::kGround, bias_nmos);
 
   // --- reference mirror: M3 diode at VDD, M4 sources IrefR into node A ---
   tc.m3 = &circuit.add<dev::Mosfet>(prefix + "_M3", refd, refd, vdd_node, vdd_node,
-                                    sizing.m3);
+                                    mirrors.reference_mirror);
   tc.m4 = &circuit.add<dev::Mosfet>(prefix + "_M4", tc.node_a, refd, vdd_node, vdd_node,
-                                    sizing.m4);
+                                    mirrors.reference_mirror);
 
   // --- inverter I1: node A -> out ---
   tc.inv_p = &circuit.add<dev::Mosfet>(prefix + "_I1p", tc.out, tc.node_a, vdd_node,
-                                       vdd_node, sizing.inv_p);
+                                       vdd_node, inverter_p);
   tc.inv_n = &circuit.add<dev::Mosfet>(prefix + "_I1n", tc.out, tc.node_a, spice::kGround,
-                                       spice::kGround, sizing.inv_n);
+                                       spice::kGround, inverter_n);
   // Small load keeping the inverter output pole realistic.
   circuit.add<dev::Capacitor>(prefix + "_Cout", tc.out, spice::kGround, 20e-15);
   circuit.add<dev::Capacitor>(prefix + "_Ca", tc.node_a, spice::kGround, 10e-15);
@@ -69,8 +71,8 @@ double TerminationBehavior::iref_sigma_rel(double iref) const {
   // cell programmed through the same reference tree (it shifts all levels
   // together rather than eating adjacent margins), so like the paper's
   // PVT-stable bandgap assumption [23] it is excluded from the per-cell draw.
-  const double s_copy = mismatch.mirror_current_sigma_rel(sizing.m1, iref);
-  const double s_ref = mismatch.mirror_current_sigma_rel(sizing.m3, iref);
+  const double s_copy = mismatch.mirror_current_sigma_rel(sizing.copy_mirror, iref);
+  const double s_ref = mismatch.mirror_current_sigma_rel(sizing.reference_mirror, iref);
   return std::sqrt(s_copy * s_copy + s_ref * s_ref);
 }
 

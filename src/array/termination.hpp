@@ -26,21 +26,18 @@
 
 namespace oxmlc::array {
 
+// The two matching-critical mirrors of Fig. 7a: long-channel and wide, the
+// classic analog sizing. The termination accuracy is the margin budget
+// (Fig. 12), so the mirrors get area (Pelgrom: sigma ~ 1/sqrt(WL)) while Vov
+// stays small enough to keep headroom over 6-36 uA. Both legs of a mirror
+// share its size. The defaults are what build_termination_circuit
+// instantiates; the mirror-sizing ablation resizes them in the behavioral
+// model only.
 struct TerminationSizing {
-  // Mirror devices: long-channel and wide, the classic matching-critical
-  // analog sizing — the termination accuracy is the margin budget (Fig. 12),
-  // so the mirrors get area (Pelgrom: sigma ~ 1/sqrt(WL)) while Vov stays
-  // small enough to keep headroom over 6-36 uA. M1/M2 default to the fast
-  // path's oxram::mirror_nmos(); the mirror-sizing ablation resizes them.
-  dev::MosfetParams m1 = oxram::mirror_nmos();  // diode input
-  dev::MosfetParams m2 = oxram::mirror_nmos();  // copy leg
-  dev::MosfetParams m3 = dev::tech130hv::pmos(60e-6, 3e-6);  // IrefR diode
-  dev::MosfetParams m4 = dev::tech130hv::pmos(60e-6, 3e-6);  // IrefR out leg
-  dev::MosfetParams m5 = dev::tech130hv::nmos(60e-6, 3e-6);  // bias diode
-  dev::MosfetParams m6 = dev::tech130hv::nmos(60e-6, 3e-6);  // bias mirror
-  dev::MosfetParams inv_n = dev::tech130hv::nmos(2e-6, 0.5e-6);
-  dev::MosfetParams inv_p = dev::tech130hv::pmos(4e-6, 0.5e-6);
-  double vdd = dev::tech130hv::kVdd;
+  // M1 (diode input) and M2 (copy leg).
+  dev::MosfetParams copy_mirror = oxram::mirror_nmos();
+  // M3 (IrefR diode) and M4 (IrefR out leg).
+  dev::MosfetParams reference_mirror = dev::tech130hv::pmos(60e-6, 3e-6);
 };
 
 // Handle to the devices of one instantiated termination circuit.
@@ -56,20 +53,19 @@ struct TerminationCircuit {
   dev::Mosfet* m6 = nullptr;
   dev::Mosfet* inv_n = nullptr;
   dev::Mosfet* inv_p = nullptr;
-  double vdd = 3.3;
 
   // Applies fresh Pelgrom mismatch to every transistor (one MC trial).
   void apply_mismatch(const MismatchModel& model, Rng& rng) const;
 };
 
-// Instantiates the Fig. 7a circuit. `bl` is the existing bit-line node the
-// cell current arrives on; `vdd_node` the 3.3 V supply node. Node names are
-// prefixed so several instances (one per bit line, as in the paper's word-
-// parallel RST) can coexist.
+// Instantiates the Fig. 7a circuit with the default TerminationSizing. `bl`
+// is the existing bit-line node the cell current arrives on; `vdd_node` the
+// dev::tech130hv::kVdd supply node. Node names are prefixed so several
+// instances (one per bit line, as in the paper's word-parallel RST) can
+// coexist.
 TerminationCircuit build_termination_circuit(spice::Circuit& circuit,
                                              const std::string& prefix, int bl,
-                                             int vdd_node, double iref,
-                                             const TerminationSizing& sizing = {});
+                                             int vdd_node, double iref);
 
 // Behavioral equivalent: effective reference current as seen at the bit line,
 // including mirror mismatch. The end-to-end decision delay is

@@ -12,9 +12,8 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
   OXMLC_CHECK(!config.irefs.empty(), "WordPath: need at least one bit line");
 
   auto& c = circuit_;
-  const TerminationSizing sizing;
   const int vdd = c.node("vdd");
-  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
+  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, dev::tech130hv::kVdd);
 
   // Shared SL driver: its pulse runs the full width (per-bit stop happens at
   // the bit lines, not here).
@@ -38,9 +37,9 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
     const int term_in = c.node("term_in" + id);
     const int gate_ctrl = c.node("gctl" + id);
     gate_controls_.push_back(
-        build_stop_gate(c, "gctl" + id, gate_ctrl, sizing.vdd, config.t_stop));
+        build_stop_gate(c, "gctl" + id, gate_ctrl, dev::tech130hv::kVdd, config.t_stop));
     dev::VSwitch::Params sw;
-    sw.threshold = 0.5 * sizing.vdd;
+    sw.threshold = 0.5 * dev::tech130hv::kVdd;
     sw.transition = 0.1;
     sw.r_on = 50.0;
     sw.r_off = 1e9;
@@ -54,7 +53,7 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
     // the cell voltage collapses to ~0 and tracks the SL through its fall —
     // the same inhibit idea NAND program-inhibit uses.
     dev::VSwitch::Params clamp;
-    clamp.threshold = 0.5 * sizing.vdd;
+    clamp.threshold = 0.5 * dev::tech130hv::kVdd;
     clamp.transition = 0.1;
     clamp.r_on = 500.0;
     clamp.r_off = 1e9;
@@ -63,7 +62,7 @@ WordPath::WordPath(const WordPathConfig& config) : config_(config) {
                         clamp);
 
     terminations_.push_back(
-        build_termination_circuit(c, "term" + id, term_in, vdd, config.irefs[b], sizing));
+        build_termination_circuit(c, "term" + id, term_in, vdd, config.irefs[b]));
   }
   c.finalize();
 }

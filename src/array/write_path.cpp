@@ -7,9 +7,8 @@ namespace oxmlc::array {
 
 WritePath::WritePath(const WritePathConfig& config) : config_(config) {
   auto& c = circuit_;
-  const TerminationSizing sizing;
   const int vdd = c.node("vdd");
-  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, sizing.vdd);
+  c.add<dev::VoltageSource>("Vdd", vdd, spice::kGround, dev::tech130hv::kVdd);
 
   // --- SL driver behind its ladder; the termination event stops its pulse ---
   const SlDriver sl_driver = build_sl_driver(c, config.pulse_width, config.r_driver);
@@ -27,7 +26,7 @@ WritePath::WritePath(const WritePathConfig& config) : config_(config) {
 
   if (config.iref) {
     termination_ =
-        build_termination_circuit(c, "term", column_.bl_end, vdd, *config.iref, sizing);
+        build_termination_circuit(c, "term", column_.bl_end, vdd, *config.iref);
   } else {
     // Standard RST: the BL driver grounds the bit line.
     c.add<dev::Resistor>("Rbl_gnd", column_.bl_end, spice::kGround, 10.0);
@@ -50,21 +49,14 @@ WritePathResult WritePath::run() {
   };
   const CellColumn& col = column_;
   const int out_node = termination_.out;
-  const int a_node = termination_.node_a;
 
   std::vector<spice::Probe> probes;
   probes.push_back(cell_current_probe("icell", *col.cell));
   probes.push_back({"vcell", [volt, col](double, std::span<const double> x) {
                       return volt(col.be, x) - volt(col.te, x);
                     }});
-  probes.push_back({"vbl", [volt, col](double, std::span<const double> x) {
-                      return volt(col.bl_end, x);
-                    }});
   probes.push_back({"vout", [volt, out_node](double, std::span<const double> x) {
                       return volt(out_node, x);
-                    }});
-  probes.push_back({"va", [volt, a_node](double, std::span<const double> x) {
-                      return volt(a_node, x);
                     }});
   probes.push_back({"gap", [col](double, std::span<const double>) {
                       return col.cell->gap();

@@ -41,16 +41,12 @@ struct WritePathConfig {
 struct WritePathResult : ColumnResult {
   spice::TransientResult transient;
   double energy_source = 0.0;     // SL-driver energy for the operation
-  // Probe indices into transient.probe_values:
-  // 0: Icell, 1: V(cell), 2: V(BL at termination input), 3: V(comparator out),
-  // 4: V(node A), 5: gap, 6: V(SL driver)
+  // Probe indices into transient.probe_values.
   static constexpr std::size_t kProbeIcell = 0;
   static constexpr std::size_t kProbeVcell = 1;
-  static constexpr std::size_t kProbeVbl = 2;
-  static constexpr std::size_t kProbeVout = 3;
-  static constexpr std::size_t kProbeVa = 4;
-  static constexpr std::size_t kProbeGap = 5;
-  static constexpr std::size_t kProbeVsl = 6;
+  static constexpr std::size_t kProbeVout = 2;  // comparator output
+  static constexpr std::size_t kProbeGap = 3;
+  static constexpr std::size_t kProbeVsl = 4;   // SL driver
 };
 
 // Assembled testbench; reusable across runs only by rebuilding (cheap).

@@ -62,7 +62,7 @@ spice::TransientEvent comparator_stop_event(const std::string& name,
   event.name = name;
   const auto out = static_cast<std::size_t>(termination.out);
   event.value = [out](double, std::span<const double> x) { return x[out]; };
-  event.threshold = 0.5 * termination.vdd;
+  event.threshold = 0.5 * dev::tech130hv::kVdd;
   event.direction = spice::EventDirection::kFalling;
   event.resolution = 2e-9;
   event.on_fire = [target = std::move(target), &column](double t,

@@ -12,7 +12,7 @@ Diode::Diode(std::string name, int anode, int cathode, const Params& params)
   OXMLC_CHECK(params.saturation_current > 0.0, "diode " + name_ + ": Is must be positive");
   OXMLC_CHECK(params.emission_coefficient > 0.0, "diode " + name_ + ": n must be positive");
   nodes_ = {anode, cathode};
-  vt_ = params_.emission_coefficient * phys::kBoltzmann * params_.temperature /
+  vt_ = params_.emission_coefficient * phys::kBoltzmann * phys::kRoomTemperature /
         phys::kElementaryCharge;
   // Linearize the exponential beyond ~0.9 V-equivalent to avoid overflow; the
   // extension is C1-continuous so Newton sees a smooth model.

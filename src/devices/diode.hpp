@@ -5,10 +5,10 @@
 
 namespace oxmlc::dev {
 
+// The junction sits at phys::kRoomTemperature.
 struct DiodeParams {
   double saturation_current = 1e-14;  // Is (A)
   double emission_coefficient = 1.0;  // n
-  double temperature = 300.0;         // K
 };
 
 class Diode final : public spice::Device {

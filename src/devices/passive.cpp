@@ -63,10 +63,8 @@ void Resistor::self_check(std::vector<Diagnostic>& out) const {
   check_plausible(resistance_, 1e-3, 1e12, "resistance", "Ohm", out);
 }
 
-Capacitor::Capacitor(std::string name, int a, int b, double capacitance,
-                     double initial_voltage, bool use_initial_voltage)
-    : Device(std::move(name)), capacitance_(capacitance),
-      initial_voltage_(initial_voltage), use_initial_voltage_(use_initial_voltage) {
+Capacitor::Capacitor(std::string name, int a, int b, double capacitance)
+    : Device(std::move(name)), capacitance_(capacitance) {
   OXMLC_CHECK(capacitance > 0.0, "capacitor " + name_ + ": capacitance must be positive");
   nodes_ = {a, b};
 }
@@ -100,8 +98,7 @@ void Capacitor::stamp_reactive(const StampContext&, num::TripletMatrix& b) const
 }
 
 void Capacitor::init_state(const StampContext& ctx) {
-  v_prev_ = use_initial_voltage_ ? initial_voltage_
-                                 : v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
+  v_prev_ = v(ctx, nodes_[0]) - v(ctx, nodes_[1]);
 }
 
 void Capacitor::commit_step(const StampContext& ctx) {

@@ -29,8 +29,7 @@ class Resistor final : public Device {
 // Capacitor with a Backward-Euler companion model. Open in DC.
 class Capacitor final : public Device {
  public:
-  Capacitor(std::string name, int a, int b, double capacitance,
-            double initial_voltage = 0.0, bool use_initial_voltage = false);
+  Capacitor(std::string name, int a, int b, double capacitance);
 
   void stamp(const StampContext& ctx, Stamper& stamper) override;
   void init_state(const StampContext& ctx) override;
@@ -41,8 +40,6 @@ class Capacitor final : public Device {
 
  private:
   double capacitance_;
-  double initial_voltage_;
-  bool use_initial_voltage_;
   double v_prev_ = 0.0;
 };
 

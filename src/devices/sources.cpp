@@ -4,7 +4,6 @@
 
 #include "spice/analyze/diagnostic.hpp"
 #include "util/error.hpp"
-#include "util/units.hpp"
 
 namespace oxmlc::dev {
 
@@ -79,10 +78,7 @@ void VoltageSource::set_waveform(std::shared_ptr<Waveform> waveform) {
   waveform_ = std::move(waveform);
 }
 
-void VoltageSource::set_ac(double magnitude, double phase_deg) {
-  const double phase = phase_deg * phys::kPi / 180.0;
-  ac_ = std::polar(magnitude, phase);
-}
+void VoltageSource::set_ac(double magnitude) { ac_ = {magnitude, 0.0}; }
 
 void VoltageSource::stamp_ac_source(std::span<std::complex<double>> rhs) const {
   if (ac_ == std::complex<double>{} || branches_.empty()) return;
@@ -117,10 +113,7 @@ void CurrentSource::set_waveform(std::shared_ptr<Waveform> waveform) {
   waveform_ = std::move(waveform);
 }
 
-void CurrentSource::set_ac(double magnitude, double phase_deg) {
-  const double phase = phase_deg * phys::kPi / 180.0;
-  ac_ = std::polar(magnitude, phase);
-}
+void CurrentSource::set_ac(double magnitude) { ac_ = {magnitude, 0.0}; }
 
 void CurrentSource::stamp_ac_source(std::span<std::complex<double>> rhs) const {
   if (ac_ == std::complex<double>{}) return;

@@ -36,8 +36,8 @@ class VoltageSource final : public Device {
   // Unknown index of the source's branch current (-1 before finalize).
   int branch_index() const { return branches_.empty() ? -1 : branches_[0]; }
 
-  // AC (small-signal) excitation phasor; zero magnitude = quiet in .ac.
-  void set_ac(double magnitude, double phase_deg = 0.0);
+  // AC (small-signal) excitation, in phase; zero magnitude = quiet in .ac.
+  void set_ac(double magnitude);
   void stamp_ac_source(std::span<std::complex<double>> rhs) const override;
 
  private:
@@ -59,8 +59,8 @@ class CurrentSource final : public Device {
   Waveform& waveform() { return *waveform_; }
   void set_waveform(std::shared_ptr<Waveform> waveform);
 
-  // AC (small-signal) excitation phasor; zero magnitude = quiet in .ac.
-  void set_ac(double magnitude, double phase_deg = 0.0);
+  // AC (small-signal) excitation, in phase; zero magnitude = quiet in .ac.
+  void set_ac(double magnitude);
   void stamp_ac_source(std::span<std::complex<double>> rhs) const override;
 
  private:

@@ -16,6 +16,7 @@
 #include "util/error.hpp"
 #include "util/parallel_for.hpp"
 #include "util/provenance.hpp"
+#include "util/schema.hpp"
 #include "util/stats.hpp"
 
 namespace oxmlc::ecc {
@@ -366,7 +367,7 @@ bool uber_monotone(const EccReport& report) {
 
 obs::Json to_json(const EccReport& report) {
   obs::Json root = obs::Json::object();
-  root.set("schema", obs::Json(kEccSchema));
+  root.set("schema", obs::Json(util::kEccSchema));
   root.set("seed", obs::Json(static_cast<double>(report.seed)));
   root.set("trials", obs::Json(static_cast<double>(report.trials)));
   root.set("horizon_s", obs::Json(kReadBackHorizon));

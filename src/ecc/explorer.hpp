@@ -39,11 +39,8 @@
 
 #include "ecc/channel.hpp"
 #include "obs/json.hpp"
-#include "util/schema.hpp"
 
 namespace oxmlc::ecc {
-
-inline constexpr const char* kEccSchema = util::kEccSchema;
 
 struct EccStudyConfig {
   std::vector<std::size_t> bits = {4, 5, 6};

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "obs/registry.hpp"
+#include "util/schema.hpp"
 #include "util/stats.hpp"
 
 namespace oxmlc::memsys {
@@ -154,16 +155,12 @@ MemsysReport replay_trace(std::span<const TraceRequest> trace, const ReplayOptio
 
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  if (report.wall_seconds > 0.0) {
-    report.replayed_requests_per_s =
-        static_cast<double>(report.requests_retired) / report.wall_seconds;
-  }
   return report;
 }
 
 obs::Json to_json(const MemsysReport& report) {
   obs::Json json = obs::Json::object();
-  json.set("schema", kMemsysSchema);
+  json.set("schema", util::kMemsysSchema);
 
   obs::Json geometry = obs::Json::object();
   geometry.set("channels", static_cast<double>(report.geometry.channels));

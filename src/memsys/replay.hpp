@@ -9,10 +9,10 @@
 //
 // to_json() emits the `oxmlc.memsys.v1` schema consumed by the CI trace smoke
 // step and bench_trace_replay. The JSON is a pure function of (trace,
-// options) — wall-clock quantities live only in the MemsysReport struct
-// (wall_seconds, replayed_requests_per_s) and are deliberately excluded from
-// the schema so reports are byte-identical across machines and thread counts
-// (the acceptance test diffs 1/2/8-thread dumps).
+// options) — the wall-clock time lives only in the MemsysReport struct
+// (wall_seconds) and is deliberately excluded from the schema so reports are
+// byte-identical across machines and thread counts (the acceptance test diffs
+// 1/2/8-thread dumps).
 //
 // Telemetry: memsys.* counters in the oxmlc.metrics.v1 registry
 // (requests_retired, reads, writes, row_hits/row_misses/row_conflicts,
@@ -27,11 +27,8 @@
 #include "memsys/scheduler.hpp"
 #include "memsys/trace.hpp"
 #include "obs/json.hpp"
-#include "util/schema.hpp"
 
 namespace oxmlc::memsys {
-
-inline constexpr const char* kMemsysSchema = util::kMemsysSchema;
 
 struct LatencySummary {
   double mean_ns = 0.0;
@@ -75,7 +72,6 @@ struct MemsysReport {
   WitnessReport witness;
   // Wall-clock (NOT part of to_json; machine-dependent).
   double wall_seconds = 0.0;
-  double replayed_requests_per_s = 0.0;
 };
 
 MemsysReport replay_trace(std::span<const TraceRequest> trace, const ReplayOptions& options);

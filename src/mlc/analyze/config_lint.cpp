@@ -82,7 +82,7 @@ Diagnostic make_diagnostic(Severity severity, const char* code, std::string devi
   return d;
 }
 
-std::string level_name(const LintLevel& level) {
+std::string level_name(const Level& level) {
   return "level" + std::to_string(level.value);
 }
 
@@ -103,15 +103,11 @@ std::string format_ua(double i) {
 }  // namespace
 
 MlcLintInput MlcLintInput::paper_default(std::size_t bits) {
-  const LevelAllocation allocation = QlcConfig::paper_default(bits).allocation;
-
   MlcLintInput input;
   input.bits = bits;
   input.i_min = kPaperIrefMin;
   input.i_max = kPaperIrefMax;
-  for (const Level& level : allocation.levels) {
-    input.levels.push_back({level.value, level.iref, level.r_nominal});
-  }
+  input.levels = QlcConfig::paper_default(bits).allocation.levels;
   // The retention sweep's verify, whose passes the lint counts.
   input.verify_enabled = true;
   input.verify_max_passes = RetentionConfig{}.verify_max_passes;
@@ -175,7 +171,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       continue;
     }
     if (directive == ".level") {
-      LintLevel level;
+      Level level;
       bool value_seen = false;
       for (const std::string& token : rest) {
         const auto [key, value] = split_kv(token, line_no);
@@ -248,9 +244,9 @@ double relaxation_widened_low_edge(const MlcLintInput& input, double r) {
   return input.r_floor * std::pow(r / input.r_floor, exponent);
 }
 
-double relaxation_horizon(const oxram::DriftParams& drift, double coverage) {
-  const double complement = std::max(1.0 - coverage, 1e-300);
-  return drift.tau_fast * (std::pow(complement, -1.0 / drift.nu_fast) - 1.0);
+double relaxation_horizon(const oxram::DriftParams& drift) {
+  constexpr double kCoverage = 0.99;
+  return drift.tau_fast * (std::pow(1.0 - kCoverage, -1.0 / drift.nu_fast) - 1.0);
 }
 
 DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
@@ -267,7 +263,7 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
 
   // OXC004: every level's reference must be inside the programming window and
   // below the access-device compliance, or the comparator can never fire.
-  for (const LintLevel& level : input.levels) {
+  for (const Level& level : input.levels) {
     if (level.iref <= 0.0 || level.iref < input.i_min * (1.0 - kRelTol) ||
         level.iref > input.i_max * (1.0 + kRelTol)) {
       report.add(make_diagnostic(
@@ -292,14 +288,14 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
   bool inverted = false;
   std::vector<bool> zero_width(input.levels.empty() ? 0 : input.levels.size() - 1, false);
   const bool have_r = [&] {
-    for (const LintLevel& level : input.levels) {
+    for (const Level& level : input.levels) {
       if (level.r_nominal <= 0.0) return false;
     }
     return true;
   }();
   for (std::size_t k = 0; k + 1 < input.levels.size(); ++k) {
-    const LintLevel& lo = input.levels[k];
-    const LintLevel& hi = input.levels[k + 1];
+    const Level& lo = input.levels[k];
+    const Level& hi = input.levels[k + 1];
     if (hi.iref >= lo.iref) {
       inverted = true;
       report.add(make_diagnostic(
@@ -343,8 +339,8 @@ DiagnosticReport lint_mlc_config(const MlcLintInput& input) {
     const double spread = input.n_sigma * input.sigma_r;
     for (std::size_t k = 0; k + 1 < input.levels.size(); ++k) {
       if (zero_width[k]) continue;
-      const LintLevel& lo = input.levels[k];
-      const LintLevel& hi = input.levels[k + 1];
+      const Level& lo = input.levels[k];
+      const Level& hi = input.levels[k + 1];
       const double upper_edge = lo.r_nominal * (1.0 + spread);
       double lower_edge = hi.r_nominal * (1.0 - spread);
       const bool widened = input.drift.enabled && !verify_effective;

@@ -55,18 +55,12 @@
 
 namespace oxmlc::mlc::analyze {
 
-struct LintLevel {
-  std::size_t value = 0;   // binary content
-  double iref = 0.0;       // termination reference current (A)
-  double r_nominal = 0.0;  // nominal post-program resistance (Ohm); 0 = unknown
-};
-
 // Everything the static pass needs to judge a placement. Parsed from a .mlc
 // file (parse_mlc_config) or built from the calibrated paper point
 // (paper_default).
 struct MlcLintInput {
   std::size_t bits = 4;
-  std::vector<LintLevel> levels;  // ascending by value
+  std::vector<Level> levels;  // ascending by value; r_nominal 0 = unknown
 
   // Programming-current window and the 1T-1R compliance ceiling.
   double i_min = 6e-6;
@@ -132,8 +126,8 @@ spice::analyze::DiagnosticReport lint_mlc_config(const MlcLintInput& input);
 // Low band edge after the quantile relaxation draw: r_floor * (r / r_floor)^
 // (1 - a_q), clamped at r_floor; returns `r` untouched when drift is disabled.
 double relaxation_widened_low_edge(const MlcLintInput& input, double r);
-// Time by which the fast component has expressed `coverage` of its amplitude:
-// tau_fast * (coverage_complement^(-1/nu_fast) - 1).
-double relaxation_horizon(const oxram::DriftParams& drift, double coverage = 0.99);
+// Time by which the fast component has expressed 99 % of its amplitude:
+// tau_fast * (0.01^(-1/nu_fast) - 1).
+double relaxation_horizon(const oxram::DriftParams& drift);
 
 }  // namespace oxmlc::mlc::analyze

@@ -69,7 +69,6 @@ LevelAllocation LevelAllocation::iso_delta_i(std::size_t bits, double i_min, dou
   OXMLC_CHECK(bits >= 1 && bits <= 8, "allocation: bits must be in [1, 8]");
   OXMLC_CHECK(i_max > i_min && i_min > 0.0, "allocation: need 0 < i_min < i_max");
   LevelAllocation alloc;
-  alloc.scheme = AllocationScheme::kIsoDeltaI;
   alloc.bits = bits;
   const std::size_t n = std::size_t{1} << bits;
   const double step = (i_max - i_min) / static_cast<double>(n - 1);
@@ -90,7 +89,6 @@ LevelAllocation LevelAllocation::iso_delta_r(std::size_t bits, double r_min, dou
   OXMLC_CHECK(r_max > r_min && r_min > 0.0, "allocation: need 0 < r_min < r_max");
   OXMLC_CHECK(!curve.empty(), "iso_delta_r requires a calibration curve");
   LevelAllocation alloc;
-  alloc.scheme = AllocationScheme::kIsoDeltaR;
   alloc.bits = bits;
   const std::size_t n = std::size_t{1} << bits;
   const double step = (r_max - r_min) / static_cast<double>(n - 1);

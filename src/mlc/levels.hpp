@@ -21,8 +21,6 @@
 
 namespace oxmlc::mlc {
 
-enum class AllocationScheme { kIsoDeltaI, kIsoDeltaR };
-
 struct Level {
   std::size_t value = 0;      // binary content
   double iref = 0.0;          // termination reference current (A)
@@ -52,7 +50,6 @@ class CalibrationCurve {
 };
 
 struct LevelAllocation {
-  AllocationScheme scheme = AllocationScheme::kIsoDeltaI;
   std::size_t bits = 4;
   std::vector<Level> levels;  // indexed by value; levels[v].value == v
 
@@ -82,7 +79,5 @@ const std::vector<PaperTable2Entry>& paper_table2();
 // Paper constants of the MLC window.
 inline constexpr double kPaperIrefMin = 6e-6;
 inline constexpr double kPaperIrefMax = 36e-6;
-inline constexpr double kPaperRMin = 38.17e3;
-inline constexpr double kPaperRMax = 267e3;
 
 }  // namespace oxmlc::mlc

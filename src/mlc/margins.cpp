@@ -27,7 +27,6 @@ MarginReport analyze_margins(const std::vector<LevelDistribution>& distributions
                 "analyze_margins: empty sample set");
 
     AdjacentMargin margin;
-    margin.lower_level = lower.level.value;
     margin.nominal_spacing = upper.level.r_nominal - lower.level.r_nominal;
 
     const double max_lower =
@@ -35,12 +34,6 @@ MarginReport analyze_margins(const std::vector<LevelDistribution>& distributions
     const double min_upper =
         *std::min_element(upper.resistance.begin(), upper.resistance.end());
     margin.worst_case_margin = min_upper - max_lower;
-
-    RunningStats s_lower, s_upper;
-    for (double r : lower.resistance) s_lower.add(r);
-    for (double r : upper.resistance) s_upper.add(r);
-    margin.sigma_lower = s_lower.stddev();
-    margin.sigma_upper = s_upper.stddev();
 
     report.minimal_nominal_spacing =
         std::min(report.minimal_nominal_spacing, margin.nominal_spacing);

@@ -30,11 +30,8 @@ struct LevelDistribution {
 };
 
 struct AdjacentMargin {
-  std::size_t lower_level = 0;  // value of the shallower level
   double nominal_spacing = 0.0;    // R_nom[k+1] - R_nom[k]
   double worst_case_margin = 0.0;  // min(samples[k+1]) - max(samples[k])
-  double sigma_lower = 0.0;        // stddev of the shallower level
-  double sigma_upper = 0.0;
 };
 
 struct MarginReport {

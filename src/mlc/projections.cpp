@@ -1,15 +1,21 @@
 #include "mlc/projections.hpp"
 
+#include <cstdint>
 #include <limits>
 
 namespace oxmlc::mlc {
+namespace {
+
+constexpr std::uint64_t kProjectionSeed = 0xA21C;
+
+}  // namespace
 
 std::vector<ProjectionRow> run_projections(const std::vector<std::size_t>& bit_widths,
-                                           std::size_t trials, std::uint64_t seed) {
+                                           std::size_t trials) {
   std::vector<ProjectionRow> rows;
   for (std::size_t bits : bit_widths) {
     McStudyConfig config = paper_mc_study(bits, trials);
-    config.mc.seed = seed;
+    config.mc.seed = kProjectionSeed;
     const auto distributions = run_level_study(config);
     const MarginReport report = analyze_margins(distributions);
 

@@ -9,6 +9,7 @@
 #include "obs/registry.hpp"
 #include "util/error.hpp"
 #include "util/provenance.hpp"
+#include "util/schema.hpp"
 
 namespace oxmlc::mlc {
 namespace {
@@ -254,7 +255,7 @@ obs::Json margin_json(const MarginReport& margins, const BerReport& ber) {
 
 obs::Json to_json(const RetentionReport& report) {
   obs::Json root = obs::Json::object();
-  root.set("schema", obs::Json(kRetentionSchema));
+  root.set("schema", obs::Json(util::kRetentionSchema));
   root.set("mode", obs::Json("single"));
   root.set("seed", obs::Json(static_cast<double>(report.seed)));
   root.set("trials", obs::Json(static_cast<double>(report.trials)));
@@ -288,7 +289,7 @@ obs::Json to_json(const RetentionReport& report) {
 
 obs::Json to_json(const RetentionComparison& comparison) {
   obs::Json root = obs::Json::object();
-  root.set("schema", obs::Json(kRetentionSchema));
+  root.set("schema", obs::Json(util::kRetentionSchema));
   root.set("mode", obs::Json("comparison"));
   // Same provenance block as every BENCH_*.json (bench_common.hpp): the CI
   // perf gate refuses to compare artifacts from mismatched builds.

@@ -35,11 +35,8 @@
 #include "obs/json.hpp"
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
-#include "util/schema.hpp"
 
 namespace oxmlc::mlc {
-
-inline constexpr const char* kRetentionSchema = util::kRetentionSchema;
 
 // A word of cells programmed together and then left to drift. Each cell
 // keeps its own rng, and every random draw of a cell (program, amplitudes,

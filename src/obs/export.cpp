@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "util/error.hpp"
+#include "util/schema.hpp"
 
 namespace oxmlc::obs {
 namespace {
@@ -37,7 +38,7 @@ std::uint64_t as_u64(const Json& j) { return static_cast<std::uint64_t>(j.as_num
 
 Json to_json(const MetricsSnapshot& snapshot) {
   Json root = Json::object();
-  root.set("schema", Json(kMetricsSchema));
+  root.set("schema", Json(util::kMetricsSchema));
 
   Json counters = Json::object();
   for (const auto& c : snapshot.counters) {
@@ -64,7 +65,7 @@ Json to_json(const MetricsSnapshot& snapshot) {
 MetricsSnapshot snapshot_from_json(const Json& json) {
   OXMLC_CHECK(json.is_object(), "metrics json: root must be an object");
   OXMLC_CHECK(json.contains("schema") && json.get("schema").is_string() &&
-                  json.get("schema").as_string() == kMetricsSchema,
+                  json.get("schema").as_string() == util::kMetricsSchema,
               "metrics json: missing or unsupported schema tag");
 
   MetricsSnapshot snap;
@@ -109,8 +110,8 @@ void write_file(const std::string& path, const std::string& text) {
   OXMLC_CHECK(file.good(), "failed writing output file: " + path);
 }
 
-void write_metrics_json(const std::string& path, int indent) {
-  write_file(path, to_json(registry().snapshot()).dump(indent) + "\n");
+void write_metrics_json(const std::string& path) {
+  write_file(path, to_json(registry().snapshot()).dump(2) + "\n");
 }
 
 }  // namespace oxmlc::obs

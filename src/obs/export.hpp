@@ -16,11 +16,8 @@
 
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-#include "util/schema.hpp"
 
 namespace oxmlc::obs {
-
-inline constexpr const char* kMetricsSchema = util::kMetricsSchema;
 
 Json to_json(const MetricsSnapshot& snapshot);
 
@@ -32,7 +29,8 @@ MetricsSnapshot snapshot_from_json(const Json& json);
 // oxmlc::Error on failure.
 void write_file(const std::string& path, const std::string& text);
 
-// Convenience: snapshot the global registry and write JSON to `path`.
-void write_metrics_json(const std::string& path, int indent = 2);
+// Convenience: snapshot the global registry and write it to `path` as JSON
+// indented by two spaces.
+void write_metrics_json(const std::string& path);
 
 }  // namespace oxmlc::obs

@@ -36,11 +36,6 @@ std::size_t CellBatch::add_set(FastCell& cell, const SetOperation& op) {
                   -1.0, op.dt_max);
 }
 
-std::size_t CellBatch::add_forming(FastCell& cell, const FormingOperation& op) {
-  return add_lane(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                  -1.0, op.dt_max);
-}
-
 std::size_t CellBatch::add_lane(FastCell& cell, const PulseShape& pulse,
                                 Polarity polarity, double v_wl, bool through_mirror,
                                 double iref, double dt_max) {

@@ -60,7 +60,6 @@ class CellBatch {
   // lane per run, and must not be read or mutated while run() is executing.
   std::size_t add_reset(FastCell& cell, const ResetOperation& op);
   std::size_t add_set(FastCell& cell, const SetOperation& op);
-  std::size_t add_forming(FastCell& cell, const FormingOperation& op);
 
   std::size_t size() const { return gap_.size(); }
   bool empty() const { return gap_.empty(); }

@@ -127,23 +127,12 @@ OperationResult FastCell::apply_set(const SetOperation& op) {
   return batch.run().front();
 }
 
-OperationResult FastCell::apply_forming(const FormingOperation& op) {
-  CellBatch batch;
-  batch.add_forming(*this, op);
-  return batch.run().front();
-}
-
 ReadResult FastCell::read() const {
   ReadResult r;
   const StackOperatingPoint op = solve_stack(params_, gap_, stack_, Polarity::kSet,
                                              kReadVoltage, kReadWlVoltage);
   r.current = op.current;
-  if (op.current > 0.0) {
-    r.r_cell = op.v_cell / op.current;
-    r.r_apparent = kReadVoltage / op.current;
-  } else {
-    r.r_cell = r.r_apparent = params_.r_leak;
-  }
+  r.r_cell = op.current > 0.0 ? op.v_cell / op.current : params_.r_leak;
   return r;
 }
 

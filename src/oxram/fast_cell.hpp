@@ -35,7 +35,8 @@ namespace oxmlc::oxram {
 // standard plateau) and the READ (BL and WL bias) are Table 1's; the
 // termination delay is §3.2's comparator flip to SL-driver stop. Table 1's
 // cell-level RESET is the bias the characterization (Fig. 3) and the
-// open-loop prior-art baselines apply without the termination stack.
+// open-loop prior-art baselines apply without the termination stack. Its SET
+// is the SetOperation default and its FMG kForming, both below.
 inline constexpr double kResetSlVoltage = 1.60;        // V
 inline constexpr double kResetWlVoltage = 3.3;         // V
 inline constexpr double kResetEdge = 10e-9;            // s, rise and fall
@@ -127,16 +128,13 @@ struct SetOperation {
   double dt_max = 2e-9;
 };
 
-struct FormingOperation {
-  PulseShape pulse{3.3, 50e-9, 1e-6, 50e-9};  // Table 1: FMG BL = 3.3 V
-  double v_wl = 2.0;
-  double dt_max = 10e-9;
-};
+// Table 1's FMG: a SET-polarity pulse of 3.3 V on the BL. The cell's virgin
+// flag, not the operation, selects the forming barrier.
+inline constexpr SetOperation kForming{{3.3, 50e-9, 1e-6, 50e-9}, 2.0, 10e-9};
 
 struct ReadResult {
-  double current = 0.0;       // bit-line current the sense amp compares
-  double r_cell = 0.0;        // exact cell resistance V_cell / I
-  double r_apparent = 0.0;    // V_read / I (includes access-device drop)
+  double current = 0.0;  // bit-line current the sense amp compares
+  double r_cell = 0.0;   // exact cell resistance V_cell / I
 };
 
 // One 1T-1R cell with persistent state, programmable through its stack.
@@ -152,7 +150,6 @@ class FastCell {
   // would get as any lane of a wider batch.
   OperationResult apply_reset(const ResetOperation& op);
   OperationResult apply_set(const SetOperation& op);
-  OperationResult apply_forming(const FormingOperation& op);
 
   // Table 1's READ: kReadVoltage on the bit line, kReadWlVoltage on the WL.
   ReadResult read() const;

@@ -134,10 +134,4 @@ OperationResult reference_pulse(FastCell& cell, const SetOperation& op,
                     std::nullopt, op.dt_max, trajectory);
 }
 
-OperationResult reference_pulse(FastCell& cell, const FormingOperation& op,
-                                std::vector<TrajectoryPoint>* trajectory) {
-  return step_pulse(cell, op.pulse, Polarity::kSet, op.v_wl, /*through_mirror=*/false,
-                    std::nullopt, op.dt_max, trajectory);
-}
-
 }  // namespace oxmlc::oxram

@@ -2,7 +2,7 @@
 // the oracle the batch engine is held to.
 //
 // oxram::CellBatch is the only production code that steps a programming
-// pulse; FastCell::apply_{set,reset,forming} run a one-lane batch. This file
+// pulse; FastCell::apply_{set,reset} run a one-lane batch. This file
 // keeps an independent serial stepper to hold it to: the same waveform,
 // termination interpolation, step-size policy and gap integrator, but with
 // the stack solved from scratch by bisection (solve_stack) at every time step
@@ -33,8 +33,6 @@ struct TrajectoryPoint {
 OperationResult reference_pulse(FastCell& cell, const ResetOperation& op,
                                 std::vector<TrajectoryPoint>* trajectory = nullptr);
 OperationResult reference_pulse(FastCell& cell, const SetOperation& op,
-                                std::vector<TrajectoryPoint>* trajectory = nullptr);
-OperationResult reference_pulse(FastCell& cell, const FormingOperation& op,
                                 std::vector<TrajectoryPoint>* trajectory = nullptr);
 
 }  // namespace oxmlc::oxram

@@ -64,14 +64,10 @@ struct StackProblem {
   bool reset_polarity = false;
   bool through_mirror = false;
 
-  // F(i); also reports the node voltages so callers can assemble the
-  // operating point without re-solving.
-  double residual(double i, double* v_cell_out = nullptr,
-                  double* v_sink_out = nullptr) const {
+  // F(i).
+  double residual(double i) const {
     const double v_c = cell_voltage_capped(cell, i, g, kStackVcellCap);
     const double v_sink = through_mirror ? mirror_drop(stack.mirror, i) : 0.0;
-    if (v_cell_out != nullptr) *v_cell_out = v_c;
-    if (v_sink_out != nullptr) *v_sink_out = v_sink;
     double vgs = 0.0, vds = 0.0;
     if (reset_polarity) {
       // SL (drive) - access - BE - cell - TE/BL - [mirror] - gnd.

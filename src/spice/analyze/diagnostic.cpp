@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/schema.hpp"
+
 namespace oxmlc::spice::analyze {
 
 const char* severity_name(Severity severity) {
@@ -83,7 +85,7 @@ std::string DiagnosticReport::format() const {
 
 obs::Json DiagnosticReport::to_json() const {
   obs::Json j = obs::Json::object();
-  j.set("schema", kLintSchema);
+  j.set("schema", util::kLintSchema);
   j.set("errors", static_cast<double>(errors_));
   j.set("warnings", static_cast<double>(warnings_));
   obs::Json list = obs::Json::array();

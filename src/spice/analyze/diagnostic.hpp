@@ -13,13 +13,8 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "util/schema.hpp"
 
 namespace oxmlc::spice::analyze {
-
-// Lint report JSON schema. v2 = v1 + the OXC0xx configuration-lint code
-// namespace and a top-level "domain" key ("circuit" | "mlc") on CLI reports.
-inline constexpr const char* kLintSchema = util::kLintSchema;
 
 enum class Severity { kInfo, kWarning, kError };
 

@@ -45,8 +45,7 @@ struct DcMetrics {
 
 }  // namespace
 
-DcResult solve_dc(MnaSystem& system, const DcOptions& options,
-                  const std::vector<double>* initial_guess) {
+DcResult solve_dc(MnaSystem& system, const DcOptions& options) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.solves.add();
   obs::ScopedTimer solve_timer(metrics.solve_time);
@@ -54,10 +53,6 @@ DcResult solve_dc(MnaSystem& system, const DcOptions& options,
   const std::size_t n = system.dimension();
   DcResult result;
   result.solution.assign(n, 0.0);
-  if (initial_guess) {
-    OXMLC_CHECK(initial_guess->size() == n, "solve_dc: bad initial guess size");
-    result.solution = *initial_guess;
-  }
 
   StampContext& ctx = system.context();
   ctx.mode = AnalysisMode::kDcOperatingPoint;

@@ -28,9 +28,7 @@ struct DcResult {
   std::string strategy;             // "direct", "gmin-stepping", "source-stepping"
 };
 
-// Solves for the DC operating point. `initial_guess` (optional) seeds Newton;
-// pass a nearby solution for fast continuation.
-DcResult solve_dc(MnaSystem& system, const DcOptions& options = {},
-                  const std::vector<double>* initial_guess = nullptr);
+// Solves for the DC operating point, Newton starting from all zeros.
+DcResult solve_dc(MnaSystem& system, const DcOptions& options = {});
 
 }  // namespace oxmlc::spice

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -273,15 +274,27 @@ ParsedNetlist parse_netlist(const std::string& text) {
     }
   };
 
-  // Parses optional key=value tail into a map (uppercase-insensitive keys).
+  // Parses the optional key=value tail into a map (case-insensitive keys). A
+  // key the card does not take is a bad value, named with the ones it does.
   auto parse_options = [&](const std::vector<std::string>& tokens, std::size_t from,
-                           std::size_t line_no) {
+                           std::size_t line_no,
+                           std::initializer_list<const char*> accepted) {
     std::map<std::string, double> options;
     for (std::size_t k = from; k < tokens.size(); ++k) {
       std::string key, val;
       if (!split_assignment(tokens[k], key, val)) {
         fail(line_no, analyze::codes::kMalformedCard,
              "expected key=value, got: " + tokens[k]);
+      }
+      if (std::none_of(accepted.begin(), accepted.end(),
+                       [&](const char* name) { return lower(name) == key; })) {
+        std::string names;
+        for (const char* name : accepted) {
+          names += (names.empty() ? "" : ", ") + std::string(name);
+        }
+        fail(line_no, analyze::codes::kBadValue,
+             "unknown option " + tokens[k].substr(0, tokens[k].find('=')) + " on " +
+                 current_device + " (accepted: " + names + ")");
       }
       options[key] = value(val);
     }
@@ -297,8 +310,10 @@ ParsedNetlist parse_netlist(const std::string& text) {
     std::vector<std::string> args;
     if (split_function(tokens[from], fn, args)) {
       if (fn == "pulse") {
-        if (args.size() < 2) {
-          fail(line_no, analyze::codes::kMalformedCard, "PULSE needs at least v1 v2");
+        if (args.size() < 2 || args.size() > 7) {
+          fail(line_no, analyze::codes::kMalformedCard,
+               "PULSE takes 2 to 7 values (v1 v2 [td tr tf pw per]), got " +
+                   std::to_string(args.size()));
         }
         PulseSpec spec;
         spec.v1 = value(args[0]);
@@ -321,9 +336,10 @@ ParsedNetlist parse_netlist(const std::string& text) {
         return std::make_shared<PwlWaveform>(std::move(points));
       }
       if (fn == "sin") {
-        if (args.size() < 3) {
+        if (args.size() < 3 || args.size() > 4) {
           fail(line_no, analyze::codes::kMalformedCard,
-               "SIN needs offset amplitude frequency");
+               "SIN takes 3 or 4 values (offset amplitude frequency [delay]; no "
+               "damping), got " + std::to_string(args.size()));
         }
         return std::make_shared<SinWaveform>(value(args[0]), value(args[1]),
                                              value(args[2]),
@@ -440,7 +456,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
       }
       case 'D': {
         if (tokens.size() < 3) fail(line_no, analyze::codes::kMalformedCard, "D card: D<name> anode cathode");
-        const auto options = parse_options(tokens, 3, line_no);
+        const auto options = parse_options(tokens, 3, line_no, {"IS", "N"});
         dev::DiodeParams p;
         if (options.count("is")) p.saturation_current = options.at("is");
         if (options.count("n")) p.emission_coefficient = options.at("n");
@@ -454,7 +470,8 @@ ParsedNetlist parse_netlist(const std::string& text) {
         }
         const std::string model = lower(tokens[5]);
         double w = 1e-6, l = 0.5e-6;
-        const auto options = parse_options(tokens, 6, line_no);
+        const auto options =
+            parse_options(tokens, 6, line_no, {"W", "L", "VT0", "KP", "LAMBDA"});
         if (options.count("w")) w = options.at("w");
         if (options.count("l")) l = options.at("l");
         dev::MosfetParams p;
@@ -473,7 +490,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
       }
       case 'S': {
         if (tokens.size() < 5) fail(line_no, analyze::codes::kMalformedCard, "S card: S<name> a b c+ c- [VT=..]");
-        const auto options = parse_options(tokens, 5, line_no);
+        const auto options = parse_options(tokens, 5, line_no, {"VT", "RON", "ROFF"});
         dev::VSwitch::Params p;
         if (options.count("vt")) p.threshold = options.at("vt");
         if (options.count("ron")) p.r_on = options.at("ron");
@@ -486,7 +503,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
           fail(line_no, analyze::codes::kMalformedCard,
                "X card: X<name> te be OXRAM [GAP=..] [VIRGIN=0|1]");
         }
-        const auto options = parse_options(tokens, 4, line_no);
+        const auto options = parse_options(tokens, 4, line_no, {"GAP", "VIRGIN"});
         oxram::OxramParams p;
         double gap = options.count("gap") ? options.at("gap") : p.g_min;
         const bool virgin = options.count("virgin") && options.at("virgin") != 0.0;

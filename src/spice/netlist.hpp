@@ -15,8 +15,10 @@
 //
 // Supported cards (first letter selects the device, SPICE convention):
 //   R / C / L                         two-terminal passives
-//   V / I                             sources: DC <v> | <v> | PULSE(...) |
-//                                     PWL(t1 v1 t2 v2 ...) | SIN(off amp freq)
+//   V / I                             sources: DC <v> | <v> |
+//                                     PULSE(v1 v2 [td tr tf pw per]) |
+//                                     PWL(t1 v1 t2 v2 ...) |
+//                                     SIN(off amp freq [delay])
 //   E / G                             VCVS / VCCS: out+ out- in+ in- gain
 //   D                                 diode: anode cathode [IS=..] [N=..]
 //   M                                 MOSFET: d g s b NMOS|PMOS W=.. L=..
@@ -25,7 +27,7 @@
 //                                     [ROFF=..]
 //   X<name> te be OXRAM               OxRAM cell: [GAP=..] [VIRGIN=0|1]
 // Directives: .param NAME=VALUE..., .nolint CODE..., .end, * / ; comments,
-// + continuations.
+// + continuations. A D, M, S or X card takes only the keys listed for it.
 //
 // Values are util::parse_si literals with SI suffixes (f p n u m k meg g t);
 // letters after the suffix are ignored (SPICE convention; lint OXA007 unless a
@@ -78,7 +80,7 @@ struct ParsedNetlist {
 //   OXP002  unknown directive
 //   OXP003  malformed card (missing nodes/tokens, unbalanced parentheses,
 //           wrong waveform arity)
-//   OXP004  bad value literal or rejected device parameter
+//   OXP004  bad value literal, rejected device parameter or unknown card key
 //   OXP005  unknown waveform or device model
 //   OXP006  unresolved reference (F/H controlling source)
 ParsedNetlist parse_netlist(const std::string& text);

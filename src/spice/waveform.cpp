@@ -72,18 +72,15 @@ std::vector<double> PwlWaveform::breakpoints(double horizon) const {
   return bps;
 }
 
-SinWaveform::SinWaveform(double offset, double amplitude, double frequency, double delay,
-                         double damping)
-    : offset_(offset), amplitude_(amplitude), frequency_(frequency), delay_(delay),
-      damping_(damping) {
+SinWaveform::SinWaveform(double offset, double amplitude, double frequency, double delay)
+    : offset_(offset), amplitude_(amplitude), frequency_(frequency), delay_(delay) {
   OXMLC_CHECK(frequency > 0.0, "SIN waveform frequency must be positive");
 }
 
 double SinWaveform::value(double t) const {
   if (t < delay_) return offset_;
   const double x = t - delay_;
-  return offset_ + amplitude_ * std::exp(-damping_ * x) *
-                       std::sin(2.0 * phys::kPi * frequency_ * x);
+  return offset_ + amplitude_ * std::sin(2.0 * phys::kPi * frequency_ * x);
 }
 
 StoppablePulse::StoppablePulse(const PulseSpec& spec) : spec_(spec) {

@@ -71,14 +71,14 @@ class PwlWaveform final : public Waveform {
   std::vector<std::pair<double, double>> points_;
 };
 
+// SPICE SIN(vo va freq td), undamped.
 class SinWaveform final : public Waveform {
  public:
-  SinWaveform(double offset, double amplitude, double frequency, double delay = 0.0,
-              double damping = 0.0);
+  SinWaveform(double offset, double amplitude, double frequency, double delay = 0.0);
   double value(double t) const override;
 
  private:
-  double offset_, amplitude_, frequency_, delay_, damping_;
+  double offset_, amplitude_, frequency_, delay_;
 };
 
 // A pulse whose falling edge is commanded at runtime: after `stop(t_stop)` is

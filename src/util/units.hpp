@@ -1,91 +1,14 @@
-// SI unit literals and physical constants used throughout oxmlc.
+// Physical constants used throughout oxmlc (CODATA 2018).
 //
 // All internal quantities are plain `double` in base SI units (volts, amperes,
-// ohms, seconds, farads, joules, metres). The user-defined literals below exist
-// so that code reads like the paper: `10_uA`, `152_kOhm`, `3.5_us`, `1_pF`.
+// ohms, seconds, farads, joules, metres).
 #pragma once
 
-namespace oxmlc {
+namespace oxmlc::phys {
 
-// ---------------------------------------------------------------------------
-// Physical constants (CODATA 2018).
-// ---------------------------------------------------------------------------
-namespace phys {
-inline constexpr double kBoltzmann = 1.380649e-23;    // J/K
+inline constexpr double kBoltzmann = 1.380649e-23;            // J/K
 inline constexpr double kElementaryCharge = 1.602176634e-19;  // C
-inline constexpr double kRoomTemperature = 300.0;     // K
-inline constexpr double kThermalVoltage300K = kBoltzmann * kRoomTemperature / kElementaryCharge;
-inline constexpr double kVacuumPermittivity = 8.8541878128e-12;  // F/m
+inline constexpr double kRoomTemperature = 300.0;             // K
 inline constexpr double kPi = 3.14159265358979323846;
-}  // namespace phys
 
-// ---------------------------------------------------------------------------
-// Unit literals. Defined on `long double` / `unsigned long long` as the
-// standard requires; all return double.
-// ---------------------------------------------------------------------------
-namespace literals {
-
-// --- voltage ---
-constexpr double operator"" _V(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _V(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator"" _mV(long double v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator"" _mV(unsigned long long v) { return static_cast<double>(v) * 1e-3; }
-
-// --- current ---
-constexpr double operator"" _A(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _A(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator"" _mA(long double v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator"" _mA(unsigned long long v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator"" _uA(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _uA(unsigned long long v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _nA(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _nA(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _pA(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _pA(unsigned long long v) { return static_cast<double>(v) * 1e-12; }
-
-// --- resistance ---
-constexpr double operator"" _Ohm(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _Ohm(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator"" _kOhm(long double v) { return static_cast<double>(v) * 1e3; }
-constexpr double operator"" _kOhm(unsigned long long v) { return static_cast<double>(v) * 1e3; }
-constexpr double operator"" _MOhm(long double v) { return static_cast<double>(v) * 1e6; }
-constexpr double operator"" _MOhm(unsigned long long v) { return static_cast<double>(v) * 1e6; }
-
-// --- time ---
-constexpr double operator"" _s(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _s(unsigned long long v) { return static_cast<double>(v); }
-constexpr double operator"" _ms(long double v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator"" _ms(unsigned long long v) { return static_cast<double>(v) * 1e-3; }
-constexpr double operator"" _us(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _us(unsigned long long v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _ns(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _ns(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _ps(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _ps(unsigned long long v) { return static_cast<double>(v) * 1e-12; }
-
-// --- capacitance ---
-constexpr double operator"" _F(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _uF(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _nF(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _nF(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _pF(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _pF(unsigned long long v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _fF(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator"" _fF(unsigned long long v) { return static_cast<double>(v) * 1e-15; }
-
-// --- energy ---
-constexpr double operator"" _J(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _pJ(long double v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _pJ(unsigned long long v) { return static_cast<double>(v) * 1e-12; }
-constexpr double operator"" _fJ(long double v) { return static_cast<double>(v) * 1e-15; }
-constexpr double operator"" _fJ(unsigned long long v) { return static_cast<double>(v) * 1e-15; }
-
-// --- length ---
-constexpr double operator"" _m(long double v) { return static_cast<double>(v); }
-constexpr double operator"" _um(long double v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _um(unsigned long long v) { return static_cast<double>(v) * 1e-6; }
-constexpr double operator"" _nm(long double v) { return static_cast<double>(v) * 1e-9; }
-constexpr double operator"" _nm(unsigned long long v) { return static_cast<double>(v) * 1e-9; }
-
-}  // namespace literals
-}  // namespace oxmlc
+}  // namespace oxmlc::phys

@@ -448,7 +448,7 @@ TEST(MlcConfigLint, WideningIsIdentityWithoutDrift) {
 
 TEST(MlcConfigLint, HorizonMatchesPhiCoverage) {
   const oxram::DriftParams drift;
-  const double horizon = mlca::relaxation_horizon(drift, 0.99);
+  const double horizon = mlca::relaxation_horizon(drift);
   EXPECT_NEAR(oxram::drift_phi(horizon, drift.tau_fast, drift.nu_fast), 0.99, 1e-9);
 }
 

@@ -389,7 +389,7 @@ TEST(FastArray, BatchedWordProgrammingMatchesScalarLoop) {
   for (std::size_t r = 0; r < 2; ++r) {
     for (std::size_t c = 0; c < 8; ++c) {
       scalar.refresh_cycle_rate(r, c);
-      scalar.at(r, c).apply_forming({});
+      scalar.at(r, c).apply_set(oxram::kForming);
     }
   }
   for (std::size_t r = 0; r < 2; ++r) {

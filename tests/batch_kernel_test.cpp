@@ -193,7 +193,7 @@ TEST(CellBatch, SixteenLevelEquivalenceAgainstScalar) {
 TEST(CellBatch, FormingEquivalenceAgainstScalar) {
   const std::vector<OxramParams> devices = sampled_devices(8, 0xF0F0);
   const StackConfig stack;
-  const FormingOperation forming;
+  const SetOperation& forming = kForming;
 
   CellBatch batch;
   std::vector<FastCell> batch_cells, scalar_cells;
@@ -201,7 +201,7 @@ TEST(CellBatch, FormingEquivalenceAgainstScalar) {
     batch_cells.emplace_back(device, stack, device.g_virgin, /*virgin=*/true);
     scalar_cells.emplace_back(device, stack, device.g_virgin, /*virgin=*/true);
   }
-  for (FastCell& cell : batch_cells) batch.add_forming(cell, forming);
+  for (FastCell& cell : batch_cells) batch.add_set(cell, forming);
   batch.run();
   for (std::size_t k = 0; k < devices.size(); ++k) {
     reference_pulse(scalar_cells[k], forming);

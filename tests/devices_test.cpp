@@ -227,7 +227,7 @@ TEST(Mosfet, CmosInverterSwitches) {
   EXPECT_GT(node_v(low, out), 3.2);  // input low -> output high
 
   vin.set_waveform(std::make_shared<spice::DcWaveform>(3.3));
-  DcResult high = solve_dc(system, {}, &low.solution);
+  DcResult high = solve_dc(system);
   ASSERT_TRUE(high.converged);
   EXPECT_LT(node_v(high, out), 0.1);  // input high -> output low
 }

@@ -345,7 +345,7 @@ TEST(Margins, ReportsPerPairStatistics) {
   const MarginReport report = analyze_margins(dists);
   ASSERT_EQ(report.margins.size(), 3u);
   for (const auto& m : report.margins) {
-    EXPECT_GT(m.sigma_lower, 0.0);
+    EXPECT_LT(m.worst_case_margin, m.nominal_spacing);  // the sampled spread shows
     EXPECT_NEAR(m.nominal_spacing, 20e3, 1.0);
   }
 }

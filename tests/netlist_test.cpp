@@ -232,11 +232,14 @@ TEST(Netlist, CurrentControlledCardNeedsEarlierSensor) {
 namespace oxmlc::spice {
 namespace {
 
-// Parses text expecting failure; returns {code, line} of the NetlistError.
-std::pair<std::string, std::size_t> parse_failure(const std::string& text) {
+// Parses text expecting failure; returns {code, line} of the NetlistError
+// and, when `message` is given, stores its text there.
+std::pair<std::string, std::size_t> parse_failure(const std::string& text,
+                                                  std::string* message = nullptr) {
   try {
     parse_netlist(text);
   } catch (const NetlistError& e) {
+    if (message != nullptr) *message = e.what();
     return {e.code(), e.line()};
   }
   ADD_FAILURE() << "expected NetlistError for: " << text;
@@ -264,6 +267,13 @@ TEST(NetlistDiagnostics, MissingNodeToken) {
 TEST(NetlistDiagnostics, MalformedCardArity) {
   EXPECT_EQ(parse_failure("R1 a 0\n").first, "OXP003");              // missing value
   EXPECT_EQ(parse_failure("V1 a 0 PULSE(1)\n").first, "OXP003");     // PULSE arity
+  // PULSE takes at most 7 values and SIN at most 4 (SPICE's 5th, the
+  // damping, is not modelled); a longer list is an error, not a dropped tail.
+  EXPECT_NO_THROW(parse_netlist("V1 a 0 PULSE(0 1 0 1n 1n 1u 2u)\n"));
+  EXPECT_EQ(parse_failure("V1 a 0 PULSE(0 1 0 1n 1n 1u 2u 5)\n").first, "OXP003");
+  EXPECT_NO_THROW(parse_netlist("V1 a 0 SIN(0 1 1k 0)\n"));
+  EXPECT_EQ(parse_failure("R1 a 0 1k\nV1 a 0 SIN(0 1 1k 0 5e3)\n"),
+            std::make_pair(std::string("OXP003"), std::size_t{2}));
   EXPECT_EQ(parse_failure("V1 a 0 PWL(1 2 3)\n").first, "OXP003");   // odd PWL pairs
   EXPECT_EQ(parse_failure("+ orphan\n").first, "OXP003");            // bad continuation
   EXPECT_EQ(parse_failure("R1 a 0 1k extra)\n").first, "OXP003");    // unbalanced paren
@@ -310,6 +320,46 @@ TEST(NetlistDiagnostics, SuspiciousSuffixLint) {
   EXPECT_NE(d.message.find("line 2"), std::string::npos);
   // Legitimate unit tails stay silent.
   EXPECT_TRUE(parse_netlist("R1 a 0 10kohm\nC1 a 0 5uF\n").lint.empty());
+}
+
+// A D, M, S or X card takes only its own keys: any other is OXP004 at its
+// line, naming the keys the card takes.
+TEST(NetlistDiagnostics, UnknownDiodeOptionIsRejected) {
+  std::string message;
+  const auto [code, line] =
+      parse_failure("V1 a 0 1\nD1 a b TEMP=400 BOGUS=3\nR1 b 0 1k\n", &message);
+  EXPECT_EQ(code, "OXP004");
+  EXPECT_EQ(line, 2u);
+  EXPECT_NE(message.find("TEMP"), std::string::npos) << message;
+  EXPECT_NE(message.find("IS, N"), std::string::npos) << message;
+}
+
+TEST(NetlistDiagnostics, UnknownMosfetOptionIsRejected) {
+  // VTO, a common misspelling of SPICE's VT0, is rejected rather than ignored.
+  std::string message;
+  const auto [code, line] =
+      parse_failure("M1 d g 0 0 NMOS W=1u L=1u VTO=0.9\n", &message);
+  EXPECT_EQ(code, "OXP004");
+  EXPECT_EQ(line, 1u);
+  EXPECT_NE(message.find("VTO"), std::string::npos) << message;
+  EXPECT_NE(message.find("W, L, VT0, KP, LAMBDA"), std::string::npos) << message;
+  EXPECT_NO_THROW(parse_netlist("M1 d g 0 0 NMOS w=1u l=1u vt0=0.9 kp=1e-4 lambda=0\n"));
+}
+
+TEST(NetlistDiagnostics, UnknownSwitchOptionIsRejected) {
+  std::string message;
+  const auto [code, line] = parse_failure("* title\nS1 a b c 0 VT=1 VON=2\n", &message);
+  EXPECT_EQ(code, "OXP004");
+  EXPECT_EQ(line, 2u);
+  EXPECT_NE(message.find("VT, RON, ROFF"), std::string::npos) << message;
+}
+
+TEST(NetlistDiagnostics, UnknownOxramOptionIsRejected) {
+  std::string message;
+  const auto [code, line] = parse_failure("X1 a 0 OXRAM GAP=0.5n TEMP=300\n", &message);
+  EXPECT_EQ(code, "OXP004");
+  EXPECT_EQ(line, 1u);
+  EXPECT_NE(message.find("GAP, VIRGIN"), std::string::npos) << message;
 }
 
 TEST(NetlistDiagnostics, NolintSuppressesParserLint) {

@@ -12,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
+#include "util/schema.hpp"
 
 namespace oxmlc::obs {
 namespace {
@@ -264,7 +265,7 @@ MetricsSnapshot populated_snapshot() {
 TEST(ObsExport, JsonRoundTripsExactly) {
   const MetricsSnapshot snap = populated_snapshot();
   const Json json = to_json(snap);
-  EXPECT_EQ(json.get("schema").as_string(), kMetricsSchema);
+  EXPECT_EQ(json.get("schema").as_string(), util::kMetricsSchema);
 
   // Through text and back: parse(dump) then snapshot_from_json must
   // reconstruct the identical snapshot, for compact and pretty output.

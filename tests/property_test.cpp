@@ -329,7 +329,7 @@ TEST_P(OneEngineEquivalence, BatchMatchesReferenceStepper) {
         batch.add_reset(batch_cells[k], resets[k]);
         break;
       case Kind::kForming:
-        batch.add_forming(batch_cells[k], oxram::FormingOperation{});
+        batch.add_set(batch_cells[k], oxram::kForming);
         break;
     }
   }
@@ -339,7 +339,7 @@ TEST_P(OneEngineEquivalence, BatchMatchesReferenceStepper) {
     SCOPED_TRACE("n=" + std::to_string(n) + " lane=" + std::to_string(k) +
                  " kind=" + std::to_string(static_cast<int>(kinds[k])));
     oxram::FastCell& cell = reference_cells[k];
-    const oxram::FormingOperation forming;
+    const oxram::SetOperation& forming = oxram::kForming;
     const oxram::OperationResult ref =
         kinds[k] == Kind::kSet     ? oxram::reference_pulse(cell, sets[k])
         : kinds[k] == Kind::kReset ? oxram::reference_pulse(cell, resets[k])

@@ -11,6 +11,7 @@
 #include "oxram/drift.hpp"
 #include "reliability/engine.hpp"
 #include "util/error.hpp"
+#include "util/schema.hpp"
 
 namespace oxmlc::mlc {
 namespace {
@@ -136,7 +137,7 @@ TEST(Retention, JsonReportFollowsSchema) {
 
   // Round-trip through the parser: the report must be well-formed JSON.
   const obs::Json report = obs::Json::parse(to_json(comparison).dump(2));
-  EXPECT_EQ(report.get("schema").as_string(), kRetentionSchema);
+  EXPECT_EQ(report.get("schema").as_string(), util::kRetentionSchema);
   EXPECT_EQ(report.get("mode").as_string(), "comparison");
   const obs::Json& off = report.get("verify_off");
   const obs::Json& on = report.get("verify_on");
@@ -151,7 +152,7 @@ TEST(Retention, JsonReportFollowsSchema) {
   EXPECT_DOUBLE_EQ(recovery.get("time_s").as_number(), 1e2);
 
   const obs::Json single = obs::Json::parse(to_json(comparison.verify_off).dump());
-  EXPECT_EQ(single.get("schema").as_string(), kRetentionSchema);
+  EXPECT_EQ(single.get("schema").as_string(), util::kRetentionSchema);
   EXPECT_EQ(single.get("mode").as_string(), "single");
 }
 

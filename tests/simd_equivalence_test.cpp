@@ -104,7 +104,7 @@ BatchSnapshot run_forming(num::simd::Backend backend, std::size_t n_lanes,
   for (const OxramParams& device : devices) {
     cells.emplace_back(device, StackConfig{}, device.g_virgin, /*virgin=*/true);
   }
-  for (FastCell& cell : cells) batch.add_forming(cell, FormingOperation{});
+  for (FastCell& cell : cells) batch.add_set(cell, kForming);
   const num::simd::Backend prev = num::simd::set_backend_override(backend);
   BatchSnapshot snap;
   snap.results = batch.run();
@@ -117,7 +117,7 @@ BatchSnapshot reference_forming(std::size_t n_lanes, std::uint64_t seed) {
   BatchSnapshot snap;
   for (const OxramParams& device : sampled_devices(n_lanes, seed)) {
     FastCell cell(device, StackConfig{}, device.g_virgin, /*virgin=*/true);
-    snap.results.push_back(reference_pulse(cell, FormingOperation{}));
+    snap.results.push_back(reference_pulse(cell, kForming));
     snap.gaps.push_back(cell.gap());
   }
   return snap;

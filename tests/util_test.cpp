@@ -13,31 +13,9 @@
 #include "util/schema.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 namespace oxmlc {
 namespace {
-
-using namespace oxmlc::literals;
-
-// ---------------------------------------------------------------------------
-// units
-// ---------------------------------------------------------------------------
-
-TEST(Units, LiteralsScaleCorrectly) {
-  EXPECT_DOUBLE_EQ(10.0_uA, 10e-6);
-  EXPECT_DOUBLE_EQ(152_kOhm, 152e3);
-  EXPECT_DOUBLE_EQ(3.5_us, 3.5e-6);
-  EXPECT_DOUBLE_EQ(1_pF, 1e-12);
-  EXPECT_DOUBLE_EQ(25_pJ, 25e-12);
-  EXPECT_DOUBLE_EQ(10_nm, 10e-9);
-  EXPECT_DOUBLE_EQ(0.3_V, 0.3);
-  EXPECT_DOUBLE_EQ(2.5_V, 2.5);
-}
-
-TEST(Units, ThermalVoltageAtRoomTemperature) {
-  EXPECT_NEAR(phys::kThermalVoltage300K, 0.02585, 1e-4);
-}
 
 // ---------------------------------------------------------------------------
 // error handling
