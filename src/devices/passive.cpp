@@ -86,7 +86,7 @@ void Capacitor::stamp(const StampContext& ctx, Stamper& stamper) {
   stamper.jacobian(nodes_[1], nodes_[1], geq);
 }
 
-void Capacitor::stamp_reactive(const StampContext&, num::TripletMatrix& b) const {
+void Capacitor::stamp_reactive(num::TripletMatrix& b) const {
   const int p = nodes_[0], m = nodes_[1];
   auto add = [&](int r, int c, double v) {
     if (r >= 0 && c >= 0) b.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c), v);
@@ -144,7 +144,7 @@ void Inductor::stamp(const StampContext& ctx, Stamper& stamper) {
   stamper.jacobian(br, br, -req);
 }
 
-void Inductor::stamp_reactive(const StampContext&, num::TripletMatrix& b) const {
+void Inductor::stamp_reactive(num::TripletMatrix& b) const {
   // Branch equation in AC: Vp - Vm - j*w*L*i = 0 -> -L on the branch diagonal.
   if (branches_.empty()) return;
   const int br = branches_[0];

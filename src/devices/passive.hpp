@@ -34,7 +34,7 @@ class Capacitor final : public Device {
   void stamp(const StampContext& ctx, Stamper& stamper) override;
   void init_state(const StampContext& ctx) override;
   void commit_step(const StampContext& ctx) override;
-  void stamp_reactive(const StampContext& ctx, num::TripletMatrix& b) const override;
+  void stamp_reactive(num::TripletMatrix& b) const override;
   std::vector<spice::StructuralEdge> dc_edges() const override;
   void self_check(std::vector<spice::analyze::Diagnostic>& out) const override;
 
@@ -53,7 +53,7 @@ class Inductor final : public Device {
   void stamp(const StampContext& ctx, Stamper& stamper) override;
   void init_state(const StampContext& ctx) override;
   void commit_step(const StampContext& ctx) override;
-  void stamp_reactive(const StampContext& ctx, num::TripletMatrix& b) const override;
+  void stamp_reactive(num::TripletMatrix& b) const override;
   std::vector<spice::StructuralEdge> dc_edges() const override;
   void self_check(std::vector<spice::analyze::Diagnostic>& out) const override;
 

@@ -14,7 +14,6 @@
 #include "memsys/trace.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 #include "util/provenance.hpp"
 #include "util/schema.hpp"
 #include "util/stats.hpp"
@@ -177,17 +176,15 @@ EccReport run_ecc_study(const EccStudyConfig& config) {
   // any pool thread; Rng = (point seed, trial index) keeps the result
   // bit-identical for any thread count.
   const std::size_t trials = config.trials;
-  std::vector<WordTrial> words(grid.size() * trials);
-  util::parallel_for(words.size(), config.threads, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const PolicyGridPoint& point = grid[i / trials];
-      const BitsContext& context = contexts[point.bits_index];
+  const std::vector<WordTrial> words = mc::run_trials<WordTrial>(
+      grid.size() * trials, config.threads, [&](std::size_t i) {
+        const PolicyGridPoint& point = grid[i / trials];
+        const BitsContext& context = contexts[point.bits_index];
 
-      const ChannelPolicy policy{point.scrub_period_s, point.verify, point.rotate};
-      Rng rng = mc::trial_rng(point_seed(config.seed, i / trials), i % trials);
-      words[i] = simulate_word(policy, context.programmer, context.cells, rng);
-    }
-  });
+        const ChannelPolicy policy{point.scrub_period_s, point.verify, point.rotate};
+        Rng rng = mc::trial_rng(point_seed(config.seed, i / trials), i % trials);
+        return simulate_word(policy, context.programmer, context.cells, rng);
+      });
 
   EccReport report;
   report.seed = config.seed;

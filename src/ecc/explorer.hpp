@@ -28,9 +28,9 @@
 // (scrub epochs compressed onto the trace span, rotation passed through)
 // reports the *scheduling* side — row-hit rate and p99 — of the same knobs.
 //
-// Determinism: trials parallelize over a flat (policy point x trial) index
-// with Rng(point seed, trial) — reports are bit-identical at any thread
-// count.
+// Determinism: one mc::run_trials runs a flat (policy point x trial) index,
+// each trial on mc::trial_rng(point seed, trial) — reports are bit-identical
+// at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,6 @@
 #include "oxram/params.hpp"
 #include "reliability/engine.hpp"
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace oxmlc::memsys {
 namespace {
@@ -69,47 +68,46 @@ struct MnaSampleOutcome {
 WordTierReport FidelityEngine::run_word_tier(std::span<const WordSample> samples) const {
   WordTierReport report;
   if (samples.empty()) return report;
-  // Index-addressed results + sequential reduction: the parallel_for
-  // determinism contract (each outcome depends only on (seed, trace_index)).
-  std::vector<WordSampleOutcome> outcomes(samples.size());
+  // Index-addressed results + sequential reduction: each outcome depends
+  // only on (seed, trace_index), so the report is bit-identical at any
+  // thread count.
   const mlc::QlcConfig& qlc = programmer_.config();
-  util::parallel_for(
-      samples.size(), config_.threads, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const WordSample& sample = samples[i];
-          Rng rng = mc::trial_rng(config_.seed, sample.trace_index);
-          const std::vector<std::size_t> levels = levels_for(sample.data);
-          // Fresh D2D-sampled word, then one split stream per bit line; the
-          // whole draw order is a function of the trace index alone.
-          std::vector<oxram::FastCell> cells;
-          cells.reserve(levels.size());
-          for (std::size_t c = 0; c < levels.size(); ++c) {
-            const oxram::OxramParams device =
-                oxram::sample_device(qlc.nominal_cell, qlc.variability, rng);
-            cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
-          }
-          std::vector<Rng> cell_rngs;
-          cell_rngs.reserve(levels.size());
-          for (std::size_t c = 0; c < levels.size(); ++c) cell_rngs.push_back(rng.split());
-          std::vector<oxram::FastCell*> cell_ptrs(levels.size());
-          std::vector<Rng*> rng_ptrs(levels.size());
-          for (std::size_t c = 0; c < levels.size(); ++c) {
-            cell_ptrs[c] = &cells[c];
-            rng_ptrs[c] = &cell_rngs[c];
-          }
-          const std::vector<mlc::ProgramOutcome> programmed =
-              programmer_.program_word(cell_ptrs, levels, rng_ptrs);
-          WordSampleOutcome& outcome = outcomes[i];
-          for (std::size_t c = 0; c < programmed.size(); ++c) {
-            const mlc::ProgramOutcome& cell_outcome = programmed[c];
-            outcome.latency_s = std::max(outcome.latency_s, cell_outcome.latency);
-            outcome.energy_j += cell_outcome.energy + cell_outcome.set_energy;
-            if (!cell_outcome.terminated) ++outcome.unterminated;
-            if (programmer_.read_level(cells[c], cell_rngs[c]) != levels[c]) {
-              ++outcome.decode_errors;
-            }
+  const std::vector<WordSampleOutcome> outcomes = mc::run_trials<WordSampleOutcome>(
+      samples.size(), config_.threads, [&](std::size_t i) {
+        const WordSample& sample = samples[i];
+        Rng rng = mc::trial_rng(config_.seed, sample.trace_index);
+        const std::vector<std::size_t> levels = levels_for(sample.data);
+        // Fresh D2D-sampled word, then one split stream per bit line; the
+        // whole draw order is a function of the trace index alone.
+        std::vector<oxram::FastCell> cells;
+        cells.reserve(levels.size());
+        for (std::size_t c = 0; c < levels.size(); ++c) {
+          const oxram::OxramParams device =
+              oxram::sample_device(qlc.nominal_cell, qlc.variability, rng);
+          cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
+        }
+        std::vector<Rng> cell_rngs;
+        cell_rngs.reserve(levels.size());
+        for (std::size_t c = 0; c < levels.size(); ++c) cell_rngs.push_back(rng.split());
+        std::vector<oxram::FastCell*> cell_ptrs(levels.size());
+        std::vector<Rng*> rng_ptrs(levels.size());
+        for (std::size_t c = 0; c < levels.size(); ++c) {
+          cell_ptrs[c] = &cells[c];
+          rng_ptrs[c] = &cell_rngs[c];
+        }
+        const std::vector<mlc::ProgramOutcome> programmed =
+            programmer_.program_word(cell_ptrs, levels, rng_ptrs);
+        WordSampleOutcome outcome;
+        for (std::size_t c = 0; c < programmed.size(); ++c) {
+          const mlc::ProgramOutcome& cell_outcome = programmed[c];
+          outcome.latency_s = std::max(outcome.latency_s, cell_outcome.latency);
+          outcome.energy_j += cell_outcome.energy + cell_outcome.set_energy;
+          if (!cell_outcome.terminated) ++outcome.unterminated;
+          if (programmer_.read_level(cells[c], cell_rngs[c]) != levels[c]) {
+            ++outcome.decode_errors;
           }
         }
+        return outcome;
       });
   report.samples = samples.size();
   report.cells = samples.size() * geometry_.cells_per_word;
@@ -169,16 +167,12 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
     return outcome;
   };
   // One bank transient per sample on the pool. Each sample builds its own
-  // circuit and solver and writes only its own outcome; the reduction below
+  // circuit and solver and returns only its own outcome; the reduction below
   // runs in ascending sample order, so the report is bit-identical at any
   // thread count.
-  std::vector<MnaSampleOutcome> outcomes(samples.size());
-  util::parallel_for(samples.size(), config_.threads,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         outcomes[i] = run_sample(samples[i]);
-                       }
-                     });
+  const std::vector<MnaSampleOutcome> outcomes = mc::run_trials<MnaSampleOutcome>(
+      samples.size(), config_.threads,
+      [&](std::size_t i) { return run_sample(samples[i]); });
   report.samples = samples.size();
   for (const MnaSampleOutcome& outcome : outcomes) {
     if (outcome.terminated) ++report.terminated;

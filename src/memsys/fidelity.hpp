@@ -36,7 +36,7 @@
 // Every replay runs all of them; the sample periods and caps bound their cost.
 //
 // Determinism contract: tiers 1 and 2 each evaluate their samples through
-// one util::parallel_for on `threads` workers. Every tier-1 sample's entire
+// one mc::run_trials on `threads` workers. Every tier-1 sample's entire
 // state — device parameters, program/read randomness — derives from
 // mc::trial_rng(config.seed, trace_index) alone; every tier-2 sample builds
 // its own circuit and runs its bank transient on a serial solver, so it is a
@@ -61,7 +61,7 @@ struct FidelityConfig {
   std::size_t mna_sample_period = 25'000;
   std::size_t mna_max_samples = 20;
   std::uint64_t seed = 0x4D454D53ull;  // "MEMS"
-  std::size_t threads = 0;             // parallel_for workers for tiers 1 and 2
+  std::size_t threads = 0;             // run_trials workers for tiers 1 and 2
 };
 
 // One sampled write: the trace position (the RNG index) and its payload.

@@ -1,8 +1,11 @@
 #include "memsys/geometry.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/parse.hpp"
@@ -29,36 +32,64 @@ SchedulerPolicy parse_scheduler_policy(const std::string& name) {
                              name + "'");
 }
 
+namespace {
+
+// The first rule a geometry breaks: what it says, and the .memcfg keys whose
+// values it reads.
+struct GeometryViolation {
+  std::string message;
+  std::vector<const char*> keys;
+};
+
+std::optional<GeometryViolation> first_violation(const GeometryConfig& g) {
+  const TimingParams& t = g.timing;
+  const auto word = [&] {
+    return " (" + std::to_string(g.cells_per_word) + " x " +
+           std::to_string(g.bits_per_cell) + ")";
+  };
+  if (g.channels == 0) return {{"CHANNELS must be positive", {"CHANNELS"}}};
+  if (g.banks_per_channel == 0) return {{"BANKS must be positive", {"BANKS"}}};
+  if (g.rows_per_bank == 0) return {{"ROWS must be positive", {"ROWS"}}};
+  if (g.words_per_row == 0) return {{"WORDS_PER_ROW must be positive", {"WORDS_PER_ROW"}}};
+  if (g.cells_per_word == 0) {
+    return {{"CELLS_PER_WORD must be positive", {"CELLS_PER_WORD"}}};
+  }
+  if (g.bits_per_cell < 1 || g.bits_per_cell > 6) {
+    return {{"BITS_PER_CELL must be in [1, 6], got " + std::to_string(g.bits_per_cell),
+             {"BITS_PER_CELL"}}};
+  }
+  if (g.cells_per_word > 64 / g.bits_per_cell) {
+    return {{"CELLS_PER_WORD x BITS_PER_CELL" + word() + " must fit the 64-bit trace payload",
+             {"CELLS_PER_WORD", "BITS_PER_CELL"}}};
+  }
+  if (g.cells_per_word * g.bits_per_cell % 8 != 0) {
+    return {{"CELLS_PER_WORD x BITS_PER_CELL" + word() + " must be a whole number of bytes",
+             {"CELLS_PER_WORD", "BITS_PER_CELL"}}};
+  }
+  if (!(t.clk_mhz > 0.0)) return {{"CLK_MHZ must be positive", {"CLK_MHZ"}}};
+  if (t.t_rcd == 0 || t.t_cas == 0 || t.t_burst == 0 || t.t_rp == 0) {
+    return {{"tRCD/tCAS/tBURST/tRP must all be positive", {"tRCD", "tCAS", "tBURST", "tRP"}}};
+  }
+  if (t.t_wp_min == 0 || t.t_wp_max < t.t_wp_min) {
+    return {{"write pulse window requires 0 < tWP_MIN <= tWP_MAX, got [" +
+                 std::to_string(t.t_wp_min) + ", " + std::to_string(t.t_wp_max) + "]",
+             {"tWP_MIN", "tWP_MAX"}}};
+  }
+  if (t.t_scrub == 0) return {{"tSCRUB must be positive", {"tSCRUB"}}};
+  if (g.queue_depth == 0) return {{"QUEUE_DEPTH must be positive", {"QUEUE_DEPTH"}}};
+  if (g.scheduler_policy == SchedulerPolicy::kWriteDrain && g.write_drain_threshold == 0) {
+    return {{"WRITE_DRAIN_THRESHOLD must be positive under SCHED_POLICY WRITE_DRAIN",
+             {"SCHED_POLICY", "WRITE_DRAIN_THRESHOLD"}}};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 void GeometryConfig::validate() const {
-  OXMLC_CHECK(channels > 0, "memsys geometry: CHANNELS must be positive");
-  OXMLC_CHECK(banks_per_channel > 0, "memsys geometry: BANKS must be positive");
-  OXMLC_CHECK(rows_per_bank > 0, "memsys geometry: ROWS must be positive");
-  OXMLC_CHECK(words_per_row > 0, "memsys geometry: WORDS_PER_ROW must be positive");
-  OXMLC_CHECK(cells_per_word > 0, "memsys geometry: CELLS_PER_WORD must be positive");
-  OXMLC_CHECK(bits_per_cell >= 1 && bits_per_cell <= 6,
-              "memsys geometry: BITS_PER_CELL must be in [1, 6], got " +
-                  std::to_string(bits_per_cell));
-  OXMLC_CHECK(cells_per_word <= 64 / bits_per_cell,
-              "memsys geometry: CELLS_PER_WORD x BITS_PER_CELL (" +
-                  std::to_string(cells_per_word) + " x " + std::to_string(bits_per_cell) +
-                  ") must fit the 64-bit trace payload");
-  OXMLC_CHECK(cells_per_word * bits_per_cell % 8 == 0,
-              "memsys geometry: CELLS_PER_WORD x BITS_PER_CELL (" +
-                  std::to_string(cells_per_word) + " x " + std::to_string(bits_per_cell) +
-                  ") must be a whole number of bytes");
-  OXMLC_CHECK(timing.clk_mhz > 0.0, "memsys geometry: CLK_MHZ must be positive");
-  OXMLC_CHECK(timing.t_rcd > 0 && timing.t_cas > 0 && timing.t_burst > 0 && timing.t_rp > 0,
-              "memsys geometry: tRCD/tCAS/tBURST/tRP must all be positive");
-  OXMLC_CHECK(timing.t_wp_min > 0 && timing.t_wp_max >= timing.t_wp_min,
-              "memsys geometry: write pulse window requires 0 < tWP_MIN <= tWP_MAX, got [" +
-                  std::to_string(timing.t_wp_min) + ", " + std::to_string(timing.t_wp_max) +
-                  "]");
-  OXMLC_CHECK(timing.t_scrub > 0, "memsys geometry: tSCRUB must be positive");
-  OXMLC_CHECK(queue_depth > 0, "memsys geometry: QUEUE_DEPTH must be positive");
-  OXMLC_CHECK(scheduler_policy != SchedulerPolicy::kWriteDrain ||
-                  write_drain_threshold > 0,
-              "memsys geometry: WRITE_DRAIN_THRESHOLD must be positive under "
-              "SCHED_POLICY WRITE_DRAIN");
+  if (const std::optional<GeometryViolation> violation = first_violation(*this)) {
+    throw InvalidArgumentError("memsys geometry: " + violation->message);
+  }
 }
 
 GeometryConfig GeometryConfig::rram_isscc_2012() {
@@ -121,6 +152,7 @@ std::uint64_t parse_u64_field(const std::string& key, const std::string& value,
 
 GeometryConfig parse_memsys_config(const std::string& text) {
   GeometryConfig config = GeometryConfig::rram_isscc_2012();
+  std::map<std::string, std::size_t> key_lines;  // COLS is WORDS_PER_ROW
   std::istringstream stream(text);
   std::string line;
   std::size_t line_no = 0;
@@ -135,6 +167,10 @@ GeometryConfig parse_memsys_config(const std::string& text) {
     if (!(fields >> value)) fail(line_no, "key '" + key + "' is missing a value");
     std::string extra;
     if (fields >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
+    const auto [seen, first] = key_lines.emplace(key == "COLS" ? "WORDS_PER_ROW" : key, line_no);
+    if (!first) {
+      fail(line_no, "key '" + key + "' already set on line " + std::to_string(seen->second));
+    }
     if (key == "CHANNELS") {
       config.channels = parse_u64_field(key, value, line_no);
     } else if (key == "BANKS") {
@@ -183,7 +219,17 @@ GeometryConfig parse_memsys_config(const std::string& text) {
       fail(line_no, "unknown key '" + key + "'");
     }
   }
-  config.validate();
+  // A broken rule is reported at the line of the last key it reads; the
+  // defaults break none, so at least one of its keys was set here.
+  if (const std::optional<GeometryViolation> violation = first_violation(config)) {
+    std::size_t at = 0;
+    for (const char* key : violation->keys) {
+      if (const auto it = key_lines.find(key); it != key_lines.end()) {
+        at = std::max(at, it->second);
+      }
+    }
+    fail(at, violation->message);
+  }
   return config;
 }
 

@@ -5,6 +5,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mlc/levels.hpp"
 #include "mlc/program.hpp"
@@ -57,13 +59,32 @@ std::size_t parse_count(const std::string& key, const std::string& token,
   return static_cast<std::size_t>(*value);
 }
 
-// Splits "key=value" and fails with the line number on anything else.
-std::pair<std::string, std::string> split_kv(const std::string& token, std::size_t line_no) {
-  const auto eq = token.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-    fail(line_no, "expected key=value, got '" + token + "'");
+// Flag fields (.drift enabled=, .verify enabled=): 0 or 1.
+bool flag(const std::string& key, const std::string& token, std::size_t line_no) {
+  const double value = number(key, token, line_no);
+  if (value != 0.0 && value != 1.0) {
+    fail(line_no, key + " expects 0 or 1, got '" + token + "'");
   }
-  return {token.substr(0, eq), token.substr(eq + 1)};
+  return value == 1.0;
+}
+
+// Splits a directive's "key=value" tokens and fails with the line number on
+// anything else, a key given twice included.
+std::vector<std::pair<std::string, std::string>> key_values(
+    const std::vector<std::string>& tokens, std::size_t line_no) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const std::string& token : tokens) {
+    const auto eq = token.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
+      fail(line_no, "expected key=value, got '" + token + "'");
+    }
+    std::string key = token.substr(0, eq);
+    for (const auto& seen : pairs) {
+      if (seen.first == key) fail(line_no, "key '" + key + "' given twice");
+    }
+    pairs.emplace_back(std::move(key), token.substr(eq + 1));
+  }
+  return pairs;
 }
 
 [[noreturn]] void unknown_key(const std::string& directive, const std::string& key,
@@ -137,8 +158,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       continue;
     }
     if (directive == ".mlc") {
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
+      for (const auto& [key, value] : key_values(rest, line_no)) {
         if (key == "bits") {
           // The range LevelAllocation accepts.
           input.bits = parse_count(key, value, line_no, 1, 8);
@@ -150,8 +170,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       continue;
     }
     if (directive == ".window") {
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
+      for (const auto& [key, value] : key_values(rest, line_no)) {
         if (key == "imin") input.i_min = number(key, value, line_no);
         else if (key == "imax") input.i_max = number(key, value, line_no);
         else if (key == "icomp") input.i_compliance = number(key, value, line_no);
@@ -161,8 +180,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       continue;
     }
     if (directive == ".spread") {
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
+      for (const auto& [key, value] : key_values(rest, line_no)) {
         if (key == "sigma_r") input.sigma_r = number(key, value, line_no);
         else if (key == "nsigma") input.n_sigma = number(key, value, line_no);
         else if (key == "coverage_z") input.relax_coverage_z = number(key, value, line_no);
@@ -173,8 +191,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
     if (directive == ".level") {
       Level level;
       bool value_seen = false;
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
+      for (const auto& [key, value] : key_values(rest, line_no)) {
         if (key == "value") {
           level.value = parse_count(key, value, line_no, 0, kMaxCount);
           value_seen = true;
@@ -191,11 +208,13 @@ MlcLintInput parse_mlc_config(const std::string& text) {
       continue;
     }
     if (directive == ".drift") {
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
+      for (const auto& [key, value] : key_values(rest, line_no)) {
+        if (key == "enabled") {
+          input.drift.enabled = flag(key, value, line_no);
+          continue;
+        }
         const double v = number(key, value, line_no);
-        if (key == "enabled") input.drift.enabled = v != 0.0;
-        else if (key == "tau_fast") input.drift.tau_fast = v;
+        if (key == "tau_fast") input.drift.tau_fast = v;
         else if (key == "nu_fast") input.drift.nu_fast = v;
         else if (key == "relax_fraction") input.drift.relax_fraction = v;
         else if (key == "sigma_relax") input.drift.sigma_relax = v;
@@ -212,9 +231,8 @@ MlcLintInput parse_mlc_config(const std::string& text) {
     }
     if (directive == ".verify") {
       input.verify_enabled = true;
-      for (const std::string& token : rest) {
-        const auto [key, value] = split_kv(token, line_no);
-        if (key == "enabled") input.verify_enabled = number(key, value, line_no) != 0.0;
+      for (const auto& [key, value] : key_values(rest, line_no)) {
+        if (key == "enabled") input.verify_enabled = flag(key, value, line_no);
         else if (key == "tau_relax") input.tau_relax = number(key, value, line_no);
         else if (key == "max_passes") {
           input.verify_max_passes = parse_count(key, value, line_no, 0, kMaxCount);

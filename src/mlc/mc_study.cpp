@@ -1,5 +1,7 @@
 #include "mlc/mc_study.hpp"
 
+#include "mc/runner.hpp"
+
 namespace oxmlc::mlc {
 
 McStudyConfig paper_mc_study(std::size_t bits, std::size_t trials) {
@@ -43,8 +45,8 @@ std::vector<LevelDistribution> run_level_study(const McStudyConfig& config) {
   };
   using TrialSamples = std::vector<LevelSample>;
 
-  const std::function<TrialSamples(std::size_t, Rng&)> trial =
-      [&](std::size_t t, Rng&) {
+  const std::vector<TrialSamples> trials = mc::run_trials<TrialSamples>(
+      config.mc.trials, config.mc.threads, [&](std::size_t t) {
         StudyWord word = sample_study_word(config, t);
         std::vector<oxram::FastCell*> cell_ptrs(n_levels);
         std::vector<Rng*> rng_ptrs(n_levels);
@@ -60,9 +62,7 @@ std::vector<LevelDistribution> run_level_study(const McStudyConfig& config) {
                                    outcomes[k].latency};
         }
         return samples;
-      };
-
-  const std::vector<TrialSamples> trials = mc::run_trials<TrialSamples>(config.mc, trial);
+      });
 
   std::vector<LevelDistribution> distributions(n_levels);
   for (std::size_t level = 0; level < n_levels; ++level) {

@@ -5,15 +5,24 @@
 // The paper runs 500 such trials per level.
 #pragma once
 
-#include "mc/runner.hpp"
+#include <cstddef>
+#include <cstdint>
+
 #include "mlc/margins.hpp"
 #include "mlc/program.hpp"
 
 namespace oxmlc::mlc {
 
+// The depth, seed and pool size of one Monte-Carlo study.
+struct McOptions {
+  std::size_t trials = 500;  // the paper's MC depth (500 runs per level)
+  std::uint64_t seed = 0xA21Cull;
+  std::size_t threads = 0;  // 0 = hardware_concurrency
+};
+
 struct McStudyConfig {
-  QlcConfig qlc;     // the operating point: devices are sampled from its cell
-  mc::McOptions mc;  // trials per level, seed
+  QlcConfig qlc;  // the operating point: devices are sampled from its cell
+  McOptions mc;   // trials per level, seed
 };
 
 // The paper's study: QlcConfig::paper_default(bits) at `trials` per level.

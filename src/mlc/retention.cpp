@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 
 #include "mc/runner.hpp"
 #include "obs/registry.hpp"
@@ -199,20 +198,19 @@ RetentionComparison run_retention_comparison(const RetentionConfig& config) {
   // One trial programs every level as one word, then hands a copy to the
   // verify: both branches continue from the same cells, rngs and
   // trajectories.
-  const std::function<TrialSample(std::size_t, Rng&)> trial = [&](std::size_t t, Rng&) {
-    StudyWord sampled = sample_study_word(config.study, t);
-    DriftingWord off(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
-                     std::move(sampled.cells), std::move(sampled.rngs),
-                     std::move(sampled.levels));
-    DriftingWord on = off;
-    TrialSample sample;
-    sample.outcomes = off.outcomes();
-    sample.verify = on.relax_verify(config.verify_max_passes);
-    sample.r_at_time = {observe(off, config.times), observe(on, config.times)};
-    return sample;
-  };
-  const std::vector<TrialSample> samples =
-      mc::run_trials<TrialSample>(config.study.mc, trial);
+  const std::vector<TrialSample> samples = mc::run_trials<TrialSample>(
+      config.study.mc.trials, config.study.mc.threads, [&](std::size_t t) {
+        StudyWord sampled = sample_study_word(config.study, t);
+        DriftingWord off(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
+                         std::move(sampled.cells), std::move(sampled.rngs),
+                         std::move(sampled.levels));
+        DriftingWord on = off;
+        TrialSample sample;
+        sample.outcomes = off.outcomes();
+        sample.verify = on.relax_verify(config.verify_max_passes);
+        sample.r_at_time = {observe(off, config.times), observe(on, config.times)};
+        return sample;
+      });
   metrics.trials.add(config.study.qlc.allocation.count() * samples.size());
 
   return {branch_report(config, samples, false), branch_report(config, samples, true)};

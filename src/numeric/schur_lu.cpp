@@ -71,7 +71,6 @@ void BlockSchurLu::build_structure() {
   schur_ = DenseMatrix(border_.size(), border_.size());
   border_rhs_.assign(border_.size(), 0.0);
   border_y_.assign(border_.size(), 0.0);
-  structure_built_ = true;
 }
 
 void BlockSchurLu::split(const TripletMatrix& triplets) {

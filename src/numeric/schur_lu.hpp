@@ -115,7 +115,6 @@ class BlockSchurLu {
   std::vector<double> border_rhs_;
   std::vector<double> border_y_;
 
-  bool structure_built_ = false;
   bool factorized_ = false;
   bool had_prior_factorize_ = false;
   bool last_refactorized_ = false;

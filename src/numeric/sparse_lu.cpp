@@ -329,16 +329,12 @@ LinearSolver& LinearSolver::operator=(LinearSolver&&) noexcept = default;
 
 void LinearSolver::set_partition(const BlockPartition& partition) {
   schur_ = std::make_unique<BlockSchurLu>(partition);
-  hier_active_ = false;
 }
 
-void LinearSolver::clear_partition() {
-  schur_.reset();
-  hier_active_ = false;
-}
+void LinearSolver::clear_partition() { schur_.reset(); }
 
 bool LinearSolver::factorized() const {
-  if (hier_active_) return schur_->factorized();
+  if (schur_) return schur_->factorized();
   return dense_active_ ? dense_.factorized() : sparse_.factorized();
 }
 
@@ -349,11 +345,9 @@ void LinearSolver::factorize(const TripletMatrix& triplets) {
     // The hierarchical path is inherently cached per block; routing the
     // stateless entry point through it keeps factorize()/solve() consistent.
     schur_->factorize_cached(triplets);
-    hier_active_ = true;
     last_refactorized_ = schur_->last_refactorized();
     return;
   }
-  hier_active_ = false;
   dense_active_ = triplets.size() <= kDenseCutoff;
   if (dense_active_) {
     DenseMatrix a(triplets.size(), triplets.size());
@@ -369,11 +363,9 @@ void LinearSolver::factorize_cached(const TripletMatrix& triplets) {
   last_fallback_ = false;
   if (schur_) {
     schur_->factorize_cached(triplets);
-    hier_active_ = true;
     last_refactorized_ = schur_->last_refactorized();
     return;
   }
-  hier_active_ = false;
   dense_active_ = triplets.size() <= kDenseCutoff;
   if (dense_active_) {
     const std::size_t n = triplets.size();
@@ -407,7 +399,7 @@ void LinearSolver::factorize_cached(const TripletMatrix& triplets) {
 }
 
 void LinearSolver::solve(std::span<const double> b, std::span<double> x) const {
-  if (hier_active_) {
+  if (schur_) {
     schur_->solve(b, x);
   } else if (dense_active_) {
     dense_.solve(b, x);

@@ -128,7 +128,6 @@ class LinearSolver {
 
  private:
   bool dense_active_ = true;
-  bool hier_active_ = false;  // last factorize went through schur_
   DenseLu dense_;
   SparseLu sparse_;
   DenseMatrix dense_buffer_;  // reused dense assembly target

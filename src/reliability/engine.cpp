@@ -38,15 +38,14 @@ double disturbed_gap(const oxram::FastCell& cell, double gap, bool virgin,
     return gap;
   }
   // At 0.3 V the bias-driven rate is many orders below the programming rate,
-  // which is precisely why reads are cheap — but 1e6+ reads or an
-  // accelerated stress budget add up. The compact model's accelerated
-  // barriers also produce a small V = 0 drift (a time-scale artifact, see
-  // bench_ext_read_disturb/DESIGN.md) that is not the read's fault, hence
-  // the bias-minus-rest difference.
+  // which is precisely why reads are cheap — but 1e6+ reads add up. The
+  // compact model's accelerated barriers also produce a small V = 0 drift (a
+  // time-scale artifact, see bench_ext_read_disturb/DESIGN.md) that is not
+  // the read's fault, hence the bias-minus-rest difference.
   const oxram::StackOperatingPoint op =
       oxram::solve_stack(cell.params(), gap, cell.stack(), oxram::Polarity::kSet,
                          oxram::kReadVoltage, oxram::kReadWlVoltage);
-  const double stress = static_cast<double>(reads) * kSenseDuration * model.accel;
+  const double stress = static_cast<double>(reads) * kSenseDuration;
   const double g_bias = oxram::advance_gap(cell.params(), op.v_cell, gap, virgin, stress,
                                            cell.rate_factor());
   const double g_rest =

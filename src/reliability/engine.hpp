@@ -44,14 +44,12 @@ namespace oxmlc::reliability {
 
 // Read disturb: one sense holds Table 1's READ bias across the stack for
 // kSenseDuration. The resulting gap reduction per read is tiny at the
-// nominal 0.3 V (that is the point of a low read voltage); `accel` scales the
-// effective stress time for disturb-margin studies (equivalent to raising
-// read count per notification).
+// nominal 0.3 V (that is the point of a low read voltage); a disturb-margin
+// study bills a larger stress as more reads (apply_reads).
 inline constexpr double kSenseDuration = 100e-9;  // s, one sense operation
 
 struct ReadDisturbModel {
   bool enabled = true;
-  double accel = 1.0;  // stress-time multiplier
 };
 
 // Endurance: window compression past an onset cycle count. The fractional

@@ -59,9 +59,8 @@ AcResult run_ac(MnaSystem& system, const AcOptions& options) {
 
   // --- B: reactive stamps ---
   num::TripletMatrix b(n);
-  ctx.x = dc.solution;
   for (const auto& device : circuit.devices()) {
-    device->stamp_reactive(ctx, b);
+    device->stamp_reactive(b);
   }
 
   // --- excitation vector ---

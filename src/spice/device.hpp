@@ -135,10 +135,7 @@ class Device {
   // Newton Jacobian at the operating point (assemble() provides it) and B
   // collects charge/flux derivatives: capacitors stamp +/-C on their node
   // pairs, inductors stamp -L on their branch diagonal. Default: none.
-  virtual void stamp_reactive(const StampContext& ctx, num::TripletMatrix& b) const {
-    (void)ctx;
-    (void)b;
-  }
+  virtual void stamp_reactive(num::TripletMatrix& b) const { (void)b; }
 
   // AC excitation: phasor contributions to the complex right-hand side at the
   // device's own rows (independent sources with an AC specification).

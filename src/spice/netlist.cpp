@@ -275,7 +275,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
   };
 
   // Parses the optional key=value tail into a map (case-insensitive keys). A
-  // key the card does not take is a bad value, named with the ones it does.
+  // key the card does not take, or one it is given twice, is a bad value.
   auto parse_options = [&](const std::vector<std::string>& tokens, std::size_t from,
                            std::size_t line_no,
                            std::initializer_list<const char*> accepted) {
@@ -286,6 +286,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
         fail(line_no, analyze::codes::kMalformedCard,
              "expected key=value, got: " + tokens[k]);
       }
+      const std::string spelled = tokens[k].substr(0, tokens[k].find('='));
       if (std::none_of(accepted.begin(), accepted.end(),
                        [&](const char* name) { return lower(name) == key; })) {
         std::string names;
@@ -293,19 +294,34 @@ ParsedNetlist parse_netlist(const std::string& text) {
           names += (names.empty() ? "" : ", ") + std::string(name);
         }
         fail(line_no, analyze::codes::kBadValue,
-             "unknown option " + tokens[k].substr(0, tokens[k].find('=')) + " on " +
-                 current_device + " (accepted: " + names + ")");
+             "unknown option " + spelled + " on " + current_device + " (accepted: " +
+                 names + ")");
       }
-      options[key] = value(val);
+      if (!options.emplace(key, value(val)).second) {
+        fail(line_no, analyze::codes::kBadValue,
+             "option " + spelled + " given twice on " + current_device);
+      }
     }
     return options;
   };
 
+  // A card ends after its value (or a source's waveform): any token past
+  // `end` is malformed, not silently dropped.
+  auto expect_end = [&](const std::vector<std::string>& tokens, std::size_t end,
+                        std::size_t line_no) {
+    if (tokens.size() > end) {
+      fail(line_no, analyze::codes::kMalformedCard,
+           "unexpected token '" + tokens[end] + "' after the value of " + current_device);
+    }
+  };
+
+  // A V/I card's value or waveform, the last thing on the card.
   auto make_waveform = [&](const std::vector<std::string>& tokens, std::size_t from,
                            std::size_t line_no) -> std::shared_ptr<Waveform> {
     if (from >= tokens.size()) {
       fail(line_no, analyze::codes::kMalformedCard, "source needs a value or waveform");
     }
+    expect_end(tokens, from + (lower(tokens[from]) == "dc" ? 2 : 1), line_no);
     std::string fn;
     std::vector<std::string> args;
     if (split_function(tokens[from], fn, args)) {
@@ -409,14 +425,17 @@ ParsedNetlist parse_netlist(const std::string& text) {
     switch (kind) {
       case 'R':
         if (tokens.size() < 4) fail(line_no, analyze::codes::kMalformedCard, "R card: R<name> n1 n2 value");
+        expect_end(tokens, 4, line_no);
         c.add<dev::Resistor>(head, node(1), node(2), value(tokens[3]));
         break;
       case 'C':
         if (tokens.size() < 4) fail(line_no, analyze::codes::kMalformedCard, "C card: C<name> n1 n2 value");
+        expect_end(tokens, 4, line_no);
         c.add<dev::Capacitor>(head, node(1), node(2), value(tokens[3]));
         break;
       case 'L':
         if (tokens.size() < 4) fail(line_no, analyze::codes::kMalformedCard, "L card: L<name> n1 n2 value");
+        expect_end(tokens, 4, line_no);
         c.add<dev::Inductor>(head, node(1), node(2), value(tokens[3]));
         break;
       case 'V':
@@ -429,10 +448,12 @@ ParsedNetlist parse_netlist(const std::string& text) {
         break;
       case 'E':
         if (tokens.size() < 6) fail(line_no, analyze::codes::kMalformedCard, "E card: E<name> o+ o- i+ i- gain");
+        expect_end(tokens, 6, line_no);
         c.add<dev::Vcvs>(head, node(1), node(2), node(3), node(4), value(tokens[5]));
         break;
       case 'G':
         if (tokens.size() < 6) fail(line_no, analyze::codes::kMalformedCard, "G card: G<name> o+ o- i+ i- gm");
+        expect_end(tokens, 6, line_no);
         c.add<dev::Vccs>(head, node(1), node(2), node(3), node(4), value(tokens[5]));
         break;
       case 'F':
@@ -441,6 +462,7 @@ ParsedNetlist parse_netlist(const std::string& text) {
           fail(line_no, analyze::codes::kMalformedCard,
                "F/H card: <name> o+ o- Vsensor gain");
         }
+        expect_end(tokens, 5, line_no);
         auto* sensor = dynamic_cast<dev::VoltageSource*>(c.find_device(tokens[3]));
         if (sensor == nullptr) {
           fail(line_no, analyze::codes::kBadReference,
@@ -506,7 +528,11 @@ ParsedNetlist parse_netlist(const std::string& text) {
         const auto options = parse_options(tokens, 4, line_no, {"GAP", "VIRGIN"});
         oxram::OxramParams p;
         double gap = options.count("gap") ? options.at("gap") : p.g_min;
-        const bool virgin = options.count("virgin") && options.at("virgin") != 0.0;
+        const double virgin_flag = options.count("virgin") ? options.at("virgin") : 0.0;
+        if (virgin_flag != 0.0 && virgin_flag != 1.0) {
+          fail(line_no, analyze::codes::kBadValue, "VIRGIN expects 0 or 1 on " + head);
+        }
+        const bool virgin = virgin_flag == 1.0;
         if (virgin && !options.count("gap")) gap = p.g_virgin;
         c.add<oxram::OxramDevice>(head, node(1), node(2), p, gap, virgin);
         break;

@@ -27,7 +27,9 @@
 //                                     [ROFF=..]
 //   X<name> te be OXRAM               OxRAM cell: [GAP=..] [VIRGIN=0|1]
 // Directives: .param NAME=VALUE..., .nolint CODE..., .end, * / ; comments,
-// + continuations. A D, M, S or X card takes only the keys listed for it.
+// + continuations. A D, M, S or X card takes only the keys listed for it,
+// each at most once. Every other card ends at its value (a source at its
+// value or waveform): a token after it is OXP003.
 //
 // Values are util::parse_si literals with SI suffixes (f p n u m k meg g t);
 // letters after the suffix are ignored (SPICE convention; lint OXA007 unless a
@@ -78,9 +80,10 @@ struct ParsedNetlist {
 // Throws NetlistError (line number + OXP0xx code) on malformed input:
 //   OXP001  unknown device card
 //   OXP002  unknown directive
-//   OXP003  malformed card (missing nodes/tokens, unbalanced parentheses,
-//           wrong waveform arity)
-//   OXP004  bad value literal, rejected device parameter or unknown card key
+//   OXP003  malformed card (missing nodes/tokens, a token after the value,
+//           unbalanced parentheses, wrong waveform arity)
+//   OXP004  bad value literal, rejected device parameter, unknown or repeated
+//           card key, or a VIRGIN= flag other than 0 or 1
 //   OXP005  unknown waveform or device model
 //   OXP006  unresolved reference (F/H controlling source)
 ParsedNetlist parse_netlist(const std::string& text);

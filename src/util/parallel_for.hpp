@@ -1,9 +1,10 @@
 // One shared chunk-claiming task pool for every data-parallel loop in the
-// repo. Parallelism lives at one level: each production call is one coarse
-// loop over independent items — the Monte-Carlo trials (mc::run_trials),
-// CellBatch lane shards, the retention sweep, the ECC explorer's words and
-// the memsys word and MNA tiers' samples. Nothing below those loops (the
-// Schur solver, Newton, the device models) starts a pool of its own.
+// repo. Parallelism lives at one level: it has two production callers, each
+// one coarse loop over independent items — mc::run_trials, the one loop of
+// independent trials (the level study, the retention sweep, the ECC
+// explorer's words and the memsys word and MNA tiers' samples), and
+// CellBatch::run's lane shards. Nothing below those loops (the Schur solver,
+// Newton, the device models) starts a pool of its own.
 //
 // Scheduling model. The index space [0, n) is split into fixed-size chunks;
 // workers claim contiguous chunks off an atomic cursor until the space is
@@ -23,8 +24,8 @@
 // Error handling: a throwing body aborts the run — in-flight chunks finish,
 // no new chunks are claimed, and the first exception is rethrown on the
 // caller after the pool joins. The pool itself records no telemetry (util
-// sits below obs in the layering); call sites instrument their own counters
-// inside the body.
+// sits below obs in the layering); mc::run_trials records the mc.* metrics
+// of every trial loop.
 #pragma once
 
 #include <cstddef>

@@ -1,14 +1,8 @@
 // Static analyzers: every OXA0xx circuit check, the OXC0xx MLC configuration
-// lint, suppression, the MnaSystem precheck gate, and the broken-fixture
-// regression corpus under tools/netlists/broken/ (each fixture declares its
-// expected codes in an `* expect: CODE...` header, mirroring
-// scripts/lint_corpus.py).
+// lint, suppression and the MnaSystem precheck gate. The broken-fixture corpus
+// under tools/netlists/broken/ runs through the real oxmlc_sim in cli_test.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <set>
-#include <sstream>
 #include <string>
 
 #include "mlc/analyze/config_lint.hpp"
@@ -186,100 +180,6 @@ TEST(Analyze, PrecheckPassesWarningsThrough) {
   EXPECT_TRUE(result.converged);
 }
 
-// --- broken-netlist regression corpus ---
-
-std::set<std::string> expected_codes(const std::filesystem::path& netlist) {
-  std::ifstream file(netlist);
-  std::string line;
-  while (std::getline(file, line)) {
-    const auto pos = line.find("expect:");
-    if (line.starts_with('*') && pos != std::string::npos) {
-      std::istringstream is(line.substr(pos + 7));
-      std::set<std::string> codes;
-      std::string code;
-      while (is >> code) codes.insert(code);
-      return codes;
-    }
-  }
-  ADD_FAILURE() << netlist << ": no '* expect: CODE...' header";
-  return {};
-}
-
-// Mirrors `oxmlc_sim --lint`: parse (OXP0xx on failure), analyze, merge the
-// parser-side lint channel.
-std::set<std::string> lint_codes(const std::filesystem::path& netlist) {
-  std::ifstream file(netlist);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  std::set<std::string> codes;
-  try {
-    auto parsed = parse_netlist(buffer.str());
-    AnalyzerOptions options;
-    options.suppress = parsed.suppressed;
-    const DiagnosticReport report = analyze_circuit(parsed.circuit, options);
-    for (const auto& d : report.diagnostics()) codes.insert(d.code);
-    for (const auto& d : parsed.lint.diagnostics()) codes.insert(d.code);
-  } catch (const NetlistError& e) {
-    codes.insert(e.code());
-  }
-  return codes;
-}
-
-// Mirrors `oxmlc_sim --lint placement.mlc`: parse (OXC000 on failure), lint.
-std::set<std::string> mlc_lint_codes(const std::filesystem::path& config) {
-  std::ifstream file(config);
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  std::set<std::string> found;
-  try {
-    const DiagnosticReport report =
-        mlc::analyze::lint_mlc_config(mlc::analyze::parse_mlc_config(buffer.str()));
-    for (const auto& d : report.diagnostics()) found.insert(d.code);
-  } catch (const InvalidArgumentError&) {
-    found.insert(codes::kConfigParse);
-  }
-  return found;
-}
-
-TEST(AnalyzeCorpus, BrokenFixturesFlagExpectedCodes) {
-  const std::filesystem::path dir =
-      std::filesystem::path(OXMLC_SOURCE_DIR) / "tools" / "netlists" / "broken";
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::size_t circuits = 0;
-  std::size_t configs = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".cir") {
-      ++circuits;
-      EXPECT_EQ(lint_codes(entry.path()), expected_codes(entry.path()))
-          << entry.path();
-    } else if (entry.path().extension() == ".mlc") {
-      ++configs;
-      EXPECT_EQ(mlc_lint_codes(entry.path()), expected_codes(entry.path()))
-          << entry.path();
-    }
-  }
-  EXPECT_GE(circuits, 10u);
-  EXPECT_GE(configs, 6u);
-}
-
-TEST(AnalyzeCorpus, ShippedNetlistsLintClean) {
-  const std::filesystem::path dir =
-      std::filesystem::path(OXMLC_SOURCE_DIR) / "tools" / "netlists";
-  std::size_t netlists = 0;
-  std::size_t configs = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".cir") {
-      ++netlists;
-      EXPECT_TRUE(lint_codes(entry.path()).empty()) << entry.path();
-    } else if (entry.path().extension() == ".mlc") {
-      ++configs;
-      EXPECT_TRUE(mlc_lint_codes(entry.path()).empty()) << entry.path();
-    }
-  }
-  EXPECT_GE(netlists, 2u);
-  EXPECT_GE(configs, 1u);
-}
-
 // --- MLC configuration lint (OXC0xx) ---
 
 namespace mlca = oxmlc::mlc::analyze;
@@ -421,6 +321,14 @@ TEST(MlcConfigLint, ParseErrorsCarryLineNumbers) {
                            ".verify max_passes=-1", ".verify max_passes=nan"}) {
     expect_line_2(std::string(".mlc bits=1\n") + card + "\n.level value=1 iref=6u r=200k\n");
   }
+  // A key given twice on one directive (not "the last one wins"), and a flag
+  // other than 0 or 1 (not "any nonzero value is on").
+  for (const char* card : {".mlc bits=1 bits=2", ".level value=0 iref=36u iref=30u r=40k",
+                           ".window imin=6u imin=7u", ".drift enabled=0.5",
+                           ".verify enabled=2"}) {
+    expect_line_2(std::string("* repeated keys, flags\n") + card +
+                  "\n.level value=1 iref=6u r=200k\n");
+  }
 }
 
 TEST(MlcConfigLint, ParserAcceptsSiSuffixes) {
@@ -429,10 +337,13 @@ TEST(MlcConfigLint, ParserAcceptsSiSuffixes) {
       ".window imin=6u imax=36u icomp=60u rfloor=30k\n"
       ".level value=0 iref=36u r=0.1meg\n"
       ".level value=1 iref=6u r=200k\n"
-      ".verify tau_relax=1m max_passes=2\n");
+      ".drift enabled=0\n"
+      ".verify tau_relax=1m max_passes=2 enabled=1\n");
   EXPECT_DOUBLE_EQ(input.levels[0].r_nominal, 100e3);
   EXPECT_DOUBLE_EQ(input.tau_relax, 1e-3);
   EXPECT_EQ(input.verify_max_passes, 2u);
+  EXPECT_FALSE(input.drift.enabled);
+  EXPECT_TRUE(input.verify_enabled);
 }
 
 TEST(MlcConfigLint, WideningIsIdentityWithoutDrift) {

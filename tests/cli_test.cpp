@@ -7,14 +7,20 @@
 // The tests exec the real binary (path injected by CMake as OXMLC_SIM_PATH)
 // through /bin/sh, capturing exit status and combined output. When tools are
 // not built (OXMLC_BUILD_EXAMPLES=OFF) the whole suite skips. The bench flag
-// cases also need OXMLC_BENCH_FIG11_PATH (OXMLC_BUILD_BENCH=ON).
+// cases also need OXMLC_BENCH_FIG11_PATH (OXMLC_BUILD_BENCH=ON); the lint
+// corpus cases read tools/netlists/ under OXMLC_SOURCE_DIR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -144,6 +150,28 @@ TEST(CliContract, UnreadableGeometryConfigExits2) {
   const RunResult result =
       run_sim("--trace-synth 50 --geometry /nonexistent/geo.memcfg");
   EXPECT_EQ(result.exit_code, 2) << result.output;
+}
+
+TEST(CliContract, GeometryConfigErrorsNameTheirLine) {
+  // A rule the geometry breaks, or a key given twice, is reported at the
+  // offending line of the .memcfg, with no library source location.
+  const struct {
+    const char* text;
+    const char* error;
+  } cases[] = {
+      {"# geometry\nCHANNELS 0\n", "memsys config line 2: CHANNELS must be positive"},
+      {"BANKS 2\nBITS_PER_CELL 7\n", "memsys config line 2: BITS_PER_CELL must be in [1, 6]"},
+      {"CHANNELS 2\nCHANNELS 4\n", "memsys config line 2: key 'CHANNELS' already set on line 1"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = temp_path("oxmlc_cli_geometry.memcfg");
+    std::ofstream(path) << c.text;
+    const RunResult result = run_sim("--trace-synth 50 --geometry '" + path + "'");
+    std::remove(path.c_str());
+    EXPECT_EQ(result.exit_code, 1) << c.text << "\n" << result.output;
+    EXPECT_NE(result.output.find(c.error), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("[check "), std::string::npos) << result.output;
+  }
 }
 
 TEST(CliContract, TraceAndTraceSynthAreMutuallyExclusive) {
@@ -292,6 +320,103 @@ TEST(CliContract, QlcHonoursTheThreadsFlag) {
               static_cast<double>(threads));
     std::remove(metrics_path.c_str());
   }
+}
+
+// The codes named by a broken fixture's `* expect: CODE...` header.
+std::set<std::string> expected_codes(const std::filesystem::path& fixture) {
+  std::ifstream file(fixture);
+  std::string line;
+  while (std::getline(file, line)) {
+    const std::size_t pos = line.find("expect:");
+    if (line.starts_with('*') && pos != std::string::npos) {
+      std::istringstream codes_text(line.substr(pos + 7));
+      std::set<std::string> codes;
+      for (std::string code; codes_text >> code;) codes.insert(code);
+      return codes;
+    }
+  }
+  ADD_FAILURE() << fixture << ": no '* expect: CODE...' header";
+  return {};
+}
+
+// The .cir netlists and .mlc configs of `dir`, in name order.
+std::vector<std::filesystem::path> lint_inputs(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::filesystem::path& path = entry.path();
+    if (path.extension() == ".cir" || path.extension() == ".mlc") files.push_back(path);
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+struct LintReport {
+  std::set<std::string> codes;
+  double errors = 0.0;
+  double warnings = 0.0;
+};
+
+// `--lint --json` on one .cir netlist or .mlc config. The report carries the
+// oxmlc.lint.v2 schema and its dialect's domain, and oxmlc_sim exits 1
+// exactly when a finding is an error.
+LintReport lint_report(const std::filesystem::path& file) {
+  const RunResult result = run_sim("--lint --json '" + file.string() + "'");
+  EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 1) << file << "\n" << result.output;
+  obs::Json report;
+  try {
+    report = obs::Json::parse(result.output);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << file << ": not a JSON report (" << e.what() << ")\n" << result.output;
+    return {{"<no report>"}, 0.0, 0.0};
+  }
+  EXPECT_EQ(report.get("schema").as_string(), "oxmlc.lint.v2") << file;
+  EXPECT_EQ(report.get("domain").as_string(), file.extension() == ".mlc" ? "mlc" : "circuit")
+      << file;
+  LintReport lint;
+  lint.errors = report.get("errors").as_number();
+  lint.warnings = report.get("warnings").as_number();
+  EXPECT_EQ(result.exit_code, lint.errors > 0 ? 1 : 0) << file;
+  const obs::Json& diagnostics = report.get("diagnostics");
+  for (std::size_t i = 0; i < diagnostics.size(); ++i) {
+    lint.codes.insert(diagnostics.at(i).get("code").as_string());
+  }
+  return lint;
+}
+
+const std::filesystem::path kNetlistDir =
+    std::filesystem::path(OXMLC_SOURCE_DIR) / "tools" / "netlists";
+
+// The lint corpus runs through the real `oxmlc_sim --lint --json`: each broken
+// fixture of tools/netlists/broken/ flags exactly the codes its `* expect:`
+// header names.
+TEST(AnalyzeCorpus, BrokenFixturesFlagExpectedCodes) {
+  std::size_t circuits = 0, configs = 0;
+  for (const std::filesystem::path& file : lint_inputs(kNetlistDir / "broken")) {
+    EXPECT_EQ(lint_report(file).codes, expected_codes(file)) << file;
+    ++(file.extension() == ".mlc" ? configs : circuits);
+  }
+  EXPECT_GE(circuits, 10u);
+  EXPECT_GE(configs, 6u);
+}
+
+// Every shipped netlist and config of tools/netlists/ lints with no finding,
+// and so does the built-in paper placement (no file, --bits 4).
+TEST(AnalyzeCorpus, ShippedNetlistsLintClean) {
+  std::size_t circuits = 0, configs = 0;
+  for (const std::filesystem::path& file : lint_inputs(kNetlistDir)) {
+    const LintReport lint = lint_report(file);
+    EXPECT_TRUE(lint.codes.empty()) << file;
+    EXPECT_EQ(lint.errors, 0.0) << file;
+    EXPECT_EQ(lint.warnings, 0.0) << file;
+    ++(file.extension() == ".mlc" ? configs : circuits);
+  }
+  EXPECT_GE(circuits, 2u);
+  EXPECT_GE(configs, 1u);
+
+  const RunResult paper = run_sim("--lint --bits 4");
+  EXPECT_EQ(paper.exit_code, 0) << paper.output;
+  EXPECT_NE(paper.output.find("0 error(s), 0 warning(s)"), std::string::npos)
+      << paper.output;
 }
 
 // tools/netlists/rc_lowpass.cir: a 1 kOhm / 1 nF low-pass (tau = 1 us) driven

@@ -12,6 +12,7 @@
 #include "ecc/gray.hpp"
 #include "ecc/secded.hpp"
 #include "mlc/program.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::ecc {
@@ -588,6 +589,17 @@ TEST(EccExplorer, TinyStudyHasMonotoneLadderAndSaneFrontier) {
   EXPECT_NE(json.find("\"schema\": \"oxmlc.ecc.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"uber_monotone\": true"), std::string::npos);
   EXPECT_NE(json.find("\"frontier\""), std::string::npos);
+}
+
+TEST(EccExplorer, McTrialsCountPolicyPointsTimesTrials) {
+  // The physics phase runs every (policy point, trial) word through
+  // mc::run_trials, so the runner's trial counter advances by their number.
+  const EccStudyConfig config = tiny_study();
+  const obs::Counter& trials = obs::registry().counter("mc.trials");
+  const std::uint64_t before = trials.value();
+  const EccReport report = run_ecc_study(config);
+  EXPECT_EQ(report.points.size(), 2u);
+  EXPECT_EQ(trials.value() - before, report.points.size() * config.trials);
 }
 
 TEST(EccExplorer, ReportIsBitIdenticalAcrossThreadCounts) {

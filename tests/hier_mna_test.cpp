@@ -412,4 +412,20 @@ TEST(LinearSolverPartition, RoutesThroughSchurAndBack) {
   EXPECT_LT(rel_max_diff(x_mono, x_hier), 1e-9);
 }
 
+// A new partition has no factors yet: the monolithic factors of an earlier
+// system must not answer for it.
+TEST(LinearSolverPartition, NewPartitionStartsUnfactorized) {
+  BbdSystem sys = make_bbd(4, 30, 6, 0x55);
+  std::vector<double> x(sys.a.size());
+
+  LinearSolver solver;
+  solver.factorize_cached(sys.a);
+  EXPECT_TRUE(solver.factorized());
+  solver.set_partition(sys.partition);
+  EXPECT_FALSE(solver.factorized());
+  EXPECT_THROW(solver.solve(sys.rhs, x), oxmlc::InvalidArgumentError);
+  solver.factorize_cached(sys.a);
+  EXPECT_TRUE(solver.factorized());
+}
+
 }  // namespace

@@ -26,19 +26,19 @@ TEST(McRunner, TrialsAreIndependentStreams) {
   EXPECT_LT(equal, 2);
 }
 
+// Every trial below draws from its own (seed, index) stream, as the
+// production trials do.
+constexpr std::uint64_t kSeed = 0xA21Cull;
+
 TEST(McRunner, ResultsIndependentOfThreadCount) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t, Rng& rng) {
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
+    Rng rng = trial_rng(kSeed, index);
     double sum = 0.0;
     for (int i = 0; i < 10; ++i) sum += rng.normal(0, 1);
     return sum;
   };
-  McOptions serial;
-  serial.trials = 64;
-  serial.threads = 1;
-  McOptions parallel = serial;
-  parallel.threads = 4;
-  const auto a = run_trials<double>(serial, trial);
-  const auto b = run_trials<double>(parallel, trial);
+  const auto a = run_trials<double>(64, 1, trial);
+  const auto b = run_trials<double>(64, 4, trial);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
@@ -48,19 +48,16 @@ TEST(McRunner, ResultsIndependentOfThreadCount) {
 // with a trial that consumes a data-dependent number of RNG draws, so any
 // cross-trial stream sharing or scheduling dependence would shift bits.
 TEST(McRunner, ResultsBitIdenticalOneVsEightThreads) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t index, Rng& rng) {
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
+    Rng rng = trial_rng(kSeed, index);
     double acc = static_cast<double>(index);
     const int draws = 1 + static_cast<int>(rng.next_u64() % 17);
     for (int i = 0; i < draws; ++i) acc += rng.normal(0.0, 1.0) * rng.uniform();
     return acc;
   };
-  McOptions serial;
-  serial.trials = 257;  // not a multiple of 8: uneven per-thread strides
-  serial.threads = 1;
-  McOptions parallel = serial;
-  parallel.threads = 8;
-  const auto a = run_trials<double>(serial, trial);
-  const auto b = run_trials<double>(parallel, trial);
+  // 257 trials, not a multiple of 8: uneven per-thread strides.
+  const auto a = run_trials<double>(257, 1, trial);
+  const auto b = run_trials<double>(257, 8, trial);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Bit identity, not tolerance: memcmp-equivalent via ==.
@@ -69,28 +66,23 @@ TEST(McRunner, ResultsBitIdenticalOneVsEightThreads) {
 }
 
 TEST(McRunner, SeedChangesSamples) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t, Rng& rng) {
-    return rng.uniform();
+  const auto uniform = [](std::uint64_t seed) {
+    return std::function<double(std::size_t)>(
+        [seed](std::size_t index) { return trial_rng(seed, index).uniform(); });
   };
-  McOptions one;
-  one.trials = 16;
-  one.seed = 1;
-  McOptions two = one;
-  two.seed = 2;
-  const auto a = run_trials<double>(one, trial);
-  const auto b = run_trials<double>(two, trial);
+  const auto a = run_trials<double>(16, 0, uniform(1));
+  const auto b = run_trials<double>(16, 0, uniform(2));
   int equal = 0;
   for (std::size_t i = 0; i < a.size(); ++i) equal += a[i] == b[i];
   EXPECT_EQ(equal, 0);
 }
 
 TEST(McRunner, TrialIndexIsPassedThrough) {
-  const std::function<std::size_t(std::size_t, Rng&)> trial = [](std::size_t index, Rng&) {
+  const std::function<std::size_t(std::size_t)> trial = [](std::size_t index) {
     return index;
   };
-  McOptions options;
-  options.trials = 20;
-  const auto samples = run_trials<std::size_t>(options, trial);
+  const auto samples = run_trials<std::size_t>(20, 0, trial);
+  ASSERT_EQ(samples.size(), 20u);
   for (std::size_t i = 0; i < samples.size(); ++i) EXPECT_EQ(samples[i], i);
 }
 
@@ -130,20 +122,17 @@ TEST(McRunner, TrialRngGoldenVectors) {
 // Chunked claiming must not change results for ANY thread count, including
 // counts that do not divide the trial total and counts above it.
 TEST(McRunner, ChunkedSchedulingBitIdenticalAcrossThreadCounts) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t index, Rng& rng) {
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
+    Rng rng = trial_rng(kSeed, index);
     double acc = static_cast<double>(index);
     const int draws = 1 + static_cast<int>(rng.next_u64() % 13);
     for (int i = 0; i < draws; ++i) acc += rng.normal(0.0, 1.0) * rng.uniform();
     return acc;
   };
-  McOptions serial;
-  serial.trials = 101;  // prime: never divides evenly into chunks
-  serial.threads = 1;
-  const auto reference = run_trials<double>(serial, trial);
+  // 101 trials, a prime: never divides evenly into chunks.
+  const auto reference = run_trials<double>(101, 1, trial);
   for (std::size_t threads : {2, 3, 5, 16, 33}) {
-    McOptions parallel = serial;
-    parallel.threads = threads;
-    const auto samples = run_trials<double>(parallel, trial);
+    const auto samples = run_trials<double>(101, threads, trial);
     ASSERT_EQ(samples.size(), reference.size());
     for (std::size_t i = 0; i < samples.size(); ++i) {
       EXPECT_EQ(samples[i], reference[i]) << "threads=" << threads << " trial=" << i;
@@ -163,40 +152,32 @@ TEST(McRunner, ClaimChunkTargetsEightChunksPerWorker) {
 // A throwing trial must reach the caller as an exception (the old pool let it
 // escape a worker thread straight into std::terminate) and be counted.
 TEST(McRunner, WorkerExceptionPropagatesToCaller) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t index, Rng&) {
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
     if (index == 13) throw std::runtime_error("trial 13 diverged");
     return 0.0;
   };
   const std::uint64_t failures_before =
       obs::registry().counter("mc.trial_failures").value();
-  McOptions options;
-  options.trials = 64;
-  options.threads = 4;
-  EXPECT_THROW(run_trials<double>(options, trial), std::runtime_error);
+  EXPECT_THROW(run_trials<double>(64, 4, trial), std::runtime_error);
   EXPECT_GE(obs::registry().counter("mc.trial_failures").value(), failures_before + 1);
 }
 
 TEST(McRunner, SerialExceptionPropagatesAndCounts) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t index, Rng&) {
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
     if (index == 5) throw std::runtime_error("trial 5 diverged");
     return 0.0;
   };
   const std::uint64_t failures_before =
       obs::registry().counter("mc.trial_failures").value();
-  McOptions options;
-  options.trials = 8;
-  options.threads = 1;
-  EXPECT_THROW(run_trials<double>(options, trial), std::runtime_error);
+  EXPECT_THROW(run_trials<double>(8, 1, trial), std::runtime_error);
   EXPECT_EQ(obs::registry().counter("mc.trial_failures").value(), failures_before + 1);
 }
 
 TEST(McRunner, SampledMeanConvergesToTruth) {
-  const std::function<double(std::size_t, Rng&)> trial = [](std::size_t, Rng& rng) {
-    return rng.normal(3.0, 1.0);
+  const std::function<double(std::size_t)> trial = [](std::size_t index) {
+    return trial_rng(kSeed, index).normal(3.0, 1.0);
   };
-  McOptions options;
-  options.trials = 20000;
-  const auto samples = run_trials<double>(options, trial);
+  const auto samples = run_trials<double>(20000, 0, trial);
   RunningStats stats;
   for (double s : samples) stats.add(s);
   EXPECT_NEAR(stats.mean(), 3.0, 0.03);

@@ -48,7 +48,8 @@ TEST(Geometry, ValidateNamesTheOffendingField) {
     g.validate();
     FAIL() << "zero channels accepted";
   } catch (const InvalidArgumentError& e) {
-    EXPECT_NE(std::string(e.what()).find("channels"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("CHANNELS must be positive"), std::string::npos)
+        << e.what();
   }
 
   GeometryConfig fractional = GeometryConfig::rram_isscc_2012();
@@ -182,6 +183,37 @@ TEST(MemsysConfig, RejectsWordWiderThanTracePayload) {
   }
   // A word that fills the payload exactly is fine.
   EXPECT_EQ(parse_memsys_config("CELLS_PER_WORD 16\n").bytes_per_access(), 8u);
+}
+
+TEST(MemsysConfig, BrokenRulesAndRepeatedKeysNameTheirLine) {
+  // A rule the parsed geometry breaks is reported at the line of the last
+  // key it reads, and a key given twice at its second line.
+  const struct {
+    const char* text;
+    std::size_t line;
+    const char* message;
+  } cases[] = {
+      {"CHANNELS 0\n", 1, "CHANNELS must be positive"},
+      {"# geometry\nBANKS 2\nBITS_PER_CELL 7\n", 3, "BITS_PER_CELL must be in [1, 6], got 7"},
+      {"CELLS_PER_WORD 16\nBITS_PER_CELL 6\nROWS 256\n", 2, "64-bit trace payload"},
+      {"BITS_PER_CELL 6\nROWS 256\nCELLS_PER_WORD 16\n", 3, "64-bit trace payload"},
+      {"tWP_MAX 100\nQUEUE_DEPTH 4\n", 1, "0 < tWP_MIN <= tWP_MAX, got [220, 100]"},
+      {"WRITE_DRAIN_THRESHOLD 0\nSCHED_POLICY WRITE_DRAIN\n", 2,
+       "WRITE_DRAIN_THRESHOLD must be positive"},
+      {"CHANNELS 2\nCHANNELS 4\n", 2, "key 'CHANNELS' already set on line 1"},
+      {"COLS 8\nBANKS 2\nWORDS_PER_ROW 16\n", 3, "key 'WORDS_PER_ROW' already set on line 1"},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse_memsys_config(c.text);
+      ADD_FAILURE() << "parsed: " << c.text;
+    } catch (const util::ParseError& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(e.line(), c.line) << message;
+      EXPECT_NE(message.find(c.message), std::string::npos) << message;
+      EXPECT_EQ(message.find("[check "), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(MemsysConfig, LoadRejectsMissingFile) {
@@ -692,6 +724,19 @@ TEST(Replay, ReportInvariantsAndMetrics) {
   // Telemetry: the registry counter advanced by exactly this replay's count.
   EXPECT_EQ(obs::registry().counter("memsys.requests_retired").value(),
             retired_before + report.requests_retired);
+}
+
+TEST(Replay, McTrialsCountTheWordAndMnaSamples) {
+  // Both fidelity tiers run their samples through mc::run_trials, so the
+  // runner's trial counter advances by exactly the samples they evaluated.
+  const ReplayOptions options = small_replay_options();
+  const auto trace = small_trace(options.geometry);
+  const obs::Counter& trials = obs::registry().counter("mc.trials");
+  const std::uint64_t before = trials.value();
+  const MemsysReport report = replay_trace(trace, options);
+  EXPECT_GT(report.word_tier.samples, 0u);
+  EXPECT_GT(report.mna_tier.samples, 0u);
+  EXPECT_EQ(trials.value() - before, report.word_tier.samples + report.mna_tier.samples);
 }
 
 TEST(Replay, JsonCarriesTheSchemaAndSections) {

@@ -277,6 +277,22 @@ TEST(NetlistDiagnostics, MalformedCardArity) {
   EXPECT_EQ(parse_failure("V1 a 0 PWL(1 2 3)\n").first, "OXP003");   // odd PWL pairs
   EXPECT_EQ(parse_failure("+ orphan\n").first, "OXP003");            // bad continuation
   EXPECT_EQ(parse_failure("R1 a 0 1k extra)\n").first, "OXP003");    // unbalanced paren
+  // A card ends at its value, a source at its value or waveform: a token
+  // after it is an error at its line, not dropped.
+  for (const char* card :
+       {"R1 a 0 1k 2k", "C1 a 0 1p 2p", "L1 a 0 1u x", "V1 a 0 1 2", "V1 a 0 DC 1 junk",
+        "V1 a 0 PULSE(0 1) junk", "I1 a 0 SIN(0 1 1k) 2", "E1 b 0 a 0 2 3",
+        "G1 b 0 a 0 1m 2m"}) {
+    EXPECT_EQ(parse_failure(std::string("* title\n") + card + "\n"),
+              std::make_pair(std::string("OXP003"), std::size_t{2}))
+        << card;
+  }
+  for (const char* card : {"F1 b 0 V1 2 3", "H1 b 0 V1 1k x"}) {
+    EXPECT_EQ(parse_failure(std::string("V1 a 0 DC 1\n") + card + "\n"),
+              std::make_pair(std::string("OXP003"), std::size_t{2}))
+        << card;
+  }
+  EXPECT_NO_THROW(parse_netlist("V1 a 0 DC 1\nR1 a 0 1k\nE1 b 0 a 0 2\nF1 b 0 V1 2\n"));
 }
 
 TEST(NetlistDiagnostics, BadValueLiteral) {
@@ -360,6 +376,33 @@ TEST(NetlistDiagnostics, UnknownOxramOptionIsRejected) {
   EXPECT_EQ(code, "OXP004");
   EXPECT_EQ(line, 1u);
   EXPECT_NE(message.find("GAP, VIRGIN"), std::string::npos) << message;
+}
+
+// A key given twice on one card is OXP004 at its line, naming the key; the
+// option map would otherwise keep the last value.
+TEST(NetlistDiagnostics, RepeatedOptionIsRejected) {
+  std::string message;
+  const auto [code, line] =
+      parse_failure("V1 d 0 DC 3.3\nM1 d d 0 0 NMOS W=1u w=50u L=1u\n", &message);
+  EXPECT_EQ(code, "OXP004");
+  EXPECT_EQ(line, 2u);
+  EXPECT_NE(message.find("w given twice"), std::string::npos) << message;
+  EXPECT_EQ(parse_failure("* title\nX1 a 0 OXRAM GAP=1n GAP=2n\n"),
+            std::make_pair(std::string("OXP004"), std::size_t{2}));
+}
+
+// VIRGIN= is a flag: 0 or 1, not "any nonzero value".
+TEST(NetlistDiagnostics, OxramVirginFlagIsZeroOrOne) {
+  for (const char* flag : {"0.5", "2", "-1"}) {
+    std::string message;
+    const auto [code, line] =
+        parse_failure(std::string("* title\nX1 a 0 OXRAM VIRGIN=") + flag + "\n", &message);
+    EXPECT_EQ(code, "OXP004") << flag;
+    EXPECT_EQ(line, 2u) << flag;
+    EXPECT_NE(message.find("VIRGIN expects 0 or 1"), std::string::npos) << message;
+  }
+  EXPECT_NO_THROW(parse_netlist("X1 a 0 OXRAM VIRGIN=0\n"));
+  EXPECT_NO_THROW(parse_netlist("X1 a 0 OXRAM VIRGIN=1\n"));
 }
 
 TEST(NetlistDiagnostics, NolintSuppressesParserLint) {

@@ -172,17 +172,13 @@ TEST(ParallelFor, ExceptionInNestedInnerLoopPropagatesThroughOuterPool) {
 // its draws. Any scheduling leak between trials changes the bytes.
 TEST(ParallelForDeterminism, RunTrialsBitIdenticalAcrossThreadCounts) {
   const auto run = [](std::size_t threads) {
-    mc::McOptions options;
-    options.trials = 64;
-    options.seed = 0xD15EA5Eull;
-    options.threads = threads;
-    const std::function<std::vector<double>(std::size_t, Rng&)> trial =
-        [](std::size_t index, Rng& rng) {
-          std::vector<double> draws(8);
-          for (double& d : draws) d = rng.normal(static_cast<double>(index), 1.0);
-          return draws;
-        };
-    return mc::run_trials<std::vector<double>>(options, trial);
+    const std::function<std::vector<double>(std::size_t)> trial = [](std::size_t index) {
+      Rng rng = mc::trial_rng(0xD15EA5Eull, index);
+      std::vector<double> draws(8);
+      for (double& d : draws) d = rng.normal(static_cast<double>(index), 1.0);
+      return draws;
+    };
+    return mc::run_trials<std::vector<double>>(64, threads, trial);
   };
 
   const auto reference = run(1);

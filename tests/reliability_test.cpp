@@ -230,16 +230,16 @@ TEST(ReliabilityEngine, ReadDisturbNudgesTowardLrs) {
   array::FastArray grid(1, 1, oxram::OxramParams{}, oxram::OxramVariability::disabled(),
                         oxram::StackConfig{}, 5);
   ReliabilityConfig config;
-  config.drift.enabled = false;          // isolate the disturb channel
-  config.read_disturb.accel = 1e9;       // make the 0.3 V stress visible
+  config.drift.enabled = false;  // isolate the disturb channel
   ReliabilityEngine engine(grid, config);
   oxram::FastCell& cell = grid.at(0, 0);
   cell.set_gap(1.5e-9);
   cell.set_virgin(false);
   engine.on_programmed(0, 0);
 
-  engine.apply_reads(0, 0, 1000);
-  EXPECT_EQ(engine.reads(0, 0), 1000u);
+  // 1e12 senses (1e5 s at the 0.3 V READ bias) make the stress visible.
+  engine.apply_reads(0, 0, 1'000'000'000'000);
+  EXPECT_EQ(engine.reads(0, 0), 1'000'000'000'000u);
   EXPECT_LT(engine.trajectory(0, 0).offset, 0.0);
   EXPECT_LT(cell.gap(), 1.5e-9);
   EXPECT_GE(cell.gap(), cell.params().g_min);

@@ -306,7 +306,7 @@ int run_qlc(const CliOptions& options) {
 // (this is what populates the reliability.cells_scrubbed counter the CI
 // smoke asserts). `--report` writes the whole thing as oxmlc.retention.v1.
 int run_retention(const CliOptions& options) {
-  const std::uint64_t seed = options.seed_set ? options.seed : mc::McOptions{}.seed;
+  const std::uint64_t seed = options.seed_set ? options.seed : mlc::McOptions{}.seed;
   std::cout << "Retention sweep: " << options.qlc_bits << " bits/cell, "
             << options.qlc_trials << " trials/level, seed " << seed << "\n";
 
