@@ -86,19 +86,16 @@ class NonlinearLadderSystem final : public num::NonlinearSystem {
  public:
   explicit NonlinearLadderSystem(std::size_t n) : n_(n) {}
   std::size_t dimension() const override { return n_; }
-  void assemble(std::span<const double> x, num::TripletMatrix& jacobian,
+  void assemble(std::span<const double> x, num::TripletMatrix* jacobian,
                 std::span<double> residual) override {
     for (std::size_t i = 0; i < n_; ++i) {
       residual[i] = (3.0 + x[i] * x[i]) * x[i] - 1.0;
-      jacobian.add(i, i, 3.0 + 3.0 * x[i] * x[i]);
-      if (i > 0) {
-        residual[i] -= x[i - 1];
-        jacobian.add(i, i - 1, -1.0);
-      }
-      if (i + 1 < n_) {
-        residual[i] -= x[i + 1];
-        jacobian.add(i, i + 1, -1.0);
-      }
+      if (i > 0) residual[i] -= x[i - 1];
+      if (i + 1 < n_) residual[i] -= x[i + 1];
+      if (jacobian == nullptr) continue;
+      jacobian->add(i, i, 3.0 + 3.0 * x[i] * x[i]);
+      if (i > 0) jacobian->add(i, i - 1, -1.0);
+      if (i + 1 < n_) jacobian->add(i, i + 1, -1.0);
     }
   }
 

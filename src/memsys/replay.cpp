@@ -5,7 +5,6 @@
 
 #include "obs/registry.hpp"
 #include "util/schema.hpp"
-#include "util/stats.hpp"
 
 namespace oxmlc::memsys {
 
@@ -33,17 +32,36 @@ struct MemsysMetrics {
   }
 };
 
+// The mean in trace order, then the quantiles and the maximum by selection
+// rather than a sort. util::quantile interpolates between the order
+// statistics at floor(pos) and floor(pos) + 1: nth_element places the first
+// within what lies above the previous quantile's, and the second is the
+// smallest value above it. These are a sort's order statistics, so the
+// summary is bit for bit the sorted one.
 LatencySummary summarize_latency(std::vector<double>& latencies_ns) {
   LatencySummary summary;
   if (latencies_ns.empty()) return summary;
   double total = 0.0;
   for (const double v : latencies_ns) total += v;
-  summary.mean_ns = total / static_cast<double>(latencies_ns.size());
-  std::sort(latencies_ns.begin(), latencies_ns.end());
-  summary.p50_ns = quantile(latencies_ns, 0.50);
-  summary.p99_ns = quantile(latencies_ns, 0.99);
-  summary.p999_ns = quantile(latencies_ns, 0.999);
-  summary.max_ns = latencies_ns.back();
+  const std::size_t n = latencies_ns.size();
+  summary.mean_ns = total / static_cast<double>(n);
+
+  const auto end = latencies_ns.end();
+  auto placed = latencies_ns.begin();  // what lies before it is no larger
+  const auto select = [&](double q) {
+    const double pos = q * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto nth = latencies_ns.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(placed, nth, end);
+    placed = nth;
+    const double below = *nth;
+    const double above = lo + 1 < n ? *std::min_element(nth + 1, end) : below;
+    return below + (pos - static_cast<double>(lo)) * (above - below);
+  };
+  summary.p50_ns = select(0.50);
+  summary.p99_ns = select(0.99);
+  summary.p999_ns = select(0.999);
+  summary.max_ns = *std::max_element(placed, end);
   return summary;
 }
 

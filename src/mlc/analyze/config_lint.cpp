@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -139,6 +140,7 @@ MlcLintInput parse_mlc_config(const std::string& text) {
   MlcLintInput input;
   input.levels.clear();
   bool bits_seen = false;
+  std::map<std::string, std::size_t> first_line;  // of each one-line directive
 
   std::istringstream stream(text);
   std::string line;
@@ -152,6 +154,16 @@ MlcLintInput parse_mlc_config(const std::string& text) {
 
     std::vector<std::string> rest;
     for (std::string token; tokens >> token;) rest.push_back(token);
+
+    // .level and .nolint add to lists; a second line of any other directive
+    // would merge into the first's fields, so it is an error.
+    if (directive != ".level" && directive != ".nolint") {
+      const auto [first, inserted] = first_line.emplace(directive, line_no);
+      if (!inserted) {
+        fail(line_no, directive + " given twice (first on line " +
+                          std::to_string(first->second) + ")");
+      }
+    }
 
     if (directive == ".nolint") {
       for (const std::string& code : rest) input.suppressed.push_back(code);

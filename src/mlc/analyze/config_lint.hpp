@@ -111,9 +111,11 @@ struct MlcLintInput {
 // Values are strict util::parse_si literals: finite, with an optional SI
 // suffix and unit word ("36uA", "0.1meg"; not "nan" or "1mxyz"); bits=, value=
 // and max_passes= must be integers in range, and the enabled= flags 0 or 1.
-// A bad value, key or directive, or a key given twice on one directive,
-// throws util::ParseError at its line; the CLI surfaces that as a single
-// OXC000 diagnostic so the report shape stays uniform.
+// .level and .nolint may repeat; every other directive sets its fields on one
+// line. A bad value, key or directive, a key given twice on one directive, or
+// a second line of a one-line directive throws util::ParseError at its line
+// (for a repeat, the message names the first line); the CLI surfaces that as
+// a single OXC000 diagnostic so the report shape stays uniform.
 MlcLintInput parse_mlc_config(const std::string& text);
 
 // Runs every OXC check over the input. Does not throw on findings; `.nolint`

@@ -71,21 +71,63 @@ void BasicDenseLu<T>::factorize(const BasicDenseMatrix<T>& a) {
   }
 }
 
-template <typename T>
-void BasicDenseLu<T>::solve(std::span<const T> b, std::span<T> x) const {
-  OXMLC_CHECK(factorized(), "DenseLu::solve before factorize");
-  OXMLC_CHECK(b.size() == n_ && x.size() == n_, "DenseLu::solve size mismatch");
+namespace {
+
+// Forward and back substitution of W right-hand sides at once, column j at
+// b + j * n and x + j * n. Each column takes one-column substitution's
+// operations in its order; holding the W columns' running sums side by side
+// lets their dependent chains of subtractions overlap.
+template <typename T, std::size_t W>
+void substitute(const BasicDenseMatrix<T>& lu, const std::vector<std::size_t>& perm,
+                const T* b, T* x) {
+  const std::size_t n = perm.size();
   // Forward substitution with permutation: L y = P b.
-  for (std::size_t r = 0; r < n_; ++r) {
-    T s = b[perm_[r]];
-    for (std::size_t c = 0; c < r; ++c) s -= lu_.at(r, c) * x[c];
-    x[r] = s;
+  for (std::size_t r = 0; r < n; ++r) {
+    T s[W];
+    for (std::size_t j = 0; j < W; ++j) s[j] = b[j * n + perm[r]];
+    for (std::size_t c = 0; c < r; ++c) {
+      const T l = lu.at(r, c);
+      for (std::size_t j = 0; j < W; ++j) s[j] -= l * x[j * n + c];
+    }
+    for (std::size_t j = 0; j < W; ++j) x[j * n + r] = s[j];
   }
   // Back substitution: U x = y.
-  for (std::size_t ri = n_; ri-- > 0;) {
-    T s = x[ri];
-    for (std::size_t c = ri + 1; c < n_; ++c) s -= lu_.at(ri, c) * x[c];
-    x[ri] = s / lu_.at(ri, ri);
+  for (std::size_t ri = n; ri-- > 0;) {
+    T s[W];
+    for (std::size_t j = 0; j < W; ++j) s[j] = x[j * n + ri];
+    for (std::size_t c = ri + 1; c < n; ++c) {
+      const T u = lu.at(ri, c);
+      for (std::size_t j = 0; j < W; ++j) s[j] -= u * x[j * n + c];
+    }
+    const T d = lu.at(ri, ri);
+    for (std::size_t j = 0; j < W; ++j) x[j * n + ri] = s[j] / d;
+  }
+}
+
+}  // namespace
+
+template <typename T>
+void BasicDenseLu<T>::solve(std::span<const T> b, std::span<T> x) const {
+  solve_columns(b, x, 1);
+}
+
+template <typename T>
+void BasicDenseLu<T>::solve_columns(std::span<const T> b, std::span<T> x,
+                                    std::size_t m) const {
+  OXMLC_CHECK(factorized(), "DenseLu::solve before factorize");
+  OXMLC_CHECK(b.size() == n_ * m && x.size() == n_ * m, "DenseLu::solve size mismatch");
+  // Four columns per pass, then the rest in one narrower pass.
+  const T* bj = b.data();
+  T* xj = x.data();
+  std::size_t left = m;
+  for (; left >= 4; left -= 4, bj += 4 * n_, xj += 4 * n_) {
+    substitute<T, 4>(lu_, perm_, bj, xj);
+  }
+  switch (left) {
+    case 3: substitute<T, 3>(lu_, perm_, bj, xj); break;
+    case 2: substitute<T, 2>(lu_, perm_, bj, xj); break;
+    case 1: substitute<T, 1>(lu_, perm_, bj, xj); break;
+    default: break;
   }
 }
 

@@ -55,6 +55,13 @@ class BasicDenseLu {
   // Solves A x = b using the stored factors. b.size() == n.
   void solve(std::span<const T> b, std::span<T> x) const;
 
+  // Solves A X = B for m right-hand sides stored column-major (column j at
+  // j * n); b.size() == x.size() == n * m. Every column gets exactly solve()'s
+  // operations in solve()'s order, so it is bit-identical to solve() on that
+  // column, while the columns' substitution chains interleave. solve() is the
+  // one-column case.
+  void solve_columns(std::span<const T> b, std::span<T> x, std::size_t m) const;
+
   bool factorized() const { return n_ > 0; }
 
  private:

@@ -26,7 +26,10 @@ struct NewtonMetrics {
   obs::Counter& solves = obs::registry().counter("newton.solves");
   obs::Counter& iterations = obs::registry().counter("newton.iterations");
   obs::Counter& factorizations = obs::registry().counter("newton.factorizations");
+  // Jacobian stamps; the line-search trials count as residual evaluations.
   obs::Counter& assemblies = obs::registry().counter("newton.assemblies");
+  obs::Counter& residual_evaluations =
+      obs::registry().counter("newton.residual_evaluations");
   obs::Counter& damping_halvings = obs::registry().counter("newton.damping_halvings");
   obs::Counter& failures = obs::registry().counter("newton.convergence_failures");
   obs::Counter& refactorizations = obs::registry().counter("newton.refactorizations");
@@ -56,30 +59,24 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
   std::vector<double>& residual = workspace.residual;
   std::vector<double>& dx = workspace.dx;
   std::vector<double>& x_trial = workspace.x_trial;
-  std::vector<double>& residual_trial = workspace.residual_trial;
   residual.assign(n, 0.0);
   dx.assign(n, 0.0);
   x_trial.assign(n, 0.0);
-  residual_trial.assign(n, 0.0);
   LinearSolver& solver = workspace.solver;
 
   NewtonResult result;
-
-  jacobian.clear();
-  system.assemble(x, jacobian, residual);
-  metrics.assemblies.add();
-  double residual_norm = norm_inf(residual);
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
     metrics.iterations.add();
 
-    if (residual_norm <= kResidualTol && iter > 0 &&
-        result.final_update_norm <= 1.0) {
-      result.converged = true;
-      result.final_residual_norm = residual_norm;
-      return result;
-    }
+    // The iteration's one Jacobian, stamped at the iterate it linearizes.
+    // The residual stamped with it is F(x) again: after the first iteration,
+    // bit for bit the accepted trial's.
+    jacobian.clear();
+    system.assemble(x, &jacobian, residual);
+    metrics.assemblies.add();
+    const double residual_norm = norm_inf(residual);
 
     solver.factorize_cached(jacobian);
     metrics.factorizations.add();
@@ -94,17 +91,18 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
       if (limit > 0.0) dx[i] = std::clamp(dx[i], -limit, limit);
     }
 
-    // Damped line search on the residual norm.
+    // Damped line search on the residual norm. A trial needs F only, so it
+    // stamps no Jacobian, and it may overwrite `residual`: the solve above
+    // has used F(x), and the next iteration's stamp writes it again.
     double scale = 1.0;
     double best_scale = 1.0;
     double best_norm = std::numeric_limits<double>::infinity();
     for (std::size_t halving = 0; halving <= kMaxDampingHalvings; ++halving) {
       if (halving > 0) metrics.damping_halvings.add();
       for (std::size_t i = 0; i < n; ++i) x_trial[i] = x[i] + scale * dx[i];
-      jacobian.clear();
-      system.assemble(x_trial, jacobian, residual_trial);
-      metrics.assemblies.add();
-      const double trial_norm = norm_inf(residual_trial);
+      system.assemble(x_trial, nullptr, residual);
+      metrics.residual_evaluations.add();
+      const double trial_norm = norm_inf(residual);
       if (trial_norm < best_norm) {
         best_norm = trial_norm;
         best_scale = scale;
@@ -114,31 +112,20 @@ NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,
       scale *= 0.5;
     }
 
-    if (best_scale != scale) {
-      // Re-assemble at the best damping found (the loop may have overshot).
-      for (std::size_t i = 0; i < n; ++i) x_trial[i] = x[i] + best_scale * dx[i];
-      jacobian.clear();
-      system.assemble(x_trial, jacobian, residual_trial);
-      metrics.assemblies.add();
-      best_norm = norm_inf(residual_trial);
-    }
-
+    // Step to the best damping found (the loop may have overshot it).
     result.final_update_norm =
         weighted_rms(dx, x, kRelTol, kAbsTol) * best_scale;
-    std::copy(x_trial.begin(), x_trial.end(), x.begin());
-    residual.assign(residual_trial.begin(), residual_trial.end());
-    residual_norm = best_norm;
+    axpy(best_scale, dx, x);
+    result.final_residual_norm = best_norm;
 
-    if (result.final_update_norm <= 1.0 && residual_norm <= kResidualTol) {
+    if (result.final_update_norm <= 1.0 && best_norm <= kResidualTol) {
       result.converged = true;
-      result.final_residual_norm = residual_norm;
       return result;
     }
   }
 
-  result.final_residual_norm = residual_norm;
   metrics.failures.add();
-  OXMLC_DEBUG << "Newton failed to converge: residual=" << residual_norm
+  OXMLC_DEBUG << "Newton failed to converge: residual=" << result.final_residual_norm
               << " after " << result.iterations << " iterations";
   return result;
 }

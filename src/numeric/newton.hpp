@@ -15,15 +15,17 @@
 
 namespace oxmlc::num {
 
-// Client interface: given the current iterate x, fill the Jacobian J(x) and
-// the residual F(x). The matrix passed in is already sized and cleared.
+// Client interface: given the current iterate x, fill the residual F(x) and,
+// unless `jacobian` is null, the Jacobian J(x). A null Jacobian asks for the
+// residual only, and that residual must be bit-identical to the one a full
+// assembly writes. The matrix passed in is already sized and cleared.
 class NonlinearSystem {
  public:
   virtual ~NonlinearSystem() = default;
 
   virtual std::size_t dimension() const = 0;
 
-  virtual void assemble(std::span<const double> x, TripletMatrix& jacobian,
+  virtual void assemble(std::span<const double> x, TripletMatrix* jacobian,
                         std::span<double> residual) = 0;
 
   // Optional per-component clamp on the Newton update, applied before damping.
@@ -62,12 +64,16 @@ struct NewtonWorkspace {
   std::vector<double> residual;
   std::vector<double> dx;
   std::vector<double> x_trial;
-  std::vector<double> residual_trial;
   LinearSolver solver;
 };
 
 // Iterates x_{k+1} = x_k + s * dx, J dx = -F, until both the weighted update
-// norm and the residual infinity-norm are under tolerance.
+// norm and the residual infinity-norm are under tolerance. Each iteration
+// stamps one Jacobian, at the iterate it factors; the line-search trials that
+// choose s evaluate the residual only. So the returned iterate is never
+// stamped, and a solve that does not throw counts newton.assemblies ==
+// newton.factorizations and newton.residual_evaluations ==
+// newton.factorizations + newton.damping_halvings.
 // `x` carries the initial guess in and the solution out; `workspace` holds
 // the reused buffers and the cached factorization pattern.
 NewtonResult solve_newton(NonlinearSystem& system, std::span<double> x,

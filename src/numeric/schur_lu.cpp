@@ -140,18 +140,19 @@ void BlockSchurLu::factor_block(std::size_t k) {
       blk.solver.last_refactorized() || n <= LinearSolver::kDenseCutoff;
   blk.fallback = blk.solver.last_fallback();
 
-  // Z = A_k⁻¹ B_k restricted to the touched border columns.
-  blk.z.assign(blk.border_cols.size() * n, 0.0);
-  blk.rhs.assign(n, 0.0);
-  blk.sol.assign(n, 0.0);
-  for (std::size_t j = 0; j < blk.border_cols.size(); ++j) {
-    const std::size_t jb = blk.border_cols[j];
-    std::fill(blk.rhs.begin(), blk.rhs.end(), 0.0);
-    for (const Triplet& t : blk.b) {
-      if (t.col == jb) blk.rhs[t.row] += t.value;
-    }
-    blk.solver.solve(blk.rhs, std::span<double>(blk.z).subspan(j * n, n));
+  // Z = A_k⁻¹ B_k restricted to the touched border columns: B_k gathered
+  // once, in b order, into column-major n × |J_k|, then one multi-column
+  // solve.
+  const std::size_t m = blk.border_cols.size();
+  blk.rhs.assign(m * n, 0.0);
+  for (const Triplet& t : blk.b) {
+    const auto j = static_cast<std::size_t>(
+        std::lower_bound(blk.border_cols.begin(), blk.border_cols.end(), t.col) -
+        blk.border_cols.begin());
+    blk.rhs[j * n + t.row] += t.value;
   }
+  blk.z.resize(m * n);
+  blk.solver.solve_columns(blk.rhs, blk.z, m);
 }
 
 void BlockSchurLu::factorize_cached(const TripletMatrix& triplets) {

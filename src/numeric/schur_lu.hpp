@@ -18,7 +18,7 @@
 // SparseLu numeric-only refactorize above it), so per-Newton-iteration cost is
 // K cheap refactorizes plus a |B|³ dense factor. B_k touches only a few border
 // columns per block (its column supports J_k), so forming C_k A_k⁻¹ B_k takes
-// |J_k| block solves, not |B|.
+// one |J_k|-column LinearSolver::solve_columns per block, not |B| solves.
 //
 // DETERMINISM CONTRACT: the solver is serial. The per-block factor, forward
 // solve and back substitution run in ascending block order and write only
@@ -94,7 +94,9 @@ class BlockSchurLu {
     std::vector<std::size_t> border_cols;  // sorted unique border cols in b
     LinearSolver solver;
     std::vector<double> z;    // A_k⁻¹ B_k on border_cols, column-major n×|J_k|
-    std::vector<double> rhs;  // per-block scratch (never shared across blocks)
+    // Per-block scratch (never shared across blocks): B_k on border_cols
+    // while factoring, b_k while solving.
+    std::vector<double> rhs;
     std::vector<double> sol;
     bool pattern_hit = false;
     bool fallback = false;

@@ -408,4 +408,16 @@ void LinearSolver::solve(std::span<const double> b, std::span<double> x) const {
   }
 }
 
+void LinearSolver::solve_columns(std::span<const double> b, std::span<double> x,
+                                 std::size_t m) const {
+  if (!schur_ && dense_active_) {
+    dense_.solve_columns(b, x, m);
+    return;
+  }
+  const std::size_t n = schur_ ? schur_->size() : sparse_.size();
+  OXMLC_CHECK(b.size() == n * m && x.size() == n * m,
+              "LinearSolver::solve_columns size mismatch");
+  for (std::size_t j = 0; j < m; ++j) solve(b.subspan(j * n, n), x.subspan(j * n, n));
+}
+
 }  // namespace oxmlc::num

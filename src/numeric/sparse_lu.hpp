@@ -115,6 +115,13 @@ class LinearSolver {
   void factorize_cached(const TripletMatrix& triplets);
 
   void solve(std::span<const double> b, std::span<double> x) const;
+
+  // Solves A X = B for m right-hand sides stored column-major (column j at
+  // j * n), each column bit-identical to solve() on it: one interleaved
+  // DenseLu::solve_columns on the dense path, one solve() per column on the
+  // sparse and partitioned paths.
+  void solve_columns(std::span<const double> b, std::span<double> x, std::size_t m) const;
+
   bool factorized() const;
 
   // True when the last factorize_cached() took the numeric-only refactorize

@@ -55,7 +55,7 @@ AcResult run_ac(MnaSystem& system, const AcOptions& options) {
   // --- G: the exact linearization at the OP (assemble's Jacobian) ---
   num::TripletMatrix g(n);
   std::vector<double> residual(n, 0.0);
-  system.assemble(dc.solution, g, residual);
+  system.assemble(dc.solution, &g, residual);
 
   // --- B: reactive stamps ---
   num::TripletMatrix b(n);

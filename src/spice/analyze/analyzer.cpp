@@ -192,7 +192,7 @@ void check_structural_singularity(Circuit& circuit, DiagnosticReport& report) {
   StampContext ctx;
   ctx.mode = AnalysisMode::kDcOperatingPoint;
   ctx.x = x;
-  Stamper stamper(pattern, residual);
+  Stamper stamper(&pattern, residual);
   for (auto& device : circuit.devices()) device->stamp(ctx, stamper);
   for (std::size_t i = 0; i < circuit.node_count(); ++i) pattern.add(i, i, kGmin);
 

@@ -59,16 +59,18 @@ struct StampContext {
   std::span<const double> x;   // current Newton iterate
 };
 
-// Ground-aware stamping facade over the Jacobian triplets and residual.
+// Ground-aware stamping facade over the Jacobian triplets and residual. A
+// null Jacobian evaluates the residual only: jacobian() stamps drop, and the
+// residual sums the same terms in the same order.
 class Stamper {
  public:
-  Stamper(num::TripletMatrix& jacobian, std::span<double> residual)
+  Stamper(num::TripletMatrix* jacobian, std::span<double> residual)
       : jacobian_(jacobian), residual_(residual) {}
 
   // dF_row/dx_col += value
   void jacobian(int row, int col, double value) {
-    if (row < 0 || col < 0) return;
-    jacobian_.add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), value);
+    if (jacobian_ == nullptr || row < 0 || col < 0) return;
+    jacobian_->add(static_cast<std::size_t>(row), static_cast<std::size_t>(col), value);
   }
 
   // F_row += value (current leaving `row`'s node, or branch equation value)
@@ -90,7 +92,7 @@ class Stamper {
   }
 
  private:
-  num::TripletMatrix& jacobian_;
+  num::TripletMatrix* jacobian_;
   std::span<double> residual_;
 };
 

@@ -14,10 +14,10 @@ void MnaSystem::set_partition(const num::BlockPartition& partition) {
   workspace_.solver.set_partition(partition);
 }
 
-void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix& jacobian,
+void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix* jacobian,
                          std::span<double> residual) {
   std::fill(residual.begin(), residual.end(), 0.0);
-  jacobian.resize(dimension());
+  if (jacobian != nullptr) jacobian->resize(dimension());
 
   context_.x = x;
   Stamper stamper(jacobian, residual);
@@ -28,10 +28,11 @@ void MnaSystem::assemble(std::span<const double> x, num::TripletMatrix& jacobian
   // Universal gmin shunt from every node to ground: keeps the matrix
   // non-singular when a node is only driven through nonlinear devices that are
   // currently cut off (e.g. a MOSFET gate net before its driver turns on).
+  // Its residual term stays when the Jacobian is not asked for.
   const double gmin = context_.gmin;
   const std::size_t nodes = circuit_.node_count();
   for (std::size_t i = 0; i < nodes; ++i) {
-    jacobian.add(i, i, gmin);
+    if (jacobian != nullptr) jacobian->add(i, i, gmin);
     residual[i] += gmin * x[i];
   }
 }

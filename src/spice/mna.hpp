@@ -19,7 +19,7 @@ class MnaSystem final : public num::NonlinearSystem {
 
   std::size_t dimension() const override { return circuit_.unknown_count(); }
 
-  void assemble(std::span<const double> x, num::TripletMatrix& jacobian,
+  void assemble(std::span<const double> x, num::TripletMatrix* jacobian,
                 std::span<double> residual) override;
 
   // Per-component Newton step clamp: node voltages move at most 1 V per

@@ -329,6 +329,20 @@ TEST(MlcConfigLint, ParseErrorsCarryLineNumbers) {
     expect_line_2(std::string("* repeated keys, flags\n") + card +
                   "\n.level value=1 iref=6u r=200k\n");
   }
+  // A one-line directive given again on a later line (not merged into the
+  // first): the error is at the repeat and names the first line.
+  for (const char* card : {".mlc bits=2", ".window imin=6u imax=36u", ".spread nsigma=3",
+                           ".drift enabled=0", ".verify max_passes=2"}) {
+    const std::string text = std::string(card) + "\n" + card +
+                             "\n.mlc bits=1\n.level value=1 iref=6u r=200k\n";
+    expect_line_2(text);
+    try {
+      mlca::parse_mlc_config(text);
+    } catch (const util::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("first on line 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MlcConfigLint, ParserAcceptsSiSuffixes) {

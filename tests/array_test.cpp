@@ -273,7 +273,7 @@ TEST(WritePath, RefactorizeMatchesFactorizeOnWritePathJacobian) {
     num::TripletMatrix jacobian(n);
     std::vector<double> residual(n, 0.0);
     jacobian.clear();
-    system.assemble(x, jacobian, residual);
+    system.assemble(x, &jacobian, residual);
     return num::CsrMatrix::from_triplets(jacobian);
   };
 

@@ -7,6 +7,7 @@
 // the open-row / bus-serialization arithmetic fails with the exact numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "util/schema.hpp"
+#include "util/stats.hpp"
 
 namespace oxmlc::memsys {
 namespace {
@@ -759,6 +761,48 @@ TEST(Replay, JsonCarriesTheSchemaAndSections) {
   EXPECT_FALSE(document.contains("wall_seconds"));
   // The dump round-trips through the parser.
   EXPECT_EQ(obs::Json::parse(document.dump(2)), document);
+}
+
+// The latency summaries select their quantiles instead of sorting; each must
+// equal util::quantile on a sorted copy of the scheduler's latencies.
+TEST(Replay, LatencyQuantilesMatchSortedSamples) {
+  const ReplayOptions options = small_replay_options();
+  SyntheticTraceOptions trace_options;
+  trace_options.requests = 20000;
+  const auto trace = synthesize_trace(options.geometry, trace_options);
+  const MemsysReport report = replay_trace(trace, options);
+
+  const ScheduleResult schedule = CommandScheduler(options.geometry).run(trace);
+  const double cycle_ns = options.geometry.timing.cycle_s() * 1e9;
+  std::vector<double> all_ns, read_ns, write_ns;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const double ns = static_cast<double>(schedule.latency_cycles[i]) * cycle_ns;
+    all_ns.push_back(ns);
+    (trace[i].is_write ? write_ns : read_ns).push_back(ns);
+  }
+  const auto expect_summary = [](std::vector<double> sample, const LatencySummary& got) {
+    ASSERT_FALSE(sample.empty());
+    double total = 0.0;
+    for (const double v : sample) total += v;
+    std::sort(sample.begin(), sample.end());
+    EXPECT_EQ(got.mean_ns, total / static_cast<double>(sample.size()));
+    EXPECT_EQ(got.p50_ns, quantile(sample, 0.50));
+    EXPECT_EQ(got.p99_ns, quantile(sample, 0.99));
+    EXPECT_EQ(got.p999_ns, quantile(sample, 0.999));
+    EXPECT_EQ(got.max_ns, sample.back());
+  };
+  {
+    SCOPED_TRACE("all requests");
+    expect_summary(all_ns, report.latency);
+  }
+  {
+    SCOPED_TRACE("reads");
+    expect_summary(read_ns, report.read_latency);
+  }
+  {
+    SCOPED_TRACE("writes");
+    expect_summary(write_ns, report.write_latency);
+  }
 }
 
 TEST(Replay, ReportIsBitIdenticalAcrossThreadCounts) {

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
 #include "numeric/dense_matrix.hpp"
 #include "numeric/newton.hpp"
+#include "numeric/schur_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "numeric/sparse_matrix.hpp"
 #include "numeric/vec.hpp"
@@ -152,6 +154,78 @@ TEST(DenseLu, RandomSystemsRoundTrip) {
       for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(std::abs(x[i] - x_true[i]), 0.0, 1e-9);
     }
   });
+}
+
+// Solves m random right-hand sides at once with solve_columns and one at a
+// time with solve; every column must carry the same bits.
+template <typename T, typename Solver>
+void expect_columns_match_solve(const Solver& solver, std::size_t n, std::size_t m,
+                                Rng& rng) {
+  std::vector<T> b(n * m), x(n * m), column(n);
+  for (auto& v : b) v = draw<T>(rng);
+  solver.solve_columns(b, x, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    solver.solve(std::span<const T>(b).subspan(j * n, n), column);
+    EXPECT_EQ(std::memcmp(column.data(), x.data() + j * n, n * sizeof(T)), 0)
+        << "n=" << n << " m=" << m << " column " << j;
+  }
+}
+
+// The dense kernel interleaves the columns' substitutions without changing
+// any column's arithmetic; the sparse and partitioned paths solve column by
+// column.
+TEST(DenseLu, SolveColumnsMatchesSolveBitwise) {
+  for_each_scalar([](auto zero) {
+    using T = decltype(zero);
+    Rng rng(2028);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{2}, std::size_t{13}, std::size_t{40}}) {
+      BasicDenseMatrix<T> a(n, n);
+      for (std::size_t r = 0; r < n; ++r) {
+        double off_diagonal = 0.0;
+        for (std::size_t c = 0; c < n; ++c) {
+          a.at(r, c) = draw<T>(rng);
+          if (c != r) off_diagonal += std::abs(a.at(r, c));
+        }
+        a.at(r, r) += off_diagonal + 1.0;  // strictly diagonally dominant
+      }
+      BasicDenseLu<T> lu;
+      lu.factorize(a);
+      for (std::size_t m = 1; m <= 6; ++m) expect_columns_match_solve<T>(lu, n, m, rng);
+    }
+  });
+
+  Rng rng(2029);
+  const auto chain = [&](std::size_t n) {
+    TripletMatrix t(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      t.add(i, i, 4.0 + rng.uniform());
+      if (i > 0) t.add(i, i - 1, rng.normal(0, 0.3));
+      if (i + 1 < n) t.add(i, i + 1, rng.normal(0, 0.3));
+    }
+    return t;
+  };
+
+  const std::size_t sparse_n = 150;  // > LinearSolver::kDenseCutoff
+  LinearSolver sparse;
+  sparse.factorize_cached(chain(sparse_n));
+  for (std::size_t m = 1; m <= 6; ++m) {
+    expect_columns_match_solve<double>(sparse, sparse_n, m, rng);
+  }
+
+  // The same chain cut by border unknown 5 into blocks {0..4} and {6..10}.
+  const std::size_t bordered_n = 11;
+  BlockPartition partition;
+  partition.blocks = 2;
+  for (std::size_t i = 0; i < bordered_n; ++i) {
+    partition.block_of.push_back(i < 5 ? 0 : i == 5 ? BlockPartition::kBorder : 1);
+  }
+  LinearSolver partitioned;
+  partitioned.set_partition(partition);
+  partitioned.factorize_cached(chain(bordered_n));
+  for (std::size_t m = 1; m <= 6; ++m) {
+    expect_columns_match_solve<double>(partitioned, bordered_n, m, rng);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,14 +506,15 @@ TEST(LinearSolver, FactorizeCachedMatchesFactorizeOnBothBackends) {
 class QuadraticSystem final : public NonlinearSystem {
  public:
   std::size_t dimension() const override { return 2; }
-  void assemble(std::span<const double> x, TripletMatrix& jacobian,
+  void assemble(std::span<const double> x, TripletMatrix* jacobian,
                 std::span<double> residual) override {
     residual[0] = x[0] * x[0] + x[1] - 3.0;
     residual[1] = x[0] - x[1] + 1.0;
-    jacobian.add(0, 0, 2.0 * x[0]);
-    jacobian.add(0, 1, 1.0);
-    jacobian.add(1, 0, 1.0);
-    jacobian.add(1, 1, -1.0);
+    if (jacobian == nullptr) return;
+    jacobian->add(0, 0, 2.0 * x[0]);
+    jacobian->add(0, 1, 1.0);
+    jacobian->add(1, 0, 1.0);
+    jacobian->add(1, 1, -1.0);
   }
 };
 
@@ -458,11 +533,11 @@ TEST(Newton, ConvergesQuadratically) {
 class ExponentialSystem final : public NonlinearSystem {
  public:
   std::size_t dimension() const override { return 1; }
-  void assemble(std::span<const double> x, TripletMatrix& jacobian,
+  void assemble(std::span<const double> x, TripletMatrix* jacobian,
                 std::span<double> residual) override {
     const double e = std::exp(std::min(x[0], 2.0) / 0.025);
     residual[0] = 1e-12 * (e - 1.0) - 1e-3;
-    jacobian.add(0, 0, 1e-12 * e / 0.025);
+    if (jacobian != nullptr) jacobian->add(0, 0, 1e-12 * e / 0.025);
   }
   double max_step(std::size_t) const override { return 0.1; }  // junction limiting
 };
@@ -483,10 +558,10 @@ TEST(Newton, ReportsNonConvergence) {
   class NoRoot final : public NonlinearSystem {
    public:
     std::size_t dimension() const override { return 1; }
-    void assemble(std::span<const double> x, TripletMatrix& jacobian,
+    void assemble(std::span<const double> x, TripletMatrix* jacobian,
                   std::span<double> residual) override {
       residual[0] = x[0] * x[0] + 1.0;
-      jacobian.add(0, 0, x[0] == 0.0 ? 1e-6 : 2.0 * x[0]);
+      if (jacobian != nullptr) jacobian->add(0, 0, x[0] == 0.0 ? 1e-6 : 2.0 * x[0]);
     }
   };
   NoRoot system;
@@ -504,19 +579,16 @@ class NonlinearLadder final : public NonlinearSystem {
  public:
   explicit NonlinearLadder(std::size_t n) : n_(n), b_(n, 1.0) {}
   std::size_t dimension() const override { return n_; }
-  void assemble(std::span<const double> x, TripletMatrix& jacobian,
+  void assemble(std::span<const double> x, TripletMatrix* jacobian,
                 std::span<double> residual) override {
     for (std::size_t i = 0; i < n_; ++i) {
       residual[i] = (3.0 + x[i] * x[i]) * x[i] - b_[i];
-      jacobian.add(i, i, 3.0 + 3.0 * x[i] * x[i]);
-      if (i > 0) {
-        residual[i] -= x[i - 1];
-        jacobian.add(i, i - 1, -1.0);
-      }
-      if (i + 1 < n_) {
-        residual[i] -= x[i + 1];
-        jacobian.add(i, i + 1, -1.0);
-      }
+      if (i > 0) residual[i] -= x[i - 1];
+      if (i + 1 < n_) residual[i] -= x[i + 1];
+      if (jacobian == nullptr) continue;
+      jacobian->add(i, i, 3.0 + 3.0 * x[i] * x[i]);
+      if (i > 0) jacobian->add(i, i - 1, -1.0);
+      if (i + 1 < n_) jacobian->add(i, i + 1, -1.0);
     }
   }
 

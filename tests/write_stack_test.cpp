@@ -3,17 +3,28 @@
 // run. Accepted steps and Newton iterations are exact; fire times, final gaps
 // and source energies hold to 1e-12 relative. The testbenches share their
 // SL driver, 1T-1R column and comparator stop event; a change to how any of
-// them builds its circuit must leave every number here alone.
+// them builds its circuit must leave every number here alone. The Newton
+// tests at the end check, on the same testbenches, the solver policy those
+// exact counts rest on: residual-only line-search trials and one Jacobian per
+// factorization.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/bank_write_path.hpp"
 #include "array/word_path.hpp"
 #include "array/write_path.hpp"
+#include "numeric/sparse_matrix.hpp"
+#include "obs/registry.hpp"
+#include "spice/dc.hpp"
+#include "spice/mna.hpp"
+#include "util/rng.hpp"
 
 namespace oxmlc::array {
 namespace {
@@ -131,6 +142,72 @@ TEST(WriteStackPin, BankWritePathMnaTierMonolithic) {
                   {true, 2.5048215942382771e-06, 8.6243108879315546e-10},
                   {true, 3.4578098754882688e-06, 9.8341217510249067e-10}});
   expect_rel(result.energy_source, 6.2432028223031093e-10, "energy_source");
+}
+
+// Line-search trials assemble with a null Jacobian, and Newton reads their
+// residual as the one the full assembly at that iterate would give. On the MNA
+// tier's bank the two must match bit for bit at the DC point and at two
+// perturbed iterates, in DC and in transient context.
+TEST(Newton, ResidualOnlyAssembleMatchesFullAssemble) {
+  BankWritePath bank(mna_tier_bank(true));
+  spice::MnaSystem system(bank.circuit());
+  const spice::DcResult dc = spice::solve_dc(system);
+  ASSERT_TRUE(dc.converged);
+  const std::size_t n = system.dimension();
+
+  std::vector<std::vector<double>> iterates = {dc.solution};
+  Rng rng(28);
+  for (int k = 0; k < 2; ++k) {
+    std::vector<double> x = dc.solution;
+    for (double& v : x) v += 0.05 * rng.normal(0.0, 1.0);
+    iterates.push_back(std::move(x));
+  }
+
+  spice::StampContext& ctx = system.context();
+  for (const spice::AnalysisMode mode :
+       {spice::AnalysisMode::kDcOperatingPoint, spice::AnalysisMode::kTransient}) {
+    const bool transient = mode == spice::AnalysisMode::kTransient;
+    ctx.mode = mode;
+    ctx.time = transient ? 1e-6 : 0.0;
+    ctx.dt = transient ? 1e-9 : 0.0;
+    for (std::size_t k = 0; k < iterates.size(); ++k) {
+      SCOPED_TRACE("transient " + std::to_string(transient) + ", iterate " +
+                   std::to_string(k));
+      num::TripletMatrix jacobian(n);
+      std::vector<double> full(n), residual_only(n);
+      system.assemble(iterates[k], &jacobian, full);
+      system.assemble(iterates[k], nullptr, residual_only);
+      EXPECT_FALSE(jacobian.entries().empty());
+      EXPECT_EQ(std::memcmp(full.data(), residual_only.data(), n * sizeof(double)), 0);
+    }
+  }
+}
+
+// Newton stamps one Jacobian per factorization and evaluates one residual per
+// line-search trial, the first trial of each iteration plus one per halving.
+TEST(Newton, CountsOneJacobianPerFactorization) {
+  obs::Registry& registry = obs::registry();
+  const obs::Counter& assemblies = registry.counter("newton.assemblies");
+  const obs::Counter& factorizations = registry.counter("newton.factorizations");
+  const obs::Counter& residuals = registry.counter("newton.residual_evaluations");
+  const obs::Counter& halvings = registry.counter("newton.damping_halvings");
+  const std::uint64_t assemblies_before = assemblies.value();
+  const std::uint64_t factorizations_before = factorizations.value();
+  const std::uint64_t residuals_before = residuals.value();
+  const std::uint64_t halvings_before = halvings.value();
+
+  WritePathConfig config;
+  config.iref = 10e-6;
+  config.pulse_width = 8e-6;
+  config.t_stop = 5e-6;
+  ASSERT_TRUE(WritePath(config).run().terminated);
+
+  const std::uint64_t factored = factorizations.value() - factorizations_before;
+  const std::uint64_t halved = halvings.value() - halvings_before;
+  EXPECT_GT(factored, 0u);
+  EXPECT_GT(halved, 0u);
+  EXPECT_EQ(assemblies.value() - assemblies_before, factored);
+  EXPECT_EQ(residuals.value() - residuals_before, factored + halved);
 }
 
 }  // namespace
