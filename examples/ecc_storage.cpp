@@ -3,10 +3,10 @@
 // scheme — surviving an injected worst-case analog fault.
 //
 // The demo stores 64-bit payloads as 18-cell codewords (16 data nibbles + 2
-// check nibbles), then deliberately degrades one read with a huge sense-amp
-// offset so a cell decodes one level off, and shows SECDED returning the
+// check nibbles), then deliberately shifts one cell of one read by a level,
+// the worst-case single-cell analog fault, and shows SECDED returning the
 // exact payload anyway.
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -19,28 +19,13 @@
 
 namespace {
 
-using namespace oxmlc;
-
-// Levels of one codeword: 16 data nibbles + 2 check nibbles, Gray-mapped.
-std::array<std::size_t, 18> codeword_levels(const ecc::SecdedWord& word) {
-  std::array<std::size_t, 18> levels{};
-  for (unsigned n = 0; n < 16; ++n) {
-    levels[n] = static_cast<std::size_t>(
-        ecc::gray_decode((word.data >> (4 * n)) & 0xF));
+// The 64 payload bits, least significant first.
+std::vector<std::uint8_t> payload_bits(std::uint64_t payload) {
+  std::vector<std::uint8_t> bits(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    bits[i] = static_cast<std::uint8_t>((payload >> i) & 1u);
   }
-  levels[16] = static_cast<std::size_t>(ecc::gray_decode(word.check & 0xF));
-  levels[17] = static_cast<std::size_t>(ecc::gray_decode((word.check >> 4) & 0xF));
-  return levels;
-}
-
-ecc::SecdedWord codeword_from_levels(const std::array<std::size_t, 18>& levels) {
-  ecc::SecdedWord word;
-  for (unsigned n = 0; n < 16; ++n) {
-    word.data |= ecc::gray_encode(levels[n]) << (4 * n);
-  }
-  word.check = static_cast<std::uint8_t>(ecc::gray_encode(levels[16]) |
-                                         (ecc::gray_encode(levels[17]) << 4));
-  return word;
+  return bits;
 }
 
 }  // namespace
@@ -52,6 +37,9 @@ int main() {
 
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
+  const ecc::SecdedCode secded;
+  // 16 data nibbles + 2 check nibbles per codeword, Gray-mapped.
+  const ecc::LevelCoder coder(4);
 
   const std::vector<std::uint64_t> payloads = {
       0xDEADBEEFCAFEF00Dull, 0x0123456789ABCDEFull, 0xFFFFFFFF00000000ull};
@@ -62,7 +50,8 @@ int main() {
 
   // --- write codewords ---
   for (std::size_t row = 0; row < payloads.size(); ++row) {
-    const auto levels = codeword_levels(ecc::secded_encode(payloads[row]));
+    const std::vector<std::size_t> levels =
+        coder.levels_for_bits(secded.encode(payload_bits(payloads[row])));
     for (std::size_t col = 0; col < 18; ++col) {
       programmer.program(memory.at(row, col), levels[col], memory.rng_at(row, col));
     }
@@ -73,7 +62,7 @@ int main() {
   Table t({"row", "fault injected", "raw payload ok", "ECC status", "payload after ECC"});
   bool all_ok = true;
   for (std::size_t row = 0; row < payloads.size(); ++row) {
-    std::array<std::size_t, 18> levels{};
+    std::vector<std::size_t> levels(18);
     for (std::size_t col = 0; col < 18; ++col) {
       levels[col] = programmer.read_level(memory.at(row, col), rng);
     }
@@ -82,17 +71,16 @@ int main() {
       // Worst-case single-cell analog fault: one level slip.
       levels[7] = levels[7] < 15 ? levels[7] + 1 : levels[7] - 1;
     }
-    const ecc::SecdedWord read = codeword_from_levels(levels);
-    const ecc::EccDecodeResult decoded = ecc::secded_decode(read);
-    const bool raw_ok = read.data == ecc::secded_encode(payloads[row]).data;
-    const bool final_ok = decoded.data == payloads[row];
+    const std::vector<std::uint8_t> read = coder.bits_for_levels(levels);
+    const ecc::Code::Decoded decoded = secded.decode(read);
+    const std::vector<std::uint8_t> payload = payload_bits(payloads[row]);
+    const bool raw_ok = std::equal(payload.begin(), payload.end(), read.begin());
+    const bool final_ok = decoded.data == payload;
     all_ok = all_ok && final_ok;
 
-    const char* status =
-        decoded.status == ecc::EccStatus::kClean
-            ? "clean"
-            : decoded.status == ecc::EccStatus::kCorrectedSingle ? "corrected single"
-                                                                 : "DOUBLE (uncorrectable)";
+    const char* status = decoded.uncorrectable          ? "DOUBLE (uncorrectable)"
+                         : decoded.corrected_bits > 0 ? "corrected single"
+                                                      : "clean";
     t.add_row({std::to_string(row), inject ? "1-level slip in cell 7" : "none",
                raw_ok ? "yes" : "NO", status, final_ok ? "intact" : "CORRUPT"});
   }

@@ -24,6 +24,32 @@ constexpr unsigned kPrimitivePoly[] = {
     0x409,  // m=10: x^10 + x^3 + 1
 };
 
+// The exponents j of the generator's roots alpha^j: the union of the
+// cyclotomic cosets of 1..2t, i.e. the roots of the LCM of the minimal
+// polynomials of alpha^1..alpha^2t. Each conjugate appears once, so the
+// generator has one linear factor per exponent and degree n - k.
+std::set<unsigned> root_exponents(unsigned n, unsigned t) {
+  std::set<unsigned> exponents;
+  for (unsigned i = 1; i <= 2 * t; ++i) {
+    unsigned j = i % n;
+    while (exponents.insert(j).second) {
+      j = (2 * j) % n;
+    }
+  }
+  return exponents;
+}
+
+CodeSpec bch_spec(const GaloisField& field, unsigned t) {
+  OXMLC_CHECK(t >= 1, "BchCode: t must be >= 1");
+  const unsigned n = field.size();
+  const std::size_t parity = root_exponents(n, t).size();
+  OXMLC_CHECK(parity < n, "BchCode: t=" + std::to_string(t) +
+                              " leaves no data bits at m=" + std::to_string(field.m()));
+  const std::size_t k = n - parity;
+  return {"bch_" + std::to_string(n) + "_" + std::to_string(k) + "_t" + std::to_string(t),
+          n, k, t, true};
+}
+
 }  // namespace
 
 GaloisField::GaloisField(unsigned m) : m_(m), n_((1u << m) - 1) {
@@ -63,28 +89,14 @@ unsigned GaloisField::log(unsigned a) const {
   return log_of_[a];
 }
 
-BchCode::BchCode(unsigned m, unsigned t) : field_(m), t_(t), n_(field_.size()) {
-  OXMLC_CHECK(t >= 1, "BchCode: t must be >= 1");
+BchCode::BchCode(unsigned m, unsigned t) : BchCode(GaloisField(m), t) {}
 
-  // The generator is the product of (x - alpha^j) over the union of the
-  // cyclotomic cosets of 1..2t — i.e. the LCM of the minimal polynomials of
-  // alpha^1..alpha^2t. Collect the exponent set first so each conjugate
-  // contributes exactly one linear factor.
-  std::set<unsigned> exponents;
-  for (unsigned i = 1; i <= 2 * t; ++i) {
-    unsigned j = i % static_cast<unsigned>(n_);
-    while (exponents.insert(j).second) {
-      j = (2 * j) % static_cast<unsigned>(n_);
-    }
-  }
-  OXMLC_CHECK(exponents.size() < n_,
-              "BchCode: t=" + std::to_string(t) + " leaves no data bits at m=" +
-                  std::to_string(m));
-
-  // Multiply the linear factors out in GF(2^m); the result has GF(2)
-  // coefficients because the root set is closed under conjugation.
+BchCode::BchCode(GaloisField field, unsigned t)
+    : Code(bch_spec(field, t)), field_(std::move(field)) {
+  // Multiply the linear factors (x - alpha^j) out in GF(2^m); the result has
+  // GF(2) coefficients because the root set is closed under conjugation.
   std::vector<unsigned> g = {1};
-  for (const unsigned j : exponents) {
+  for (const unsigned j : root_exponents(field_.size(), t)) {
     const unsigned root = field_.alpha_pow(static_cast<int>(j));
     std::vector<unsigned> next(g.size() + 1, 0);
     for (std::size_t i = 0; i < g.size(); ++i) {
@@ -98,22 +110,20 @@ BchCode::BchCode(unsigned m, unsigned t) : field_(m), t_(t), n_(field_.size()) {
     OXMLC_CHECK(g[i] <= 1, "BchCode: generator coefficient escaped GF(2)");
     generator_[i] = static_cast<std::uint8_t>(g[i]);
   }
-  k_ = n_ - (generator_.size() - 1);
 }
 
 std::vector<std::uint8_t> BchCode::encode(std::span<const std::uint8_t> data) const {
-  OXMLC_CHECK(data.size() == k_,
-              "BchCode::encode: expected " + std::to_string(k_) + " data bits, got " +
-                  std::to_string(data.size()));
-  const std::size_t parity = n_ - k_;
-  std::vector<std::uint8_t> codeword(n_, 0);
-  for (std::size_t i = 0; i < k_; ++i) {
+  const std::size_t n = spec().n, k = spec().k;
+  check_length(data.size(), k, "bch encode");
+  const std::size_t parity = n - k;
+  std::vector<std::uint8_t> codeword(n, 0);
+  for (std::size_t i = 0; i < k; ++i) {
     codeword[parity + i] = data[i] != 0;
   }
   // Systematic encode: parity = x^(n-k) d(x) mod g(x), via long division with
   // the data already placed in the high coefficients.
   std::vector<std::uint8_t> rem(codeword);
-  for (std::size_t i = n_; i-- > parity;) {
+  for (std::size_t i = n; i-- > parity;) {
     if (rem[i] == 0) continue;
     const std::size_t shift = i - (generator_.size() - 1);
     for (std::size_t j = 0; j < generator_.size(); ++j) {
@@ -126,41 +136,32 @@ std::vector<std::uint8_t> BchCode::encode(std::span<const std::uint8_t> data) co
   return codeword;
 }
 
-BchCode::DecodeResult BchCode::decode(std::span<const std::uint8_t> word) const {
-  OXMLC_CHECK(word.size() == n_,
-              "BchCode::decode: expected " + std::to_string(n_) + " bits, got " +
-                  std::to_string(word.size()));
-  const std::size_t parity = n_ - k_;
-  std::vector<std::uint8_t> received(word.begin(), word.end());
-
-  auto extract = [&](const std::vector<std::uint8_t>& bits) {
-    return std::vector<std::uint8_t>(bits.begin() + static_cast<std::ptrdiff_t>(parity),
-                                     bits.end());
-  };
+Code::Decoded BchCode::decode(std::span<const std::uint8_t> word) const {
+  const std::size_t n = spec().n;
+  const std::size_t parity = n - spec().k;
+  const unsigned t = spec().t;
+  check_length(word.size(), n, "bch decode");
+  // The received payload bits, until a correction lands.
+  Decoded result{{word.begin() + static_cast<std::ptrdiff_t>(parity), word.end()}};
 
   // Syndromes S_i = r(alpha^i), i = 1..2t.
-  std::vector<unsigned> syndrome(2 * t_ + 1, 0);
+  std::vector<unsigned> syndrome(2 * t + 1, 0);
   bool clean = true;
-  for (unsigned i = 1; i <= 2 * t_; ++i) {
+  for (unsigned i = 1; i <= 2 * t; ++i) {
     unsigned s = 0;
-    for (std::size_t p = 0; p < n_; ++p) {
-      if (received[p] != 0) s ^= field_.alpha_pow(static_cast<int>(i * p));
+    for (std::size_t p = 0; p < n; ++p) {
+      if (word[p] != 0) s ^= field_.alpha_pow(static_cast<int>(i * p));
     }
     syndrome[i] = s;
     clean = clean && s == 0;
   }
-  DecodeResult result;
-  if (clean) {
-    result.data = extract(received);
-    result.ok = true;
-    return result;
-  }
+  if (clean) return result;
 
   // Berlekamp–Massey: shortest LFSR C(x) generating the syndrome sequence is
   // the error-locator sigma(x).
   std::vector<unsigned> C = {1}, B = {1};
   unsigned L = 0, b = 1, shift = 1;
-  for (unsigned step = 0; step < 2 * t_; ++step) {
+  for (unsigned step = 0; step < 2 * t; ++step) {
     unsigned d = syndrome[step + 1];
     for (unsigned i = 1; i <= L && i < C.size(); ++i) {
       d ^= field_.mul(C[i], syndrome[step + 1 - i]);
@@ -189,16 +190,15 @@ BchCode::DecodeResult BchCode::decode(std::span<const std::uint8_t> word) const 
   }
   while (C.size() > 1 && C.back() == 0) C.pop_back();
   const unsigned degree = static_cast<unsigned>(C.size() - 1);
-  if (L > t_ || degree != L) {
+  if (L > t || degree != L) {
     // More errors than the code can locate: bounded-distance failure.
-    result.data = extract(received);
-    result.detected_uncorrectable = true;
+    result.uncorrectable = true;
     return result;
   }
 
   // Chien search: error at position p iff sigma(alpha^{-p}) == 0.
   std::vector<std::size_t> positions;
-  for (std::size_t p = 0; p < n_ && positions.size() <= L; ++p) {
+  for (std::size_t p = 0; p < n && positions.size() <= L; ++p) {
     unsigned value = 0;
     for (std::size_t i = 0; i < C.size(); ++i) {
       if (C[i] == 0) continue;
@@ -209,16 +209,13 @@ BchCode::DecodeResult BchCode::decode(std::span<const std::uint8_t> word) const 
   }
   if (positions.size() != L) {
     // The locator does not split over the field: error weight exceeded t.
-    result.data = extract(received);
-    result.detected_uncorrectable = true;
+    result.uncorrectable = true;
     return result;
   }
   for (const std::size_t p : positions) {
-    received[p] ^= 1u;
+    if (p >= parity) result.data[p - parity] ^= 1u;
   }
-  result.data = extract(received);
-  result.ok = true;
-  result.corrected = static_cast<unsigned>(positions.size());
+  result.corrected_bits = static_cast<unsigned>(positions.size());
   return result;
 }
 

@@ -7,8 +7,8 @@
 // alpha^1..alpha^2t, encoding is systematic polynomial division, decoding is
 // the textbook chain syndromes -> Berlekamp–Massey error locator -> Chien
 // search. The decoder is bounded-distance and *honest about failure*: when
-// the error weight exceeds t it either reports `detected_uncorrectable`
-// (locator degree > t, or locator roots missing from the field) or — as any
+// the error weight exceeds t it either reports `uncorrectable` (locator
+// degree > t, or locator roots missing from the field) or — as any
 // bounded-distance decoder must occasionally — miscorrects to a nearby
 // codeword; it never throws and never claims a correction count above t.
 //
@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "ecc/code.hpp"
 
 namespace oxmlc::ecc {
 
@@ -44,35 +46,24 @@ class GaloisField {
   std::vector<unsigned> log_of_;    // log_of_[alpha^i] = i
 };
 
-// Binary primitive BCH over GF(2^m). Bit vectors use one std::uint8_t per
-// bit; codeword bit i is the coefficient of x^i, data occupies the high
+// Binary primitive BCH over GF(2^m), named bch_<n>_<k>_t<t> in the catalog
+// and a member of its fixed-block ladder. Bit vectors use one std::uint8_t
+// per bit; codeword bit i is the coefficient of x^i, data occupies the high
 // positions [n-k, n) (systematic), parity the low positions [0, n-k).
-class BchCode {
+class BchCode final : public Code {
  public:
   BchCode(unsigned m, unsigned t);
 
-  std::size_t n() const { return n_; }
-  std::size_t k() const { return k_; }
-  unsigned t() const { return t_; }
-
   // Encodes k data bits into an n-bit codeword.
-  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const;
-
-  struct DecodeResult {
-    std::vector<std::uint8_t> data;  // k bits, best-effort on failure
-    bool ok = false;                 // decoded to a codeword within t flips
-    unsigned corrected = 0;          // number of bits flipped by the decoder
-    bool detected_uncorrectable = false;
-  };
+  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const override;
 
   // Decodes a (possibly corrupted) n-bit word.
-  DecodeResult decode(std::span<const std::uint8_t> word) const;
+  Decoded decode(std::span<const std::uint8_t> word) const override;
 
  private:
+  BchCode(GaloisField field, unsigned t);
+
   GaloisField field_;
-  unsigned t_ = 0;
-  std::size_t n_ = 0;
-  std::size_t k_ = 0;
   std::vector<std::uint8_t> generator_;  // g(x) coefficients, GF(2), deg = n-k
 };
 

@@ -8,12 +8,12 @@
 
 namespace oxmlc::ecc {
 
-namespace {
-
-void check_length(std::size_t got, std::size_t want, const char* what) {
+void Code::check_length(std::size_t got, std::size_t want, const char* what) {
   OXMLC_CHECK(got == want, std::string(what) + ": expected " + std::to_string(want) +
                                " bits, got " + std::to_string(got));
 }
+
+namespace {
 
 // Uncoded pass-through: the t=0 anchor of the strength ladder. It cannot
 // detect anything, so every channel error lands in the data verbatim.
@@ -33,81 +33,14 @@ class NoneCode final : public Code {
   }
 };
 
-class BchWrapper final : public Code {
- public:
-  BchWrapper(unsigned m, unsigned t, bool same_block)
-      : Code(spec_of(BchCode(m, t), same_block)), code_(m, t) {}
-
-  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const override {
-    return code_.encode(data);
-  }
-
-  Decoded decode(std::span<const std::uint8_t> word) const override {
-    const BchCode::DecodeResult result = code_.decode(word);
-    return {result.data, result.detected_uncorrectable, result.corrected};
-  }
-
- private:
-  static CodeSpec spec_of(const BchCode& code, bool same_block) {
-    return {"bch_" + std::to_string(code.n()) + "_" + std::to_string(code.k()) + "_t" +
-                std::to_string(code.t()),
-            code.n(), code.k(), code.t(), same_block};
-  }
-
-  BchCode code_;
-};
-
-// Hamming(72,64) + parity behind the bit-vector interface. Stored bit order:
-// positions 0..63 carry the payload, 64..70 the Hamming check bits, 71 the
-// overall parity — exactly the SecdedWord packing.
-class SecdedCode final : public Code {
- public:
-  SecdedCode() : Code({"secded_72_64", 72, 64, 1, false}) {}
-
-  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const override {
-    check_length(data.size(), 64, "secded encode");
-    std::uint64_t payload = 0;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (data[i] != 0) payload |= std::uint64_t{1} << i;
-    }
-    const SecdedWord word = secded_encode(payload);
-    std::vector<std::uint8_t> bits(72);
-    for (std::size_t i = 0; i < 64; ++i) {
-      bits[i] = static_cast<std::uint8_t>((word.data >> i) & 1u);
-    }
-    for (std::size_t i = 0; i < 8; ++i) {
-      bits[64 + i] = static_cast<std::uint8_t>((word.check >> i) & 1u);
-    }
-    return bits;
-  }
-
-  Decoded decode(std::span<const std::uint8_t> bits) const override {
-    check_length(bits.size(), 72, "secded decode");
-    SecdedWord word;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (bits[i] != 0) word.data |= std::uint64_t{1} << i;
-    }
-    for (std::size_t i = 0; i < 8; ++i) {
-      if (bits[64 + i] != 0) word.check = static_cast<std::uint8_t>(word.check | (1u << i));
-    }
-    const EccDecodeResult result = secded_decode(word);
-    std::vector<std::uint8_t> data(64);
-    for (std::size_t i = 0; i < 64; ++i) {
-      data[i] = static_cast<std::uint8_t>((result.data >> i) & 1u);
-    }
-    return {std::move(data), result.status == EccStatus::kDetectedDouble,
-            result.status == EccStatus::kCorrectedSingle ? 1u : 0u};
-  }
-};
-
 }  // namespace
 
 std::vector<std::unique_ptr<Code>> default_catalog() {
   std::vector<std::unique_ptr<Code>> catalog;
   catalog.push_back(std::make_unique<NoneCode>(63));
-  catalog.push_back(std::make_unique<BchWrapper>(6, 1, true));
-  catalog.push_back(std::make_unique<BchWrapper>(6, 2, true));
-  catalog.push_back(std::make_unique<BchWrapper>(6, 3, true));
+  catalog.push_back(std::make_unique<BchCode>(6, 1));
+  catalog.push_back(std::make_unique<BchCode>(6, 2));
+  catalog.push_back(std::make_unique<BchCode>(6, 3));
   catalog.push_back(std::make_unique<SecdedCode>());
   return catalog;
 }

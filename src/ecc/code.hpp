@@ -2,7 +2,7 @@
 //
 // The policy explorer compares codes of different families at a fixed channel
 // realization, so every code — the uncoded baseline, the BCH-t ladder, the
-// SECDED word — is wrapped behind one bit-vector encode/decode interface with
+// SECDED word — is a `Code`: one bit-vector encode/decode interface with
 // (n, k, t) metadata. Catalog order is the strength ladder: the three
 // `same_block` BCH codes share n = 63, which is what makes the UBER chain
 // none -> t=1 -> t=2 -> t=3 exactly comparable word by word.
@@ -39,14 +39,17 @@ class Code {
   virtual std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const = 0;
 
   struct Decoded {
-    std::vector<std::uint8_t> data;  // k bits, best-effort on failure
+    std::vector<std::uint8_t> data;  // k bits; the received payload bits on failure
     bool uncorrectable = false;      // decoder *detected* failure
-    unsigned corrected_bits = 0;
+    unsigned corrected_bits = 0;     // bits the decoder flipped
   };
   virtual Decoded decode(std::span<const std::uint8_t> word) const = 0;
 
  protected:
   explicit Code(CodeSpec spec) : spec_(std::move(spec)) {}
+
+  // Throws unless a `what` input holds `want` bits.
+  static void check_length(std::size_t got, std::size_t want, const char* what);
 
  private:
   CodeSpec spec_;

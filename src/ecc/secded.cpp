@@ -1,155 +1,75 @@
 #include "ecc/secded.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 
 namespace oxmlc::ecc {
 
 namespace {
 
-constexpr bool is_power_of_two(unsigned x) { return x != 0 && (x & (x - 1)) == 0; }
+constexpr std::size_t kPayloadBits = 64;
+constexpr std::size_t kStoredBits = 72;
 
-// Codeword layout: positions 1..71 hold the Hamming(71) code — check bits at
-// the powers of two (1, 2, 4, 8, 16, 32, 64), data bits everywhere else
-// (exactly 64 slots) — and the overall parity occupies position 0.
-struct Layout {
-  std::array<unsigned, 64> data_position{};  // data bit k -> codeword position
-
-  Layout() {
-    unsigned k = 0;
-    for (unsigned p = 1; p <= 71 && k < 64; ++p) {
-      if (!is_power_of_two(p)) data_position[k++] = p;
-    }
+// Hamming position of each stored bit (layout in secded.hpp). The syndrome
+// of a word is the XOR of the positions of its set bits.
+constexpr std::array<unsigned, kStoredBits> kPosition = [] {
+  std::array<unsigned, kStoredBits> position{};
+  std::size_t k = 0;
+  for (unsigned p = 1; k < kPayloadBits; ++p) {
+    if ((p & (p - 1)) != 0) position[k++] = p;
   }
-};
-
-const Layout& layout() {
-  static const Layout instance;
-  return instance;
-}
-
-// 72-bit codeword in two words: bit 0..63 in lo, 64..71 in hi.
-struct Codeword {
-  std::uint64_t lo = 0;
-  std::uint8_t hi = 0;
-
-  bool get(unsigned p) const {
-    return p < 64 ? ((lo >> p) & 1u) != 0 : ((hi >> (p - 64)) & 1u) != 0;
-  }
-  void set(unsigned p, bool v) {
-    if (p < 64) {
-      lo = (lo & ~(std::uint64_t{1} << p)) | (std::uint64_t{v} << p);
-    } else {
-      const auto b = static_cast<std::uint8_t>(1u << (p - 64));
-      hi = v ? static_cast<std::uint8_t>(hi | b) : static_cast<std::uint8_t>(hi & ~b);
-    }
-  }
-};
-
-unsigned syndrome_of(const Codeword& cw) {
-  unsigned syndrome = 0;
-  for (unsigned p = 1; p <= 71; ++p) {
-    if (cw.get(p)) syndrome ^= p;
-  }
-  return syndrome;
-}
-
-bool overall_parity(const Codeword& cw) {
-  return (std::popcount(cw.lo) + std::popcount(static_cast<unsigned>(cw.hi))) % 2 != 0;
-}
-
-Codeword build_codeword(std::uint64_t data) {
-  Codeword cw;
-  const Layout& map = layout();
-  for (unsigned k = 0; k < 64; ++k) {
-    cw.set(map.data_position[k], ((data >> k) & 1u) != 0);
-  }
-  // Check bits: each power-of-two position covers positions containing it.
-  const unsigned syndrome = syndrome_of(cw);
-  for (unsigned bit = 0; bit < 7; ++bit) {
-    const unsigned p = 1u << bit;
-    if (syndrome & p) cw.set(p, !cw.get(p));
-  }
-  // Overall parity (position 0) makes the whole 72-bit word even.
-  cw.set(0, overall_parity(cw));
-  return cw;
-}
-
-SecdedWord pack(const Codeword& cw) {
-  // Stored form: 64 data bits + 8 auxiliary bits (7 check + overall parity).
-  SecdedWord word;
-  const Layout& map = layout();
-  for (unsigned k = 0; k < 64; ++k) {
-    word.data |= std::uint64_t{cw.get(map.data_position[k])} << k;
-  }
-  std::uint8_t aux = 0;
-  for (unsigned bit = 0; bit < 7; ++bit) {
-    aux = static_cast<std::uint8_t>(aux | (std::uint8_t{cw.get(1u << bit)} << bit));
-  }
-  aux = static_cast<std::uint8_t>(aux | (std::uint8_t{cw.get(0)} << 7));
-  word.check = aux;
-  return word;
-}
-
-Codeword unpack(const SecdedWord& word) {
-  Codeword cw;
-  const Layout& map = layout();
-  for (unsigned k = 0; k < 64; ++k) {
-    cw.set(map.data_position[k], ((word.data >> k) & 1u) != 0);
-  }
-  for (unsigned bit = 0; bit < 7; ++bit) {
-    cw.set(1u << bit, ((word.check >> bit) & 1u) != 0);
-  }
-  cw.set(0, ((word.check >> 7) & 1u) != 0);
-  return cw;
-}
-
-std::uint64_t extract_data(const Codeword& cw) {
-  std::uint64_t data = 0;
-  const Layout& map = layout();
-  for (unsigned k = 0; k < 64; ++k) {
-    data |= std::uint64_t{cw.get(map.data_position[k])} << k;
-  }
-  return data;
-}
+  for (unsigned b = 0; b < 7; ++b) position[kPayloadBits + b] = 1u << b;
+  position[kStoredBits - 1] = 0;
+  return position;
+}();
 
 }  // namespace
 
-SecdedWord secded_encode(std::uint64_t data) { return pack(build_codeword(data)); }
+SecdedCode::SecdedCode() : Code({"secded_72_64", kStoredBits, kPayloadBits, 1, false}) {}
 
-EccDecodeResult secded_decode(const SecdedWord& word) {
-  Codeword cw = unpack(word);
-  const unsigned syndrome = syndrome_of(cw);
-  const bool parity_bad = overall_parity(cw);
+std::vector<std::uint8_t> SecdedCode::encode(std::span<const std::uint8_t> data) const {
+  check_length(data.size(), kPayloadBits, "secded encode");
+  std::vector<std::uint8_t> word(kStoredBits, 0);
+  unsigned syndrome = 0;
+  for (std::size_t i = 0; i < kPayloadBits; ++i) {
+    word[i] = data[i] != 0;
+    if (word[i] != 0) syndrome ^= kPosition[i];
+  }
+  // The check bit at position 2^b clears bit b of the syndrome; the overall
+  // parity then makes the whole 72-bit word even.
+  for (std::size_t b = 0; b < 7; ++b) {
+    word[kPayloadBits + b] = static_cast<std::uint8_t>((syndrome >> b) & 1u);
+  }
+  word[kStoredBits - 1] =
+      static_cast<std::uint8_t>(std::count(word.begin(), word.end(), 1) % 2);
+  return word;
+}
 
-  EccDecodeResult result;
-  if (syndrome == 0 && !parity_bad) {
-    result.data = extract_data(cw);
-    result.status = EccStatus::kClean;
+Code::Decoded SecdedCode::decode(std::span<const std::uint8_t> word) const {
+  check_length(word.size(), kStoredBits, "secded decode");
+  Decoded result;
+  result.data.assign(kPayloadBits, 0);
+  unsigned syndrome = 0;
+  bool odd = false;
+  for (std::size_t i = 0; i < kStoredBits; ++i) {
+    if (word[i] == 0) continue;
+    if (i < kPayloadBits) result.data[i] = 1;
+    syndrome ^= kPosition[i];
+    odd = !odd;
+  }
+  if (syndrome == 0 && !odd) return result;
+  // An even flip count with a nonzero syndrome is a double error. An odd
+  // count is read as one error at the position the syndrome names, unless
+  // that position is outside the word (flips at 16, 32 and 64 XOR to 112):
+  // then it is provably not a single error, and the word is uncorrectable.
+  if (!odd || syndrome >= kStoredBits) {
+    result.uncorrectable = true;
     return result;
   }
-  if (parity_bad) {
-    // Odd number of flips: treat as a single error. syndrome == 0 means the
-    // overall-parity bit itself flipped; otherwise syndrome names the bit.
-    // An odd >=3-bit corruption can XOR to a syndrome with no codeword
-    // position (72..127, e.g. flips at 64+32+16 -> 112); that is provably not
-    // a single-bit error, so report it uncorrectable instead of "correcting"
-    // a phantom position (or crashing — a decoder must accept any input).
-    const unsigned position = syndrome;  // 0 = parity bit
-    if (position > 71) {
-      result.data = extract_data(cw);
-      result.status = EccStatus::kDetectedDouble;
-      return result;
-    }
-    cw.set(position, !cw.get(position));
-    result.data = extract_data(cw);
-    result.status = EccStatus::kCorrectedSingle;
-    result.corrected_bit = position;
-    return result;
-  }
-  // Even number of flips with nonzero syndrome: uncorrectable double error.
-  result.data = extract_data(cw);
-  result.status = EccStatus::kDetectedDouble;
+  const auto payload_end = kPosition.begin() + kPayloadBits;
+  const auto flipped = std::find(kPosition.begin(), payload_end, syndrome);
+  if (flipped != payload_end) result.data[flipped - kPosition.begin()] ^= 1;
+  result.corrected_bits = 1;
   return result;
 }
 

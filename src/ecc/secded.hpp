@@ -8,33 +8,23 @@
 // the injection bridge and the policy explorer, in one rank-ordered module.
 #pragma once
 
-#include <cstdint>
-#include <optional>
+#include "ecc/code.hpp"
 
 namespace oxmlc::ecc {
 
-struct SecdedWord {
-  std::uint64_t data = 0;  // 64 payload bits
-  std::uint8_t check = 0;  // 7 Hamming check bits + 1 overall parity
+// SECDED(72,64) on bit vectors. Stored bits 0-63 hold the payload, bits
+// 64-70 the Hamming check bits at positions 1, 2, 4, ..., 64, and bit 71 the
+// overall parity (position 0); the payload fills positions 3..71 that are
+// not powers of two, in order. A read word decodes to one of three
+// verdicts: clean, one bit corrected (an odd flip count whose syndrome names
+// a position), or uncorrectable (an even count with a nonzero syndrome, or
+// an odd count whose syndrome names no position of the 72-bit word).
+class SecdedCode final : public Code {
+ public:
+  SecdedCode();
+
+  std::vector<std::uint8_t> encode(std::span<const std::uint8_t> data) const override;
+  Decoded decode(std::span<const std::uint8_t> word) const override;
 };
-
-enum class EccStatus {
-  kClean,            // no error detected
-  kCorrectedSingle,  // one bit flipped and repaired
-  kDetectedDouble,   // uncorrectable double error detected
-};
-
-struct EccDecodeResult {
-  std::uint64_t data = 0;
-  EccStatus status = EccStatus::kClean;
-  // Bit position (0..71 in codeword numbering) of a corrected single error.
-  std::optional<unsigned> corrected_bit;
-};
-
-// Encodes 64 payload bits into a SECDED word.
-SecdedWord secded_encode(std::uint64_t data);
-
-// Decodes a (possibly corrupted) SECDED word.
-EccDecodeResult secded_decode(const SecdedWord& word);
 
 }  // namespace oxmlc::ecc

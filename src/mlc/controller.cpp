@@ -1,6 +1,7 @@
 #include "mlc/controller.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/registry.hpp"
 #include "util/error.hpp"
@@ -45,12 +46,10 @@ MemoryController::MemoryController(const QlcProgrammer& programmer, std::size_t 
 
 std::vector<std::size_t> MemoryController::drifted_columns(
     std::size_t row, std::span<const std::size_t> expected) {
+  const std::vector<std::size_t> decoded = read_word_levels(row);
   std::vector<std::size_t> drifted;
-  for (std::size_t col = 0; col < array_.cols(); ++col) {
-    reliability_.on_read(row, col);
-    const std::size_t decoded =
-        programmer_.read_level(array_.at(row, col), array_.rng_at(row, col));
-    if (decoded != expected[col]) drifted.push_back(col);
+  for (std::size_t col = 0; col < decoded.size(); ++col) {
+    if (decoded[col] != expected[col]) drifted.push_back(col);
   }
   return drifted;
 }
@@ -79,14 +78,9 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
   // parallel RST batch with per-bit-line termination masking — the same flow
   // the paper's control logic drives, and the fast path for array-scale
   // writes. Outcomes match per-cell program() calls to solver tolerance.
-  std::vector<oxram::FastCell*> cells(array_.cols());
-  std::vector<Rng*> rngs(array_.cols());
-  for (std::size_t col = 0; col < array_.cols(); ++col) {
-    cells[col] = &array_.at(row, col);
-    rngs[col] = &array_.rng_at(row, col);
-  }
-  const std::vector<ProgramOutcome> outcomes =
-      programmer_.program_word(cells, levels, rngs);
+  std::vector<std::size_t> all_columns(array_.cols());
+  std::iota(all_columns.begin(), all_columns.end(), std::size_t{0});
+  const std::vector<ProgramOutcome> outcomes = program_columns(row, all_columns, levels);
 
   WordWriteStats stats;
   for (const ProgramOutcome& outcome : outcomes) {
@@ -97,9 +91,6 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
     stats.unterminated += outcome.terminated ? 0 : 1;
   }
   written_levels_[row].assign(levels.begin(), levels.end());
-  for (std::size_t col = 0; col < array_.cols(); ++col) {
-    reliability_.on_programmed(row, col);
-  }
   for (std::size_t pass = 0; pass < verify_passes_; ++pass) {
     ControllerMetrics& metrics = ControllerMetrics::get();
     // Let the fast relaxation express before judging the write — an

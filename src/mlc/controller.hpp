@@ -108,7 +108,8 @@ class MemoryController {
   // `expected` (notifying the engine of the sense disturb first).
   std::vector<std::size_t> drifted_columns(std::size_t row,
                                            std::span<const std::size_t> expected);
-  // Batched re-terminate of a column subset; reports events to the engine.
+  // Batched program of a column subset (a whole word write, or the cells a
+  // verify or scrub pass re-terminates); reports events to the engine.
   std::vector<ProgramOutcome> program_columns(std::size_t row,
                                               std::span<const std::size_t> cols,
                                               std::span<const std::size_t> levels);

@@ -1,11 +1,10 @@
 #include "util/provenance.hpp"
 
+#include "provenance_sha.hpp"
+
 namespace oxmlc::util {
 namespace {
 
-#ifndef OXMLC_BUILD_GIT_SHA
-#define OXMLC_BUILD_GIT_SHA "unknown"
-#endif
 #ifndef OXMLC_BUILD_COMPILER
 #define OXMLC_BUILD_COMPILER "unknown"
 #endif
