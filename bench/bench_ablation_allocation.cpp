@@ -12,7 +12,9 @@
 #include "mlc/mc_study.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
                "  scheme (paper 4.1).\n";
   bench::save_csv(t, "ablation_allocation.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -10,7 +10,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 120, 1);
@@ -72,4 +74,10 @@ int main(int argc, char** argv) {
                "  the balanced corner.\n";
   bench::save_csv(t, "ablation_hrs_window.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

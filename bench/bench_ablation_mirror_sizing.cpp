@@ -10,7 +10,9 @@
 #include "mlc/mc_study.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
@@ -56,4 +58,10 @@ int main(int argc, char** argv) {
                "  why the write driver pays hundreds of um^2 per bit line.\n";
   bench::save_csv(t, "ablation_mirror_sizing.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

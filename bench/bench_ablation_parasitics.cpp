@@ -7,7 +7,9 @@
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -52,3 +54,7 @@ int main() {
   bench::save_csv(t, "ablation_parasitics.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

@@ -12,7 +12,9 @@
 #include "oxram/fast_cell.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -60,3 +62,7 @@ int main() {
   bench::save_csv(t, "ablation_termination_fidelity.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

@@ -34,9 +34,7 @@ struct Sweep {
   double speedup = 0.0;     // batch vs the serial loop
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   // The smallest sweep is 16 lanes; a lower cap would sweep nothing.
@@ -147,4 +145,10 @@ int main(int argc, char** argv) {
   json.set("sweeps", std::move(sweep_list));
   bench::save_json(json, "BENCH_batch.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -101,6 +102,20 @@ inline std::size_t size_flag(int argc, char** argv, const std::string& flag,
     std::exit(2);
   }
   return fallback;
+}
+
+// The one guard every bench main runs its body through: a library error
+// (an unwritable bench_results/, a failed solve) prints `error: <what()>`
+// and exits 1 instead of aborting. Flag errors exit 2 before any work
+// (size_flag).
+template <typename Body>
+int guard(Body&& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace oxmlc::bench

@@ -43,9 +43,7 @@ double corrected_fraction(const oxmlc::ecc::EccReport& report, const std::string
   return 1.0 - static_cast<double>(failed) / static_cast<double>(errored);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   ecc::EccStudyConfig config;
@@ -118,4 +116,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

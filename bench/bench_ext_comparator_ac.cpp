@@ -16,7 +16,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -87,3 +89,7 @@ int main() {
   bench::save_csv(t, "ext_comparator_ac.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

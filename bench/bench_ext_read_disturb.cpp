@@ -1,21 +1,23 @@
 // Extension: read-disturb analysis — why VREAD = 0.3 V.
 //
 // Reads bias the cell in the SET polarity; every read nudges the gap toward
-// LRS by rate(V_cell) over one sense (reliability::kSenseDuration). This
-// bench sweeps the read voltage and counts how many reads fit before the
-// *most fragile* level (the one that uses up its half-band first) drifts by
-// half a level — quantifying the read-budget cliff that motivates the
-// paper's 0.3 V read point and its <8 uA read-current argument.
+// LRS by rate(V_cell) over one sense (oxram::kSenseDuration). This bench
+// sweeps the read voltage and counts how many reads fit before the *most
+// fragile* level (the one that uses up its half-band first) drifts by half a
+// level — quantifying the read-budget cliff that motivates the paper's 0.3 V
+// read point and its <8 uA read-current argument.
 #include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "mlc/program.hpp"
-#include "reliability/engine.hpp"
+#include "oxram/drift.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -57,7 +59,7 @@ int main() {
       const double rate_rest = oxram::gap_rate(params, 0.0, g_level, false);
       // Reads bias the SET polarity: the induced component pulls shallow.
       const double drift_per_read =
-          std::max(rate_rest - rate_bias, 0.0) * reliability::kSenseDuration;
+          std::max(rate_rest - rate_bias, 0.0) * oxram::kSenseDuration;
       const double reads =
           drift_per_read > 0.0 ? half_band / drift_per_read
                                : std::numeric_limits<double>::infinity();
@@ -105,3 +107,7 @@ int main() {
   bench::save_csv(t, "ext_read_disturb.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

@@ -9,7 +9,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500, 1);
@@ -69,4 +71,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "fig12_margin_sigma.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -10,7 +10,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 500, 1);
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "fig13_energy_latency.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -16,7 +16,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
   using oxram::FastCell;
   using oxram::Polarity;
@@ -85,3 +87,7 @@ int main() {
   bench::save_csv(t, "fig1c_iv.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

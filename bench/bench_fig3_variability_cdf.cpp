@@ -11,7 +11,9 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t cycles = bench::size_flag(argc, argv, "--trials", 500, 1);
@@ -93,4 +95,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "fig3_variability_cdf.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

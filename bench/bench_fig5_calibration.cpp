@@ -15,7 +15,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
   using oxram::Polarity;
 
@@ -102,3 +104,7 @@ int main() {
   bench::save_csv(csv, "fig5_calibration.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

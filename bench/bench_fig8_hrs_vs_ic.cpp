@@ -8,7 +8,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -63,3 +65,7 @@ int main() {
   bench::save_csv(csv, "fig8_hrs_vs_ic.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

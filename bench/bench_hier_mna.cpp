@@ -45,9 +45,7 @@ struct SweepRow {
   double speedup = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   // The smallest sweep is 8 columns; a lower cap would sweep nothing.
@@ -182,4 +180,10 @@ int main(int argc, char** argv) {
   json.set("sweeps", std::move(sweeps));
   bench::save_json(json, "BENCH_hier_mna.json");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -12,7 +12,9 @@
 #include "bench_common.hpp"
 #include "mlc/retention.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   bench::print_header(
@@ -57,4 +59,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "retention_drift.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -168,12 +168,14 @@ BENCHMARK(BM_QlcProgramAndRead)->Unit(benchmark::kMillisecond);
 // (newton.refactorizations, sparse_lu.pattern_hits) are nonzero there, so the
 // hot path can never silently regress to full factorization.
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  const std::string path = oxmlc::bench::csv_path("solver_micro.metrics.json");
-  oxmlc::obs::write_metrics_json(path);
-  std::cout << "[metrics written: " << path << "]\n";
-  return 0;
+  return oxmlc::bench::guard([&] {
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    const std::string path = oxmlc::bench::csv_path("solver_micro.metrics.json");
+    oxmlc::obs::write_metrics_json(path);
+    std::cout << "[metrics written: " << path << "]\n";
+    return 0;
+  });
 }

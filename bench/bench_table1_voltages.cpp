@@ -6,7 +6,9 @@
 #include "oxram/fast_cell.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header("Table 1", "Standard operating voltages (cell level)",
@@ -45,3 +47,7 @@ int main() {
                "operating-point calibration.\n";
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

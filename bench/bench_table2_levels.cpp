@@ -7,7 +7,9 @@
 #include "mlc/program.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header("Table 2", "Allocation of the 16 resistance levels",
@@ -40,3 +42,7 @@ int main() {
   bench::save_csv(t, "table2_levels.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

@@ -7,7 +7,9 @@
 #include "mlc/projections.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 150, 1);
@@ -52,4 +54,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "table3_projections.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

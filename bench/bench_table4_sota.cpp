@@ -24,9 +24,7 @@ struct SchemeResult {
   double mean_pulses = 1.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t trials = bench::size_flag(argc, argv, "--trials", 40, 1);
@@ -131,4 +129,10 @@ int main(int argc, char** argv) {
   }
   bench::save_csv(csv, "table4_sota.csv");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

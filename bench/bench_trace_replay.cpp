@@ -22,7 +22,9 @@
 #include "memsys/trace.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace oxmlc;
 
   const std::size_t requests = bench::size_flag(argc, argv, "--requests", 1'000'000, 1);
@@ -125,4 +127,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return oxmlc::bench::guard([&] { return run(argc, argv); });
 }

@@ -17,7 +17,9 @@
 #include "util/ascii_plot.hpp"
 #include "util/table.hpp"
 
-int main() {
+namespace {
+
+int run() {
   using namespace oxmlc;
 
   bench::print_header(
@@ -84,3 +86,7 @@ int main() {
   bench::save_csv(csv, "word_parallel.csv");
   return 0;
 }
+
+}  // namespace
+
+int main() { return oxmlc::bench::guard(run); }

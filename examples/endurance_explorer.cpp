@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mlc/controller.hpp"
-#include "reliability/engine.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -43,12 +42,11 @@ int main(int argc, char** argv) {
   const mlc::QlcConfig config = mlc::QlcConfig::paper_default(4, 17);
   const mlc::QlcProgrammer programmer(config);
 
-  reliability::ReliabilityConfig rel;
+  mlc::ReliabilityConfig rel;
   rel.endurance.onset_cycles = 20;     // technology value is ~1e9 writes; pulled
   rel.endurance.loss_per_decade = 0.08;  // down so an example-sized run shows wear
   mlc::MemoryController controller(programmer, 1, 8, 0xE77D, rel, 2);
   const oxram::FastCell& cell00 = controller.array().at(0, 0);
-  reliability::ReliabilityEngine& engine = controller.reliability();
 
   const double fresh_window = cell00.params().g_max - cell00.params().g_min;
 
@@ -75,7 +73,7 @@ int main(int argc, char** argv) {
     latency.add(stats.latency);
     verify_reprogrammed += stats.reprogrammed;
 
-    engine.advance(*dwell);
+    controller.advance(*dwell);
     const std::vector<std::size_t> read = controller.read_word_levels(0);
     for (std::size_t col = 0; col < levels.size(); ++col) {
       epoch_errors_raw += read[col] != levels[col];
@@ -108,8 +106,8 @@ int main(int argc, char** argv) {
   summary.add_row({"verify re-programs", std::to_string(verify_reprogrammed)});
   summary.add_row({"mean energy / write", format_si(energy.mean(), "J", 3)});
   summary.add_row({"mean write latency (incl. verify)", format_si(latency.mean(), "s", 3)});
-  summary.add_row({"reads seen by cell (0,0)", std::to_string(engine.reads(0, 0))});
-  summary.add_row({"cycles seen by cell (0,0)", std::to_string(engine.cycles(0, 0))});
+  summary.add_row({"reads seen by cell (0,0)", std::to_string(controller.reads(0, 0))});
+  summary.add_row({"cycles seen by cell (0,0)", std::to_string(controller.cycles(0, 0))});
   summary.add_row({"scrub repairs every epoch", scrub_repairs ? "yes" : "NO"});
   summary.add_row({"window loss never shrinks", loss_grows ? "yes" : "NO"});
   std::cout << "\n";

@@ -26,6 +26,10 @@ class FastArray {
   oxram::FastCell& at(std::size_t row, std::size_t col);
   const oxram::FastCell& at(std::size_t row, std::size_t col) const;
 
+  // Row-major position of a cell; throws InvalidArgumentError naming the
+  // cell and the dimensions when it is out of range (as at() does).
+  std::size_t index(std::size_t row, std::size_t col) const;
+
   // Per-cell random stream (deterministic: derived from the array seed and
   // the cell position, independent of access order).
   Rng& rng_at(std::size_t row, std::size_t col);
@@ -39,8 +43,6 @@ class FastArray {
   double refresh_cycle_rate(std::size_t row, std::size_t col);
 
  private:
-  std::size_t index(std::size_t row, std::size_t col) const;
-
   std::size_t rows_;
   std::size_t cols_;
   oxram::OxramVariability variability_;

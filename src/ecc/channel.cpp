@@ -6,7 +6,6 @@
 
 #include "mlc/retention.hpp"
 #include "oxram/drift.hpp"
-#include "reliability/engine.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::ecc {
@@ -56,14 +55,13 @@ WordTrial simulate_word(const ChannelPolicy& policy, const mlc::QlcProgrammer& p
     rngs.push_back(rng.split());
     const oxram::OxramParams fresh =
         oxram::sample_device(qlc.nominal_cell, qlc.variability, rngs.back());
-    const oxram::OxramParams device =
-        reliability::worn_params(fresh, reliability::EnduranceModel{}, cycles);
+    const oxram::OxramParams device = oxram::worn_params(fresh, oxram::EnduranceModel{}, cycles);
     word_cells.push_back(oxram::FastCell::formed_lrs(device, qlc.stack));
   }
 
   // Whole-word program through the batched terminated-RESET path.
-  mlc::DriftingWord word(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
-                         std::move(word_cells), std::move(rngs), trial.target);
+  mlc::DriftingWord word(programmer, oxram::DriftParams{}, std::move(word_cells),
+                         std::move(rngs), trial.target);
 
   // Relaxation-aware verify: re-sense after mlc::kVerifyWait and re-terminate
   // cells whose tail relaxation event slipped them out of band.

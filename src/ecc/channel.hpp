@@ -3,18 +3,19 @@
 // The codes in this module are only as honest as the channel feeding them,
 // so there is deliberately NO iid-bitflip shortcut here. One trial simulates
 // one stored word as an `mlc::DriftingWord`, the word the retention study
-// runs, on the drift trajectory `ReliabilityEngine` keeps per cell: devices
-// sampled from the D2D distributions (window pre-compressed by endurance
-// wear at the cycle count the wear-leveling policy implies), programmed
-// through the terminated-RESET programmer, evolved along the two-component
-// log-time drift law with read-disturb stress billed per sense, optionally
-// re-terminated by the relaxation-aware verify (kVerifyPasses passes of
-// DriftingWord::relax_verify, each after mlc::kVerifyWait), scrubbed on the
-// policy's period (at most kMaxScrubEvents events), and finally read back
-// through the real reference ladder at kReadBackHorizon. Each verify pass
-// and scrub event re-programs its slipped cells in one word-wide call. Level
-// errors fall out as (target, observed) pairs; `error_bits` maps them
-// through the Gray code to the bit-error stream the code catalog consumes.
+// runs, on the drift trajectory `mlc::MemoryController` keeps per cell:
+// devices sampled from the D2D distributions (window pre-compressed by
+// endurance wear at the cycle count the wear-leveling policy implies),
+// programmed through the terminated-RESET programmer, evolved along the
+// two-component log-time drift law with read-disturb stress billed per
+// sense, optionally re-terminated by the relaxation-aware verify
+// (kVerifyPasses passes of DriftingWord::relax_verify, each after
+// mlc::kVerifyWait), scrubbed on the policy's period (at most
+// kMaxScrubEvents events), and finally read back through the real reference
+// ladder at kReadBackHorizon. Each verify pass and scrub event re-programs
+// its slipped cells in one word-wide call. Level errors fall out as
+// (target, observed) pairs; `error_bits` maps them through the Gray code to
+// the bit-error stream the code catalog consumes.
 //
 // Determinism: everything a trial samples derives from the single `rng`
 // passed in (per-cell streams are split() children), so trials keep the
@@ -39,8 +40,8 @@ inline constexpr double kReadBackHorizon = 1e7;  // s
 // stream (kHotRowShare of kLifetimeWrites on one row of kWearRegionRows) is
 // spread toward uniform as the rotation period shrinks. The result is the
 // program/erase cycle count billed to every cell of the simulated word —
-// which feeds `reliability::worn_params` *before* device sampling, the same
-// order the endurance study uses.
+// which feeds `oxram::worn_params` *before* device sampling, the same order
+// the endurance study uses.
 inline constexpr double kLifetimeWrites = 1e7;  // writes absorbed by the region over life
 inline constexpr std::size_t kWearRegionRows = 4096;
 inline constexpr double kHotRowShare = 0.5;  // fraction of writes hitting the hot row
@@ -75,10 +76,10 @@ struct WordTrial {
 // operating point (allocation, cell, stack, variability) is the programmer's
 // QlcConfig, so the channel samples the devices it programs; drift, read
 // disturb and wear follow the default oxram::DriftParams,
-// reliability::ReadDisturbModel and reliability::EnduranceModel. Target
-// levels are uniform draws (a Gray-mapped random payload is level-uniform in
-// aggregate, and a data-independent reference word is what lets every code in
-// the catalog score against the same channel realization).
+// oxram::ReadDisturbModel and oxram::EnduranceModel. Target levels are
+// uniform draws (a Gray-mapped random payload is level-uniform in aggregate,
+// and a data-independent reference word is what lets every code in the
+// catalog score against the same channel realization).
 WordTrial simulate_word(const ChannelPolicy& policy, const mlc::QlcProgrammer& programmer,
                         std::size_t cells, Rng& rng);
 

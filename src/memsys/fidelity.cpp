@@ -6,7 +6,6 @@
 #include "mc/runner.hpp"
 #include "mlc/controller.hpp"
 #include "oxram/params.hpp"
-#include "reliability/engine.hpp"
 #include "util/error.hpp"
 
 namespace oxmlc::memsys {
@@ -186,7 +185,7 @@ MnaTierReport FidelityEngine::run_mna_tier(std::span<const WordSample> samples) 
 
 WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) const {
   WitnessReport report;
-  reliability::ReliabilityConfig rel_config;
+  mlc::ReliabilityConfig rel_config;
   rel_config.seed = config_.seed ^ 0x52454C49ull;
   mlc::MemoryController controller(programmer_, kWitnessRows, geometry_.cells_per_word,
                                    config_.seed ^ 0x57495453ull, rel_config);
@@ -201,7 +200,7 @@ WitnessReport FidelityEngine::run_witness(std::span<const WordSample> samples) c
     ++report.words_written;
   }
   for (std::size_t epoch = 0; epoch < kWitnessScrubEpochs; ++epoch) {
-    controller.reliability().advance(kWitnessBakeS);
+    controller.advance(kWitnessBakeS);
     const mlc::ScrubStats stats = controller.scrub_all();
     report.scrub_words += stats.words;
     report.cells_checked += stats.cells_checked;

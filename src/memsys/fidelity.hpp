@@ -27,8 +27,8 @@
 //                        vs solving the same netlist monolithically to
 //                        t_stop; that is what pays for the 10x-raised sample
 //                        cap (2 -> 20 realized on the 1M-request replay).
-//   witness (reliability) a 4-word MemoryController (its own sampled array
-//                        and ReliabilityEngine) carries sampled payloads
+//   witness (reliability) a 4-word MemoryController (its own sampled and
+//                        aged array) carries sampled payloads
 //                        through 2 rounds of a 1e6 s accelerated retention
 //                        bake and scrub_all() — the physics behind the
 //                        scheduler's scrub slots.

@@ -76,6 +76,13 @@ std::optional<GeometryViolation> first_violation(const GeometryConfig& g) {
              {"tWP_MIN", "tWP_MAX"}}};
   }
   if (t.t_scrub == 0) return {{"tSCRUB must be positive", {"tSCRUB"}}};
+  // A scrub due again by the time its slot ends takes every freed bank ahead
+  // of the queue, so no request would ever retire.
+  if (g.scrub_interval_cycles != 0 && g.scrub_interval_cycles <= t.t_scrub) {
+    return {{"SCRUB_INTERVAL must be 0 or exceed tSCRUB, got " +
+                 std::to_string(g.scrub_interval_cycles) + " <= " + std::to_string(t.t_scrub),
+             {"SCRUB_INTERVAL", "tSCRUB"}}};
+  }
   if (g.queue_depth == 0) return {{"QUEUE_DEPTH must be positive", {"QUEUE_DEPTH"}}};
   if (g.scheduler_policy == SchedulerPolicy::kWriteDrain && g.write_drain_threshold == 0) {
     return {{"WRITE_DRAIN_THRESHOLD must be positive under SCHED_POLICY WRITE_DRAIN",

@@ -87,7 +87,8 @@ struct GeometryConfig {
 
   // Throws InvalidArgumentError naming the offending field on a non-physical
   // configuration (zero dims, a word wider than the 64-bit trace payload or
-  // byte-fractional access, degenerate timing).
+  // byte-fractional access, degenerate timing, a scrub interval no longer
+  // than one scrub slot).
   void validate() const;
 
   // The NVMain RRAM_ISSCC_2012_4GB shape: 4 channels x 4 banks x 8192 rows

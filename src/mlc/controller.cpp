@@ -10,6 +10,11 @@ namespace oxmlc::mlc {
 namespace {
 
 struct ControllerMetrics {
+  obs::Counter& advances = obs::registry().counter("reliability.advances");
+  obs::Counter& lanes_advanced = obs::registry().counter("reliability.lanes_advanced");
+  obs::Counter& reads_disturbed = obs::registry().counter("reliability.reads_disturbed");
+  obs::Counter& program_events = obs::registry().counter("reliability.program_events");
+  obs::Timer& advance_time = obs::registry().timer("reliability.advance_time");
   obs::Counter& verify_passes = obs::registry().counter("reliability.verify_passes");
   obs::Counter& verify_resenses = obs::registry().counter("reliability.verify_resenses");
   obs::Counter& verify_reprograms = obs::registry().counter("reliability.verify_reprograms");
@@ -22,26 +27,75 @@ struct ControllerMetrics {
   }
 };
 
+// Per-cell amplitude stream: same construction style as FastArray's
+// position-derived streams — deterministic given (seed, cell index),
+// independent of access order.
+Rng cell_stream(std::uint64_t seed, std::size_t cell_index) {
+  return Rng(seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(cell_index) + 1)));
+}
+
 }  // namespace
 
 MemoryController::MemoryController(const QlcProgrammer& programmer, std::size_t words,
                                    std::size_t cells_per_word, std::uint64_t seed,
-                                   const reliability::ReliabilityConfig& reliability,
+                                   const ReliabilityConfig& reliability,
                                    std::size_t verify_passes)
     : programmer_(programmer),
       array_(words, cells_per_word, programmer.config().nominal_cell,
              programmer.config().variability, programmer.config().stack, seed),
-      reliability_(array_, reliability),
+      reliability_(reliability),
       verify_passes_(verify_passes),
       written_levels_(words) {
+  aging_.resize(array_.size());
+  for (std::size_t i = 0; i < aging_.size(); ++i) {
+    aging_[i].fresh = array_.at(i / array_.cols(), i % array_.cols()).params();
+    aging_[i].rng = cell_stream(reliability_.seed, i);
+  }
   array_.form_all();
   // FORMING is a program event: anchor every cell's drift trajectory at the
   // freshly formed LRS gap.
   for (std::size_t row = 0; row < array_.rows(); ++row) {
     for (std::size_t col = 0; col < array_.cols(); ++col) {
-      reliability_.on_programmed(row, col);
+      on_programmed(row, col);
     }
   }
+}
+
+void MemoryController::on_programmed(std::size_t row, std::size_t col) {
+  CellAging& aging = aging_[array_.index(row, col)];
+  oxram::FastCell& cell = array_.at(row, col);
+  aging.trajectory.reanchor(reliability_.drift, cell.gap(), now_, aging.rng);
+  ++aging.cycles;
+  cell.mutable_params() = oxram::worn_params(aging.fresh, reliability_.endurance, aging.cycles);
+  ControllerMetrics::get().program_events.add();
+}
+
+void MemoryController::advance(double dt) {
+  OXMLC_CHECK(dt >= 0.0, "MemoryController::advance: dt must be non-negative");
+  ControllerMetrics& metrics = ControllerMetrics::get();
+  metrics.advances.add();
+  obs::ScopedTimer timer(metrics.advance_time);
+
+  now_ += dt;
+  for (std::size_t row = 0; row < array_.rows(); ++row) {
+    for (std::size_t col = 0; col < array_.cols(); ++col) {
+      oxram::FastCell& cell = array_.at(row, col);
+      cell.set_gap(aging_[array_.index(row, col)].trajectory.gap_at(reliability_.drift,
+                                                                     cell.params(), now_));
+    }
+  }
+  metrics.lanes_advanced.add(array_.size());
+}
+
+const oxram::DriftTrajectory& MemoryController::trajectory(std::size_t row,
+                                                            std::size_t col) const {
+  return aging_[array_.index(row, col)].trajectory;
+}
+std::uint64_t MemoryController::cycles(std::size_t row, std::size_t col) const {
+  return aging_[array_.index(row, col)].cycles;
+}
+std::uint64_t MemoryController::reads(std::size_t row, std::size_t col) const {
+  return aging_[array_.index(row, col)].reads;
 }
 
 std::vector<std::size_t> MemoryController::drifted_columns(
@@ -66,7 +120,7 @@ std::vector<ProgramOutcome> MemoryController::program_columns(
     target[k] = levels[cols[k]];
   }
   std::vector<ProgramOutcome> outcomes = programmer_.program_word(cells, target, rngs);
-  for (std::size_t col : cols) reliability_.on_programmed(row, col);
+  for (std::size_t col : cols) on_programmed(row, col);
   return outcomes;
 }
 
@@ -95,7 +149,7 @@ WordWriteStats MemoryController::write_word_levels(std::size_t row,
     ControllerMetrics& metrics = ControllerMetrics::get();
     // Let the fast relaxation express before judging the write — an
     // immediate verify would pass every cell and catch nothing.
-    reliability_.advance(kVerifyWait);
+    advance(kVerifyWait);
     stats.latency += kVerifyWait;
     ++stats.verify_passes;
     metrics.verify_passes.add();
@@ -122,9 +176,18 @@ std::vector<std::size_t> MemoryController::read_word_levels(std::size_t row) {
   std::vector<std::size_t> levels;
   levels.reserve(array_.cols());
   for (std::size_t col = 0; col < array_.cols(); ++col) {
-    reliability_.on_read(row, col);
-    levels.push_back(
-        programmer_.read_level(array_.at(row, col), array_.rng_at(row, col)));
+    CellAging& aging = aging_[array_.index(row, col)];
+    oxram::FastCell& cell = array_.at(row, col);
+    ++aging.reads;
+    if (reliability_.read_disturb.enabled) {
+      // The sense disturbs the cell before it decodes it.
+      const double gap = cell.gap();
+      const double disturbed = oxram::disturbed_gap(cell, gap, 1, reliability_.read_disturb);
+      aging.trajectory.offset += disturbed - gap;
+      cell.set_gap(disturbed);
+      ControllerMetrics::get().reads_disturbed.add();
+    }
+    levels.push_back(programmer_.read_level(cell, array_.rng_at(row, col)));
   }
   return levels;
 }

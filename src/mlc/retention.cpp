@@ -102,12 +102,10 @@ RetentionReport branch_report(const RetentionConfig& config,
 }  // namespace
 
 DriftingWord::DriftingWord(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
-                           const reliability::ReadDisturbModel& read_disturb,
                            std::vector<oxram::FastCell> cells, std::vector<Rng> rngs,
                            std::vector<std::size_t> targets)
-    : programmer_(&programmer), drift_(drift), read_disturb_(read_disturb),
-      cells_(std::move(cells)), rngs_(std::move(rngs)), targets_(std::move(targets)),
-      trajectories_(cells_.size()) {
+    : programmer_(&programmer), drift_(drift), cells_(std::move(cells)),
+      rngs_(std::move(rngs)), targets_(std::move(targets)), trajectories_(cells_.size()) {
   OXMLC_CHECK(rngs_.size() == cells_.size() && targets_.size() == cells_.size(),
               "DriftingWord: cells, rngs and targets differ in length");
   std::vector<oxram::FastCell*> cell_ptrs(size());
@@ -124,10 +122,9 @@ DriftingWord::DriftingWord(const QlcProgrammer& programmer, const oxram::DriftPa
 
 std::size_t DriftingWord::sense(std::size_t i, double t) {
   oxram::FastCell& cell = cells_[i];
-  reliability::DriftTrajectory& trajectory = trajectories_[i];
+  oxram::DriftTrajectory& trajectory = trajectories_[i];
   const double g = trajectory.gap_at(drift_, cell.params(), t);
-  const double g_disturbed =
-      reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, read_disturb_);
+  const double g_disturbed = oxram::disturbed_gap(cell, g, 1, oxram::ReadDisturbModel{});
   trajectory.offset += g_disturbed - g;
   cell.set_gap(g_disturbed);
   return programmer_->read_level(cell, rngs_[i]);
@@ -201,9 +198,8 @@ RetentionComparison run_retention_comparison(const RetentionConfig& config) {
   const std::vector<TrialSample> samples = mc::run_trials<TrialSample>(
       config.study.mc.trials, config.study.mc.threads, [&](std::size_t t) {
         StudyWord sampled = sample_study_word(config.study, t);
-        DriftingWord off(programmer, oxram::DriftParams{}, reliability::ReadDisturbModel{},
-                         std::move(sampled.cells), std::move(sampled.rngs),
-                         std::move(sampled.levels));
+        DriftingWord off(programmer, oxram::DriftParams{}, std::move(sampled.cells),
+                         std::move(sampled.rngs), std::move(sampled.levels));
         DriftingWord on = off;
         TrialSample sample;
         sample.outcomes = off.outcomes();

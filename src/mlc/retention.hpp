@@ -15,8 +15,8 @@
 // subsystem).
 //
 // DriftingWord is the word both this sweep and the ECC channel run: formed
-// cells with their own rngs and targets, one reliability::DriftTrajectory
-// each, and word-wide program, verify and reprogram calls.
+// cells with their own rngs and targets, one oxram::DriftTrajectory each,
+// and word-wide program, verify and reprogram calls.
 //
 // Determinism: every draw of a trial comes from its cells' rngs, which
 // sample_study_word derives from (seed, level, trial) alone, so reports are
@@ -34,7 +34,6 @@
 #include "mlc/program.hpp"
 #include "obs/json.hpp"
 #include "oxram/drift.hpp"
-#include "reliability/engine.hpp"
 
 namespace oxmlc::mlc {
 
@@ -55,7 +54,6 @@ class DriftingWord {
   // trajectory at t = 0. `programmer` must outlive the word; the three
   // vectors must have equal length.
   DriftingWord(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
-               const reliability::ReadDisturbModel& read_disturb,
                std::vector<oxram::FastCell> cells, std::vector<Rng> rngs,
                std::vector<std::size_t> targets);
 
@@ -65,9 +63,9 @@ class DriftingWord {
   // Outcomes of the constructor's program, indexed like the cells.
   const std::vector<ProgramOutcome>& outcomes() const { return outcomes_; }
 
-  // Senses cell i at time t: bills one read disturb through
-  // reliability::disturbed_gap, leaves the cell at the disturbed gap and
-  // decodes it on the cell's rng.
+  // Senses cell i at time t: bills one read disturb of the default
+  // oxram::ReadDisturbModel through oxram::disturbed_gap, leaves the cell at
+  // the disturbed gap and decodes it on the cell's rng.
   std::size_t sense(std::size_t i, double t);
 
   // Cell i's resistance at time t at the read point, without disturb.
@@ -86,16 +84,15 @@ class DriftingWord {
  private:
   const QlcProgrammer* programmer_;
   oxram::DriftParams drift_;
-  reliability::ReadDisturbModel read_disturb_;
   std::vector<oxram::FastCell> cells_;
   std::vector<Rng> rngs_;
   std::vector<std::size_t> targets_;
-  std::vector<reliability::DriftTrajectory> trajectories_;
+  std::vector<oxram::DriftTrajectory> trajectories_;
   std::vector<ProgramOutcome> outcomes_;
 };
 
 // Words drift on the default oxram::DriftParams, and each verify re-sense
-// bills the default reliability::ReadDisturbModel (the verify is not free).
+// bills the default oxram::ReadDisturbModel (the verify is not free).
 struct RetentionConfig {
   McStudyConfig study;        // operating point (allocation, device), mc depth/seed
   std::vector<double> times;  // ascending observation times (s) after program

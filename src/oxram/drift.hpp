@@ -1,4 +1,5 @@
-// Post-program state evolution of the OxRAM gap: retention/relaxation drift.
+// Post-program state evolution of the OxRAM gap: retention/relaxation drift,
+// read disturb and endurance wear.
 //
 // The write-termination scheme freezes the gap the instant the comparator
 // fires, but programmed HRS states are not stationary: the filament keeps
@@ -40,9 +41,24 @@
 // exploits.
 //
 // drifted_gap() is the one implementation of the law; every consumer reaches
-// it through reliability::DriftTrajectory (see DESIGN.md).
+// it through DriftTrajectory below (see DESIGN.md). Beside it sit the two
+// other ways a cell ages after its terminated RESET:
+//
+//   * read disturb — every sense biases the cell at Table 1's READ point
+//     (kReadVoltage, kReadWlVoltage) in the SET polarity, nudging the gap
+//     toward LRS by the physics rate integrated over the sense duration
+//     (disturbed_gap);
+//   * endurance — the cell's cycle count compresses its switching window
+//     (g_min up, g_max down) log-linearly past an onset (worn_params).
+//
+// mlc::MemoryController applies all three to the cells it manages; the
+// retention sweep and the ECC channel run them through mlc::DriftingWord.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
+#include "oxram/fast_cell.hpp"
 #include "util/rng.hpp"
 
 namespace oxmlc::oxram {
@@ -90,5 +106,64 @@ double sample_relaxation_amplitude(const DriftParams& p, Rng& rng);
 // Per-cell slow-drift amplitude: lognormal around drift_fraction. One draw
 // per call; 0 when drift is disabled.
 double sample_drift_amplitude(const DriftParams& p, Rng& rng);
+
+// One cell's post-program drift trajectory: the gap at its last program
+// event, when that event happened, the amplitudes drawn for it and the
+// read-disturb shift accumulated since. Times are absolute on the owner's
+// clock.
+struct DriftTrajectory {
+  bool programmed = false;  // false until the first reanchor()
+  double anchor = 0.0;      // gap at the last program event
+  double t_anchor = 0.0;    // s, time of the last program event
+  double relax_amp = 0.0;   // per-event fast amplitude
+  double drift_amp = 0.0;   // per-cell slow amplitude, drawn on the first event
+  double offset = 0.0;      // accumulated read-disturb gap shift (<= 0)
+
+  // Program event at time `t` that left the cell at `gap`: re-anchors, clears
+  // the disturb offset and draws a fresh relaxation amplitude from `rng`,
+  // then, on the cell's first event only, its slow-drift amplitude.
+  void reanchor(const DriftParams& drift, double gap, double t, Rng& rng);
+
+  // drifted_gap() at t - t_anchor, plus the disturb offset, clamped to the
+  // window of `params` (the cell's current, possibly worn, parameters).
+  double gap_at(const DriftParams& drift, const OxramParams& params, double t) const;
+};
+
+// Read disturb: one sense holds Table 1's READ bias across the stack for
+// kSenseDuration. The resulting gap reduction per read is tiny at the
+// nominal 0.3 V (that is the point of a low read voltage); a disturb-margin
+// study bills a larger stress as more reads.
+inline constexpr double kSenseDuration = 100e-9;  // s, one sense operation
+
+struct ReadDisturbModel {
+  bool enabled = true;
+};
+
+// The one read-disturb step, shared by the controller, the retention sweep
+// and the ECC channel: the gap of `cell` (its parameters, forming state,
+// stack and C2C rate factor) after `reads` senses at Table 1's READ point,
+// starting from `gap`. The sense biases the cell in the SET polarity; only
+// the excess over the zero-bias trajectory in the same stress window is
+// billed to the reads. Returns `gap` unchanged when the model is disabled
+// or `reads` is 0.
+double disturbed_gap(const FastCell& cell, double gap, std::size_t reads,
+                     const ReadDisturbModel& model);
+
+// Endurance: window compression past an onset cycle count. The fractional
+// loss per decade is split between the two window edges,
+//   loss = min(kMaxWindowLoss, loss_per_decade * log10(cycles / onset)),
+// raising g_min by loss/2 * window and lowering g_max symmetrically — the
+// classic tail-bit signature where cycled cells can no longer reach the
+// deepest HRS levels nor the strongest LRS.
+inline constexpr double kMaxWindowLoss = 0.5;  // fraction of the fresh window
+
+struct EnduranceModel {
+  double onset_cycles = 1e5;
+  double loss_per_decade = 0.05;  // fraction of the fresh window per decade
+};
+
+// The window compression applied to `fresh` after `cycles` program events.
+OxramParams worn_params(const OxramParams& fresh, const EnduranceModel& model,
+                        std::uint64_t cycles);
 
 }  // namespace oxmlc::oxram

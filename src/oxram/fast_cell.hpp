@@ -30,13 +30,14 @@
 namespace oxmlc::oxram {
 
 // The paper's operating point, declared once: the fast path, the write
-// testbenches (array/write_stack.hpp), the QLC programmer and the reliability
-// engine read it from here. The MLC RESET (SL pulse, boosted WL, edges and
-// standard plateau) and the READ (BL and WL bias) are Table 1's; the
-// termination delay is §3.2's comparator flip to SL-driver stop. Table 1's
-// cell-level RESET is the bias the characterization (Fig. 3) and the
-// open-loop prior-art baselines apply without the termination stack. Its SET
-// is the SetOperation default and its FMG kForming, both below.
+// testbenches (array/write_stack.hpp), the QLC programmer and the
+// read-disturb step (oxram/drift.hpp) read it from here. The MLC RESET (SL
+// pulse, boosted WL, edges and standard plateau) and the READ (BL and WL
+// bias) are Table 1's; the termination delay is §3.2's comparator flip to
+// SL-driver stop. Table 1's cell-level RESET is the bias the
+// characterization (Fig. 3) and the open-loop prior-art baselines apply
+// without the termination stack. Its SET is the SetOperation default and its
+// FMG kForming, both below.
 inline constexpr double kResetSlVoltage = 1.60;        // V
 inline constexpr double kResetWlVoltage = 3.3;         // V
 inline constexpr double kResetEdge = 10e-9;            // s, rise and fall

@@ -6,9 +6,11 @@
 //
 // The tests exec the real binary (path injected by CMake as OXMLC_SIM_PATH)
 // through /bin/sh, capturing exit status and combined output. When tools are
-// not built (OXMLC_BUILD_EXAMPLES=OFF) the whole suite skips. The bench flag
-// cases also need OXMLC_BENCH_FIG11_PATH (OXMLC_BUILD_BENCH=ON); the lint
-// corpus cases read tools/netlists/ under OXMLC_SOURCE_DIR.
+// not built (OXMLC_BUILD_EXAMPLES=OFF) the whole suite skips; the endurance
+// explorer pin runs that example (OXMLC_ENDURANCE_EXPLORER_PATH). The bench
+// flag and error cases also need OXMLC_BENCH_FIG11_PATH
+// (OXMLC_BUILD_BENCH=ON); the lint corpus cases read tools/netlists/ under
+// OXMLC_SOURCE_DIR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,8 +36,7 @@ struct RunResult {
 
 #ifdef OXMLC_SIM_PATH
 
-RunResult run(const std::string& binary, const std::string& arguments) {
-  const std::string command = "'" + binary + "' " + arguments + " 2>&1";
+RunResult run_command(const std::string& command) {
   RunResult result;
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -47,6 +48,10 @@ RunResult run(const std::string& binary, const std::string& arguments) {
   const int status = pclose(pipe);
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
+}
+
+RunResult run(const std::string& binary, const std::string& arguments) {
+  return run_command("'" + binary + "' " + arguments + " 2>&1");
 }
 
 RunResult run_sim(const std::string& arguments) { return run(OXMLC_SIM_PATH, arguments); }
@@ -133,6 +138,27 @@ TEST(CliContract, MalformedNumericValueExits2) {
   }
 #endif
 }
+
+#ifdef OXMLC_BENCH_FIG11_PATH
+TEST(CliContract, BenchLibraryErrorExits1) {
+  // A library throw in a bench main prints `error: <what>` and exits 1
+  // instead of aborting: here bench_results is a regular file, so the CSV
+  // directory cannot be created.
+  const std::filesystem::path dir = temp_path("oxmlc_cli_bench_error");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "bench_results") << "a file, not a directory\n";
+  const RunResult result = run_command("cd '" + dir.string() + "' && '" +
+                                       OXMLC_BENCH_FIG11_PATH + "' --trials 1 2>&1");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  const std::size_t error = result.output.find("error: ");
+  ASSERT_NE(error, std::string::npos) << result.output;
+  const std::string line = result.output.substr(error, result.output.find('\n', error) - error);
+  EXPECT_NE(line.find("bench_results"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("terminate called"), std::string::npos) << result.output;
+  std::filesystem::remove_all(dir);
+}
+#endif
 
 TEST(CliContract, UnreadableTraceFileExits2) {
   const RunResult result = run_sim("--trace /nonexistent/requests.trc");
@@ -245,8 +271,8 @@ obs::Json read_json(const std::string& path) {
 TEST(CliContract, RetentionScrubDemoIsPinned) {
   // The 8x8 bake + scrub demo of --retention and the reliability counters of
   // the whole run, pinned to what they read when every caller wired the
-  // array, the ReliabilityEngine and the controller by hand. The controller
-  // now builds all three, so these values must not move.
+  // array, its aging engine and the controller by hand. The controller now
+  // samples, forms and ages its own cells, so these values must not move.
   const std::string report_path = temp_path("oxmlc_cli_retention_report.json");
   const std::string metrics_path = temp_path("oxmlc_cli_retention_metrics.json");
   const RunResult result =
@@ -294,6 +320,39 @@ TEST(CliContract, ReplayWitnessIsPinned) {
   EXPECT_EQ(witness.get("scrub_energy_j").as_number(), 2.947065898818458e-09);
   std::remove(report_path.c_str());
 }
+
+#ifdef OXMLC_ENDURANCE_EXPLORER_PATH
+TEST(CliContract, EnduranceExplorerIsPinned) {
+  // The one program that wears a controller's cells past the endurance onset
+  // (the explorer pulls it down to 20 cycles, so oxram::worn_params
+  // compresses the window): its epoch table and summary at 24 cycles, pinned
+  // like the scrub demo above.
+  const RunResult result = run(OXMLC_ENDURANCE_EXPLORER_PATH, "24");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  const char* epochs =
+      "+--------+------------+----------------+--------------------+-----------------+\n"
+      "| cycles | raw errors | scrubbed cells | errors after scrub | window loss (%) |\n"
+      "+--------+------------+----------------+--------------------+-----------------+\n"
+      "|      4 |         31 |             31 |                  0 |             0.0 |\n"
+      "|      8 |         31 |             31 |                  0 |             0.0 |\n"
+      "|     12 |         29 |             29 |                  0 |             1.3 |\n"
+      "|     16 |         31 |             31 |                  0 |             2.1 |\n"
+      "|     20 |         31 |             31 |                  1 |             2.8 |\n"
+      "|     24 |         30 |             31 |                  0 |             3.4 |\n"
+      "+--------+------------+----------------+--------------------+-----------------+\n";
+  const char* summary =
+      "| write cycles                      |     24 |\n"
+      "| verify re-programs                |     58 |\n"
+      "| mean energy / write               | 707 pJ |\n"
+      "| mean write latency (incl. verify) | 1.8 ms |\n"
+      "| reads seen by cell (0,0)          |    115 |\n"
+      "| cycles seen by cell (0,0)         |     53 |\n"
+      "| scrub repairs every epoch         | yes    |\n"
+      "| window loss never shrinks         | yes    |\n";
+  EXPECT_NE(result.output.find(epochs), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find(summary), std::string::npos) << result.output;
+}
+#endif
 
 TEST(CliContract, EccRejectsOutOfRangeBits) {
   const RunResult result = run_sim("--ecc --bits 7");

@@ -61,6 +61,15 @@ TEST(Geometry, ValidateNamesTheOffendingField) {
   GeometryConfig timing = GeometryConfig::rram_isscc_2012();
   timing.timing.t_wp_max = timing.timing.t_wp_min - 1;
   EXPECT_THROW(timing.validate(), InvalidArgumentError);
+
+  // A scrub due again before its own slot ends would starve every bank.
+  GeometryConfig scrub = GeometryConfig::rram_isscc_2012();
+  scrub.scrub_interval_cycles = scrub.timing.t_scrub;
+  EXPECT_THROW(scrub.validate(), InvalidArgumentError);
+  scrub.scrub_interval_cycles = scrub.timing.t_scrub + 1;
+  EXPECT_NO_THROW(scrub.validate());
+  scrub.scrub_interval_cycles = 0;  // scrub off
+  EXPECT_NO_THROW(scrub.validate());
 }
 
 TEST(Geometry, DecodeEncodeRoundTripsEveryFieldExtreme) {
@@ -202,6 +211,10 @@ TEST(MemsysConfig, BrokenRulesAndRepeatedKeysNameTheirLine) {
       {"tWP_MAX 100\nQUEUE_DEPTH 4\n", 1, "0 < tWP_MIN <= tWP_MAX, got [220, 100]"},
       {"WRITE_DRAIN_THRESHOLD 0\nSCHED_POLICY WRITE_DRAIN\n", 2,
        "WRITE_DRAIN_THRESHOLD must be positive"},
+      {"SCRUB_INTERVAL 440\nQUEUE_DEPTH 4\n", 1,
+       "SCRUB_INTERVAL must be 0 or exceed tSCRUB, got 440 <= 440"},
+      {"SCRUB_INTERVAL 600\n# slower scrub slots\ntSCRUB 600\n", 3,
+       "SCRUB_INTERVAL must be 0 or exceed tSCRUB, got 600 <= 600"},
       {"CHANNELS 2\nCHANNELS 4\n", 2, "key 'CHANNELS' already set on line 1"},
       {"COLS 8\nBANKS 2\nWORDS_PER_ROW 16\n", 3, "key 'WORDS_PER_ROW' already set on line 1"},
   };

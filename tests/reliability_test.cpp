@@ -8,14 +8,11 @@
 
 #include "mlc/controller.hpp"
 #include "oxram/drift.hpp"
-#include "reliability/engine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-namespace oxmlc::reliability {
+namespace oxmlc::oxram {
 namespace {
-
-using oxram::DriftParams;
 
 // ---------------------------------------------------------------------------
 // drift law
@@ -81,11 +78,55 @@ TEST(DriftLaw, LossIsCappedAtFullDepth) {
 }
 
 // ---------------------------------------------------------------------------
-// endurance model
+// per-cell aging physics: trajectory draws, read disturb, endurance wear
 // ---------------------------------------------------------------------------
 
+TEST(DriftTrajectory, ReanchorDrawsRelaxationThenActivationOnce) {
+  // The one draw order: the relaxation amplitude, then (first event only)
+  // the drift amplitude.
+  const DriftParams drift;
+  Rng rng(0xD7A3);
+  Rng copy = rng;
+  DriftTrajectory trajectory;
+  trajectory.reanchor(drift, 1.2e-9, 0.0, rng);
+  EXPECT_TRUE(trajectory.programmed);
+  EXPECT_EQ(trajectory.relax_amp, sample_relaxation_amplitude(drift, copy));
+  EXPECT_EQ(trajectory.drift_amp, sample_drift_amplitude(drift, copy));
+
+  // A later event re-anchors, clears the disturb offset and re-draws only the
+  // per-event amplitude; the per-cell activation is a device property.
+  const double activation = trajectory.drift_amp;
+  trajectory.offset = -1e-12;
+  trajectory.reanchor(drift, 1.8e-9, 10.0, rng);
+  EXPECT_EQ(trajectory.anchor, 1.8e-9);
+  EXPECT_EQ(trajectory.t_anchor, 10.0);
+  EXPECT_EQ(trajectory.offset, 0.0);
+  EXPECT_EQ(trajectory.relax_amp, sample_relaxation_amplitude(drift, copy));
+  EXPECT_EQ(trajectory.drift_amp, activation);
+  EXPECT_EQ(rng.next_u64(), copy.next_u64());  // one draw, nothing more
+}
+
+TEST(ReadDisturb, NudgesTowardLrs) {
+  FastCell cell(OxramParams{}, StackConfig{}, 1.5e-9, /*virgin=*/false);
+  const ReadDisturbModel model;
+
+  // 1e12 senses (1e5 s at the 0.3 V READ bias) make the stress visible.
+  const double stressed = disturbed_gap(cell, 1.5e-9, 1'000'000'000'000, model);
+  EXPECT_LT(stressed, 1.5e-9);
+  EXPECT_GE(stressed, cell.params().g_min);
+
+  // At nominal stress a single sense is deliberately negligible.
+  EXPECT_NEAR(disturbed_gap(cell, 1.5e-9, 1, model), 1.5e-9, 1e-4 * 1.5e-9);
+
+  // No reads, or the model off, bill nothing.
+  EXPECT_EQ(disturbed_gap(cell, 1.5e-9, 0, model), 1.5e-9);
+  ReadDisturbModel off;
+  off.enabled = false;
+  EXPECT_EQ(disturbed_gap(cell, 1.5e-9, 1'000'000'000'000, off), 1.5e-9);
+}
+
 TEST(Endurance, WindowCompressesPastOnset) {
-  const oxram::OxramParams fresh;
+  const OxramParams fresh;
   EnduranceModel model;
   model.onset_cycles = 1e3;
   model.loss_per_decade = 0.1;
@@ -95,13 +136,13 @@ TEST(Endurance, WindowCompressesPastOnset) {
   EXPECT_DOUBLE_EQ(worn_params(fresh, model, 1000).g_max, fresh.g_max);
 
   // One decade past onset: 10 % of the window gone, split across both edges.
-  const oxram::OxramParams one_decade = worn_params(fresh, model, 10000);
+  const OxramParams one_decade = worn_params(fresh, model, 10000);
   const double window = fresh.g_max - fresh.g_min;
   EXPECT_NEAR(one_decade.g_min, fresh.g_min + 0.05 * window, 1e-15);
   EXPECT_NEAR(one_decade.g_max, fresh.g_max - 0.05 * window, 1e-15);
 
   // Deep wear saturates at kMaxWindowLoss (0.5) rather than inverting the window.
-  const oxram::OxramParams saturated = worn_params(fresh, model, 1000000000000ULL);
+  const OxramParams saturated = worn_params(fresh, model, 1000000000000ULL);
   EXPECT_NEAR(saturated.g_max - saturated.g_min, 0.5 * window, 1e-15);
   EXPECT_LT(saturated.g_min, saturated.g_max);
 
@@ -111,185 +152,7 @@ TEST(Endurance, WindowCompressesPastOnset) {
 }
 
 // ---------------------------------------------------------------------------
-// reliability engine
-// ---------------------------------------------------------------------------
-
-TEST(ReliabilityEngine, ProgramEventAnchorsAndDrawsAmplitudes) {
-  array::FastArray grid(2, 2, oxram::OxramParams{}, oxram::OxramVariability{},
-                        oxram::StackConfig{}, 99);
-  ReliabilityConfig config;
-  ReliabilityEngine engine(grid, config);
-  EXPECT_FALSE(engine.trajectory(0, 0).programmed);
-  EXPECT_EQ(engine.cycles(0, 0), 0u);
-
-  grid.at(0, 0).set_gap(1.5e-9);
-  engine.on_programmed(0, 0);
-  const DriftTrajectory& trajectory = engine.trajectory(0, 0);
-  EXPECT_TRUE(trajectory.programmed);
-  EXPECT_EQ(engine.cycles(0, 0), 1u);
-  EXPECT_DOUBLE_EQ(trajectory.anchor, 1.5e-9);
-  EXPECT_DOUBLE_EQ(trajectory.t_anchor, 0.0);
-  EXPECT_GT(trajectory.relax_amp, 0.0);
-  EXPECT_GT(trajectory.drift_amp, 0.0);
-
-  // A second program event re-anchors at the engine clock, re-draws the
-  // per-event amplitude and keeps the per-cell activation (a device
-  // property, not an event one).
-  const double first_relax = trajectory.relax_amp;
-  const double activation = trajectory.drift_amp;
-  engine.advance(10.0);
-  grid.at(0, 0).set_gap(1.8e-9);
-  engine.on_programmed(0, 0);
-  EXPECT_EQ(engine.cycles(0, 0), 2u);
-  EXPECT_DOUBLE_EQ(trajectory.anchor, 1.8e-9);
-  EXPECT_DOUBLE_EQ(trajectory.t_anchor, 10.0);
-  EXPECT_NE(trajectory.relax_amp, first_relax);
-  EXPECT_DOUBLE_EQ(trajectory.drift_amp, activation);
-
-  // The one draw order: the relaxation amplitude, then (first event only)
-  // the drift amplitude.
-  const DriftParams drift;
-  Rng rng(0xD7A3);
-  Rng copy = rng;
-  DriftTrajectory fresh;
-  fresh.reanchor(drift, 1.2e-9, 0.0, rng);
-  EXPECT_EQ(fresh.relax_amp, oxram::sample_relaxation_amplitude(drift, copy));
-  EXPECT_EQ(fresh.drift_amp, oxram::sample_drift_amplitude(drift, copy));
-}
-
-TEST(ReliabilityEngine, AmplitudeStreamsAreOrderIndependent) {
-  const oxram::OxramParams nominal;
-  array::FastArray a(2, 2, nominal, oxram::OxramVariability{}, oxram::StackConfig{}, 7);
-  array::FastArray b(2, 2, nominal, oxram::OxramVariability{}, oxram::StackConfig{}, 7);
-  ReliabilityConfig config;
-  ReliabilityEngine first(a, config);
-  ReliabilityEngine second(b, config);
-  // Touch the cells in different orders; the (seed, cell) streams must agree.
-  first.on_programmed(1, 1);
-  first.on_programmed(0, 0);
-  second.on_programmed(0, 0);
-  second.on_programmed(1, 1);
-  EXPECT_DOUBLE_EQ(first.trajectory(1, 1).relax_amp, second.trajectory(1, 1).relax_amp);
-  EXPECT_DOUBLE_EQ(first.trajectory(1, 1).drift_amp, second.trajectory(1, 1).drift_amp);
-  EXPECT_DOUBLE_EQ(first.trajectory(0, 0).relax_amp, second.trajectory(0, 0).relax_amp);
-}
-
-// Whole-array acceptance: the state advance() writes depends on the engine
-// clock only, so two unequal steps land bitwise where one step of the same
-// total lands on a twin engine, on 4096 cells.
-TEST(ReliabilityEngine, AdvanceMatchesScalarReferenceOn4096Cells) {
-  ReliabilityConfig config;
-  config.read_disturb.enabled = false;
-  const auto program_all = [](array::FastArray& grid, ReliabilityEngine& engine) {
-    Rng rng(0xBA7C4);
-    for (std::size_t row = 0; row < grid.rows(); ++row) {
-      for (std::size_t col = 0; col < grid.cols(); ++col) {
-        oxram::FastCell& cell = grid.at(row, col);
-        cell.set_gap(rng.uniform(cell.params().g_min, cell.params().g_max));
-        engine.on_programmed(row, col);
-      }
-    }
-  };
-  array::FastArray stepped(64, 64, oxram::OxramParams{}, oxram::OxramVariability{},
-                           oxram::StackConfig{}, 2024);
-  array::FastArray single(64, 64, oxram::OxramParams{}, oxram::OxramVariability{},
-                          oxram::StackConfig{}, 2024);
-  ReliabilityEngine stepped_engine(stepped, config);
-  ReliabilityEngine single_engine(single, config);
-  program_all(stepped, stepped_engine);
-  program_all(single, single_engine);
-
-  stepped_engine.advance(0.5);
-  stepped_engine.advance(999.5);
-  single_engine.advance(1000.0);
-  for (std::size_t row = 0; row < stepped.rows(); ++row) {
-    for (std::size_t col = 0; col < stepped.cols(); ++col) {
-      const double g = stepped.at(row, col).gap();
-      EXPECT_LT(g, stepped_engine.trajectory(row, col).anchor);
-      const double reference = single.at(row, col).gap();
-      EXPECT_EQ(std::memcmp(&g, &reference, sizeof(double)), 0)
-          << "cell (" << row << ", " << col << "): " << g << " vs " << reference;
-    }
-  }
-}
-
-TEST(ReliabilityEngine, NeverProgrammedCellsAreStationary) {
-  array::FastArray grid(2, 2, oxram::OxramParams{}, oxram::OxramVariability{},
-                        oxram::StackConfig{}, 11);
-  ReliabilityConfig config;
-  ReliabilityEngine engine(grid, config);
-  grid.at(0, 0).set_gap(1.0e-9);
-  engine.on_programmed(0, 0);
-  grid.at(1, 1).set_gap(1.0e-9);  // mutated but never reported: stays put
-  engine.advance(1e6);
-  EXPECT_LT(grid.at(0, 0).gap(), 1.0e-9);
-  EXPECT_DOUBLE_EQ(grid.at(1, 1).gap(), 1.0e-9);
-}
-
-TEST(ReliabilityEngine, ReadDisturbNudgesTowardLrs) {
-  array::FastArray grid(1, 1, oxram::OxramParams{}, oxram::OxramVariability::disabled(),
-                        oxram::StackConfig{}, 5);
-  ReliabilityConfig config;
-  config.drift.enabled = false;  // isolate the disturb channel
-  ReliabilityEngine engine(grid, config);
-  oxram::FastCell& cell = grid.at(0, 0);
-  cell.set_gap(1.5e-9);
-  cell.set_virgin(false);
-  engine.on_programmed(0, 0);
-
-  // 1e12 senses (1e5 s at the 0.3 V READ bias) make the stress visible.
-  engine.apply_reads(0, 0, 1'000'000'000'000);
-  EXPECT_EQ(engine.reads(0, 0), 1'000'000'000'000u);
-  EXPECT_LT(engine.trajectory(0, 0).offset, 0.0);
-  EXPECT_LT(cell.gap(), 1.5e-9);
-  EXPECT_GE(cell.gap(), cell.params().g_min);
-
-  // advance() must preserve the accumulated offset (drift disabled here).
-  const double disturbed = cell.gap();
-  engine.advance(100.0);
-  EXPECT_NEAR(cell.gap(), disturbed, 1e-12 * disturbed);
-
-  // At nominal stress a single sense is deliberately negligible.
-  ReliabilityConfig nominal_config;
-  nominal_config.drift.enabled = false;
-  array::FastArray grid2(1, 1, oxram::OxramParams{}, oxram::OxramVariability::disabled(),
-                         oxram::StackConfig{}, 5);
-  ReliabilityEngine gentle(grid2, nominal_config);
-  grid2.at(0, 0).set_gap(1.5e-9);
-  grid2.at(0, 0).set_virgin(false);
-  gentle.on_programmed(0, 0);
-  gentle.on_read(0, 0);
-  EXPECT_NEAR(grid2.at(0, 0).gap(), 1.5e-9, 1e-4 * 1.5e-9);
-}
-
-TEST(ReliabilityEngine, EnduranceWearCompressesTheCellWindow) {
-  array::FastArray grid(1, 1, oxram::OxramParams{}, oxram::OxramVariability::disabled(),
-                        oxram::StackConfig{}, 3);
-  ReliabilityConfig config;
-  config.endurance.onset_cycles = 10;
-  config.endurance.loss_per_decade = 0.2;
-  ReliabilityEngine engine(grid, config);
-  const double fresh_g_min = grid.at(0, 0).params().g_min;
-  const double fresh_g_max = grid.at(0, 0).params().g_max;
-  grid.at(0, 0).set_gap(1.2e-9);
-  for (int i = 0; i < 1000; ++i) engine.on_programmed(0, 0);
-  EXPECT_EQ(engine.cycles(0, 0), 1000u);
-  EXPECT_GT(grid.at(0, 0).params().g_min, fresh_g_min);
-  EXPECT_LT(grid.at(0, 0).params().g_max, fresh_g_max);
-}
-
-TEST(ReliabilityEngine, RejectsOutOfRangeCells) {
-  array::FastArray grid(2, 2, oxram::OxramParams{}, oxram::OxramVariability{},
-                        oxram::StackConfig{}, 1);
-  ReliabilityConfig config;
-  ReliabilityEngine engine(grid, config);
-  EXPECT_THROW(engine.on_programmed(2, 0), InvalidArgumentError);
-  EXPECT_THROW(engine.on_read(0, 2), InvalidArgumentError);
-  EXPECT_THROW(engine.advance(-1.0), InvalidArgumentError);
-}
-
-// ---------------------------------------------------------------------------
-// controller integration: relaxation-aware verify + scrub
+// controller aging: the cells a MemoryController manages
 // ---------------------------------------------------------------------------
 
 struct ReliabilityControllerFixture : public ::testing::Test {
@@ -300,8 +163,168 @@ struct ReliabilityControllerFixture : public ::testing::Test {
   mlc::QlcProgrammer programmer;
 };
 
+using ControllerAging = ReliabilityControllerFixture;
+
+TEST_F(ControllerAging, ProgramEventAnchorsAndDrawsAmplitudes) {
+  mlc::MemoryController controller(programmer, 2, 2, 99);
+  // FORMING is the first program event of every cell.
+  const DriftTrajectory& trajectory = controller.trajectory(0, 0);
+  EXPECT_TRUE(trajectory.programmed);
+  EXPECT_EQ(controller.cycles(0, 0), 1u);
+  EXPECT_EQ(trajectory.anchor, controller.array().at(0, 0).gap());
+  EXPECT_EQ(trajectory.t_anchor, 0.0);
+  EXPECT_GT(trajectory.relax_amp, 0.0);
+  EXPECT_GT(trajectory.drift_amp, 0.0);
+
+  // A write re-anchors at the controller clock, re-draws the per-event
+  // amplitude and keeps the per-cell activation (a device property, not an
+  // event one).
+  const double first_relax = trajectory.relax_amp;
+  const double activation = trajectory.drift_amp;
+  controller.advance(10.0);
+  const std::vector<std::size_t> levels = {9, 3};
+  controller.write_word_levels(0, levels);
+  EXPECT_EQ(controller.cycles(0, 0), 2u);
+  EXPECT_EQ(controller.cycles(1, 0), 1u);
+  EXPECT_EQ(trajectory.anchor, controller.array().at(0, 0).gap());
+  EXPECT_EQ(trajectory.t_anchor, 10.0);
+  EXPECT_NE(trajectory.relax_amp, first_relax);
+  EXPECT_EQ(trajectory.drift_amp, activation);
+}
+
+TEST_F(ControllerAging, AmplitudeStreamsAreOrderIndependent) {
+  mlc::MemoryController first(programmer, 2, 2, 7);
+  mlc::MemoryController second(programmer, 2, 2, 7);
+  // Write the words in different orders; the (seed, cell) streams must agree.
+  const std::vector<std::size_t> levels = {12, 5};
+  first.write_word_levels(1, levels);
+  first.write_word_levels(0, levels);
+  second.write_word_levels(0, levels);
+  second.write_word_levels(1, levels);
+  for (std::size_t row = 0; row < 2; ++row) {
+    for (std::size_t col = 0; col < 2; ++col) {
+      EXPECT_EQ(first.trajectory(row, col).relax_amp, second.trajectory(row, col).relax_amp);
+      EXPECT_EQ(first.trajectory(row, col).drift_amp, second.trajectory(row, col).drift_amp);
+    }
+  }
+}
+
+// Whole-array acceptance: the state advance() writes depends on the
+// controller clock only, so two unequal steps land bitwise where one step of
+// the same total lands on a twin controller, on 256 cells of every level.
+TEST_F(ControllerAging, TwoAdvanceStepsEqualOne) {
+  mlc::ReliabilityConfig rel;
+  rel.read_disturb.enabled = false;
+  mlc::MemoryController stepped(programmer, 16, 16, 2024, rel);
+  mlc::MemoryController single(programmer, 16, 16, 2024, rel);
+  Rng rng(0xBA7C4);
+  std::vector<std::size_t> levels(16);
+  for (std::size_t row = 0; row < 16; ++row) {
+    for (std::size_t& level : levels) level = rng.uniform_index(16);
+    stepped.write_word_levels(row, levels);
+    single.write_word_levels(row, levels);
+  }
+
+  stepped.advance(0.5);
+  stepped.advance(999.5);
+  single.advance(1000.0);
+  for (std::size_t row = 0; row < 16; ++row) {
+    for (std::size_t col = 0; col < 16; ++col) {
+      const double g = stepped.array().at(row, col).gap();
+      EXPECT_LT(g, stepped.trajectory(row, col).anchor);
+      const double reference = single.array().at(row, col).gap();
+      EXPECT_EQ(std::memcmp(&g, &reference, sizeof(double)), 0)
+          << "cell (" << row << ", " << col << "): " << g << " vs " << reference;
+    }
+  }
+}
+
+TEST_F(ControllerAging, EveryCellIsAnchoredAtForming) {
+  // No cell of a controller is left unanchored: FORMING is every cell's first
+  // program event, so a bake rewrites every cell from its trajectory, written
+  // or not.
+  mlc::MemoryController controller(programmer, 2, 2, 11);
+  const std::vector<std::size_t> levels = {15, 15};
+  controller.write_word_levels(0, levels);
+  for (std::size_t col = 0; col < 2; ++col) {
+    EXPECT_EQ(controller.cycles(0, col), 2u);
+    EXPECT_EQ(controller.cycles(1, col), 1u);
+    EXPECT_TRUE(controller.trajectory(1, col).programmed);
+  }
+  const double written = controller.array().at(0, 0).gap();
+  controller.advance(1e6);
+  EXPECT_LT(controller.array().at(0, 0).gap(), written);
+  for (std::size_t row = 0; row < 2; ++row) {
+    for (std::size_t col = 0; col < 2; ++col) {
+      const oxram::FastCell& cell = controller.array().at(row, col);
+      EXPECT_EQ(cell.gap(), controller.trajectory(row, col).gap_at(DriftParams{},
+                                                                   cell.params(), 1e6));
+    }
+  }
+}
+
+TEST_F(ControllerAging, EverySenseDisturbsItsCellOnce) {
+  mlc::ReliabilityConfig rel;
+  rel.drift.enabled = false;  // isolate the disturb channel
+  mlc::MemoryController controller(programmer, 1, 2, 5, rel);
+  const std::vector<std::size_t> levels = {15, 4};
+  controller.write_word_levels(0, levels);
+  const FastCell before = controller.array().at(0, 0);
+
+  controller.read_word_levels(0);
+  EXPECT_EQ(controller.reads(0, 0), 1u);
+  EXPECT_EQ(controller.reads(0, 1), 1u);
+  const double disturbed = controller.array().at(0, 0).gap();
+  EXPECT_EQ(disturbed, disturbed_gap(before, before.gap(), 1, ReadDisturbModel{}));
+  EXPECT_EQ(controller.trajectory(0, 0).offset, disturbed - before.gap());
+
+  // advance() must preserve the accumulated offset (drift disabled here).
+  controller.advance(100.0);
+  EXPECT_NEAR(controller.array().at(0, 0).gap(), disturbed, 1e-12 * disturbed);
+
+  // With the model off a sense is still counted, but moves nothing.
+  rel.read_disturb.enabled = false;
+  mlc::MemoryController quiet(programmer, 1, 2, 5, rel);
+  quiet.write_word_levels(0, levels);
+  const double written = quiet.array().at(0, 0).gap();
+  quiet.read_word_levels(0);
+  EXPECT_EQ(quiet.reads(0, 0), 1u);
+  EXPECT_EQ(quiet.array().at(0, 0).gap(), written);
+}
+
+TEST_F(ControllerAging, EnduranceWearCompressesTheCellWindow) {
+  mlc::ReliabilityConfig rel;
+  rel.endurance.onset_cycles = 10;
+  rel.endurance.loss_per_decade = 0.2;
+  mlc::MemoryController controller(programmer, 1, 1, 3, rel);
+  const OxramParams fresh = controller.array().at(0, 0).params();  // 1 cycle: unworn
+  const std::vector<std::size_t> level = {7};
+  for (int i = 0; i < 99; ++i) controller.write_word_levels(0, level);
+  EXPECT_EQ(controller.cycles(0, 0), 100u);
+  const OxramParams& worn = controller.array().at(0, 0).params();
+  EXPECT_GT(worn.g_min, fresh.g_min);
+  EXPECT_LT(worn.g_max, fresh.g_max);
+  EXPECT_EQ(worn.g_min, worn_params(fresh, rel.endurance, 100).g_min);
+  EXPECT_EQ(worn.g_max, worn_params(fresh, rel.endurance, 100).g_max);
+}
+
+TEST_F(ControllerAging, RejectsOutOfRangeCells) {
+  mlc::MemoryController controller(programmer, 2, 2, 1);
+  EXPECT_THROW(controller.cycles(2, 0), InvalidArgumentError);
+  EXPECT_THROW(controller.reads(0, 2), InvalidArgumentError);
+  EXPECT_THROW(controller.trajectory(2, 2), InvalidArgumentError);
+  EXPECT_THROW(controller.read_word_levels(2), InvalidArgumentError);
+  const std::vector<std::size_t> levels = {1, 2};
+  EXPECT_THROW(controller.write_word_levels(2, levels), InvalidArgumentError);
+  EXPECT_THROW(controller.advance(-1.0), InvalidArgumentError);
+}
+
+// ---------------------------------------------------------------------------
+// controller integration: relaxation-aware verify + scrub
+// ---------------------------------------------------------------------------
+
 TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
-  ReliabilityConfig rel;
+  mlc::ReliabilityConfig rel;
   rel.read_disturb.enabled = false;
   // Amplified relaxation (cf. the pulled-down wear onset in the endurance
   // example): with a 5 % median most deep-level draws cross the ~16 pm
@@ -323,7 +346,7 @@ TEST_F(ReliabilityControllerFixture, RelaxVerifyCatchesTheRelaxationTail) {
 
 TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
   // Twin setups from identical seeds: the only difference is the verify loop.
-  ReliabilityConfig rel;
+  mlc::ReliabilityConfig rel;
   rel.read_disturb.enabled = false;
   rel.drift.relax_fraction = 0.05;  // amplified so 16 cells show the effect
   rel.drift.sigma_relax = 0.7;
@@ -337,8 +360,8 @@ TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
   controller_on.write_word_levels(1, deep);
 
   // Give the fast component time to express in both, then compare fidelity.
-  controller.reliability().advance(1.0);
-  controller_on.reliability().advance(1.0);
+  controller.advance(1.0);
+  controller_on.advance(1.0);
   std::size_t errors_off = 0;
   std::size_t errors_on = 0;
   for (std::size_t row = 0; row < 2; ++row) {
@@ -354,7 +377,7 @@ TEST_F(ReliabilityControllerFixture, VerifyReducesPostRelaxationDecodeErrors) {
 }
 
 TEST_F(ReliabilityControllerFixture, ScrubRepairsRetentionDrift) {
-  ReliabilityConfig rel;
+  mlc::ReliabilityConfig rel;
   rel.read_disturb.enabled = false;
   mlc::MemoryController controller(programmer, 2, 8, 314, rel);
 
@@ -363,7 +386,7 @@ TEST_F(ReliabilityControllerFixture, ScrubRepairsRetentionDrift) {
   controller.write_word_levels(0, word0);
   controller.write_word_levels(1, word1);
 
-  controller.reliability().advance(1e6);  // ~12 days of retention: deep levels cross bands
+  controller.advance(1e6);  // ~12 days of retention: deep levels cross bands
 
   std::size_t errors_before = 0;
   {
@@ -407,4 +430,4 @@ TEST_F(ReliabilityControllerFixture, ScrubSkipsNeverWrittenWords) {
 }
 
 }  // namespace
-}  // namespace oxmlc::reliability
+}  // namespace oxmlc::oxram

@@ -9,7 +9,6 @@
 #include "mlc/retention.hpp"
 #include "obs/json.hpp"
 #include "oxram/drift.hpp"
-#include "reliability/engine.hpp"
 #include "util/error.hpp"
 #include "util/schema.hpp"
 
@@ -233,10 +232,9 @@ struct ReplayCell {
   }
 
   std::size_t sense(const QlcProgrammer& programmer, const oxram::DriftParams& drift,
-                    const reliability::ReadDisturbModel& disturb, double t) {
+                    const oxram::ReadDisturbModel& disturb, double t) {
     const double g = gap_at(drift, t);
-    const double g_disturbed =
-        reliability::disturbed_gap(cell, g, /*virgin=*/false, 1, disturb);
+    const double g_disturbed = oxram::disturbed_gap(cell, g, 1, disturb);
     offset += g_disturbed - g;
     cell.set_gap(g_disturbed);
     return programmer.read_level(cell, rng);
@@ -253,7 +251,7 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   const QlcConfig& qlc = programmer.config();
   oxram::DriftParams drift;
   drift.relax_fraction = 0.05;  // amplified so verify and scrub find work
-  const reliability::ReadDisturbModel disturb;
+  const oxram::ReadDisturbModel disturb;
   constexpr double kTau = kVerifyWait;
   constexpr std::size_t kPasses = 3;
   const double kScrubTimes[] = {1e5, 1e6, 1e7};
@@ -273,7 +271,7 @@ TEST_P(DriftingWordEquivalence, LockstepWordIsBitwiseThePerCellFlow) {
   std::vector<ReplayCell> replay;
   for (std::size_t i = 0; i < n; ++i) replay.push_back({cells[i], rngs[i], targets[i]});
 
-  DriftingWord word(programmer, drift, disturb, cells, rngs, targets);
+  DriftingWord word(programmer, drift, cells, rngs, targets);
   const DriftingWord::VerifyCounts verify = word.relax_verify(kPasses);
   std::vector<double> r_word(n);
   for (std::size_t i = 0; i < n; ++i) r_word[i] = word.resistance_at(i, 1.0);

@@ -302,7 +302,7 @@ int run_qlc(const CliOptions& options) {
 // Retention sweep: (1) the Monte-Carlo drift study of mlc/retention.hpp,
 // verify-off vs relaxation-aware verify over the same programmed words, so
 // the recovered-window fraction is directly comparable; (2) an 8x8 array bake +
-// scrub demonstration driving MemoryController/ReliabilityEngine end-to-end
+// scrub demonstration driving MemoryController end-to-end
 // (this is what populates the reliability.cells_scrubbed counter the CI
 // smoke asserts). `--report` writes the whole thing as oxmlc.retention.v1.
 int run_retention(const CliOptions& options) {
@@ -346,7 +346,7 @@ int run_retention(const CliOptions& options) {
   // Array-level bake + scrub demo on the paper's 8x8 test array, two verify
   // passes after each write.
   const mlc::QlcProgrammer programmer(config.study.qlc);
-  reliability::ReliabilityConfig rel;
+  mlc::ReliabilityConfig rel;
   rel.seed = seed ^ 0x0DD5EEDULL;
   mlc::MemoryController controller(programmer, 8, 8, seed ^ 0xA11A5EEDULL, rel, 2);
   Rng pattern_rng(seed ^ 0x7A77E24ULL);
@@ -357,7 +357,7 @@ int run_retention(const CliOptions& options) {
     controller.write_word_levels(row, levels);
   }
   const double bake_s = 1e6;
-  controller.reliability().advance(bake_s);
+  controller.advance(bake_s);
   const mlc::ScrubStats scrub = controller.scrub_all();
   std::cout << "scrub demo (8x8, " << format_si(bake_s, "s", 3) << " bake): "
             << scrub.cells_scrubbed << "/" << scrub.cells_checked
